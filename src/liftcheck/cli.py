@@ -2,7 +2,8 @@
 
 Subcommands: check, lift, build-j, verify, sweep, run, demo.  All but demo
 take a `.def` definition file.  Exit status is 0 when every non-informational
-verdict passes, 1 when some verdict fails, 2 on definition or usage errors.
+verdict passes, 1 when some verdict fails, 2 on usage, definition or input
+errors (a file that is not UTF-8 text included).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .algebra import AlgebraError
 from .definition import (
     Definition,
     DefinitionError,
@@ -20,14 +22,13 @@ from .definition import (
     structure_to_definition,
 )
 from .expr import ParseError
-from .lifts import COMPLETE, HORIZONTAL, Connection, LiftError
+from .lifts import COMPLETE, HORIZONTAL, Connection
 from .runner import TaskError, run_tasks
 from .report import Report, Section
 from .structures import (
     CONSISTENT,
     DEFAULT_SEED,
     PAPER_LITERAL,
-    StructureError,
     canonical_structure,
 )
 from .theorems import THEOREM_SIGNS
@@ -222,7 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "demo":
             report = _demo_report(args.seed)
         else:
-            text = Path(args.definition).read_text(encoding="utf-8")
+            try:
+                text = Path(args.definition).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise TaskError(f"{args.definition}: not UTF-8 text at byte {exc.start}") from None
             defn = parse_definition(text)
             if args.command == "check":
                 tasks = [Task("check")]
@@ -241,10 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:  # pragma: no cover - argparse restricts choices
                 raise TaskError(f"unknown command {args.command!r}")
             report = run_tasks(defn, tasks, seed=args.seed, mode_override=args.mode)
-    except (DefinitionError, ParseError, TaskError, LiftError, StructureError) as exc:
-        print(f"liftcheck: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DefinitionError, ParseError, TaskError, AlgebraError, OSError) as exc:
         print(f"liftcheck: error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,8 @@ and by the test suite's evaluation contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .algebra import Poly
 from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
@@ -307,6 +307,41 @@ def lift_field(
     raise LiftError(f"no lift for valence {field_.valence}")
 
 
+@dataclass(frozen=True)
+class LiftContext:
+    """The lifts of one structure's F, xi and eta for one lift kind L, built once and
+    read by every check on it; ``memo`` keeps what those checks derive from them."""
+
+    tangent: TangentChart
+    conn: Optional[Connection]
+    f_lift: TensorField
+    xi_v: tuple[TensorField, ...]
+    xi_l: tuple[TensorField, ...]
+    eta_v: tuple[TensorField, ...]
+    eta_l: tuple[TensorField, ...]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @classmethod
+    def build(
+        cls, structure: RContactStructure, kind: str, conn: Optional[Connection] = None,
+        suffix: str = DEFAULT_FIBER_SUFFIX,
+    ) -> "LiftContext":
+        tangent = TangentChart.over(structure.chart, suffix)
+        return cls(
+            tangent, conn, lift_endo(structure.f, kind, tangent, conn),
+            tuple(lift_vector(x, VERTICAL, tangent) for x in structure.xi),
+            tuple(lift_vector(x, kind, tangent, conn) for x in structure.xi),
+            tuple(lift_oneform(w, VERTICAL, tangent) for w in structure.eta),
+            tuple(lift_oneform(w, kind, tangent, conn) for w in structure.eta),
+        )
+
+    def memoised(self, key, build: Callable[[], object]):
+        """The value kept under ``key``, made by ``build()`` on first use."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+
 # -- interaction tables --------------------------------------------------------
 
 # Identity tags for the complete-lift table: (riemannian, lorentzian).
@@ -319,24 +354,30 @@ def verify_lift_interactions(
     conn: Optional[Connection] = None,
     suffix: str = DEFAULT_FIBER_SUFFIX,
     seed: int | None = None,
+    *, contexts: Optional[Callable[[str], LiftContext]] = None,
 ) -> CheckReport:
     """Check every lift-interaction identity the structure is expected to satisfy.
 
     Always checks the complete/vertical table; extends to the horizontal
     table when a connection is supplied.  The expected pairing value is
     +delta for riemannian structures and -delta for lorentzian ones.
+    ``contexts`` gives this structure's shared LiftContext for a lift kind
+    (the horizontal one over ``conn``); without it they are built here.
     """
-    tangent = TangentChart.over(structure.chart, suffix)
+    if contexts is None:
+        def contexts(kind: str) -> LiftContext:
+            return LiftContext.build(structure, kind, conn if kind == HORIZONTAL else None, suffix)
+
+    complete = contexts(COMPLETE)
+    tangent = complete.tangent
     kappa = structure.pairing_convention()
     col = 0 if structure.signature == "riemannian" else 1
     entries: list[CheckEntry] = []
 
-    f_c = lift_endo(structure.f, COMPLETE, tangent)
+    f_c = complete.f_lift
     f_v = lift_endo(structure.f, VERTICAL, tangent)
-    xi_v = [lift_vector(xi, VERTICAL, tangent) for xi in structure.xi]
-    xi_c = [lift_vector(xi, COMPLETE, tangent) for xi in structure.xi]
-    eta_v = [lift_oneform(eta, VERTICAL, tangent) for eta in structure.eta]
-    eta_c = [lift_oneform(eta, COMPLETE, tangent) for eta in structure.eta]
+    xi_v, xi_c = complete.xi_v, complete.xi_l
+    eta_v, eta_c = complete.eta_v, complete.eta_l
 
     def delta_fn(a: int, b: int) -> TensorField:
         value = kappa if a == b else 0
@@ -406,9 +447,8 @@ def verify_lift_interactions(
 
     notes: list[str] = []
     if conn is not None:
-        f_h = lift_endo(structure.f, HORIZONTAL, tangent, conn)
-        xi_h = [lift_vector(xi, HORIZONTAL, tangent, conn) for xi in structure.xi]
-        eta_h = [lift_oneform(eta, HORIZONTAL, tangent, conn) for eta in structure.eta]
+        horizontal = contexts(HORIZONTAL)
+        f_h, xi_h, eta_h = horizontal.f_lift, horizontal.xi_l, horizontal.eta_l
         tag = _HORIZONTAL_TAGS["f_xi"]
         for a in range(structure.r):
             entries.append(

@@ -5,11 +5,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .definition import Definition, DefinitionError, Task, build_connection, build_structure
-from .lifts import COMPLETE, HORIZONTAL, Connection, verify_lift_interactions
+from .lifts import HORIZONTAL, Connection, LiftContext, verify_lift_interactions
 from .structures import (
     DEFAULT_SEED,
     PAPER_LITERAL,
-    RContactStructure,
     R_CONTACT_FAMILY,
     CONSISTENT_FAMILY,
     check_axioms,
@@ -25,11 +24,11 @@ from .report import (
     section_from_verdict,
 )
 from .theorems import (
+    THEOREM_SIGNS,
     LiftedStructureSpec,
     action_report,
     build_lifted_j,
     sign_sweep,
-    theorem_spec,
     verify_theorem,
 )
 
@@ -41,36 +40,35 @@ class TaskError(ValueError):
     """A task cannot run against this definition (missing structure, metric, ...)."""
 
 
-def _structure(defn: Definition) -> RContactStructure:
-    try:
-        return build_structure(defn)
-    except DefinitionError as exc:
-        raise TaskError(str(exc)) from exc
+class _Shared:
+    """The structure and one lift context per lift kind, which every task of
+    a run reads; horizontal uses the declared connection, or the flat one."""
+
+    def __init__(self, defn: Definition):
+        try:
+            self.structure = build_structure(defn)
+        except DefinitionError as exc:
+            raise TaskError(str(exc)) from exc
+        self.conn = build_connection(defn) or Connection.flat(defn.chart)
+        self.suffix = defn.fiber_suffix
+        self._contexts: dict[str, LiftContext] = {}
+
+    def context(self, kind: str) -> LiftContext:
+        if kind not in self._contexts:
+            conn = self.conn if kind == HORIZONTAL else None
+            self._contexts[kind] = LiftContext.build(self.structure, kind, conn, self.suffix)
+        return self._contexts[kind]
+
+    def spec(self, kind: str, s: int, t: int) -> tuple[LiftedStructureSpec, LiftContext]:
+        ctx = self.context(kind)
+        return LiftedStructureSpec(self.structure, kind, s, t, ctx.conn, self.suffix), ctx
 
 
-def _connection(defn: Definition, required: bool) -> Optional[Connection]:
-    conn = build_connection(defn)
-    if conn is None and required:
-        conn = Connection.flat(defn.chart)
-    return conn
-
-
-def _spec_from_args(
-    defn: Definition, structure: RContactStructure, args: tuple[str, ...]
-) -> tuple[LiftedStructureSpec, str]:
-    if args[0] in ("4.1", "4.2", "4.3", "4.4"):
-        tag = args[0]
-        conn = _connection(defn, required=tag in ("4.3", "4.4"))
-        return theorem_spec(tag, structure, conn=conn, suffix=defn.fiber_suffix), tag
-    kind = args[0]
-    s, t = int(args[1]), int(args[2])
-    conn = _connection(defn, required=kind == HORIZONTAL)
-    if kind == COMPLETE:
-        conn = None
-    spec = LiftedStructureSpec(
-        base=structure, lift_kind=kind, s=s, t=t, conn=conn, suffix=defn.fiber_suffix
-    )
-    return spec, f"{kind} (s={s:+d}, t={t:+d})"
+def _spec_from_args(shared: _Shared, args: tuple[str, ...]) -> tuple[LiftedStructureSpec, LiftContext, str]:
+    if args[0] in THEOREM_SIGNS:
+        return (*shared.spec(*THEOREM_SIGNS[args[0]]), args[0])
+    kind, s, t = args[0], int(args[1]), int(args[2])
+    return (*shared.spec(kind, s, t), f"{kind} (s={s:+d}, t={t:+d})")
 
 
 def run_task(
@@ -78,8 +76,11 @@ def run_task(
     task: Task,
     seed: int = DEFAULT_SEED,
     mode_override: Optional[str] = None,
+    *,
+    shared: Optional[_Shared] = None,
 ) -> list[Section]:
-    structure = _structure(defn)
+    shared = shared or _Shared(defn)
+    structure = shared.structure
     mode = mode_override or (defn.structure.mode if defn.structure else PAPER_LITERAL)
 
     if task.kind == "check":
@@ -110,9 +111,9 @@ def run_task(
         which = task.args[0] if task.args else "both"
         conn = None
         if which in ("horizontal", "both"):
-            conn = _connection(defn, required=True)
+            conn = shared.conn
         report = verify_lift_interactions(
-            structure, conn=conn, suffix=defn.fiber_suffix, seed=seed
+            structure, conn=conn, suffix=defn.fiber_suffix, seed=seed, contexts=shared.context
         )
         return [
             section_from_check(
@@ -121,21 +122,20 @@ def run_task(
         ]
 
     if task.kind == "build-j":
-        spec, label = _spec_from_args(defn, structure, task.args)
-        j = build_lifted_j(spec)
+        spec, ctx, label = _spec_from_args(shared, task.args)
+        j = build_lifted_j(spec, ctx=ctx)
         return [section_from_j("build-j", f"build-j: {label}", j)]
 
     if task.kind == "verify":
-        spec, label = _spec_from_args(defn, structure, task.args)
-        verdict = verify_theorem(spec, seed=seed)
+        spec, ctx, label = _spec_from_args(shared, task.args)
+        verdict = verify_theorem(spec, seed=seed, ctx=ctx)
         tag = _VERDICT_TAGS.get(task.args[0], "J^2")
         return [section_from_verdict("verify", f"verify: {label}", verdict, tag=tag)]
 
     if task.kind == "theorem":
         tag = task.args[0]
-        conn = _connection(defn, required=tag in ("4.3", "4.4"))
-        spec = theorem_spec(tag, structure, conn=conn, suffix=defn.fiber_suffix)
-        verdict = verify_theorem(spec, seed=seed)
+        spec, ctx = shared.spec(*THEOREM_SIGNS[tag])
+        verdict = verify_theorem(spec, seed=seed, ctx=ctx)
         sections = [
             section_from_verdict(
                 "theorem",
@@ -144,7 +144,7 @@ def run_task(
                 tag=_VERDICT_TAGS[tag],
             )
         ]
-        actions = action_report(spec, seed=seed)
+        actions = action_report(spec, seed=seed, ctx=ctx)
         sections.append(
             section_from_check(
                 "theorem", f"theorem {tag}: action formulas", actions
@@ -154,21 +154,20 @@ def run_task(
 
     if task.kind == "actions":
         tag = task.args[0]
-        conn = _connection(defn, required=tag in ("4.3", "4.4"))
-        spec = theorem_spec(tag, structure, conn=conn, suffix=defn.fiber_suffix)
+        spec, ctx = shared.spec(*THEOREM_SIGNS[tag])
         return [
             section_from_check(
                 "actions",
                 f"actions {tag}: derived displays",
-                action_report(spec, seed=seed),
+                action_report(spec, seed=seed, ctx=ctx),
             )
         ]
 
     if task.kind == "sweep":
         kind = task.args[0]
-        conn = _connection(defn, required=kind == HORIZONTAL)
+        ctx = shared.context(kind)
         sweep = sign_sweep(
-            structure, kind, conn=conn, suffix=defn.fiber_suffix, seed=seed
+            structure, kind, conn=ctx.conn, suffix=defn.fiber_suffix, seed=seed, ctx=ctx
         )
         return [
             section_from_sweep("sweep", f"sweep: {kind} lift sign ledger", sweep)
@@ -183,7 +182,14 @@ def run_tasks(
     seed: int = DEFAULT_SEED,
     mode_override: Optional[str] = None,
 ) -> Report:
+    """Run ``tasks`` in order; they share one structure and one lift context
+    per lift kind, which are dropped when the run returns."""
     report = Report(seed=seed)
+    if not tasks:
+        return report
+    shared = _Shared(defn)
     for task in tasks:
-        report.sections.extend(run_task(defn, task, seed=seed, mode_override=mode_override))
+        report.sections.extend(
+            run_task(defn, task, seed=seed, mode_override=mode_override, shared=shared)
+        )
     return report

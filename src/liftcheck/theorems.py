@@ -21,7 +21,7 @@ reports whether they match this law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .lifts import (
@@ -30,11 +30,9 @@ from .lifts import (
     HORIZONTAL,
     VERTICAL,
     Connection,
+    LiftContext,
     LiftError,
-    TangentChart,
-    lift_endo,
     lift_function,
-    lift_oneform,
     lift_vector,
 )
 from .structures import (
@@ -148,46 +146,37 @@ def theorem_spec(
     return LiftedStructureSpec(base=base, lift_kind=kind, s=s, t=t, conn=conn, suffix=suffix)
 
 
-@dataclass(frozen=True)
-class _LiftContext:
-    tangent: TangentChart
-    f_lift: TensorField
-    xi_v: tuple[TensorField, ...]
-    xi_l: tuple[TensorField, ...]
-    eta_v: tuple[TensorField, ...]
-    eta_l: tuple[TensorField, ...]
+# A ``ctx`` passed below must be built from the spec's base, lift kind,
+# connection and suffix; without one, each call builds its own.
 
 
-def _context(spec: LiftedStructureSpec) -> _LiftContext:
-    base = spec.base
-    tangent = TangentChart.over(base.chart, spec.suffix)
-    kind = spec.lift_kind
-    conn = spec.conn
-    return _LiftContext(
-        tangent=tangent,
-        f_lift=lift_endo(base.f, kind, tangent, conn),
-        xi_v=tuple(lift_vector(x, VERTICAL, tangent) for x in base.xi),
-        xi_l=tuple(lift_vector(x, kind, tangent, conn) for x in base.xi),
-        eta_v=tuple(lift_oneform(w, VERTICAL, tangent) for w in base.eta),
-        eta_l=tuple(lift_oneform(w, kind, tangent, conn) for w in base.eta),
-    )
+def _context(spec: LiftedStructureSpec) -> LiftContext:
+    return LiftContext.build(spec.base, spec.lift_kind, spec.conn, spec.suffix)
 
 
-def _assemble_j(ctx: _LiftContext, s: int, t: int) -> TensorField:
-    j = ctx.f_lift
-    for xv, xl, ev, el in zip(ctx.xi_v, ctx.xi_l, ctx.eta_v, ctx.eta_l):
-        j = j + outer(xv, ev).scale(s) + outer(xl, el).scale(t)
-    return j
+def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
+    zero = TensorField.zero(ctx.tangent.total, (1, 1))
+    v_sum = ctx.memoised("v_sum", lambda: sum(map(outer, ctx.xi_v, ctx.eta_v), zero))
+    l_sum = ctx.memoised("l_sum", lambda: sum(map(outer, ctx.xi_l, ctx.eta_l), zero))
+    j = ctx.f_lift + v_sum if s > 0 else ctx.f_lift - v_sum
+    return j + l_sum if t > 0 else j - l_sum
 
 
-def build_lifted_j(spec: LiftedStructureSpec) -> TensorField:
+def _lifted_j(ctx: LiftContext, s: int, t: int) -> TensorField:
+    return ctx.memoised(("j", s, t), lambda: _assemble_j(ctx, s, t))
+
+
+def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = None) -> TensorField:
     """Assemble J = F^L + s*sum xi^v(x)eta^v + t*sum xi^L(x)eta^L on the total chart."""
-    return _assemble_j(_context(spec), spec.s, spec.t)
+    return _lifted_j(ctx or _context(spec), spec.s, spec.t)
 
 
-def _verdict(
-    spec: LiftedStructureSpec, ctx: _LiftContext, j: TensorField, seed: int | None
-) -> TheoremVerdict:
+def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
+    return ctx.memoised(("verdict", spec.s, spec.t, seed), lambda: _check_square(spec, ctx, seed))
+
+
+def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
+    j = _lifted_j(ctx, spec.s, spec.t)
     eps_identity = TensorField.identity_endo(ctx.tangent.total).scale(spec.base.epsilon)
     residual = endo_compose(j, j) - eps_identity
     passed = residual.is_zero()
@@ -202,13 +191,14 @@ def _verdict(
     return TheoremVerdict(j=j, residual=residual, passed=passed, row=row, witness=witness)
 
 
-def verify_theorem(spec: LiftedStructureSpec, seed: int | None = None) -> TheoremVerdict:
+def verify_theorem(
+    spec: LiftedStructureSpec, seed: int | None = None, *, ctx: Optional[LiftContext] = None
+) -> TheoremVerdict:
     """Exact check of J^2 = eps*I; on failure the verdict carries a witness point."""
-    ctx = _context(spec)
-    return _verdict(spec, ctx, _assemble_j(ctx, spec.s, spec.t), seed)
+    return _verdict(spec, ctx or _context(spec), seed)
 
 
-def _pairing_sign(ctx: _LiftContext, r: int) -> Optional[int]:
+def _pairing_sign(ctx: LiftContext, r: int) -> Optional[int]:
     """kappa with eta^alpha,v(xi_beta^L) = kappa*delta, or None if non-uniform."""
     if r == 0:
         return None
@@ -232,7 +222,7 @@ def _pairing_sign(ctx: _LiftContext, r: int) -> Optional[int]:
 
 
 def _squaring_coefficient(
-    ctx: _LiftContext, base: RContactStructure
+    ctx: LiftContext, base: RContactStructure
 ) -> tuple[Optional[int], TensorField]:
     """c with (F^L)^2 = eps*I + c * sum(xi^v(x)eta^L + xi^L(x)eta^v), computed."""
     total = ctx.tangent.total
@@ -256,6 +246,7 @@ def sign_sweep(
     conn: Optional[Connection] = None,
     suffix: str = DEFAULT_FIBER_SUFFIX,
     seed: int | None = None,
+    *, ctx: Optional[LiftContext] = None,
 ) -> SignSweep:
     """Brute-force verdicts for all (s, t) cells, plus the predicted pass law.
 
@@ -270,17 +261,14 @@ def sign_sweep(
     probe = LiftedStructureSpec(
         base=base, lift_kind=lift_kind, s=1, t=1, conn=conn, suffix=suffix
     )
-    ctx = _context(probe)
-    kappa = _pairing_sign(ctx, base.r)
+    ctx = ctx or _context(probe)
+    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
     c, _ = _squaring_coefficient(ctx, base)
     rows: list[SignLedgerRow] = []
     witnesses: dict[tuple[int, int], Optional[Point]] = {}
     for s in (-1, 1):
         for t in (-1, 1):
-            spec = LiftedStructureSpec(
-                base=base, lift_kind=lift_kind, s=s, t=t, conn=conn, suffix=suffix
-            )
-            verdict = _verdict(spec, ctx, _assemble_j(ctx, s, t), seed)
+            verdict = _verdict(replace(probe, s=s, t=t), ctx, seed)
             rows.append(verdict.row)
             witnesses[(s, t)] = verdict.witness
     sweep = SignSweep(rows=rows, kappa=kappa, c=c, witnesses=witnesses)
@@ -344,6 +332,7 @@ def verify_action_formulas(
     spec: LiftedStructureSpec,
     x: TensorField,
     seed: int | None = None,
+    *, ctx: Optional[LiftContext] = None,
 ) -> CheckReport:
     """Check J's action on X^v and X^L against the engine-derived right sides.
 
@@ -362,10 +351,10 @@ def verify_action_formulas(
     base = spec.base
     if x.valence != (1, 0) or x.chart != base.chart:
         raise LiftError("action check needs a (1,0) field on the base chart")
-    ctx = _context(spec)
+    ctx = ctx or _context(spec)
     tangent = ctx.tangent
     kind = spec.lift_kind
-    j = _assemble_j(ctx, spec.s, spec.t)
+    j = _lifted_j(ctx, spec.s, spec.t)
     lift_name = "c" if kind == COMPLETE else "h"
     tag_actions = "post-4.x"
     claim_tag, claims = _claims_for(spec)
@@ -409,7 +398,7 @@ def verify_action_formulas(
     entries.append(new_entry(name_l, tag_actions, endo_apply(j, x_l) - rhs_l, seed))
 
     report = CheckReport(entries=entries)
-    kappa = _pairing_sign(ctx, base.r)
+    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
 
     # xi rows, when X is literally one of the structure's xi fields.
     xi_index = next((b for b, xb in enumerate(base.xi) if xb == x), None)
@@ -477,6 +466,7 @@ def action_report(
     spec: LiftedStructureSpec,
     fields: Sequence[TensorField] | None = None,
     seed: int | None = None,
+    *, ctx: Optional[LiftContext] = None,
 ) -> CheckReport:
     """Aggregate action checks over several test fields with deduplicated notes.
 
@@ -490,7 +480,8 @@ def action_report(
         for x in base.xi:
             if x not in fields:
                 fields.append(x)
+    ctx = ctx or _context(spec)
     combined = CheckReport()
     for x in fields:
-        combined = combined.merge(verify_action_formulas(spec, x, seed))
+        combined = combined.merge(verify_action_formulas(spec, x, seed, ctx=ctx))
     return combined

@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from liftcheck import cli
+from liftcheck.algebra import NotUnimodular
 from liftcheck.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,3 +127,38 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall"] is True
+
+
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_RUNS = [(["run", str(path), "--format", "machine"], f"run_{path.stem}.json")
+               for path in sorted(DEFS.glob("*.def"))]
+GOLDEN_RUNS.append((["demo", "--format", "machine"], "demo.json"))
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS, ids=[g for _, g in GOLDEN_RUNS])
+def test_machine_report_matches_golden(argv, golden, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_non_utf8_definition_is_an_input_error(tmp_path):
+    binary = tmp_path / "bin.def"
+    binary.write_bytes(b"chart M a\n\xff\xfe\x00binary")
+    proc = run_cli("run", str(binary))
+    assert proc.returncode == 2
+    assert proc.stderr == f"liftcheck: error: {binary}: not UTF-8 text at byte 10\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_algebra_errors_exit_two(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NotUnimodular("determinant is not a nonzero constant")
+
+    monkeypatch.setattr(cli, "run_tasks", fail)
+    code = main(["check", CONTACT])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "liftcheck: error: determinant is not a nonzero constant\n"
+    assert "Traceback" not in captured.err

@@ -1,0 +1,87 @@
+"""Task orchestration: one structure and one lift context per lift kind per run."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from liftcheck import definition, lifts, runner, theorems
+from liftcheck.definition import Task, parse_definition, structure_to_definition
+from liftcheck.lifts import Connection
+from liftcheck.report import Report
+from liftcheck.structures import canonical_structure
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TASKS = [
+    Task("check"),
+    Task("lift"),
+    Task("theorem", ("4.1",)),
+    Task("theorem", ("4.3",)),
+    Task("build-j", ("4.3",)),
+    Task("sweep", ("horizontal",)),
+]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls to ``owner.name`` wherever a liftcheck module looks it up."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (definition, lifts, runner, theorems):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_tasks_builds_each_lift_once(monkeypatch):
+    text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
+    defn = parse_definition(text)
+    structures = count_calls(monkeypatch, definition, "build_structure")
+    endo_lifts = count_calls(monkeypatch, lifts, "lift_endo")
+    js = count_calls(monkeypatch, theorems, "_assemble_j")
+    report = runner.run_tasks(defn, TASKS)
+    assert report.overall
+    assert len(structures) == 1
+    # F^c and F^h for the two contexts, and F^v for the interaction table
+    assert len(endo_lifts) <= 3
+    # J(+1,-1) complete, then the four horizontal cells of the sweep
+    assert len(js) <= 5
+
+
+@pytest.mark.parametrize("signature", ["riemannian", "lorentzian"])
+def test_shared_run_matches_tasks_run_alone(signature):
+    # a rescaled eta fails the pairing, so J^2 fails and the theorem and the
+    # sweep share verdicts that carry witnesses
+    base = canonical_structure(1, 1, -1, signature)
+    mutant = replace(base, eta=tuple(w.scale(2) for w in base.eta))
+    conn = Connection.from_entries(base.chart, {(2, 0, 0): base.chart.coordinate("a1")})
+    tags = ("4.1", "4.3") if signature == "riemannian" else ("4.2", "4.4")
+    tasks = [
+        Task("check"),
+        Task("lift"),
+        Task("theorem", (tags[0],)),
+        Task("theorem", (tags[1],)),
+        Task("build-j", (tags[1],)),
+        Task("verify", ("horizontal", "1", "1")),
+        Task("sweep", ("horizontal",)),
+        Task("sweep", ("complete",)),
+    ]
+    defn = structure_to_definition(mutant, conn=conn, tasks=tasks)
+    shared = runner.run_tasks(defn, tasks, seed=7)
+    alone = Report(seed=7)
+    for task in tasks:
+        alone.sections.extend(runner.run_task(defn, task, seed=7))
+    assert not shared.overall
+    assert shared.render_machine() == alone.render_machine()
+
+
+def test_run_tasks_empty_and_missing_structure():
+    defn = parse_definition("chart M x y\ntask check\n")
+    assert runner.run_tasks(defn, []).sections == []
+    with pytest.raises(runner.TaskError, match="no structure block"):
+        runner.run_tasks(defn, defn.tasks)
