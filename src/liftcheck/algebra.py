@@ -11,6 +11,8 @@ polynomial in canonical form is literally zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -129,6 +131,9 @@ class Poly:
 
     Immutable after construction.  ``terms`` maps exponent tuples (aligned
     with ``variables``) to nonzero Fraction coefficients.
+
+    ``Poly(...)`` validates its input; arithmetic results are built with
+    ``_trusted``, which skips the checks because they hold by construction.
     """
 
     __slots__ = ("variables", "terms", "_hash")
@@ -154,9 +159,23 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_variables(self, variables)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Poly":
+        """Wrap parts that are valid by construction, without checking them.
+
+        ``variables`` must be a tuple and ``terms`` a dict, owned by the new
+        Poly, of exponent tuples of that width with no negative entry to
+        nonzero Fractions.
+        """
+        self = object.__new__(cls)
+        _set_variables(self, variables)
+        _set_terms(self, terms)
+        _set_hash(self, None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -165,15 +184,15 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables)
+        return cls._trusted(tuple(variables), {})
 
     @classmethod
     def const(cls, value: int | Fraction, variables: Sequence[str]) -> "Poly":
         variables = tuple(variables)
         value = as_fraction(value)
         if value == 0:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): value})
+            return cls._trusted(variables, {})
+        return cls._trusted(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "Poly":
@@ -181,7 +200,7 @@ class Poly:
         if name not in variables:
             raise VariableMismatch(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls._trusted(variables, {exps: Fraction(1)})
 
     # -- basic queries ------------------------------------------------------
 
@@ -189,7 +208,13 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        terms = self.terms
+        if not terms:
+            return True
+        if len(terms) > 1:
+            return False
+        (exps,) = terms
+        return not any(exps)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -240,7 +265,7 @@ class Poly:
                 f"{variables} does not extend {self.variables}"
             )
         pad = (0,) * (len(variables) - len(self.variables))
-        return Poly(variables, {exps + pad: c for exps, c in self.terms.items()})
+        return Poly._trusted(variables, {exps + pad: c for exps, c in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -248,8 +273,12 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_constant() and self.variables != other.variables:
+        if self.variables != other.variables and self.is_constant():
             return other + self.constant_value()
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
@@ -258,12 +287,12 @@ class Poly:
                 out.pop(exps, None)
             else:
                 out[exps] = total
-        return Poly(self.variables, out)
+        return Poly._trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -275,24 +304,34 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            return self._scale(as_fraction(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_constant() and self.variables != other.variables:
-            return other * self.constant_value()
+        if self.variables != other.variables and self.is_constant():
+            return other._scale(self.constant_value())
         if not self.terms or not other.terms:
-            return Poly(self.variables)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = total
-        return Poly(self.variables, out)
+            return Poly._trusted(self.variables, {})
+        # Clear denominators: c = n / D with integer n, multiply-accumulate the
+        # integer numerators, and divide each nonzero sum by D1 * D2 once.
+        left, d1 = _numerators(self.terms)
+        right, d2 = _numerators(other.terms)
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        for e1, n1 in left:
+            for e2, n2 in right:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + n1 * n2
+        den = d1 * d2
+        return Poly._trusted(
+            self.variables, {e: Fraction(n, den) for e, n in acc.items() if n}
+        )
+
+    def _scale(self, value: Fraction) -> "Poly":
+        if not value:
+            return Poly._trusted(self.variables, {})
+        return Poly._trusted(self.variables, {e: c * value for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -311,16 +350,17 @@ class Poly:
     def diff(self, var: str) -> "Poly":
         """Exact partial derivative; zero when var does not occur."""
         if var not in self.variables:
-            return Poly(self.variables)
+            return Poly._trusted(self.variables, {})
         idx = self.variables.index(var)
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            dropped = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            out[dropped] = out.get(dropped, Fraction(0)) + coeff * e
-        return Poly(self.variables, out)
+        # lowering one exponent is injective on the terms where it is positive
+        return Poly._trusted(
+            self.variables,
+            {
+                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
+                for exps, coeff in self.terms.items()
+                if exps[idx]
+            },
+        )
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.variables if v not in point]
@@ -347,8 +387,7 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
-            inv = 1 / divisor.constant_value()
-            return Poly(self.variables, {e: c * inv for e, c in self.terms.items()})
+            return self._scale(1 / divisor.constant_value())
         lead_exps, lead_coeff = divisor.leading()
         remainder = dict(self.terms)
         quotient: dict[Exponents, Fraction] = {}
@@ -367,7 +406,9 @@ class Poly:
                     remainder.pop(exps, None)
                 else:
                     remainder[exps] = acc
-        return Poly(self.variables, quotient)
+        # the leading remainder term strictly decreases, so each quotient
+        # exponent is produced once, with a nonzero coefficient
+        return Poly._trusted(self.variables, quotient)
 
     # -- equality and printing ---------------------------------------------
 
@@ -413,6 +454,18 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+# slot setters that bypass Poly.__setattr__, which refuses every write
+_set_variables = Poly.variables.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
+
+
+def _numerators(terms: dict[Exponents, Fraction]) -> tuple[list[tuple[Exponents, int]], int]:
+    """Integer numerators over the common denominator D, and D itself."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 class PolyMatrix:

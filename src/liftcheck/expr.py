@@ -26,6 +26,9 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*^()/"
+# Each parenthesis level costs four Python frames, so this keeps any input
+# well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -62,6 +65,7 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.length = length
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -103,14 +107,14 @@ class _Parser:
                 return value
 
     def parse_factor(self) -> Poly:
+        # a run of unary signs is read in a loop, so its length costs no stack
+        negate = False
         tok = self.peek()
-        if tok and tok[0] == "sym" and tok[1] == "-":
+        while tok and tok[0] == "sym" and tok[1] in "+-":
             self.next()
-            return -self.parse_factor()
-        if tok and tok[0] == "sym" and tok[1] == "+":
-            self.next()
-            return self.parse_factor()
-        base = self.parse_primary()
+            negate ^= tok[1] == "-"
+            tok = self.peek()
+        value = self.parse_primary()
         tok = self.peek()
         if tok and tok[0] == "sym" and tok[1] == "^":
             self.next()
@@ -118,8 +122,8 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 col = exp_tok[2] if exp_tok else self.length
                 raise ParseError("exponent must be a nonnegative integer", col)
-            return base ** int(exp_tok[1])
-        return base
+            value = value ** int(exp_tok[1])
+        return -value if negate else value
 
     def parse_primary(self) -> Poly:
         tok = self.next()
@@ -144,8 +148,12 @@ class _Parser:
                 raise ParseError(f"unknown coordinate {text!r}", col)
             return Poly.variable(text, self.variables)
         if kind == "sym" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", col)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {text!r}", col)
 

@@ -21,6 +21,7 @@ and by the test suite's evaluation contracts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .algebra import Poly
@@ -37,6 +38,12 @@ DEFAULT_FIBER_SUFFIX = "_dot"
 
 class LiftError(TensorError):
     """Invalid lift request (bad kind, missing connection, chart mismatch)."""
+
+
+@lru_cache(maxsize=1024)
+def _coordinate_poly(coords: tuple[str, ...], index: int) -> Poly:
+    """The coordinate polynomial coords[index]; shared, since Poly is immutable."""
+    return Poly.variable(coords[index], coords)
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class TangentChart:
         return p.extend(self.total.coords)
 
     def fiber_poly(self, k: int) -> Poly:
-        return Poly.variable(self.fiber_coords[k], self.total.coords)
+        return _coordinate_poly(self.total.coords, self.base.dim + k)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,83 @@ def test_exact_division_roundtrip(a, b):
     assert (a * b).divide_exact(b) == a
 
 
+# -- the denominator-cleared product kernel -----------------------------------------
+
+
+mixed_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def mixed_polys(draw):
+    """Over x, y, z with mixed denominators, negative coefficients, often zero."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    return Poly(XYZ, draw(st.dictionaries(exps, mixed_fractions, max_size=6)))
+
+
+def reference_product(a, b):
+    """Termwise Fraction product on plain dicts, sharing no code with Poly."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return {exps: c for exps, c in out.items() if c != 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys())
+def test_product_kernel_matches_fraction_reference(a, b):
+    # (a + b) * (a - b) makes terms cancel inside the kernel
+    for left, right in ((a, b), (a + b, a - b), (a, -a)):
+        product = left * right
+        assert product.variables == XYZ
+        assert product.terms == reference_product(left, right)
+        for exps, coeff in product.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert len(exps) == len(XYZ) and min(exps) >= 0
+
+
+def test_arithmetic_results_skip_validation(monkeypatch):
+    a = p({(1, 0): Fraction(1, 2), (0, 1): 3})
+    b = p({(1, 1): Fraction(-2, 3), (0, 0): 1})
+    expected_product = p({(2, 1): Fraction(-1, 3), (1, 0): Fraction(1, 2),
+                          (1, 2): -2, (0, 1): 3})
+    expected_sum = p({(1, 0): Fraction(1, 2), (0, 1): 3, (1, 1): Fraction(-2, 3), (0, 0): 1})
+    calls = []
+    validate = Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    product, total = a * b, a + b
+    assert calls == []
+    assert product == expected_product
+    assert total == expected_sum
+
+
+def test_public_constructor_validates():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(XY, {(1, -1): 1})
+    with pytest.raises(VariableMismatch):
+        Poly(XY, {(1,): 1})
+    with pytest.raises(VariableMismatch):
+        Poly(XY, {(1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        Poly(XY, {(1, 0): 0.5})
+    q = Poly(XY, {(1, 0): 2, (0, 1): 0})
+    assert q.terms == {(1, 0): Fraction(2)}
+    assert type(q.terms[(1, 0)]) is Fraction
+
+
+def test_is_constant():
+    assert Poly.zero(XY).is_constant()
+    assert Poly.const(Fraction(-3, 2), XY).is_constant()
+    assert not p({(0, 1): 1}).is_constant()
+    assert not p({(0, 0): 1, (1, 0): 1}).is_constant()
+
+
 def test_division_not_exact():
     with pytest.raises(ExactDivisionError):
         p({(1, 0): 1, (0, 0): 1}).divide_exact(p({(1, 0): 1}))

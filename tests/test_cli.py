@@ -10,6 +10,7 @@ import pytest
 from liftcheck import cli
 from liftcheck.algebra import NotUnimodular
 from liftcheck.cli import main
+from liftcheck.expr import MAX_NESTING
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFS = ROOT / "defs"
@@ -162,3 +163,18 @@ def test_algebra_errors_exit_two(monkeypatch, capsys):
     assert code == 2
     assert captured.err == "liftcheck: error: determinant is not a nonzero constant\n"
     assert "Traceback" not in captured.err
+
+
+def test_deep_nesting_is_a_located_input_error(tmp_path):
+    deep = tmp_path / "deep.def"
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    entry = "  F[1,2] = -1\n"
+    assert text.splitlines(keepends=True)[8] == entry
+    deep.write_text(text.replace(entry, "  F[1,2] = " + "(" * 3000 + "-1" + ")" * 3000 + "\n"),
+                    encoding="utf-8")
+    proc = run_cli("run", str(deep))
+    assert proc.returncode == 2
+    # the first parenthesis sits at column 12, the one past the cap MAX_NESTING further
+    assert proc.stderr == (f"liftcheck: error: parentheses nested deeper than {MAX_NESTING} "
+                           f"(line 9, column {12 + MAX_NESTING})\n")
+    assert "Traceback" not in proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.expr import ParseError, parse_poly
+from liftcheck.expr import MAX_NESTING, ParseError, parse_poly
 
 XY = ("x", "y")
 
@@ -46,6 +46,19 @@ def test_syntax_errors():
     for bad in ("", "x +", "(x", "x ^ y", "x 2", "*x"):
         with pytest.raises(ParseError):
             parse_poly(bad, XY)
+
+
+def test_nesting_depth_is_capped_at_the_offending_column():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(deepest, XY) == Poly.variable("x", XY)
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse_poly("(" * 3000 + "x" + ")" * 3000, XY)
+    assert err.value.column == MAX_NESTING
+
+
+def test_long_unary_sign_chain():
+    assert parse_poly("-" * 3000 + "x", XY) == Poly.variable("x", XY)
+    assert parse_poly("-+" * 1501 + "x^2", XY) == Poly(XY, {(2, 0): -1})
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
