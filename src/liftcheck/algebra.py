@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -367,12 +367,17 @@ class Poly:
         if missing:
             raise AlgebraError(f"missing value for variable {missing[0]!r}")
         values = [as_fraction(point[v]) for v in self.variables]
+        # each variable's powers, computed once per distinct exponent
+        powers: list[dict[int, Fraction]] = [{} for _ in values]
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
-            for val, e in zip(values, exps):
+            for val, e, cache in zip(values, exps, powers):
                 if e:
-                    term *= val**e
+                    power = cache.get(e)
+                    if power is None:
+                        power = cache[e] = val**e
+                    term *= power
             total += term
         return total
 
@@ -468,6 +473,33 @@ def _numerators(terms: dict[Exponents, Fraction]) -> tuple[list[tuple[Exponents,
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
+def _contract(
+    rows: Sequence[Sequence[Poly]], cols: Iterable[Sequence[Poly]], zero: Poly
+) -> list[list[Poly]]:
+    """Every row . column sum: out[i][j] = sum_k rows[i][k] * cols[j][k].
+
+    The one multiply-accumulate loop behind every matrix, tensor and lift
+    product.  Zero factors are skipped, so they cost no product.  The
+    caller passes the columns explicitly, so the shape of the result is
+    len(rows) x len(cols) even when the inner dimension is 0; every sum is
+    then ``zero``, as is any sum with no nonzero product.
+    """
+    cols = list(cols)
+    out = []
+    for row in rows:
+        nonzero = [(k, a) for k, a in enumerate(row) if a.terms]
+        line = []
+        for col in cols:
+            acc = zero
+            for k, a in nonzero:
+                b = col[k]
+                if b.terms:
+                    acc = acc + a * b
+            line.append(acc)
+        out.append(line)
+    return out
+
+
 class PolyMatrix:
     """Rectangular matrix of Poly entries over one shared variable list."""
 
@@ -513,10 +545,6 @@ class PolyMatrix:
             )
         return cls(rows)
 
-    def __getitem__(self, idx: tuple[int, int]) -> Poly:
-        i, j = idx
-        return self.entries[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -528,40 +556,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
-        zero = Poly.zero(self.variables)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
         return PolyMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+            _contract(self.entries, zip(*other.entries), Poly.zero(self.variables))
         )
 
     def det(self) -> Poly:

@@ -13,6 +13,9 @@ Writing y^k for the fiber coordinates, the lifts used here are
               F^h = [[F,0],[B,F]],  B^i_j = y^k (G^s_kj F^i_s - G^i_ks F^s_j)
 
 with G^i_jk the connection coefficients (zero when no connection is given).
+The horizontal lifts are computed as products with G_y = y^k G_k, where
+(G_k)^i_j = G^i_kj: the fiber of X^h is -G_y X, the first half of w^h is
+w G_y, and B = F G_y - G_y F.
 These block formulas are definitions here; the identity tables they are
 expected to satisfy are checked, not assumed, by ``verify_lift_interactions``
 and by the test suite's evaluation contracts.
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .algebra import Poly
+from .algebra import Poly, _contract
 from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
 from .tensor import Chart, TensorError, TensorField, endo_apply, oneform_after_endo, oneform_apply
 
@@ -162,24 +165,27 @@ def lift_function(
         raise LiftError("horizontal lift of functions is not defined")
     if kind == VERTICAL:
         return TensorField.function(tangent.total, tangent.embed(f.comps))
-    acc = tangent.total.zero_poly()
-    for k, name in enumerate(tangent.base.coords):
-        d = f.comps.diff(name)
-        if d.is_zero():
-            continue
-        acc = acc + tangent.fiber_poly(k) * tangent.embed(d)
-    return TensorField.function(tangent.total, acc)
+    return TensorField.function(tangent.total, _y_dot_derivative(f.comps, tangent))
+
+
+def _fiber_sum(ps: Sequence[Poly], tangent: TangentChart) -> Poly:
+    """y^k p_k for base-chart polynomials p_0..p_{m-1}, embedded on the total chart."""
+    ks = [k for k, p in enumerate(ps) if p.terms]
+    fibers = [tangent.fiber_poly(k) for k in ks]
+    embedded = [tangent.embed(ps[k]) for k in ks]
+    ((value,),) = _contract([fibers], [embedded], tangent.total.zero_poly())
+    return value
 
 
 def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
     """y^k d_k p, embedded on the total chart."""
-    acc = tangent.total.zero_poly()
-    for k, name in enumerate(tangent.base.coords):
-        d = p.diff(name)
-        if d.is_zero():
-            continue
-        acc = acc + tangent.fiber_poly(k) * tangent.embed(d)
-    return acc
+    return _fiber_sum([p.diff(name) for name in tangent.base.coords], tangent)
+
+
+def _connection_matrix(conn: Connection, tangent: TangentChart) -> list[list[Poly]]:
+    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj is the k-th slice."""
+    r = range(tangent.base.dim)
+    return [[_fiber_sum([conn.gamma[i][k][j] for k in r], tangent) for j in r] for i in r]
 
 
 def lift_vector(
@@ -200,18 +206,9 @@ def lift_vector(
     if kind == COMPLETE:
         fiber = [_y_dot_derivative(c, tangent) for c in x.comps]
         return TensorField.vector(tangent.total, base_comps + fiber)
-    fiber = []
-    for i in range(m):
-        acc = zero
-        for k in range(m):
-            yk = tangent.fiber_poly(k)
-            for j in range(m):
-                g = conn.gamma[i][k][j]
-                if g.is_zero() or x.comps[j].is_zero():
-                    continue
-                acc = acc - yk * tangent.embed(g * x.comps[j])
-        fiber.append(acc)
-    return TensorField.vector(tangent.total, base_comps + fiber)
+    # fiber = -G_y X
+    (gx,) = _contract([base_comps], _connection_matrix(conn, tangent), zero)
+    return TensorField.vector(tangent.total, base_comps + [-c for c in gx])
 
 
 def lift_oneform(
@@ -232,17 +229,8 @@ def lift_oneform(
     if kind == COMPLETE:
         lead = [_y_dot_derivative(c, tangent) for c in w.comps]
         return TensorField.oneform(tangent.total, lead + base_comps)
-    lead = []
-    for i in range(m):
-        acc = zero
-        for k in range(m):
-            yk = tangent.fiber_poly(k)
-            for s in range(m):
-                g = conn.gamma[s][k][i]
-                if g.is_zero() or w.comps[s].is_zero():
-                    continue
-                acc = acc + yk * tangent.embed(g * w.comps[s])
-        lead.append(acc)
+    # lead = w G_y
+    (lead,) = _contract([base_comps], zip(*_connection_matrix(conn, tangent)), zero)
     return TensorField.oneform(tangent.total, lead + base_comps)
 
 
@@ -274,25 +262,11 @@ def lift_endo(
             for i in range(m)
         ]
         return block(fmat, zmat, deriv, fmat)
-    bblock = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = zero
-            for k in range(m):
-                yk = tangent.fiber_poly(k)
-                inner = tangent.base.zero_poly()
-                for s in range(m):
-                    g1 = conn.gamma[s][k][j]
-                    if not g1.is_zero() and not f.comps[i][s].is_zero():
-                        inner = inner + g1 * f.comps[i][s]
-                    g2 = conn.gamma[i][k][s]
-                    if not g2.is_zero() and not f.comps[s][j].is_zero():
-                        inner = inner - g2 * f.comps[s][j]
-                if not inner.is_zero():
-                    acc = acc + yk * tangent.embed(inner)
-            row.append(acc)
-        bblock.append(row)
+    # B = y^k (F G_k - G_k F) = F G_y - G_y F
+    g_y = _connection_matrix(conn, tangent)
+    fg = _contract(fmat, zip(*g_y), zero)
+    gf = _contract(g_y, zip(*fmat), zero)
+    bblock = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(fg, gf)]
     return block(fmat, zmat, bblock, fmat)
 
 

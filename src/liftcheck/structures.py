@@ -28,6 +28,8 @@ from .tensor import (
     Point,
     TensorError,
     TensorField,
+    _outer_sum,
+    _signed,
     endo_apply,
     endo_compose,
     endo_transpose,
@@ -35,7 +37,6 @@ from .tensor import (
     metric_pullback,
     oneform_after_endo,
     oneform_apply,
-    outer,
     random_point,
     rank_at,
 )
@@ -181,10 +182,7 @@ class RContactStructure:
 
     def sum_outer(self) -> TensorField:
         """sum_alpha xi_alpha (x) eta^alpha as a (1,1) field."""
-        acc = TensorField.zero(self.chart, (1, 1))
-        for x, w in zip(self.xi, self.eta):
-            acc = acc + outer(x, w)
-        return acc
+        return _outer_sum(self.chart, self.xi, self.eta)
 
 
 def contact_structure(
@@ -260,7 +258,7 @@ def check_axioms(
         )
     p = squaring_sign(s.signature, mode, s.epsilon)
     identity = TensorField.identity_endo(s.chart)
-    rhs = identity.scale(s.epsilon) + s.sum_outer().scale(p)
+    rhs = _signed(s.epsilon, identity) + _signed(p, s.sum_outer())
     f2 = endo_compose(s.f, s.f)
     p_sign = "+" if p > 0 else "-"
     entries.append(
@@ -281,22 +279,6 @@ def check_axioms(
     return report
 
 
-def _lower_index(g: TensorField, x: TensorField) -> TensorField:
-    """One-form G(x, .): component j is G_ij x^i."""
-    m = g.chart.dim
-    zero = g.chart.zero_poly()
-    comps = []
-    for j in range(m):
-        acc = zero
-        for i in range(m):
-            a = g.comps[i][j]
-            if a.is_zero() or x.comps[i].is_zero():
-                continue
-            acc = acc + a * x.comps[i]
-        comps.append(acc)
-    return TensorField.oneform(g.chart, comps)
-
-
 def check_metric(
     structure: RContactStructure,
     seed: int | None = None,
@@ -309,12 +291,8 @@ def check_metric(
         raise MissingMetric("structure has no metric")
     tag = "1.8" if s.signature == RIEMANNIAN else "1.12"
     q = 1 if s.signature == RIEMANNIAN else -1
-    eta_sq = TensorField.zero(s.chart, (0, 2))
-    for w in s.eta:
-        eta_sq = eta_sq + TensorField.bilinear(
-            s.chart, [[wi * wj for wj in w.comps] for wi in w.comps]
-        )
-    residual = metric_pullback(s.metric, s.f) - s.metric + eta_sq.scale(q)
+    eta_sq = TensorField.bilinear(s.chart, _outer_sum(s.chart, s.eta, s.eta).comps)
+    residual = metric_pullback(s.metric, s.f) - s.metric + _signed(q, eta_sq)
     q_sign = "+" if q > 0 else "-"
     entries = [
         new_entry(
@@ -326,11 +304,13 @@ def check_metric(
     ]
     if s.signature == RIEMANNIAN:
         for a in range(s.r):
+            # G(xi, .) is the row vector xi . G
+            x_lowered = PolyMatrix([s.xi[a].comps]) @ s.metric.to_matrix()
             entries.append(
                 new_entry(
                     f"eta^{a + 1} - G(xi_{a + 1}, .)",
                     tag,
-                    s.eta[a] - _lower_index(s.metric, s.xi[a]),
+                    s.eta[a] - TensorField.oneform(s.chart, x_lowered.entries[0]),
                     seed,
                 )
             )
@@ -384,7 +364,7 @@ def canonical_structure(
     xi = tuple(TensorField.basis_vector(chart, f"c{a + 1}") for a in range(r))
     eta_sign = 1 if signature == RIEMANNIAN else -1
     eta = tuple(
-        TensorField.basis_oneform(chart, f"c{a + 1}").scale(eta_sign) for a in range(r)
+        _signed(eta_sign, TensorField.basis_oneform(chart, f"c{a + 1}")) for a in range(r)
     )
     diag = [1] * (2 * n) + [eta_sign] * r
     metric = TensorField.bilinear(
@@ -425,48 +405,20 @@ def conjugate_structure(
         raise StructureError("conjugation matrix lives on a different chart")
     if u_inverse is None:
         u_inverse = u.unimodular_inverse()
-    ident = PolyMatrix.identity(m, s.chart.coords)
-    if (u @ u_inverse) - ident != ident - ident:
+    if u @ u_inverse != PolyMatrix.identity(m, s.chart.coords):
         raise NotUnimodular("supplied inverse fails U * U^-1 = I")
 
     f_new = TensorField.endo_from_matrix(
         s.chart, u @ s.f.to_matrix() @ u_inverse
     )
-    xi_new = []
-    for x in s.xi:
-        comps = []
-        for i in range(m):
-            acc = s.chart.zero_poly()
-            for k in range(m):
-                a = u[i, k]
-                if a.is_zero() or x.comps[k].is_zero():
-                    continue
-                acc = acc + a * x.comps[k]
-            comps.append(acc)
-        xi_new.append(TensorField.vector(s.chart, comps))
-    eta_new = []
-    for w in s.eta:
-        comps = []
-        for j in range(m):
-            acc = s.chart.zero_poly()
-            for l in range(m):
-                a = w.comps[l]
-                if a.is_zero():
-                    continue
-                b = u_inverse[l, j]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            comps.append(acc)
-        eta_new.append(TensorField.oneform(s.chart, comps))
+    u_field = TensorField.endo_from_matrix(s.chart, u)
+    u_inverse_field = TensorField.endo_from_matrix(s.chart, u_inverse)
+    xi_new = tuple(endo_apply(u_field, x) for x in s.xi)
+    eta_new = tuple(oneform_after_endo(w, u_inverse_field) for w in s.eta)
     metric_new = None
     if s.metric is not None:
-        metric_new = metric_pullback(
-            s.metric, TensorField.endo_from_matrix(s.chart, u_inverse)
-        )
-    return replace(
-        s, f=f_new, xi=tuple(xi_new), eta=tuple(eta_new), metric=metric_new
-    )
+        metric_new = metric_pullback(s.metric, u_inverse_field)
+    return replace(s, f=f_new, xi=xi_new, eta=eta_new, metric=metric_new)
 
 
 def random_unimodular(
@@ -657,7 +609,7 @@ def canonical_complex(
     )
     dual = endo_transpose(j)
     dual_sq = endo_compose(dual, dual)
-    eps_identity = TensorField.identity_endo(chart).scale(epsilon)
+    eps_identity = _signed(epsilon, TensorField.identity_endo(chart))
     report.entries.append(
         EigenCheck(
             name="(J*)^2 = eps*I",

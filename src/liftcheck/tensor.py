@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraError, Poly, PolyMatrix, as_fraction
+from .algebra import AlgebraError, Poly, PolyMatrix, _contract, as_fraction
 
 VALENCES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
 
@@ -285,23 +285,17 @@ def _require(field: TensorField, valence: tuple[int, int], role: str) -> None:
         raise TensorError(f"{role} must have valence {valence}, got {field.valence}")
 
 
+def _check_charts(a: TensorField, b: TensorField, op: str) -> None:
+    if a.chart != b.chart:
+        raise TensorError(f"{op} across different charts")
+
+
 def endo_apply(f: TensorField, x: TensorField) -> TensorField:
     """(F X)^i = F^i_j X^j."""
     _require(f, (1, 1), "endomorphism")
     _require(x, (1, 0), "vector")
-    if f.chart != x.chart:
-        raise TensorError("endo_apply across different charts")
-    m = f.chart.dim
-    zero = f.chart.zero_poly()
-    out = []
-    for i in range(m):
-        acc = zero
-        for j in range(m):
-            a = f.comps[i][j]
-            if a.is_zero() or x.comps[j].is_zero():
-                continue
-            acc = acc + a * x.comps[j]
-        out.append(acc)
+    _check_charts(f, x, "endo_apply")
+    (out,) = _contract([x.comps], f.comps, f.chart.zero_poly())
     return TensorField.vector(f.chart, out)
 
 
@@ -309,63 +303,25 @@ def oneform_apply(w: TensorField, x: TensorField) -> TensorField:
     """Scalar field w_i X^i."""
     _require(w, (0, 1), "one-form")
     _require(x, (1, 0), "vector")
-    if w.chart != x.chart:
-        raise TensorError("oneform_apply across different charts")
-    acc = w.chart.zero_poly()
-    for a, b in zip(w.comps, x.comps):
-        if a.is_zero() or b.is_zero():
-            continue
-        acc = acc + a * b
-    return TensorField.function(w.chart, acc)
+    _check_charts(w, x, "oneform_apply")
+    ((value,),) = _contract([w.comps], [x.comps], w.chart.zero_poly())
+    return TensorField.function(w.chart, value)
 
 
 def endo_compose(f: TensorField, h: TensorField) -> TensorField:
     """(F o H)^i_j = F^i_k H^k_j."""
     _require(f, (1, 1), "endomorphism")
     _require(h, (1, 1), "endomorphism")
-    if f.chart != h.chart:
-        raise TensorError("endo_compose across different charts")
-    m = f.chart.dim
-    zero = f.chart.zero_poly()
-    out = []
-    for i in range(m):
-        frow = f.comps[i]
-        row = []
-        for j in range(m):
-            acc = zero
-            for k in range(m):
-                a = frow[k]
-                if a.is_zero():
-                    continue
-                b = h.comps[k][j]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(row)
-    return TensorField.endo(f.chart, out)
+    _check_charts(f, h, "endo_compose")
+    return TensorField.endo(f.chart, _contract(f.comps, zip(*h.comps), f.chart.zero_poly()))
 
 
 def oneform_after_endo(w: TensorField, f: TensorField) -> TensorField:
     """(w o F)_j = w_i F^i_j, i.e. the dual endomorphism applied to w."""
     _require(w, (0, 1), "one-form")
     _require(f, (1, 1), "endomorphism")
-    if w.chart != f.chart:
-        raise TensorError("oneform_after_endo across different charts")
-    m = f.chart.dim
-    zero = f.chart.zero_poly()
-    out = []
-    for j in range(m):
-        acc = zero
-        for i in range(m):
-            a = w.comps[i]
-            if a.is_zero():
-                continue
-            b = f.comps[i][j]
-            if b.is_zero():
-                continue
-            acc = acc + a * b
-        out.append(acc)
+    _check_charts(w, f, "oneform_after_endo")
+    (out,) = _contract([w.comps], zip(*f.comps), f.chart.zero_poly())
     return TensorField.oneform(w.chart, out)
 
 
@@ -373,62 +329,41 @@ def outer(x: TensorField, w: TensorField) -> TensorField:
     """(X (x) w)^i_j = X^i w_j."""
     _require(x, (1, 0), "vector")
     _require(w, (0, 1), "one-form")
-    if x.chart != w.chart:
-        raise TensorError("outer across different charts")
-    return TensorField.endo(
-        x.chart, [[xi * wj for wj in w.comps] for xi in x.comps]
-    )
+    _check_charts(x, w, "outer")
+    rows = [[xi] for xi in x.comps]
+    cols = [[wj] for wj in w.comps]
+    return TensorField.endo(x.chart, _contract(rows, cols, x.chart.zero_poly()))
+
+
+def _signed(sign: int, field: TensorField) -> TensorField:
+    """sign * field for sign in {-1, +1}, by negation instead of scaling."""
+    return field if sign > 0 else -field
+
+
+def _outer_sum(
+    chart: Chart, xs: Sequence[TensorField], ws: Sequence[TensorField]
+) -> TensorField:
+    """sum_a X_a (x) w_a as one (m x r)(r x m) product; zero when r = 0."""
+    rows = [[x.comps[i] for x in xs] for i in range(chart.dim)]
+    cols = [[w.comps[j] for w in ws] for j in range(chart.dim)]
+    return TensorField.endo(chart, _contract(rows, cols, chart.zero_poly()))
 
 
 def endo_transpose(f: TensorField) -> TensorField:
     """Component transpose; acts on one-forms by (F* w)_j = w_i F^i_j."""
     _require(f, (1, 1), "endomorphism")
-    m = f.chart.dim
-    return TensorField.endo(
-        f.chart, [[f.comps[i][j] for i in range(m)] for j in range(m)]
-    )
+    return TensorField.endo(f.chart, zip(*f.comps))
 
 
 def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
-    """result_ij = G_kl F^k_i F^l_j."""
+    """result_ij = G_kl F^k_i F^l_j, i.e. F^T G F."""
     _require(g, (0, 2), "bilinear form")
     _require(f, (1, 1), "endomorphism")
-    if g.chart != f.chart:
-        raise TensorError("metric_pullback across different charts")
-    m = g.chart.dim
+    _check_charts(g, f, "metric_pullback")
     zero = g.chart.zero_poly()
-    # contract k first: gf[l][i] = G_kl F^k_i
-    gf = []
-    for l in range(m):
-        row = []
-        for i in range(m):
-            acc = zero
-            for k in range(m):
-                a = g.comps[k][l]
-                if a.is_zero():
-                    continue
-                b = f.comps[k][i]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        gf.append(row)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = zero
-            for l in range(m):
-                a = gf[l][i]
-                if a.is_zero():
-                    continue
-                b = f.comps[l][j]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(row)
-    return TensorField.bilinear(g.chart, out)
+    f_cols = list(zip(*f.comps))
+    gf = _contract(g.comps, f_cols, zero)
+    return TensorField.bilinear(g.chart, _contract(f_cols, zip(*gf), zero))
 
 
 def _fraction_rank(matrix: list[list[Fraction]]) -> int:
@@ -482,28 +417,7 @@ def leading_minors_positive(g: TensorField, point: Point) -> bool:
     """Sylvester test for positive definiteness of G at one sample point."""
     _require(g, (0, 2), "bilinear form")
     values = evaluate_matrix(g, point)
-    n = len(values)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in values[:k]]
-        if _fraction_det(sub) <= 0:
-            return False
-    return True
-
-
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
-    rows = [row[:] for row in matrix]
-    n = len(rows)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, n):
-            if rows[r][k] != 0:
-                factor = rows[r][k] / rows[k][k]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
-    return det
+    return all(
+        PolyMatrix.from_values([row[:k] for row in values[:k]], ()).det().constant_value() > 0
+        for k in range(1, len(values) + 1)
+    )

@@ -46,10 +46,11 @@ from .structures import (
 from .tensor import (
     Point,
     TensorField,
+    _outer_sum,
+    _signed,
     endo_apply,
     endo_compose,
     oneform_apply,
-    outer,
 )
 
 
@@ -155,9 +156,9 @@ def _context(spec: LiftedStructureSpec) -> LiftContext:
 
 
 def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
-    zero = TensorField.zero(ctx.tangent.total, (1, 1))
-    v_sum = ctx.memoised("v_sum", lambda: sum(map(outer, ctx.xi_v, ctx.eta_v), zero))
-    l_sum = ctx.memoised("l_sum", lambda: sum(map(outer, ctx.xi_l, ctx.eta_l), zero))
+    total = ctx.tangent.total
+    v_sum = ctx.memoised("v_sum", lambda: _outer_sum(total, ctx.xi_v, ctx.eta_v))
+    l_sum = ctx.memoised("l_sum", lambda: _outer_sum(total, ctx.xi_l, ctx.eta_l))
     j = ctx.f_lift + v_sum if s > 0 else ctx.f_lift - v_sum
     return j + l_sum if t > 0 else j - l_sum
 
@@ -177,7 +178,7 @@ def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> T
 
 def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
     j = _lifted_j(ctx, spec.s, spec.t)
-    eps_identity = TensorField.identity_endo(ctx.tangent.total).scale(spec.base.epsilon)
+    eps_identity = _signed(spec.base.epsilon, TensorField.identity_endo(ctx.tangent.total))
     residual = endo_compose(j, j) - eps_identity
     passed = residual.is_zero()
     witness = None if passed else find_witness(residual, seed)
@@ -227,10 +228,8 @@ def _squaring_coefficient(
     """c with (F^L)^2 = eps*I + c * sum(xi^v(x)eta^L + xi^L(x)eta^v), computed."""
     total = ctx.tangent.total
     f2 = endo_compose(ctx.f_lift, ctx.f_lift)
-    p = f2 - TensorField.identity_endo(total).scale(base.epsilon)
-    d = TensorField.zero(total, (1, 1))
-    for xv, xl, ev, el in zip(ctx.xi_v, ctx.xi_l, ctx.eta_v, ctx.eta_l):
-        d = d + outer(xv, el) + outer(xl, ev)
+    p = f2 - _signed(base.epsilon, TensorField.identity_endo(total))
+    d = _outer_sum(total, ctx.xi_v + ctx.xi_l, ctx.eta_l + ctx.eta_v)
     if p.is_zero() and d.is_zero():
         return 0, d
     if (p - d).is_zero():
@@ -372,7 +371,7 @@ def verify_action_formulas(
 
     rhs_v = fx_v
     for g_v, xl in zip(eta_x_v, ctx.xi_l):
-        rhs_v = rhs_v + xl.scale(g_v).scale(spec.t)
+        rhs_v = rhs_v + _signed(spec.t, xl.scale(g_v))
     entries = [
         new_entry(
             f"[X={label}] J(X^v) - [(FX)^v + ({spec.t:+d})*sum (eta X)^v xi^{lift_name}]",
@@ -384,11 +383,11 @@ def verify_action_formulas(
 
     rhs_l = fx_l
     for g_v, xv in zip(eta_x_v, ctx.xi_v):
-        rhs_l = rhs_l + xv.scale(g_v).scale(spec.s)
+        rhs_l = rhs_l + _signed(spec.s, xv.scale(g_v))
     if kind == COMPLETE:
         eta_x_c = [lift_function(g, COMPLETE, tangent) for g in eta_x]
         for g_c, xl in zip(eta_x_c, ctx.xi_l):
-            rhs_l = rhs_l + xl.scale(g_c).scale(spec.t)
+            rhs_l = rhs_l + _signed(spec.t, xl.scale(g_c))
         name_l = (
             f"[X={label}] J(X^c) - [(FX)^c + ({spec.s:+d})*sum (eta X)^v xi^v"
             f" + ({spec.t:+d})*sum (eta X)^c xi^c]"
@@ -410,7 +409,7 @@ def verify_action_formulas(
             new_entry(
                 f"J(xi_{b + 1}^v) - ({tk:+d})*xi_{b + 1}^{lift_name}",
                 tag_actions,
-                endo_apply(j, ctx.xi_v[b]) - ctx.xi_l[b].scale(tk),
+                endo_apply(j, ctx.xi_v[b]) - _signed(tk, ctx.xi_l[b]),
                 seed,
             )
         )
@@ -418,7 +417,7 @@ def verify_action_formulas(
             new_entry(
                 f"J(xi_{b + 1}^{lift_name}) - ({sk:+d})*xi_{b + 1}^v",
                 tag_actions,
-                endo_apply(j, ctx.xi_l[b]) - ctx.xi_v[b].scale(sk),
+                endo_apply(j, ctx.xi_l[b]) - _signed(sk, ctx.xi_v[b]),
                 seed,
             )
         )

@@ -1,6 +1,7 @@
 """Exact arithmetic: rationals, eps-complex numbers, polynomials, matrices."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from liftcheck.algebra import (
     Poly,
     PolyMatrix,
     VariableMismatch,
+    _contract,
 )
 
 XY = ("x", "y")
@@ -221,6 +223,56 @@ def test_product_kernel_matches_fraction_reference(a, b):
         for exps, coeff in product.terms.items():
             assert type(coeff) is Fraction and coeff != 0
             assert len(exps) == len(XYZ) and min(exps) >= 0
+
+
+# -- the sparse contraction kernel ----------------------------------------------------
+
+
+@st.composite
+def contraction_operands(draw):
+    """Rows and columns of equal inner length 0..3, in rectangular shapes 0..3 x 0..3."""
+    inner = draw(st.integers(0, 3))
+    line = st.lists(mixed_polys(), min_size=inner, max_size=inner)
+    rows = draw(st.lists(line, max_size=3))
+    cols = draw(st.lists(line, max_size=3))
+    return rows, cols
+
+
+def reference_contraction(rows, cols):
+    """Dense termwise sums of products on plain dicts, zero factors included."""
+    out = []
+    for row in rows:
+        line = []
+        for col in cols:
+            acc = {}
+            for a, b in zip(row, col):
+                for exps, c in reference_product(a, b).items():
+                    acc[exps] = acc.get(exps, Fraction(0)) + c
+            line.append({exps: c for exps, c in acc.items() if c != 0})
+        out.append(line)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(contraction_operands())
+def test_contraction_kernel_matches_dense_reference(operands):
+    rows, cols = operands
+    with mock.patch.object(Poly, "__mul__", autospec=True, side_effect=Poly.__mul__) as mul:
+        out = _contract(rows, iter(cols), Poly.zero(XYZ))
+    assert len(out) == len(rows)
+    assert all(len(line) == len(cols) for line in out)
+    assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
+    assert all(q.variables == XYZ for line in out for q in line)
+    # a product is formed only where both factors are nonzero
+    assert mul.call_count == sum(
+        1 for row in rows for col in cols for a, b in zip(row, col) if a and b
+    )
+
+
+def test_contraction_over_empty_inner_dimension_is_zero():
+    zero = Poly.zero(XY)
+    assert _contract([(), ()], [(), (), ()], zero) == [[zero] * 3] * 2
+    assert _contract([], [()], zero) == []
 
 
 def test_arithmetic_results_skip_validation(monkeypatch):

@@ -211,6 +211,108 @@ def test_horizontal_block_against_frame_contract():
         assert endo_apply(f_h, vert) == lift_vector(f_col, VERTICAL, TAB)
 
 
+GENERAL_CONNECTION_DEF = """
+chart M a1 b1 c1
+
+connection general
+  Gamma[1,2,3] = a1
+  Gamma[1,3,2] = 2*b1^2
+  Gamma[2,1,3] = c1 - 1/2
+  Gamma[3,1,2] = a1*b1
+  Gamma[3,3,1] = -3
+  Gamma[2,2,2] = c1
+end
+
+structure
+  epsilon -1
+  signature riemannian
+  n 1
+  r 1
+  F[1,2] = -1 + c1
+  F[2,1] = 1
+  F[3,1] = a1^2
+  F[2,3] = 1/3*b1
+  xi[1,1] = b1
+  xi[1,3] = 1
+  eta[1,2] = a1 - c1
+  eta[1,3] = 1
+end
+"""
+
+
+class _TermwiseReference:
+    """Horizontal lifts from the coordinate formulas in the lifts module docstring,
+    as plain {exponents: Fraction} dicts over the total chart; no Poly arithmetic."""
+
+    def __init__(self, conn):
+        self.gamma = conn.gamma
+        self.m = conn.chart.dim
+
+    def embed(self, p):
+        return {exps + (0,) * self.m: c for exps, c in p.terms.items()}
+
+    def sum_terms(self, terms):
+        """The sum of sign * y^k * g * p over (sign, k, g, p), g and p on the base chart."""
+        acc = {}
+        for sign, k, g, p in terms:
+            for e1, c1 in g.terms.items():
+                for e2, c2 in p.terms.items():
+                    exps = [a + b for a, b in zip(e1, e2)] + [0] * self.m
+                    exps[self.m + k] += 1
+                    key = tuple(exps)
+                    acc[key] = acc.get(key, Fraction(0)) + sign * c1 * c2
+        return {exps: c for exps, c in acc.items() if c != 0}
+
+    def vector_fiber(self, x, i):
+        """(X^h)^{m+i} = -y^k G^i_kj X^j."""
+        r = range(self.m)
+        return self.sum_terms((-1, k, self.gamma[i][k][j], x.comps[j]) for k in r for j in r)
+
+    def oneform_lead(self, w, i):
+        """(w^h)_i = y^k G^s_ki w_s."""
+        r = range(self.m)
+        return self.sum_terms((1, k, self.gamma[s][k][i], w.comps[s]) for k in r for s in r)
+
+    def endo_block(self, f, i, j):
+        """B^i_j = y^k (G^s_kj F^i_s - G^i_ks F^s_j)."""
+        r = range(self.m)
+        g = self.gamma
+        return self.sum_terms(
+            [(1, k, g[s][k][j], f.comps[i][s]) for k in r for s in r]
+            + [(-1, k, g[i][k][s], f.comps[s][j]) for k in r for s in r]
+        )
+
+
+def test_horizontal_lifts_with_a_general_connection_match_the_coordinate_formulas():
+    # every other connection in the suite is symmetric, which hides the order of
+    # the lower indices of G; this one is not, so swapping them breaks each lift
+    from liftcheck.definition import build_connection, build_structure, parse_definition
+
+    defn = parse_definition(GENERAL_CONNECTION_DEF)
+    s, conn = build_structure(defn), build_connection(defn)
+    assert not conn.symmetric
+    tangent = TangentChart.over(s.chart)
+    ref = _TermwiseReference(conn)
+    m = s.chart.dim
+    vectors = [TensorField.basis_vector(s.chart, c) for c in s.chart.coords] + list(s.xi)
+    for x in vectors:
+        x_h = lift_vector(x, HORIZONTAL, tangent, conn)
+        assert [c.terms for c in x_h.comps[:m]] == [ref.embed(c) for c in x.comps]
+        assert [c.terms for c in x_h.comps[m:]] == [ref.vector_fiber(x, i) for i in range(m)]
+    oneforms = [TensorField.basis_oneform(s.chart, c) for c in s.chart.coords] + list(s.eta)
+    for w in oneforms:
+        w_h = lift_oneform(w, HORIZONTAL, tangent, conn)
+        assert [c.terms for c in w_h.comps[:m]] == [ref.oneform_lead(w, i) for i in range(m)]
+        assert [c.terms for c in w_h.comps[m:]] == [ref.embed(c) for c in w.comps]
+    f_h = lift_endo(s.f, HORIZONTAL, tangent, conn)
+    for i in range(m):
+        for j in range(m):
+            assert f_h.comps[i][j].terms == ref.embed(s.f.comps[i][j])
+            assert f_h.comps[i][m + j].is_zero()
+            assert f_h.comps[m + i][j].terms == ref.endo_block(s.f, i, j)
+            assert f_h.comps[m + i][m + j].terms == ref.embed(s.f.comps[i][j])
+
+
 # -- evaluation contracts -------------------------------------------------------------
 
 

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from liftcheck.algebra import Poly
+from liftcheck.structures import RContactStructure
 from liftcheck.tensor import (
     Chart,
     Point,
     TensorError,
     TensorField,
+    _outer_sum,
     endo_apply,
     endo_compose,
     endo_transpose,
@@ -97,6 +99,24 @@ def test_outer_products():
     z = Poly.zero(AB.coords)
     got = outer(TensorField.vector(AB, [a, z]), TensorField.oneform(AB, [z, b]))
     assert got == TensorField.endo(AB, [[z, a * b], [z, z]])
+
+
+def test_outer_sum_is_one_product():
+    rng = random.Random(5)
+    for r in (1, 2, 3):
+        xs = [random_field(ABC, (1, 0), rng) for _ in range(r)]
+        ws = [random_field(ABC, (0, 1), rng) for _ in range(r)]
+        expected = TensorField.zero(ABC, (1, 1))
+        for x, w in zip(xs, ws):
+            expected = expected + outer(x, w)
+        assert _outer_sum(ABC, xs, ws) == expected
+
+
+def test_outer_sum_over_r_zero_is_the_zero_field():
+    # r = 0 is a valid structure; its sums still have the m x m shape
+    assert _outer_sum(ABC, (), ()) == TensorField.zero(ABC, (1, 1))
+    s = RContactStructure(AB, rotation(), (), (), -1, "riemannian", n=1, r=0)
+    assert s.sum_outer() == TensorField.zero(AB, (1, 1))
 
 
 def test_transpose_involution_and_duality():
