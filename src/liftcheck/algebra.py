@@ -273,21 +273,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.variables != other.variables and self.is_constant():
-            return other + self.constant_value()
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = total
-        return Poly._trusted(self.variables, out)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
@@ -298,10 +284,25 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __rsub__(self, other) -> "Poly":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._plus(self, True)
+
+    def _plus(self, other: "Poly", negate: bool) -> "Poly":
+        """self + other, or self - other if ``negate``, in one pass over other's terms."""
+        if self.variables != other.variables and self.is_constant():
+            return (-other if negate else other) + self.constant_value()
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if negate else other
+        out = dict(self.terms)
+        _accumulate(out, other.terms, negate)
+        return Poly._trusted(self.variables, out)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -313,6 +314,11 @@ class Poly:
             return other._scale(self.constant_value())
         if not self.terms or not other.terms:
             return Poly._trusted(self.variables, {})
+        # a single term shifts the other operand's exponents, injectively
+        if len(other.terms) == 1:
+            return self._shift(other.terms)
+        if len(self.terms) == 1:
+            return other._shift(self.terms)
         # Clear denominators: c = n / D with integer n, multiply-accumulate the
         # integer numerators, and divide each nonzero sum by D1 * D2 once.
         left, d1 = _numerators(self.terms)
@@ -328,6 +334,16 @@ class Poly:
             self.variables, {e: Fraction(n, den) for e, n in acc.items() if n}
         )
 
+    def _shift(self, monomial: dict[Exponents, Fraction]) -> "Poly":
+        """self times the single term in ``monomial``."""
+        ((shift, value),) = monomial.items()
+        if not any(shift):
+            return self._scale(value)
+        return Poly._trusted(
+            self.variables,
+            {tuple(map(add, e, shift)): c * value for e, c in self.terms.items()},
+        )
+
     def _scale(self, value: Fraction) -> "Poly":
         if not value:
             return Poly._trusted(self.variables, {})
@@ -338,6 +354,9 @@ class Poly:
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if len(self.terms) == 1:
+            ((exps, coeff),) = self.terms.items()
+            return Poly._trusted(self.variables, {tuple(e * power for e in exps): coeff**power})
         result = Poly.const(1, self.variables)
         base = self
         while power:
@@ -367,19 +386,27 @@ class Poly:
         if missing:
             raise AlgebraError(f"missing value for variable {missing[0]!r}")
         values = [as_fraction(point[v]) for v in self.variables]
-        # each variable's powers, computed once per distinct exponent
-        powers: list[dict[int, Fraction]] = [{} for _ in values]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for val, e, cache in zip(values, exps, powers):
-                if e:
-                    power = cache.get(e)
-                    if power is None:
-                        power = cache[e] = val**e
-                    term *= power
-            total += term
-        return total
+        if not self.terms:
+            return Fraction(0)
+        # With c = n / D and each value p_i / q_i, every term is an integer
+        # over D * prod q_i^top_i (top_i: the highest exponent of variable i),
+        # so the sum runs over integers and one Fraction is built at the end.
+        numerators, den = _numerators(self.terms)
+        used = []
+        for i, (value, top) in enumerate(zip(values, map(max, zip(*self.terms)))):
+            if top:
+                used.append((i, value.numerator, value.denominator, top, {}))
+                den *= value.denominator**top
+        total = 0
+        for exps, n in numerators:
+            for i, p, q, top, cache in used:
+                e = exps[i]
+                factor = cache.get(e)
+                if factor is None:
+                    factor = cache[e] = p**e * q ** (top - e)
+                n *= factor
+            total += n
+        return Fraction(total, den)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact; raises otherwise.
@@ -471,6 +498,22 @@ def _numerators(terms: dict[Exponents, Fraction]) -> tuple[list[tuple[Exponents,
     """Integer numerators over the common denominator D, and D itself."""
     den = lcm(*[c.denominator for c in terms.values()])
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+
+
+def _accumulate(
+    out: dict[Exponents, Fraction], terms: dict[Exponents, Fraction], negate: bool
+) -> None:
+    """Add (or, if ``negate``, subtract) ``terms`` into ``out``, dropping keys that cancel."""
+    for exps, coeff in terms.items():
+        acc = out.get(exps)
+        if acc is None:
+            out[exps] = -coeff if negate else coeff
+        else:
+            total = acc - coeff if negate else acc + coeff
+            if total:
+                out[exps] = total
+            else:
+                del out[exps]
 
 
 def _contract(

@@ -160,9 +160,14 @@ def _rhs_offset(raw_line: str) -> int:
     return eq + 1 + (len(tail) - len(tail.lstrip()))
 
 
+def _is_natural(text: str) -> bool:
+    """True for a run of ASCII digits; ``str.isdigit`` also accepts "²" and "٣"."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_indices(text: str, count: int, lineno: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count or not all(p.isdigit() for p in parts):
+    if len(parts) != count or not all(_is_natural(p) for p in parts):
         raise DefinitionError(f"expected {count} comma-separated indices", lineno)
     return tuple(int(p) for p in parts)
 
@@ -354,7 +359,7 @@ def _parse_structure_block(lines, i, chart) -> tuple[StructureBlock, int]:
             mode = words[1]
             continue
         if head in ("n", "r"):
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not _is_natural(words[1]):
                 raise DefinitionError(f"{head} must be a nonnegative integer", lineno)
             if head == "n":
                 n = int(words[1])

@@ -8,10 +8,11 @@ produced by ``Poly.__str__`` always reparses to an equal polynomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly
+from .algebra import Poly, _accumulate
 
 
 class ParseError(ValueError):
@@ -25,37 +26,27 @@ class ParseError(ValueError):
         return f"{self.args[0]} (column {self.column + 1})"
 
 
-_SYMBOLS = "+-*^()/"
 # Each parenthesis level costs four Python frames, so this keeps any input
 # well inside the interpreter's default recursion limit.
 MAX_NESTING = 100
 
+# whitespace | ASCII integer | word | symbol | any other character; a word
+# that does not start with a letter or "_" (a non-ASCII digit, say) is an
+# unexpected character, so integers are ASCII digits only
+_TOKEN_RE = re.compile(r"(\s+)|([0-9]+)|(\w+)|([-+*^()/])|(.)", re.DOTALL)
+_KINDS = (None, None, "int", "name", "sym")
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 1:
             continue
-        if ch in _SYMBOLS:
-            tokens.append(("sym", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(("int", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        token = match.group()
+        if group == 5 or (group == 3 and not (token[0].isalpha() or token[0] == "_")):
+            raise ParseError(f"unexpected character {token[0]!r}", match.start())
+        tokens.append((_KINDS[group], token, match.start()))
     return tokens
 
 
@@ -84,15 +75,14 @@ class _Parser:
             raise ParseError(f"expected {sym!r}, found {tok[1]!r}", tok[2])
 
     def parse_expr(self) -> Poly:
-        value = self.parse_term()
-        while True:
+        # every term is added into one dict, so a sum costs linear time
+        acc = dict(self.parse_term().terms)
+        tok = self.peek()
+        while tok and tok[0] == "sym" and tok[1] in "+-":
+            self.next()
+            _accumulate(acc, self.parse_term().terms, tok[1] == "-")
             tok = self.peek()
-            if tok and tok[0] == "sym" and tok[1] in "+-":
-                self.next()
-                rhs = self.parse_term()
-                value = value + rhs if tok[1] == "+" else value - rhs
-            else:
-                return value
+        return Poly._trusted(self.variables, acc)
 
     def parse_term(self) -> Poly:
         value = self.parse_factor()

@@ -225,6 +225,91 @@ def test_product_kernel_matches_fraction_reference(a, b):
             assert len(exps) == len(XYZ) and min(exps) >= 0
 
 
+# -- single-term products and powers ---------------------------------------------------
+
+
+@st.composite
+def monomials(draw):
+    """One term over x, y, z: rational, possibly negative coefficient, possibly constant."""
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+    coeff = draw(mixed_fractions.filter(bool))
+    return Poly(XYZ, {draw(exps): coeff})
+
+
+def reference_power(a, k):
+    """a^k as k reference products, starting from the constant 1."""
+    out = Poly(XYZ, {(0, 0, 0): 1})
+    for _ in range(k):
+        out = Poly(XYZ, reference_product(out, a))
+    return out.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials(), mixed_polys(), st.integers(0, 7))
+def test_single_term_product_and_power_match_fraction_reference(mono, q, k):
+    # the single term on either side, and a product of two single terms
+    for left, right in ((mono, q), (q, mono), (mono, mono)):
+        product = left * right
+        assert product.terms == reference_product(left, right)
+        assert all(type(c) is Fraction for c in product.terms.values())
+    power = mono**k
+    assert power.terms == reference_power(mono, k)
+    assert all(type(c) is Fraction for c in power.terms.values())
+
+
+# -- exact point evaluation -------------------------------------------------------------
+
+
+point_values = st.one_of(st.just(Fraction(0)), mixed_fractions)
+
+
+def reference_eval(q, point):
+    """Termwise Fraction evaluation, sharing no code with Poly."""
+    total = Fraction(0)
+    for exps, coeff in q.terms.items():
+        term = coeff
+        for name, e in zip(q.variables, exps):
+            term *= point[name] ** e
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
+        mixed_fractions,
+        max_size=6,
+    ),
+    st.tuples(point_values, point_values, point_values),
+    mixed_fractions,
+)
+def test_eval_matches_fraction_reference(terms, values, constant):
+    point = dict(zip(XYZ, values))
+    # the zero polynomial, a constant, and terms with exponents up to 20
+    for q in (Poly.zero(XYZ), Poly.const(constant, XYZ), Poly(XYZ, terms)):
+        value = q.eval_at(point)
+        assert type(value) is Fraction
+        assert value == reference_eval(q, point)
+
+
+def test_subtraction_makes_no_negated_copy(monkeypatch):
+    a = p({(1, 0): Fraction(1, 2), (0, 1): 3})
+    b = p({(0, 1): 3, (2, 0): Fraction(-2, 3)})
+    calls = []
+    negate = Poly.__neg__
+
+    def counting(self):
+        calls.append(self)
+        return negate(self)
+
+    monkeypatch.setattr(Poly, "__neg__", counting)
+    assert a - b == p({(1, 0): Fraction(1, 2), (2, 0): Fraction(2, 3)})
+    assert 1 - a == p({(1, 0): Fraction(-1, 2), (0, 1): -3, (0, 0): 1})
+    assert a - a == Poly.zero(XY)
+    assert calls == []
+
+
 # -- the sparse contraction kernel ----------------------------------------------------
 
 

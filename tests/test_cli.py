@@ -178,3 +178,19 @@ def test_deep_nesting_is_a_located_input_error(tmp_path):
     assert proc.stderr == (f"liftcheck: error: parentheses nested deeper than {MAX_NESTING} "
                            f"(line 9, column {12 + MAX_NESTING})\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry, replacement, message", [
+    ("  F[1,2] = -1\n", "  F[1,2] = a1^²\n", "unexpected character '²' (line 9, column 15)"),
+    ("  F[1,2] = -1\n", "  F[1,2] = a1^٣\n", "unexpected character '٣' (line 9, column 15)"),
+    ("  n 1\n", "  n ¹\n", "n must be a nonnegative integer (line 7)"),
+], ids=["superscript-exponent", "arabic-indic-exponent", "superscript-n"])
+def test_non_ascii_digits_are_located_input_errors(tmp_path, entry, replacement, message):
+    bad = tmp_path / "digits.def"
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    assert entry in text
+    bad.write_text(text.replace(entry, replacement, 1), encoding="utf-8")
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr == f"liftcheck: error: {message}\n"
+    assert "Traceback" not in proc.stderr

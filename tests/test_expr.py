@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.expr import MAX_NESTING, ParseError, parse_poly
+from liftcheck.expr import MAX_NESTING, ParseError, _tokenize, parse_poly
 
 XY = ("x", "y")
 
@@ -59,6 +59,55 @@ def test_nesting_depth_is_capped_at_the_offending_column():
 def test_long_unary_sign_chain():
     assert parse_poly("-" * 3000 + "x", XY) == Poly.variable("x", XY)
     assert parse_poly("-+" * 1501 + "x^2", XY) == Poly(XY, {(2, 0): -1})
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("x + $", "unexpected character '$'", 4),
+    ("\tx\t+\tq", "unknown coordinate 'q'", 5),
+    ("x 2", "unexpected '2' after expression", 2),
+    ("x^\u00b2", "unexpected character '\u00b2'", 2),
+])
+def test_tokenizer_messages_and_columns(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, XY)
+    assert err.value.args[0] == message
+    assert err.value.column == column
+
+
+def test_tokens_and_columns():
+    assert _tokenize("\tx_1^12 +(3/4*y)") == [
+        ("name", "x_1", 1), ("sym", "^", 4), ("int", "12", 5), ("sym", "+", 8),
+        ("sym", "(", 9), ("int", "3", 10), ("sym", "/", 11), ("int", "4", 12),
+        ("sym", "*", 13), ("name", "y", 14), ("sym", ")", 15),
+    ]
+
+
+def test_integers_are_ascii_digits_only():
+    # superscript two, Arabic-Indic three, fullwidth one: digits to str.isdigit
+    for digit in ("\u00b2", "\u0663", "\uff11"):
+        for text in (f"x^{digit}", f"{digit}*x", f"2{digit}", f"1/{digit}"):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                parse_poly(text, XY)
+            assert err.value.column == text.index(digit)
+
+
+def test_long_sum_is_built_without_poly_addition(monkeypatch):
+    terms = {(i, j): Fraction((-1) ** i * (i + 2 * j + 1), j % 4 + 1)
+             for i in range(15) for j in range(15)}
+    poly = Poly(XY, terms)
+    assert len(poly.terms) == 225
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        original = getattr(Poly, name)
+
+        def counting(self, other, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Poly, name, counting)
+    assert parse_poly(str(poly), XY) == poly
+    assert parse_poly(f"{poly} - ({poly})", XY) == Poly.zero(XY)
+    assert calls == []
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
