@@ -95,9 +95,6 @@ class EpsComplex:
         value = as_fraction(value)
         return EpsComplex(self.re * value, self.im * value, self.epsilon)
 
-    def conjugate(self) -> "EpsComplex":
-        return EpsComplex(self.re, -self.im, self.epsilon)
-
     def norm(self) -> Fraction:
         """z * conj(z): re^2 - epsilon * im^2.  Multiplicative for both epsilon."""
         return self.re * self.re - self.epsilon * self.im * self.im

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .algebra import Poly, _contract
-from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
+from .structures import (
+    LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
+)
 from .tensor import Chart, TensorError, TensorField, endo_apply, oneform_after_endo, oneform_apply
 
 VERTICAL = "vertical"
@@ -65,10 +67,6 @@ class TangentChart:
         total = Chart(base.name + "_T", base.coords + fibers)
         return cls(base, total)
 
-    @property
-    def fiber_coords(self) -> tuple[str, ...]:
-        return self.total.coords[self.base.dim :]
-
     def embed(self, p: Poly) -> Poly:
         """Read a base-chart polynomial on the total chart."""
         return p.extend(self.total.coords)
@@ -84,6 +82,7 @@ class Connection:
     chart: Chart
     gamma: tuple[tuple[tuple[Poly, ...], ...], ...]
     symmetric: bool = True
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.chart.dim
@@ -168,24 +167,35 @@ def lift_function(
     return TensorField.function(tangent.total, _y_dot_derivative(f.comps, tangent))
 
 
-def _fiber_sum(ps: Sequence[Poly], tangent: TangentChart) -> Poly:
-    """y^k p_k for base-chart polynomials p_0..p_{m-1}, embedded on the total chart."""
-    ks = [k for k, p in enumerate(ps) if p.terms]
-    fibers = [tangent.fiber_poly(k) for k in ks]
-    embedded = [tangent.embed(ps[k]) for k in ks]
+def _fiber_sum(pairs: Iterable[tuple[int, Poly]], tangent: TangentChart) -> Poly:
+    """The sum of y^k p_k over (k, p_k) pairs of base-chart polynomials, on the total chart."""
+    pairs = [(k, p) for k, p in pairs if p.terms]
+    fibers = [tangent.fiber_poly(k) for k, _ in pairs]
+    embedded = [tangent.embed(p) for _, p in pairs]
     ((value,),) = _contract([fibers], [embedded], tangent.total.zero_poly())
     return value
 
 
 def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
-    """y^k d_k p, embedded on the total chart."""
-    return _fiber_sum([p.diff(name) for name in tangent.base.coords], tangent)
+    """y^k d_k p, embedded on the total chart; d_k is taken only where x^k occurs in p."""
+    terms = p.terms
+    return _fiber_sum(
+        [(k, p.diff(name)) for k, name in enumerate(tangent.base.coords)
+         if any(exps[k] for exps in terms)],
+        tangent,
+    )
 
 
-def _connection_matrix(conn: Connection, tangent: TangentChart) -> list[list[Poly]]:
-    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj is the k-th slice."""
-    r = range(tangent.base.dim)
-    return [[_fiber_sum([conn.gamma[i][k][j] for k in r], tangent) for j in r] for i in r]
+def _connection_matrix(conn: Connection, tangent: TangentChart) -> tuple[tuple[Poly, ...], ...]:
+    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj is the k-th slice;
+    kept in ``conn.memo``, since every horizontal lift over ``conn`` reads the same G_y."""
+    if tangent not in conn.memo:
+        r = range(tangent.base.dim)
+        conn.memo[tangent] = tuple(
+            tuple(_fiber_sum(enumerate(conn.gamma[i][k][j] for k in r), tangent) for j in r)
+            for i in r
+        )
+    return conn.memo[tangent]
 
 
 def lift_vector(
@@ -270,28 +280,11 @@ def lift_endo(
     return block(fmat, zmat, bblock, fmat)
 
 
-def lift_field(
-    field_: TensorField,
-    kind: str,
-    tangent: TangentChart,
-    conn: Optional[Connection] = None,
-) -> TensorField:
-    """Lift dispatch by valence."""
-    if field_.valence == (0, 0):
-        return lift_function(field_, kind, tangent)
-    if field_.valence == (1, 0):
-        return lift_vector(field_, kind, tangent, conn)
-    if field_.valence == (0, 1):
-        return lift_oneform(field_, kind, tangent, conn)
-    if field_.valence == (1, 1):
-        return lift_endo(field_, kind, tangent, conn)
-    raise LiftError(f"no lift for valence {field_.valence}")
-
-
 @dataclass(frozen=True)
 class LiftContext:
     """The lifts of one structure's F, xi and eta for one lift kind L, built once and
-    read by every check on it; ``memo`` keeps what those checks derive from them."""
+    read by every check on it; ``memo`` keeps what those checks derive from them.
+    In the vertical context xi_l and eta_l are xi_v and eta_v."""
 
     tangent: TangentChart
     conn: Optional[Connection]
@@ -307,14 +300,7 @@ class LiftContext:
         cls, structure: RContactStructure, kind: str, conn: Optional[Connection] = None,
         suffix: str = DEFAULT_FIBER_SUFFIX,
     ) -> "LiftContext":
-        tangent = TangentChart.over(structure.chart, suffix)
-        return cls(
-            tangent, conn, lift_endo(structure.f, kind, tangent, conn),
-            tuple(lift_vector(x, VERTICAL, tangent) for x in structure.xi),
-            tuple(lift_vector(x, kind, tangent, conn) for x in structure.xi),
-            tuple(lift_oneform(w, VERTICAL, tangent) for w in structure.eta),
-            tuple(lift_oneform(w, kind, tangent, conn) for w in structure.eta),
-        )
+        return _contexts(structure, conn, suffix)(kind)
 
     def memoised(self, key, build: Callable[[], object]):
         """The value kept under ``key``, made by ``build()`` on first use."""
@@ -323,11 +309,40 @@ class LiftContext:
         return self.memo[key]
 
 
+def _contexts(
+    structure: RContactStructure, conn: Optional[Connection], suffix: str
+) -> Callable[[str], LiftContext]:
+    """One LiftContext per lift kind, each built on first request; the horizontal
+    one is over ``conn``, and every kind reuses the vertical one's chart and lifts."""
+    built: dict[str, LiftContext] = {}
+
+    def context(kind: str) -> LiftContext:
+        # no call of ``context`` from inside it: a closure that refers to itself
+        # is a reference cycle, which would keep every lift until a gc pass
+        if not built:
+            t = TangentChart.over(structure.chart, suffix)
+            xi_v = tuple(lift_vector(x, VERTICAL, t) for x in structure.xi)
+            eta_v = tuple(lift_oneform(w, VERTICAL, t) for w in structure.eta)
+            f_v = lift_endo(structure.f, VERTICAL, t)
+            built[VERTICAL] = LiftContext(t, None, f_v, xi_v, xi_v, eta_v, eta_v)
+        if kind not in built:
+            v = built[VERTICAL]
+            t, c = v.tangent, conn if kind == HORIZONTAL else None
+            xi = tuple(lift_vector(x, kind, t, c) for x in structure.xi)
+            eta = tuple(lift_oneform(w, kind, t, c) for w in structure.eta)
+            f_lift = lift_endo(structure.f, kind, t, c)
+            built[kind] = LiftContext(t, c, f_lift, v.xi_v, xi, v.eta_v, eta)
+        return built[kind]
+
+    return context
+
+
 # -- interaction tables --------------------------------------------------------
 
-# Identity tags for the complete-lift table: (riemannian, lorentzian).
-_COMPLETE_TAGS = {"f_xi": ("2.3", "2.11"), "eta_f": ("2.4", "2.12"), "pairing": ("2.5", "2.13")}
-_HORIZONTAL_TAGS = {"f_xi": "2.18", "eta_f": "2.19", "pairing": "2.20"}
+# Tags of the F(xi), eta o F and pairing groups of each table; the complete
+# table's by signature.
+_COMPLETE_TAGS = {RIEMANNIAN: ("2.3", "2.4", "2.5"), LORENTZIAN: ("2.11", "2.12", "2.13")}
+_HORIZONTAL_TAGS = ("2.18", "2.19", "2.20")
 
 
 def verify_lift_interactions(
@@ -343,140 +358,51 @@ def verify_lift_interactions(
     table when a connection is supplied.  The expected pairing value is
     +delta for riemannian structures and -delta for lorentzian ones.
     ``contexts`` gives this structure's shared LiftContext for a lift kind
-    (the horizontal one over ``conn``); without it they are built here.
+    (vertical, complete, or horizontal over ``conn``); without it they are
+    built here.
     """
-    if contexts is None:
-        def contexts(kind: str) -> LiftContext:
-            return LiftContext.build(structure, kind, conn if kind == HORIZONTAL else None, suffix)
-
-    complete = contexts(COMPLETE)
-    tangent = complete.tangent
+    contexts = contexts or _contexts(structure, conn, suffix)
+    lifted = {"v": contexts(VERTICAL), "c": contexts(COMPLETE)}
+    total = lifted["c"].tangent.total
     kappa = structure.pairing_convention()
-    col = 0 if structure.signature == "riemannian" else 1
-    entries: list[CheckEntry] = []
-
-    f_c = complete.f_lift
-    f_v = lift_endo(structure.f, VERTICAL, tangent)
-    xi_v, xi_c = complete.xi_v, complete.xi_l
-    eta_v, eta_c = complete.eta_v, complete.eta_l
-
-    def delta_fn(a: int, b: int) -> TensorField:
-        value = kappa if a == b else 0
-        return TensorField.function(tangent.total, tangent.total.const(value))
-
-    tag = _COMPLETE_TAGS["f_xi"][col]
-    for a in range(structure.r):
-        entries.append(
-            new_entry(f"F^c(xi_{a + 1}^v)", tag, endo_apply(f_c, xi_v[a]), seed)
-        )
-        entries.append(
-            new_entry(f"F^c(xi_{a + 1}^c)", tag, endo_apply(f_c, xi_c[a]), seed)
-        )
-    tag = _COMPLETE_TAGS["eta_f"][col]
-    for a in range(structure.r):
-        entries.append(
-            new_entry(
-                f"eta^{a + 1}v o F^c", tag, oneform_after_endo(eta_v[a], f_c), seed
-            )
-        )
-        entries.append(
-            new_entry(
-                f"eta^{a + 1}c o F^v", tag, oneform_after_endo(eta_c[a], f_v), seed
-            )
-        )
-        entries.append(
-            new_entry(
-                f"eta^{a + 1}c o F^c", tag, oneform_after_endo(eta_c[a], f_c), seed
-            )
-        )
-    tag = _COMPLETE_TAGS["pairing"][col]
     sign = "+" if kappa > 0 else "-"
-    for a in range(structure.r):
-        for b in range(structure.r):
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}v(xi_{b + 1}^v)",
-                    tag,
-                    oneform_apply(eta_v[a], xi_v[b]),
-                    seed,
-                )
-            )
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}v(xi_{b + 1}^c) - ({sign}delta)",
-                    tag,
-                    oneform_apply(eta_v[a], xi_c[b]) - delta_fn(a, b),
-                    seed,
-                )
-            )
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}c(xi_{b + 1}^v) - ({sign}delta)",
-                    tag,
-                    oneform_apply(eta_c[a], xi_v[b]) - delta_fn(a, b),
-                    seed,
-                )
-            )
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}c(xi_{b + 1}^c)",
-                    tag,
-                    oneform_apply(eta_c[a], xi_c[b]),
-                    seed,
-                )
-            )
 
+    # Row makers: the superscripts name the lift of each factor.
+    def f_xi(f: str, x: str):
+        return f"F^{f}(xi_{{a}}^{x})", lambda a: endo_apply(lifted[f].f_lift, lifted[x].xi_l[a])
+
+    def eta_f(w: str, f: str):
+        return f"eta^{{a}}{w} o F^{f}", lambda a: oneform_after_endo(
+            lifted[w].eta_l[a], lifted[f].f_lift
+        )
+
+    def pairing(w: str, x: str, delta: bool):
+        """eta^a,w(xi_b^x) less its expected value: kappa*delta_ab, or 0."""
+        def residual(a: int, b: int) -> TensorField:
+            value = oneform_apply(lifted[w].eta_l[a], lifted[x].xi_l[b])
+            if not delta:
+                return value
+            return value - TensorField.function(total, total.const(kappa if a == b else 0))
+
+        return f"eta^{{a}}{w}(xi_{{b}}^{x})" + (f" - ({sign}delta)" if delta else ""), residual
+
+    tags = _COMPLETE_TAGS[structure.signature]
+    table = [
+        (tags[0], 1, [f_xi("c", "v"), f_xi("c", "c")]),
+        (tags[1], 1, [eta_f("v", "c"), eta_f("c", "v"), eta_f("c", "c")]),
+        (tags[2], 2, [pairing("v", "v", False), pairing("v", "c", True),
+                      pairing("c", "v", True), pairing("c", "c", False)]),
+    ]
     notes: list[str] = []
     if conn is not None:
-        horizontal = contexts(HORIZONTAL)
-        f_h, xi_h, eta_h = horizontal.f_lift, horizontal.xi_l, horizontal.eta_l
-        tag = _HORIZONTAL_TAGS["f_xi"]
-        for a in range(structure.r):
-            entries.append(
-                new_entry(f"F^h(xi_{a + 1}^h)", tag, endo_apply(f_h, xi_h[a]), seed)
-            )
-            entries.append(
-                new_entry(f"F^h(xi_{a + 1}^v)", tag, endo_apply(f_h, xi_v[a]), seed)
-            )
-        tag = _HORIZONTAL_TAGS["eta_f"]
-        for a in range(structure.r):
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}h o F^h", tag, oneform_after_endo(eta_h[a], f_h), seed
-                )
-            )
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}v o F^h", tag, oneform_after_endo(eta_v[a], f_h), seed
-                )
-            )
-        tag = _HORIZONTAL_TAGS["pairing"]
-        for a in range(structure.r):
-            for b in range(structure.r):
-                entries.append(
-                    new_entry(
-                        f"eta^{a + 1}h(xi_{b + 1}^h)",
-                        tag,
-                        oneform_apply(eta_h[a], xi_h[b]),
-                        seed,
-                    )
-                )
-                entries.append(
-                    new_entry(
-                        f"eta^{a + 1}h(xi_{b + 1}^v) - ({sign}delta)",
-                        tag,
-                        oneform_apply(eta_h[a], xi_v[b]) - delta_fn(a, b),
-                        seed,
-                    )
-                )
-                entries.append(
-                    new_entry(
-                        f"eta^{a + 1}v(xi_{b + 1}^h) - ({sign}delta)",
-                        tag,
-                        oneform_apply(eta_v[a], xi_h[b]) - delta_fn(a, b),
-                        seed,
-                    )
-                )
+        lifted["h"] = contexts(HORIZONTAL)
+        tags = _HORIZONTAL_TAGS
+        table += [
+            (tags[0], 1, [f_xi("h", "h"), f_xi("h", "v")]),
+            (tags[1], 1, [eta_f("h", "h"), eta_f("v", "h")]),
+            (tags[2], 2, [pairing("h", "h", False), pairing("h", "v", True),
+                          pairing("v", "h", True)]),
+        ]
         if conn.is_flat():
             notes.append("[connection] horizontal table checked with the flat connection")
-    return CheckReport(entries=entries, notes=notes)
+    return CheckReport(entries=identity_entries(table, structure.r, seed), notes=notes)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .definition import Definition, DefinitionError, Task, build_connection, build_structure
-from .lifts import HORIZONTAL, Connection, LiftContext, verify_lift_interactions
+from .lifts import Connection, LiftContext, _contexts, verify_lift_interactions
 from .structures import (
     DEFAULT_SEED,
     PAPER_LITERAL,
@@ -42,7 +42,8 @@ class TaskError(ValueError):
 
 class _Shared:
     """The structure and one lift context per lift kind, which every task of
-    a run reads; horizontal uses the declared connection, or the flat one."""
+    a run reads; horizontal uses the declared connection, or the flat one, and
+    every kind shares the vertical lifts."""
 
     def __init__(self, defn: Definition):
         try:
@@ -51,13 +52,7 @@ class _Shared:
             raise TaskError(str(exc)) from exc
         self.conn = build_connection(defn) or Connection.flat(defn.chart)
         self.suffix = defn.fiber_suffix
-        self._contexts: dict[str, LiftContext] = {}
-
-    def context(self, kind: str) -> LiftContext:
-        if kind not in self._contexts:
-            conn = self.conn if kind == HORIZONTAL else None
-            self._contexts[kind] = LiftContext.build(self.structure, kind, conn, self.suffix)
-        return self._contexts[kind]
+        self.context = _contexts(self.structure, self.conn, self.suffix)
 
     def spec(self, kind: str, s: int, t: int) -> tuple[LiftedStructureSpec, LiftContext]:
         ctx = self.context(kind)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix
@@ -131,6 +132,23 @@ def new_entry(
     return CheckEntry(name=name, tag=tag, residual=residual, passed=passed, witness=witness)
 
 
+def identity_entries(table: list, r: int, seed: int | None = None) -> list[CheckEntry]:
+    """One entry per row of an identity table and per index, the indices outermost.
+
+    A table is a list of (tag, arity, rows) groups, a row a (name template,
+    residual builder) pair for an identity indexed by a, or by a and b when
+    the arity is 2.  The template is formatted with the 1-based indices; the
+    builder computes the residual from the 0-based ones.
+    """
+    return [
+        new_entry(name.format(**dict(zip("ab", (i + 1 for i in index)))), tag, residual(*index),
+                  seed)
+        for tag, arity, rows in table
+        for index in product(range(r), repeat=arity)
+        for name, residual in rows
+    ]
+
+
 # -- structure containers --------------------------------------------------------
 
 
@@ -238,37 +256,22 @@ def check_axioms(
     kappa = s.pairing_convention()
     tag = _axiom_tag(s.signature, mode)
     sign = "+" if kappa > 0 else "-"
-    entries: list[CheckEntry] = []
-    for a in range(s.r):
-        for b in range(s.r):
-            expected = TensorField.function(s.chart, s.chart.const(kappa if a == b else 0))
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1}(xi_{b + 1}) - ({sign}delta)",
-                    tag,
-                    oneform_apply(s.eta[a], s.xi[b]) - expected,
-                    seed,
-                )
-            )
-    for a in range(s.r):
-        entries.append(new_entry(f"F(xi_{a + 1})", tag, endo_apply(s.f, s.xi[a]), seed))
-    for a in range(s.r):
-        entries.append(
-            new_entry(f"eta^{a + 1} o F", tag, oneform_after_endo(s.eta[a], s.f), seed)
-        )
+
+    def pairing(a: int, b: int) -> TensorField:
+        expected = TensorField.function(s.chart, s.chart.const(kappa if a == b else 0))
+        return oneform_apply(s.eta[a], s.xi[b]) - expected
+
+    entries = identity_entries([
+        (tag, 2, [(f"eta^{{a}}(xi_{{b}}) - ({sign}delta)", pairing)]),
+        (tag, 1, [("F(xi_{a})", lambda a: endo_apply(s.f, s.xi[a]))]),
+        (tag, 1, [("eta^{a} o F", lambda a: oneform_after_endo(s.eta[a], s.f))]),
+    ], s.r, seed)
     p = squaring_sign(s.signature, mode, s.epsilon)
     identity = TensorField.identity_endo(s.chart)
     rhs = _signed(s.epsilon, identity) + _signed(p, s.sum_outer())
     f2 = endo_compose(s.f, s.f)
     p_sign = "+" if p > 0 else "-"
-    entries.append(
-        new_entry(
-            f"F^2 - (eps*I {p_sign} sum xi(x)eta)",
-            tag,
-            f2 - rhs,
-            seed,
-        )
-    )
+    entries.append(new_entry(f"F^2 - (eps*I {p_sign} sum xi(x)eta)", tag, f2 - rhs, seed))
     report = CheckReport(entries=entries)
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     pts = [random_point(s.chart, rng) for _ in range(3)]

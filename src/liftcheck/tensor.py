@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraError, Poly, PolyMatrix, _contract, as_fraction
 
@@ -366,7 +366,10 @@ def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
     return TensorField.bilinear(g.chart, _contract(f_cols, zip(*gf), zero))
 
 
-def _fraction_rank(matrix: list[list[Fraction]]) -> int:
+def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:
+    """Gaussian elimination over Fraction, yielding (row, pivot) as each pivot is
+    taken: the first nonzero entry of the next column at or below the next pivot
+    row, and the row it stood in before being swapped up."""
     rows = [row[:] for row in matrix]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -381,6 +384,7 @@ def _fraction_rank(matrix: list[list[Fraction]]) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][pivot_col]
+        yield pivot, lead
         for r in range(rank + 1, n_rows):
             if rows[r][pivot_col] != 0:
                 factor = rows[r][pivot_col] / lead
@@ -389,7 +393,6 @@ def _fraction_rank(matrix: list[list[Fraction]]) -> int:
                 ]
         rank += 1
         pivot_col += 1
-    return rank
 
 
 def evaluate_matrix(f: TensorField, point: Point) -> list[list[Fraction]]:
@@ -409,15 +412,18 @@ def rank_at(f: TensorField, points: Iterable[Point]) -> int:
     for p in points:
         if p.chart != f.chart:
             raise TensorError("rank_at point on a different chart")
-        best = max(best, _fraction_rank(evaluate_matrix(f, p)))
+        best = max(best, sum(1 for _ in _pivots(evaluate_matrix(f, p))))
     return best
 
 
 def leading_minors_positive(g: TensorField, point: Point) -> bool:
-    """Sylvester test for positive definiteness of G at one sample point."""
+    """Sylvester test for positive definiteness of G at one sample point: leading
+    minor k is the product of the first k pivots of an elimination without row
+    swaps, and a swap, or fewer pivots than rows, means a zero minor."""
     _require(g, (0, 2), "bilinear form")
-    values = evaluate_matrix(g, point)
-    return all(
-        PolyMatrix.from_values([row[:k] for row in values[:k]], ()).det().constant_value() > 0
-        for k in range(1, len(values) + 1)
-    )
+    k = 0
+    for row, pivot in _pivots(evaluate_matrix(g, point)):
+        if row != k or pivot < 0:
+            return False
+        k += 1
+    return k == g.chart.dim

@@ -131,17 +131,34 @@ def test_console_script_entry_point():
 
 
 GOLDEN = ROOT / "tests" / "golden"
-GOLDEN_RUNS = [(["run", str(path), "--format", "machine"], f"run_{path.stem}.json")
+# (argv, golden file, exit status)
+GOLDEN_RUNS = [(["run", str(path), "--format", "machine"], f"run_{path.stem}.json", 0)
                for path in sorted(DEFS.glob("*.def"))]
-GOLDEN_RUNS.append((["demo", "--format", "machine"], "demo.json"))
+GOLDEN_RUNS.append((["demo", "--format", "machine"], "demo.json", 0))
+# r = 2 with a rescaled eta and a non-flat connection: pins the order of the
+# axiom and lift tables past r = 1, and the witnesses of their FAIL entries
+LIFT_N2_R2 = str(GOLDEN / "lift_n2_r2.def")
+GOLDEN_RUNS.append((["run", LIFT_N2_R2, "--format", "machine"], "lift_n2_r2.json", 1))
+HUMAN_GOLDEN_RUNS = [(["run", LIFT_N2_R2], "lift_n2_r2.txt", 1)]
 
 
-@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS, ids=[g for _, g in GOLDEN_RUNS])
-def test_machine_report_matches_golden(argv, golden, capsys):
+def _assert_golden(argv, golden, status, capsys):
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == status
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden, status", GOLDEN_RUNS, ids=[g for _, g, _ in GOLDEN_RUNS])
+def test_machine_report_matches_golden(argv, golden, status, capsys):
+    _assert_golden(argv, golden, status, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, golden, status", HUMAN_GOLDEN_RUNS, ids=[g for _, g, _ in HUMAN_GOLDEN_RUNS]
+)
+def test_human_report_matches_golden(argv, golden, status, capsys):
+    _assert_golden(argv, golden, status, capsys)
 
 
 def test_non_utf8_definition_is_an_input_error(tmp_path):

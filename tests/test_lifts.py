@@ -92,6 +92,26 @@ def test_constant_vector_complete_lift():
     assert lifted == TensorField.basis_vector(TAB.total, "a")
 
 
+def test_complete_lift_differentiates_only_by_coordinates_that_occur(monkeypatch):
+    calls = []
+    diff = Poly.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    x = TensorField.vector(AB, [AB.const(3), AB.const(Fraction(1, 2))])
+    assert lift_vector(x, COMPLETE, TAB) == TensorField.vector(
+        TAB.total, [3, Fraction(1, 2), 0, 0]
+    )
+    assert calls == []
+    a = AB.coordinate("a")
+    lifted = lift_vector(TensorField.vector(AB, [a * a, AB.zero_poly()]), COMPLETE, TAB)
+    assert calls == ["a"]
+    assert lifted.comps[2] == TAB.embed(2 * a) * TAB.fiber_poly(0)
+
+
 def test_vertical_lift_moves_to_fiber():
     db = TensorField.basis_vector(AB, "b")
     assert lift_vector(db, VERTICAL, TAB) == TensorField.basis_vector(TAB.total, "b_dot")

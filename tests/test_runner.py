@@ -1,5 +1,7 @@
 """Task orchestration: one structure and one lift context per lift kind per run."""
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 
 from liftcheck import definition, lifts, runner, theorems
 from liftcheck.definition import Task, parse_definition, structure_to_definition
-from liftcheck.lifts import Connection
+from liftcheck.lifts import COMPLETE, HORIZONTAL, VERTICAL, Connection
 from liftcheck.report import Report
 from liftcheck.structures import canonical_structure
 
@@ -29,7 +31,7 @@ def count_calls(monkeypatch, owner, name):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in (definition, lifts, runner, theorems):
@@ -51,6 +53,45 @@ def test_run_tasks_builds_each_lift_once(monkeypatch):
     assert len(endo_lifts) <= 3
     # J(+1,-1) complete, then the four horizontal cells of the sweep
     assert len(js) <= 5
+
+
+def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
+    text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
+    defn = parse_definition(text)
+    endo_lifts = count_calls(monkeypatch, lifts, "lift_endo")
+    oneform_lifts = count_calls(monkeypatch, lifts, "lift_oneform")
+    assert runner.run_tasks(defn, TASKS).overall
+    # F^v and each eta^v serve the complete and horizontal contexts and the table
+    assert [args[1] for args in endo_lifts].count(VERTICAL) == 1
+    assert [args[1] for args in oneform_lifts].count(VERTICAL) == defn.structure.r
+
+
+def test_run_tasks_builds_g_y_once(monkeypatch):
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    shared = runner._Shared(defn)
+    for task in TASKS:
+        runner.run_task(defn, task, shared=shared)
+    horizontal = shared.context(HORIZONTAL)
+    # the horizontal context's lifts and the action formulas' horizontal
+    # lifts read one G_y, kept on the run's connection
+    assert list(shared.conn.memo) == [horizontal.tangent]
+    builds = count_calls(monkeypatch, lifts, "_fiber_sum")
+    lifts.lift_vector(shared.structure.xi[0], HORIZONTAL, horizontal.tangent, shared.conn)
+    assert builds == []
+
+
+def test_shared_contexts_are_freed_without_a_gc_pass():
+    # a reference cycle would keep every lift of a run alive until the cyclic
+    # collector runs, and raise the peak memory of many runs in one process
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    gc.disable()
+    try:
+        shared = runner._Shared(defn)
+        context = weakref.ref(shared.context(COMPLETE))
+        del shared
+        assert context() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("signature", ["riemannian", "lorentzian"])

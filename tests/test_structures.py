@@ -16,9 +16,31 @@ from liftcheck.structures import (
     conjugate_structure,
     consistency_lint,
     contact_structure,
+    identity_entries,
     random_unimodular,
 )
 from liftcheck.tensor import Chart, TensorField, endo_apply, endo_compose, outer
+
+
+def test_identity_entries_run_the_indices_outermost():
+    chart = Chart("M", ("x",))
+
+    def residual(*index):
+        # zero only at the first index
+        return TensorField.function(chart, chart.const(sum(index)))
+
+    table = [
+        ("t1", 1, [("p{a}", residual), ("q{a}", residual)]),
+        ("t2", 2, [("r{a}{b}", residual)]),
+    ]
+    entries = identity_entries(table, 2, seed=3)
+    assert [(e.tag, e.name) for e in entries] == [
+        ("t1", "p1"), ("t1", "q1"), ("t1", "p2"), ("t1", "q2"),
+        ("t2", "r11"), ("t2", "r12"), ("t2", "r21"), ("t2", "r22"),
+    ]
+    assert [e.passed for e in entries] == [True, True, False, False, True, False, False, False]
+    assert all((e.witness is None) == e.passed for e in entries)
+    assert identity_entries(table, 0) == []
 
 
 def test_canonical_f_matrix():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from liftcheck.algebra import Poly
+from liftcheck.algebra import Poly, PolyMatrix
 from liftcheck.structures import RContactStructure
 from liftcheck.tensor import (
     Chart,
@@ -16,6 +17,7 @@ from liftcheck.tensor import (
     endo_apply,
     endo_compose,
     endo_transpose,
+    leading_minors_positive,
     metric_pullback,
     oneform_after_endo,
     oneform_apply,
@@ -167,6 +169,50 @@ def test_rank_examples():
     # canonical contact action on a 3-dim chart: rank 2 by elimination
     phi = TensorField.endo(ABC, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     assert rank_at(phi, pts) == 2
+
+
+ENTRIES = st.sampled_from(
+    [Fraction(v) for v in (0, 1, -1, 2, 3)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)]
+)
+
+
+@st.composite
+def square_matrices(draw):
+    m = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # A^T A + I is positive definite, so both verdicts are drawn often
+        a = [[sum(a[k][i] * a[k][j] for k in range(m)) + (i == j) for j in range(m)]
+             for i in range(m)]
+    return a
+
+
+def blockwise_minors_positive(values):
+    """Reference: one determinant per leading block."""
+    return all(
+        PolyMatrix.from_values([row[:k] for row in values[:k]], ()).det().constant_value() > 0
+        for k in range(1, len(values) + 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+@example([[0]]).via("zero 1x1 minor")
+@example([[-1]]).via("negative 1x1 minor")
+@example([[Fraction(1, 2)]]).via("rational 1x1 minor")
+@example([[0, 1], [1, 0]]).via("zero first minor, nonzero below it")
+@example([[1, 2], [2, 1]]).via("negative second minor")
+@example([[1, 1], [1, 1]]).via("zero second minor")
+@example([[2, 0, 0], [0, 0, 0], [0, 0, 3]]).via("zero column skipped")
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]).via("rational")
+def test_leading_minors_positive_matches_blockwise_determinants(values):
+    m = len(values)
+    chart = Chart("G", tuple(f"x{i}" for i in range(m)))
+    # a linear term that vanishes at the sample point checks evaluation too
+    comps = [[Poly.const(v, chart.coords) + chart.coordinate("x0") for v in row] for row in values]
+    point = Point(chart, (0,) * m)
+    got = leading_minors_positive(TensorField.bilinear(chart, comps), point)
+    assert got == blockwise_minors_positive(values)
 
 
 def test_rank_bounds_and_monotonicity():
