@@ -336,12 +336,21 @@ class Poly:
         ((shift, value),) = monomial.items()
         if not any(shift):
             return self._scale(value)
-        return Poly._trusted(
-            self.variables,
-            {tuple(map(add, e, shift)): c * value for e, c in self.terms.items()},
-        )
+        terms = self.terms
+        if value == 1:
+            shifted = {tuple(map(add, e, shift)): c for e, c in terms.items()}
+        elif value == -1:
+            shifted = {tuple(map(add, e, shift)): -c for e, c in terms.items()}
+        else:
+            shifted = {tuple(map(add, e, shift)): c * value for e, c in terms.items()}
+        return Poly._trusted(self.variables, shifted)
 
     def _scale(self, value: Fraction) -> "Poly":
+        # a unit factor costs no Fraction product
+        if value == 1:
+            return self
+        if value == -1:
+            return -self
         if not value:
             return Poly._trusted(self.variables, {})
         return Poly._trusted(self.variables, {e: c * value for e, c in self.terms.items()})
@@ -359,8 +368,9 @@ class Poly:
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     def diff(self, var: str) -> "Poly":
@@ -519,25 +529,90 @@ def _contract(
     """Every row . column sum: out[i][j] = sum_k rows[i][k] * cols[j][k].
 
     The one multiply-accumulate loop behind every matrix, tensor and lift
-    product.  Zero factors are skipped, so they cost no product.  The
+    product.  Zero factors are skipped, so they cost no product.  A sum with
+    one nonzero product is that product; a longer one goes to ``_dot``.  The
     caller passes the columns explicitly, so the shape of the result is
     len(rows) x len(cols) even when the inner dimension is 0; every sum is
-    then ``zero``, as is any sum with no nonzero product.
+    then ``zero``, as is any sum with no nonzero product.  Every nonzero
+    entry must live over ``zero.variables``.
     """
-    cols = list(cols)
+    variables = zero.variables
+    cols = [_nonzero(col, variables) for col in cols]
+    numerators: dict[int, tuple[Poly, list[tuple[Exponents, int]], int]] = {}
     out = []
     for row in rows:
-        nonzero = [(k, a) for k, a in enumerate(row) if a.terms]
+        nonzero = _nonzero(row, variables).items()
         line = []
         for col in cols:
-            acc = zero
-            for k, a in nonzero:
-                b = col[k]
-                if b.terms:
-                    acc = acc + a * b
-            line.append(acc)
+            pairs = [(a, b) for k, a in nonzero if (b := col.get(k)) is not None]
+            if not pairs:
+                line.append(zero)
+            elif len(pairs) == 1:
+                ((a, b),) = pairs
+                line.append(a * b)
+            else:
+                line.append(_dot(pairs, variables, numerators))
         out.append(line)
     return out
+
+
+def _nonzero(line: Sequence[Poly], variables: tuple[str, ...]) -> dict[int, Poly]:
+    """The nonzero entries of ``line`` by position; each must live over ``variables``."""
+    found = {}
+    for k, a in enumerate(line):
+        if a.terms:
+            if a.variables != variables:
+                raise VariableMismatch(
+                    f"cannot contract an entry over {a.variables} into {variables}"
+                )
+            found[k] = a
+    return found
+
+
+def _dot(
+    pairs: list[tuple[Poly, Poly]],
+    variables: tuple[str, ...],
+    numerators: dict[int, tuple[Poly, list[tuple[Exponents, int]], int]],
+) -> Poly:
+    """sum a * b over two or more pairs of nonzero Polys, in one integer accumulator.
+
+    Every product is written over D, the LCM of the pairs' denominators
+    D_a * D_b, and its integer numerators are added into one dict; one
+    Fraction is built per nonzero sum.  ``numerators`` keeps each entry's
+    integer numerators for the whole contraction, by ``id`` and next to the
+    entry itself, so that no id is reused while the cache lives.
+    """
+    parts = []
+    for a, b in pairs:
+        left = numerators.get(id(a))
+        if left is None:
+            left = numerators[id(a)] = (a, *_numerators(a.terms))
+        right = numerators.get(id(b))
+        if right is None:
+            right = numerators[id(b)] = (b, *_numerators(b.terms))
+        parts.append((left[1:], right[1:]))
+    den = lcm(*[d1 * d2 for (_, d1), (_, d2) in parts])
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for (left, d1), (right, d2) in parts:
+        if len(left) > len(right):
+            left, right = right, left
+        scale = den // (d1 * d2)
+        for e1, n1 in left:
+            n1 *= scale
+            if any(e1):
+                for e2, n2 in right:
+                    exps = tuple(map(add, e1, e2))
+                    acc[exps] = get(exps, 0) + n1 * n2
+            else:
+                # a constant factor leaves the other side's exponents as they are
+                for e2, n2 in right:
+                    acc[e2] = get(e2, 0) + n1 * n2
+    if den == 1:
+        terms = {e: Fraction(n) for e, n in acc.items() if n}
+    else:
+        terms = {e: Fraction(n, den) for e, n in acc.items() if n}
+    return Poly._trusted(variables, terms)
 
 
 class PolyMatrix:

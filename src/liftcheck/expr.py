@@ -55,6 +55,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
+        self.index = {name: i for i, name in enumerate(self.variables)}
         self.length = length
         self.depth = 0
 
@@ -85,18 +86,40 @@ class _Parser:
         return Poly._trusted(self.variables, acc)
 
     def parse_term(self) -> Poly:
-        value = self.parse_factor()
+        # literals and coordinates fold into one coefficient num/den and one
+        # exponent list; only parenthesised factors are multiplied as Polys
+        num, den = 1, 1
+        exps = [0] * len(self.variables)
+        factors = []
         while True:
+            negate, atom, power = self.parse_factor()
+            if negate:
+                num = -num
+            if isinstance(atom, Poly):
+                factors.append(atom if power is None else atom**power)
+            elif isinstance(atom, int):
+                exps[atom] += 1 if power is None else power
+            else:
+                p, q = atom
+                if power is not None:
+                    p, q = p**power, q**power
+                num, den = num * p, den * q
             tok = self.peek()
             if tok and tok[0] == "sym" and tok[1] == "*":
                 self.next()
-                value = value * self.parse_factor()
             elif tok and tok[0] == "sym" and tok[1] == "/":
                 raise ParseError("division is allowed only in rational literals", tok[2])
             else:
-                return value
+                break
+        terms = {tuple(exps): Fraction(num, den)} if num else {}
+        value = Poly._trusted(self.variables, terms)
+        for factor in factors:
+            value = value * factor
+        return value
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> tuple[bool, Poly | int | tuple[int, int], int | None]:
+        """(negate, atom, power): a run of unary signs, a primary and its
+        exponent, or None when there is no ``^``."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -104,7 +127,7 @@ class _Parser:
             self.next()
             negate ^= tok[1] == "-"
             tok = self.peek()
-        value = self.parse_primary()
+        atom = self.parse_primary()
         tok = self.peek()
         if tok and tok[0] == "sym" and tok[1] == "^":
             self.next()
@@ -112,16 +135,16 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 col = exp_tok[2] if exp_tok else self.length
                 raise ParseError("exponent must be a nonnegative integer", col)
-            value = value ** int(exp_tok[1])
-        return -value if negate else value
+            return negate, atom, int(exp_tok[1])
+        return negate, atom, None
 
-    def parse_primary(self) -> Poly:
+    def parse_primary(self) -> Poly | int | tuple[int, int]:
+        """A parenthesised Poly, a coordinate's index, or a literal as (p, q)."""
         tok = self.next()
         if tok is None:
             raise ParseError("unexpected end of expression", self.length)
         kind, text, col = tok
         if kind == "int":
-            value = Fraction(int(text))
             nxt = self.peek()
             if nxt and nxt[0] == "sym" and nxt[1] == "/":
                 self.next()
@@ -131,12 +154,13 @@ class _Parser:
                     raise ParseError("denominator must be an integer literal", dcol)
                 if int(den_tok[1]) == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                value = Fraction(int(text), int(den_tok[1]))
-            return Poly.const(value, self.variables)
+                return int(text), int(den_tok[1])
+            return int(text), 1
         if kind == "name":
-            if text not in self.variables:
+            index = self.index.get(text)
+            if index is None:
                 raise ParseError(f"unknown coordinate {text!r}", col)
-            return Poly.variable(text, self.variables)
+            return index
         if kind == "sym" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", col)

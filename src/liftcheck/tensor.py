@@ -109,6 +109,19 @@ class TensorField:
         object.__setattr__(self, "valence", valence)
         object.__setattr__(self, "comps", comps)
 
+    @classmethod
+    def _trusted(cls, chart: Chart, valence: tuple[int, int], comps) -> "TensorField":
+        """Wrap components that are valid by construction, without checking them.
+
+        ``comps`` must already have the shape of ``valence`` on ``chart``, as
+        tuples (of rows) of Polys over ``chart.coords``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "valence", valence)
+        object.__setattr__(self, "comps", comps)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
 
@@ -179,31 +192,22 @@ class TensorField:
 
     def _map(self, fn) -> "TensorField":
         if self.valence == (0, 0):
-            return TensorField(self.chart, self.valence, fn(self.comps))
-        if self.valence in ((1, 0), (0, 1)):
-            return TensorField(self.chart, self.valence, [fn(c) for c in self.comps])
-        return TensorField(
-            self.chart, self.valence, [[fn(c) for c in row] for row in self.comps]
-        )
+            comps = fn(self.comps)
+        elif self.valence in ((1, 0), (0, 1)):
+            comps = tuple(map(fn, self.comps))
+        else:
+            comps = tuple(tuple(map(fn, row)) for row in self.comps)
+        return TensorField._trusted(self.chart, self.valence, comps)
 
     def _zip(self, other: "TensorField", fn) -> "TensorField":
         self._check_same(other)
         if self.valence == (0, 0):
-            return TensorField(self.chart, self.valence, fn(self.comps, other.comps))
-        if self.valence in ((1, 0), (0, 1)):
-            return TensorField(
-                self.chart,
-                self.valence,
-                [fn(a, b) for a, b in zip(self.comps, other.comps)],
-            )
-        return TensorField(
-            self.chart,
-            self.valence,
-            [
-                [fn(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.comps, other.comps)
-            ],
-        )
+            comps = fn(self.comps, other.comps)
+        elif self.valence in ((1, 0), (0, 1)):
+            comps = tuple(map(fn, self.comps, other.comps))
+        else:
+            comps = tuple(tuple(map(fn, r1, r2)) for r1, r2 in zip(self.comps, other.comps))
+        return TensorField._trusted(self.chart, self.valence, comps)
 
     def __add__(self, other: "TensorField") -> "TensorField":
         return self._zip(other, lambda a, b: a + b)
@@ -280,6 +284,11 @@ class TensorField:
 # -- contractions ------------------------------------------------------------
 
 
+def _matrix_field(chart: Chart, rows: list[list[Poly]], valence=(1, 1)) -> TensorField:
+    """A matrix-valued field from a ``_contract`` result over ``chart.zero_poly()``."""
+    return TensorField._trusted(chart, valence, tuple(map(tuple, rows)))
+
+
 def _require(field: TensorField, valence: tuple[int, int], role: str) -> None:
     if field.valence != valence:
         raise TensorError(f"{role} must have valence {valence}, got {field.valence}")
@@ -296,7 +305,7 @@ def endo_apply(f: TensorField, x: TensorField) -> TensorField:
     _require(x, (1, 0), "vector")
     _check_charts(f, x, "endo_apply")
     (out,) = _contract([x.comps], f.comps, f.chart.zero_poly())
-    return TensorField.vector(f.chart, out)
+    return TensorField._trusted(f.chart, (1, 0), tuple(out))
 
 
 def oneform_apply(w: TensorField, x: TensorField) -> TensorField:
@@ -305,7 +314,7 @@ def oneform_apply(w: TensorField, x: TensorField) -> TensorField:
     _require(x, (1, 0), "vector")
     _check_charts(w, x, "oneform_apply")
     ((value,),) = _contract([w.comps], [x.comps], w.chart.zero_poly())
-    return TensorField.function(w.chart, value)
+    return TensorField._trusted(w.chart, (0, 0), value)
 
 
 def endo_compose(f: TensorField, h: TensorField) -> TensorField:
@@ -313,7 +322,7 @@ def endo_compose(f: TensorField, h: TensorField) -> TensorField:
     _require(f, (1, 1), "endomorphism")
     _require(h, (1, 1), "endomorphism")
     _check_charts(f, h, "endo_compose")
-    return TensorField.endo(f.chart, _contract(f.comps, zip(*h.comps), f.chart.zero_poly()))
+    return _matrix_field(f.chart, _contract(f.comps, zip(*h.comps), f.chart.zero_poly()))
 
 
 def oneform_after_endo(w: TensorField, f: TensorField) -> TensorField:
@@ -322,7 +331,7 @@ def oneform_after_endo(w: TensorField, f: TensorField) -> TensorField:
     _require(f, (1, 1), "endomorphism")
     _check_charts(w, f, "oneform_after_endo")
     (out,) = _contract([w.comps], zip(*f.comps), f.chart.zero_poly())
-    return TensorField.oneform(w.chart, out)
+    return TensorField._trusted(w.chart, (0, 1), tuple(out))
 
 
 def outer(x: TensorField, w: TensorField) -> TensorField:
@@ -332,7 +341,7 @@ def outer(x: TensorField, w: TensorField) -> TensorField:
     _check_charts(x, w, "outer")
     rows = [[xi] for xi in x.comps]
     cols = [[wj] for wj in w.comps]
-    return TensorField.endo(x.chart, _contract(rows, cols, x.chart.zero_poly()))
+    return _matrix_field(x.chart, _contract(rows, cols, x.chart.zero_poly()))
 
 
 def _signed(sign: int, field: TensorField) -> TensorField:
@@ -346,13 +355,13 @@ def _outer_sum(
     """sum_a X_a (x) w_a as one (m x r)(r x m) product; zero when r = 0."""
     rows = [[x.comps[i] for x in xs] for i in range(chart.dim)]
     cols = [[w.comps[j] for w in ws] for j in range(chart.dim)]
-    return TensorField.endo(chart, _contract(rows, cols, chart.zero_poly()))
+    return _matrix_field(chart, _contract(rows, cols, chart.zero_poly()))
 
 
 def endo_transpose(f: TensorField) -> TensorField:
     """Component transpose; acts on one-forms by (F* w)_j = w_i F^i_j."""
     _require(f, (1, 1), "endomorphism")
-    return TensorField.endo(f.chart, zip(*f.comps))
+    return TensorField._trusted(f.chart, (1, 1), tuple(zip(*f.comps)))
 
 
 def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
@@ -363,7 +372,7 @@ def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
     zero = g.chart.zero_poly()
     f_cols = list(zip(*f.comps))
     gf = _contract(g.comps, f_cols, zero)
-    return TensorField.bilinear(g.chart, _contract(f_cols, zip(*gf), zero))
+    return _matrix_field(g.chart, _contract(f_cols, zip(*gf), zero), (0, 2))
 
 
 def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftcheck import algebra
 from liftcheck.algebra import (
     EpsComplex,
     EpsilonMismatch,
@@ -342,16 +343,123 @@ def reference_contraction(rows, cols):
 @given(contraction_operands())
 def test_contraction_kernel_matches_dense_reference(operands):
     rows, cols = operands
-    with mock.patch.object(Poly, "__mul__", autospec=True, side_effect=Poly.__mul__) as mul:
+    with mock.patch.object(Poly, "__mul__", autospec=True, side_effect=Poly.__mul__) as mul, \
+            mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
         out = _contract(rows, iter(cols), Poly.zero(XYZ))
     assert len(out) == len(rows)
     assert all(len(line) == len(cols) for line in out)
     assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
     assert all(q.variables == XYZ for line in out for q in line)
-    # a product is formed only where both factors are nonzero
-    assert mul.call_count == sum(
+    # a product is formed only where both factors are nonzero: by Poly.__mul__
+    # in a sum with one such pair, inside _dot for each pair of a longer sum
+    fused = [pair for call in dot.call_args_list for pair in call.args[0]]
+    assert all(a and b for a, b in fused)
+    assert mul.call_count + len(fused) == sum(
         1 for row in rows for col in cols for a, b in zip(row, col) if a and b
     )
+
+
+@st.composite
+def fused_operands(draw):
+    """Rows and columns of inner length 2..4 whose entries are often constants
+    (+-1 among them) or integer polynomials, so most sums have several pairs."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    entry = st.one_of(
+        mixed_polys(),
+        st.builds(lambda c: Poly.const(c, XYZ), st.sampled_from([1, -1]) | mixed_fractions),
+        st.builds(lambda t: Poly(XYZ, t),
+                  st.dictionaries(exps, st.integers(-9, 9), min_size=1, max_size=4)),
+    )
+    inner = draw(st.integers(2, 4))
+    line = st.lists(entry, min_size=inner, max_size=inner)
+    return draw(st.lists(line, min_size=1, max_size=3)), draw(st.lists(line, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fused_operands())
+def test_fused_dot_products_match_fraction_reference(operands):
+    rows, cols = operands
+    # each row repeated against each column followed by its negation: every
+    # sum has twice the pairs and cancels to exactly zero
+    doubled = [row + row for row in rows]
+    cancelling = [col + [-b for b in col] for col in cols]
+    for left, right in ((rows, cols), (doubled, cancelling)):
+        out = _contract(left, right, Poly.zero(XYZ))
+        assert [[q.terms for q in line] for line in out] == reference_contraction(left, right)
+        for line in out:
+            for q in line:
+                assert q.variables == XYZ
+                assert all(type(c) is Fraction and c != 0 for c in q.terms.values())
+    assert all(q.is_zero() for line in out for q in line)
+
+
+def test_fused_dot_products_by_hand():
+    x, y = Poly.variable("x", XYZ), Poly.variable("y", XYZ)
+    one, minus_one = Poly.const(1, XYZ), Poly.const(-1, XYZ)
+    half_x = Poly(XYZ, {(1, 0, 0): Fraction(1, 2)})
+    third_y = Poly(XYZ, {(0, 1, 0): Fraction(-1, 3), (0, 0, 0): 2})
+    with mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
+        out = _contract(
+            [[one, minus_one, x], [half_x, third_y, y]],
+            [[x + y, x, y], [x, third_y, half_x]],
+            Poly.zero(XYZ),
+        )
+    assert dot.call_count == 4
+    # integer entries: 1*(x+y) - x + x*y, and the denominator-1 path
+    assert out[0][0] == y + x * y
+    assert all(c.denominator == 1 for c in out[0][0].terms.values())
+    # mixed denominators, and a constant on either side
+    assert out[0][1] == x - third_y + x * half_x
+    assert out[1][0] == half_x * (x + y) + third_y * x + y * y
+    # x/2 * x + (2 - y/3)^2 + y * x/2
+    assert out[1][1] == half_x * x + third_y * third_y + y * half_x
+    # products that cancel exactly
+    (cancelled,) = _contract([[x, y, x]], [[y, x * -2, y]], Poly.zero(XYZ))
+    assert cancelled == [Poly.zero(XYZ)]
+
+
+def test_unit_factors_cost_no_fraction_product():
+    q = p({(2, 1): Fraction(3, 7), (0, 1): -2, (1, 0): Fraction(1, 2)})
+    negated = p({e: -c for e, c in q.terms.items()})
+    expected = [q, negated, negated, q, p(reference_product(q, p({(1, 1): -1}))),
+                p(reference_product(q, p({(0, 2): 1})))]
+    assert q._scale(Fraction(1)) is q
+    with mock.patch.object(Fraction, "__mul__", side_effect=AssertionError("Fraction product")):
+        results = [q * 1, q * -1, q * Poly.const(-1, XY), Poly.const(1, XY) * q,
+                   q * p({(1, 1): -1}), p({(0, 2): 1}) * q]
+    assert results == expected
+
+
+def test_power_squares_only_while_bits_remain():
+    base = p({(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    degrees = []
+    multiply = Poly.__mul__
+
+    def recording(self, other):
+        product = multiply(self, other)
+        degrees.append(product.total_degree())
+        return product
+
+    with mock.patch.object(Poly, "__mul__", recording):
+        power = base**12
+    assert power.total_degree() == 12
+    assert max(degrees) == 12
+
+
+def test_contraction_rejects_entries_over_other_variables():
+    zero = Poly.zero(XYZ)
+    x = Poly.variable("x", XYZ)
+    narrow = p({(1, 0): 1})
+    for rows, cols in (
+        ([[x, narrow]], [[x, x]]),          # in a row, multi-pair sum
+        ([[x, x]], [[x, narrow]]),          # in a column
+        ([[narrow]], [[x]]),                # single-pair sum
+        ([[Poly.const(2, XY)]], [[x]]),     # a constant that + would coerce
+    ):
+        with pytest.raises(VariableMismatch):
+            _contract(rows, cols, zero)
+    # zero entries are skipped whatever their variables
+    assert _contract([[x, Poly.zero(XY)]], [[x, x]], zero) == [[x * x]]
 
 
 def test_contraction_over_empty_inner_dimension_is_zero():

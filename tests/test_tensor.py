@@ -256,3 +256,51 @@ def test_pullback_functorial():
     assert metric_pullback(g, endo_compose(f, h)) == metric_pullback(
         metric_pullback(g, f), h
     )
+
+
+def test_arithmetic_and_contraction_results_skip_component_checks(monkeypatch):
+    import liftcheck.tensor as tensor
+
+    rng = random.Random(7)
+    f, h = random_field(ABC, (1, 1), rng), random_field(ABC, (1, 1), rng)
+    x, w = random_field(ABC, (1, 0), rng), random_field(ABC, (0, 1), rng)
+    g = random_field(ABC, (0, 2), rng)
+    s = random_field(ABC, (0, 0), rng)
+    calls = []
+    check = tensor._as_poly
+
+    def counting(chart, value):
+        calls.append(value)
+        return check(chart, value)
+
+    monkeypatch.setattr(tensor, "_as_poly", counting)
+    results = [
+        f + h, f - h, -f, x + x, w - w, s + s, f.scale(s),
+        endo_apply(f, x), oneform_apply(w, x), endo_compose(f, h),
+        oneform_after_endo(w, f), outer(x, w), _outer_sum(ABC, [x, x], [w, w]),
+        endo_transpose(f), metric_pullback(g, f),
+    ]
+    assert calls == []
+    monkeypatch.setattr(tensor, "_as_poly", check)
+    # each result equals, and hashes as, the same components checked by the
+    # public constructor
+    for field in results:
+        if field.valence == (0, 0):
+            checked = TensorField(field.chart, field.valence, field.comps)
+        elif field.valence in ((1, 0), (0, 1)):
+            checked = TensorField(field.chart, field.valence, list(field.comps))
+        else:
+            checked = TensorField(field.chart, field.valence, [list(r) for r in field.comps])
+        assert field == checked and hash(field) == hash(checked)
+
+
+def test_constructor_still_rejects_components_over_another_chart():
+    over_ab = AB.coordinate("a")
+    with pytest.raises(TensorError, match="does not live on chart"):
+        TensorField.vector(ABC, [over_ab, ABC.const(0), ABC.const(1)])
+    with pytest.raises(TensorError, match="does not live on chart"):
+        TensorField.endo(AB, [[AB.const(1), ABC.coordinate("c")], [0, 1]])
+    with pytest.raises(TensorError, match="does not live on chart"):
+        TensorField.function(ABC, over_ab)
+    with pytest.raises(TensorError, match="does not live on chart"):
+        rotation().scale(ABC.coordinate("a"))
