@@ -316,20 +316,7 @@ class Poly:
             return self._shift(other.terms)
         if len(self.terms) == 1:
             return other._shift(self.terms)
-        # Clear denominators: c = n / D with integer n, multiply-accumulate the
-        # integer numerators, and divide each nonzero sum by D1 * D2 once.
-        left, d1 = _numerators(self.terms)
-        right, d2 = _numerators(other.terms)
-        acc: dict[Exponents, int] = {}
-        get = acc.get
-        for e1, n1 in left:
-            for e2, n2 in right:
-                exps = tuple(map(add, e1, e2))
-                acc[exps] = get(exps, 0) + n1 * n2
-        den = d1 * d2
-        return Poly._trusted(
-            self.variables, {e: Fraction(n, den) for e, n in acc.items() if n}
-        )
+        return _dot([(self, other)], self.variables, {})
 
     def _shift(self, monomial: dict[Exponents, Fraction]) -> "Poly":
         """self times the single term in ``monomial``."""
@@ -574,13 +561,14 @@ def _dot(
     variables: tuple[str, ...],
     numerators: dict[int, tuple[Poly, list[tuple[Exponents, int]], int]],
 ) -> Poly:
-    """sum a * b over two or more pairs of nonzero Polys, in one integer accumulator.
+    """sum a * b over pairs of nonzero Polys, in one integer accumulator.
 
     Every product is written over D, the LCM of the pairs' denominators
     D_a * D_b, and its integer numerators are added into one dict; one
     Fraction is built per nonzero sum.  ``numerators`` keeps each entry's
     integer numerators for the whole contraction, by ``id`` and next to the
-    entry itself, so that no id is reused while the cache lives.
+    entry itself, so that no id is reused while the cache lives.  A general
+    product of ``Poly.__mul__`` comes here as a single pair.
     """
     parts = []
     for a, b in pairs:

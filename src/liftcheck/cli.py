@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraError
 from .definition import (
-    Definition,
     DefinitionError,
     Task,
     parse_definition,
@@ -131,74 +130,43 @@ def _spec_task(kind: str, args: argparse.Namespace) -> Task:
 def _demo_report(seed: int) -> Report:
     """The corollary pipeline: base axioms, lift tables, all four lifted
     structures, and the sign sweeps, on built-in canonical models."""
-    report = Report(seed=seed)
-
-    def run_on(defn: Definition, tasks: list[Task], mode: Optional[str] = None) -> None:
-        sub = run_tasks(defn, tasks, seed=seed, mode_override=mode)
-        report.sections.extend(sub.sections)
-
     riem = canonical_structure(1, 1, -1, "riemannian")
-    conn = Connection.from_entries(
-        riem.chart,
-        {(2, 0, 0): riem.chart.coordinate("a1")},
-    )
-    defn = structure_to_definition(riem, conn=conn)
-    report.sections.append(
-        Section(
-            task="demo",
-            title="demo: canonical riemannian contact model (n=1, r=1, eps=-1)",
-            passed=True,
-            notes=[
+    conn = Connection.from_entries(riem.chart, {(2, 0, 0): riem.chart.coordinate("a1")})
+    # (definition, title, notes, theorem tags); a case with theorems also
+    # checks the lift tables
+    cases = [
+        (
+            structure_to_definition(riem, conn=conn),
+            "canonical riemannian contact model (n=1, r=1, eps=-1)",
+            [
                 "pipeline: check -> lift -> theorem 4.1 -> theorem 4.3 -> sweep",
                 "connection: Gamma[c1,a1,a1] = a1 (plus its symmetric pair)",
             ],
+            ("4.1", "4.3"),
+        ),
+        (
+            structure_to_definition(canonical_structure(1, 1, -1, "lorentzian")),
+            "canonical lorentzian contact model (n=1, r=1, eps=-1)",
+            ["pipeline: check -> lift -> theorem 4.2 -> theorem 4.4 -> sweep"],
+            ("4.2", "4.4"),
+        ),
+        (
+            structure_to_definition(canonical_structure(1, 1, 1, "riemannian"), mode=CONSISTENT),
+            "canonical paracontact model (n=1, r=1, eps=+1, consistent mode)",
+            ["pipeline: check -> sweep; the sweep locates the paracomplex sign cells"],
+            (),
+        ),
+    ]
+    report = Report(seed=seed)
+    for defn, title, notes, tags in cases:
+        report.sections.append(
+            Section(task="demo", title=f"demo: {title}", passed=True, notes=notes)
         )
-    )
-    run_on(
-        defn,
-        [
-            Task("check"),
-            Task("lift"),
-            Task("theorem", ("4.1",)),
-            Task("theorem", ("4.3",)),
-            Task("sweep", (COMPLETE,)),
-        ],
-    )
-
-    lor = canonical_structure(1, 1, -1, "lorentzian")
-    defn = structure_to_definition(lor)
-    report.sections.append(
-        Section(
-            task="demo",
-            title="demo: canonical lorentzian contact model (n=1, r=1, eps=-1)",
-            passed=True,
-            notes=["pipeline: check -> lift -> theorem 4.2 -> theorem 4.4 -> sweep"],
-        )
-    )
-    run_on(
-        defn,
-        [
-            Task("check"),
-            Task("lift"),
-            Task("theorem", ("4.2",)),
-            Task("theorem", ("4.4",)),
-            Task("sweep", (COMPLETE,)),
-        ],
-    )
-
-    para = canonical_structure(1, 1, 1, "riemannian")
-    defn = structure_to_definition(para, mode=CONSISTENT)
-    report.sections.append(
-        Section(
-            task="demo",
-            title="demo: canonical paracontact model (n=1, r=1, eps=+1, consistent mode)",
-            passed=True,
-            notes=[
-                "pipeline: check -> sweep; the sweep locates the paracomplex sign cells"
-            ],
-        )
-    )
-    run_on(defn, [Task("check"), Task("sweep", (COMPLETE,))])
+        tasks = [Task("check")]
+        if tags:
+            tasks += [Task("lift")] + [Task("theorem", (tag,)) for tag in tags]
+        tasks.append(Task("sweep", (COMPLETE,)))
+        report.sections.extend(run_tasks(defn, tasks, seed=seed).sections)
     report.sections.append(
         Section(
             task="demo",

@@ -94,21 +94,6 @@ class StructureBlock:
     eta_entries: dict[tuple[int, int], Poly]
     metric_entries: Optional[dict[tuple[int, int], Poly]]
 
-    def __eq__(self, other):
-        if not isinstance(other, StructureBlock):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.signature == other.signature
-            and self.mode == other.mode
-            and self.n == other.n
-            and self.r == other.r
-            and self.f_entries == other.f_entries
-            and self.xi_entries == other.xi_entries
-            and self.eta_entries == other.eta_entries
-            and self.metric_entries == other.metric_entries
-        )
-
 
 @dataclass
 class Definition:
@@ -119,17 +104,23 @@ class Definition:
     structure: Optional[StructureBlock] = None
     tasks: list[Task] = field(default_factory=list)
 
-    def __eq__(self, other):
-        if not isinstance(other, Definition):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.fiber_suffix == other.fiber_suffix
-            and self.connection_entries == other.connection_entries
-            and self.connection_symmetric == other.connection_symmetric
-            and self.structure == other.structure
-            and self.tasks == other.tasks
-        )
+
+# The entry families of a structure block, in emission order: the name written
+# in the file, what its two indices mean, the field made from its rows, and
+# whether the family is optional.  An "index" family is one m x m field, both
+# indices over the chart.  A "component index" family is one field per
+# alpha = 1..r, the first index alpha (checked once r is known), the second a
+# chart index.  Each family is kept as ``<name>_entries`` on the StructureBlock
+# and as ``<name>`` on the structure, with the name lower-cased.  An optional
+# family is present iff some line of it was read, even one whose value is 0.
+_FAMILIES = (
+    ("F", "index", TensorField.endo, False),
+    ("xi", "component index", TensorField.vector, False),
+    ("eta", "component index", TensorField.oneform, False),
+    ("metric", "index", TensorField.bilinear, True),
+)
+_MEANINGS = {name: meaning for name, meaning, _, _ in _FAMILIES}
+_PER_ALPHA = "/".join(name for name, meaning, _, _ in _FAMILIES if meaning != "index")
 
 
 _ENTRY_RE = re.compile(r"^(\w+)\[([0-9,\s]+)\]\s*=\s*(.+)$")
@@ -321,10 +312,7 @@ def _parse_structure_block(lines, i, chart) -> tuple[StructureBlock, int]:
     mode = PAPER_LITERAL
     n: Optional[int] = None
     r: Optional[int] = None
-    f_entries: dict[tuple[int, int], Poly] = {}
-    xi_entries: dict[tuple[int, int], Poly] = {}
-    eta_entries: dict[tuple[int, int], Poly] = {}
-    metric_entries: Optional[dict[tuple[int, int], Poly]] = None
+    entries: dict[str, dict[tuple[int, int], Poly]] = {}
     start = i
 
     while True:
@@ -371,50 +359,27 @@ def _parse_structure_block(lines, i, chart) -> tuple[StructureBlock, int]:
             raise DefinitionError(f"unknown structure field {head!r}", lineno)
         name = match.group(1)
         value = _parse_rhs(match.group(3), chart.coords, lineno, _rhs_offset(lines[i - 1]))
-        if name == "F":
-            idx = _parse_indices(match.group(2), 2, lineno)
-            if any(v < 1 or v > chart.dim for v in idx):
-                raise DefinitionError(f"F index out of range 1..{chart.dim}", lineno)
-            f_entries[(idx[0] - 1, idx[1] - 1)] = value
-        elif name in ("xi", "eta"):
-            idx = _parse_indices(match.group(2), 2, lineno)
-            if idx[1] < 1 or idx[1] > chart.dim:
-                raise DefinitionError(
-                    f"{name} component index out of range 1..{chart.dim}", lineno
-                )
-            target = xi_entries if name == "xi" else eta_entries
-            target[(idx[0] - 1, idx[1] - 1)] = value
-        elif name == "metric":
-            idx = _parse_indices(match.group(2), 2, lineno)
-            if any(v < 1 or v > chart.dim for v in idx):
-                raise DefinitionError(f"metric index out of range 1..{chart.dim}", lineno)
-            if metric_entries is None:
-                metric_entries = {}
-            metric_entries[(idx[0] - 1, idx[1] - 1)] = value
-        else:
+        meaning = _MEANINGS.get(name)
+        if meaning is None:
             raise DefinitionError(f"unknown structure field {name!r}", lineno)
+        idx = _parse_indices(match.group(2), 2, lineno)
+        if any(v < 1 or v > chart.dim for v in (idx if meaning == "index" else idx[1:])):
+            raise DefinitionError(f"{name} {meaning} out of range 1..{chart.dim}", lineno)
+        entries.setdefault(name, {})[(idx[0] - 1, idx[1] - 1)] = value
 
     if epsilon is None or signature is None or n is None or r is None:
         raise DefinitionError(
             "structure block needs epsilon, signature, n and r", start
         )
-    for (alpha, _), _v in list(xi_entries.items()) + list(eta_entries.items()):
-        if alpha < 0 or alpha >= r:
-            raise DefinitionError(f"xi/eta family index out of range 1..{r}", start)
-    return (
-        StructureBlock(
-            epsilon=epsilon,
-            signature=signature,
-            mode=mode,
-            n=n,
-            r=r,
-            f_entries=f_entries,
-            xi_entries=xi_entries,
-            eta_entries=eta_entries,
-            metric_entries=metric_entries,
-        ),
-        i,
+    for name, meaning, _, optional in _FAMILIES:
+        family = entries.setdefault(name, None if optional else {})
+        if meaning != "index" and any(not 0 <= alpha < r for alpha, _ in family):
+            raise DefinitionError(f"{_PER_ALPHA} family index out of range 1..{r}", start)
+    block = StructureBlock(
+        epsilon=epsilon, signature=signature, mode=mode, n=n, r=r,
+        **{f"{name.lower()}_entries": entries[name] for name in _MEANINGS},
     )
+    return block, i
 
 
 # -- assembly into engine objects ---------------------------------------------------
@@ -432,42 +397,29 @@ def build_structure(defn: Definition) -> RContactStructure:
         )
     z = chart.zero_poly()
 
-    def dense(entries: dict[tuple[int, int], Poly]) -> list[list[Poly]]:
-        out = [[z for _ in range(m)] for _ in range(m)]
+    def dense(entries: dict[tuple[int, int], Poly], rows: int) -> list[list[Poly]]:
+        out = [[z] * m for _ in range(rows)]
         for (a, b), val in entries.items():
             out[a][b] = val
         return out
 
-    f = TensorField.endo(chart, dense(block.f_entries))
-    xi = []
-    eta = []
-    for alpha in range(block.r):
-        xi.append(
-            TensorField.vector(
-                chart,
-                [block.xi_entries.get((alpha, j), z) for j in range(m)],
-            )
-        )
-        eta.append(
-            TensorField.oneform(
-                chart,
-                [block.eta_entries.get((alpha, j), z) for j in range(m)],
-            )
-        )
-    metric = None
-    if block.metric_entries is not None:
-        metric = TensorField.bilinear(chart, dense(block.metric_entries))
+    fields = {}
+    for name, meaning, make, _ in _FAMILIES:
+        entries = getattr(block, f"{name.lower()}_entries")
+        if entries is None:
+            fields[name.lower()] = None
+        elif meaning == "index":
+            fields[name.lower()] = make(chart, dense(entries, m))
+        else:
+            fields[name.lower()] = tuple(make(chart, row) for row in dense(entries, block.r))
     try:
         return RContactStructure(
             chart=chart,
-            f=f,
-            xi=tuple(xi),
-            eta=tuple(eta),
             epsilon=block.epsilon,
             signature=block.signature,
             n=block.n,
             r=block.r,
-            metric=metric,
+            **fields,
         )
     except StructureError as exc:
         raise DefinitionError(str(exc), 1) from exc
@@ -508,21 +460,11 @@ def emit_definition(defn: Definition) -> str:
             out.append(f"  mode {block.mode}")
         out.append(f"  n {block.n}")
         out.append(f"  r {block.r}")
-        for (a, b) in sorted(block.f_entries):
-            if not block.f_entries[(a, b)].is_zero():
-                out.append(f"  F[{a + 1},{b + 1}] = {block.f_entries[(a, b)]}")
-        for (a, b) in sorted(block.xi_entries):
-            if not block.xi_entries[(a, b)].is_zero():
-                out.append(f"  xi[{a + 1},{b + 1}] = {block.xi_entries[(a, b)]}")
-        for (a, b) in sorted(block.eta_entries):
-            if not block.eta_entries[(a, b)].is_zero():
-                out.append(f"  eta[{a + 1},{b + 1}] = {block.eta_entries[(a, b)]}")
-        if block.metric_entries is not None:
-            for (a, b) in sorted(block.metric_entries):
-                if not block.metric_entries[(a, b)].is_zero():
-                    out.append(
-                        f"  metric[{a + 1},{b + 1}] = {block.metric_entries[(a, b)]}"
-                    )
+        for name, *_ in _FAMILIES:
+            entries = getattr(block, f"{name.lower()}_entries") or {}
+            for (a, b), val in sorted(entries.items()):
+                if not val.is_zero():
+                    out.append(f"  {name}[{a + 1},{b + 1}] = {val}")
         out.append("end")
     if defn.tasks:
         out.append("")
@@ -540,32 +482,20 @@ def structure_to_definition(
 ) -> Definition:
     """Definition equivalent of an in-memory structure (used by the demo and tests)."""
     chart = structure.chart
-    f_entries = {
-        (i, j): structure.f.comps[i][j]
-        for i in range(chart.dim)
-        for j in range(chart.dim)
-        if not structure.f.comps[i][j].is_zero()
-    }
-    xi_entries = {
-        (a, j): x.comps[j]
-        for a, x in enumerate(structure.xi)
-        for j in range(chart.dim)
-        if not x.comps[j].is_zero()
-    }
-    eta_entries = {
-        (a, j): w.comps[j]
-        for a, w in enumerate(structure.eta)
-        for j in range(chart.dim)
-        if not w.comps[j].is_zero()
-    }
-    metric_entries = None
-    if structure.metric is not None:
-        metric_entries = {
-            (i, j): structure.metric.comps[i][j]
-            for i in range(chart.dim)
-            for j in range(chart.dim)
-            if not structure.metric.comps[i][j].is_zero()
+
+    def sparse(rows) -> dict[tuple[int, int], Poly]:
+        return {
+            (i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if not c.is_zero()
         }
+
+    families = {}
+    for name, meaning, _, _ in _FAMILIES:
+        value = getattr(structure, name.lower())
+        if value is None:
+            families[f"{name.lower()}_entries"] = None
+        else:
+            rows = value.comps if meaning == "index" else [x.comps for x in value]
+            families[f"{name.lower()}_entries"] = sparse(rows)
     connection_entries = None
     if conn is not None:
         connection_entries = {}
@@ -584,10 +514,7 @@ def structure_to_definition(
         mode=mode,
         n=structure.n,
         r=structure.r,
-        f_entries=f_entries,
-        xi_entries=xi_entries,
-        eta_entries=eta_entries,
-        metric_entries=metric_entries,
+        **families,
     )
     return Definition(
         chart=chart,

@@ -143,16 +143,13 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def section_from_check(
-    task: str, title: str, check: CheckReport, informational: bool = False
-) -> Section:
+def section_from_check(task: str, title: str, check: CheckReport) -> Section:
     return Section(
         task=task,
         title=title,
         passed=check.overall,
         entries=[EntryView.from_entry(e) for e in check.entries],
         notes=list(check.notes),
-        informational=informational,
     )
 
 

@@ -44,6 +44,7 @@ from .tensor import (
 
 DEFAULT_SEED = 1729
 WITNESS_CAP = 256
+METRIC_SAMPLES = 5  # sample points of the positive-definiteness note
 
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
@@ -94,17 +95,8 @@ class CheckReport:
                 return e
         raise KeyError(name)
 
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        merged = CheckReport(entries=self.entries + other.entries, notes=list(self.notes))
-        for note in other.notes:
-            if note not in merged.notes:
-                merged.notes.append(note)
-        return merged
 
-
-def find_witness(
-    residual: TensorField, seed: int | None = None, cap: int = WITNESS_CAP
-) -> Optional[Point]:
+def find_witness(residual: TensorField, seed: int | None = None) -> Optional[Point]:
     """A sample point where some residual component is nonzero, if one is found.
 
     The residual is already known nonzero symbolically; the witness is a
@@ -115,7 +107,7 @@ def find_witness(
     components = [c for _, c in residual.nonzero_items()]
     if not components:
         return None
-    for _ in range(cap):
+    for _ in range(WITNESS_CAP):
         point = random_point(residual.chart, rng)
         values = point.mapping()
         for comp in components:
@@ -282,11 +274,7 @@ def check_axioms(
     return report
 
 
-def check_metric(
-    structure: RContactStructure,
-    seed: int | None = None,
-    samples: int = 5,
-) -> CheckReport:
+def check_metric(structure: RContactStructure, seed: int | None = None) -> CheckReport:
     """Metric compatibility: pullback identity, and for riemannian structures
     also eta = G(xi, .) plus sampled positive-definiteness notes."""
     s = structure
@@ -322,11 +310,11 @@ def check_metric(
     if s.signature == RIEMANNIAN:
         ok = all(
             leading_minors_positive(s.metric, random_point(s.chart, rng))
-            for _ in range(samples)
+            for _ in range(METRIC_SAMPLES)
         )
         verdict = "positive" if ok else "NOT positive"
         report.notes.append(
-            f"[metric] leading principal minors {verdict} definite at {samples} sample points"
+            f"[metric] leading principal minors {verdict} definite at {METRIC_SAMPLES} sample points"
         )
     return report
 

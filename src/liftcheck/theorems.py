@@ -35,14 +35,7 @@ from .lifts import (
     lift_function,
     lift_vector,
 )
-from .structures import (
-    CheckEntry,
-    CheckReport,
-    DEFAULT_SEED,
-    RContactStructure,
-    find_witness,
-    new_entry,
-)
+from .structures import CheckReport, RContactStructure, find_witness, new_entry
 from .tensor import (
     Point,
     TensorField,
@@ -317,14 +310,27 @@ def _claims_for(spec: LiftedStructureSpec) -> tuple[Optional[str], Optional[_Cla
     return None, None
 
 
-def _field_label(x: TensorField, base: RContactStructure) -> str:
+def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[int]]:
+    """A test field's label in entry names, and b when it is the structure's xi_b.
+
+    xi is matched first; a field whose one nonzero component is 1 is d/d<coord>.
+    """
     for b, xb in enumerate(base.xi):
         if xb == x:
-            return f"xi_{b + 1}"
-    for coord in base.chart.coords:
-        if x == TensorField.basis_vector(base.chart, coord):
-            return f"d/d{coord}"
-    return "X"
+            return f"xi_{b + 1}", b
+    nonzero = [(coord, c) for coord, c in zip(base.chart.coords, x.comps) if c.terms]
+    if len(nonzero) == 1:
+        ((coord, c),) = nonzero
+        if c.is_constant() and c.constant_value() == 1:
+            return f"d/d{coord}", None
+    return "X", None
+
+
+def _plus_sum(total: TensorField, sign: int, fields, factors) -> TensorField:
+    """total + sign * sum field.scale(factor), adding or subtracting each term."""
+    for f, g in zip(fields, factors):
+        total = total + f.scale(g) if sign > 0 else total - f.scale(g)
+    return total
 
 
 def verify_action_formulas(
@@ -347,82 +353,85 @@ def verify_action_formulas(
     coefficients are compared against the claimed display; any discrepancy is
     recorded as a structured erratum note rather than silently adopted.
     """
+    return action_report(spec, [x], seed, ctx=ctx)
+
+
+def action_report(
+    spec: LiftedStructureSpec,
+    fields: Sequence[TensorField] | None = None,
+    seed: int | None = None,
+    *, ctx: Optional[LiftContext] = None,
+) -> CheckReport:
+    """The action checks of ``verify_action_formulas`` over several test fields,
+    entries field by field, then each note once.
+
+    Default test fields: every base frame field d/dx_i plus every xi_alpha.
+    """
     base = spec.base
-    if x.valence != (1, 0) or x.chart != base.chart:
-        raise LiftError("action check needs a (1,0) field on the base chart")
+    if fields is None:
+        fields = [
+            TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords
+        ]
+        for x in base.xi:
+            if x not in fields:
+                fields.append(x)
     ctx = ctx or _context(spec)
     tangent = ctx.tangent
     kind = spec.lift_kind
     j = _lifted_j(ctx, spec.s, spec.t)
     lift_name = "c" if kind == COMPLETE else "h"
-    tag_actions = "post-4.x"
     claim_tag, claims = _claims_for(spec)
-    if claim_tag is not None:
-        tag_actions = f"post-{claim_tag}"
-    label = _field_label(x, base)
-
-    x_v = lift_vector(x, VERTICAL, tangent)
-    x_l = lift_vector(x, kind, tangent, spec.conn)
-    fx = endo_apply(base.f, x)
-    fx_v = lift_vector(fx, VERTICAL, tangent)
-    fx_l = lift_vector(fx, kind, tangent, spec.conn)
-    eta_x = [oneform_apply(w, x) for w in base.eta]
-    eta_x_v = [lift_function(g, VERTICAL, tangent) for g in eta_x]
-
-    rhs_v = fx_v
-    for g_v, xl in zip(eta_x_v, ctx.xi_l):
-        rhs_v = rhs_v + _signed(spec.t, xl.scale(g_v))
-    entries = [
-        new_entry(
-            f"[X={label}] J(X^v) - [(FX)^v + ({spec.t:+d})*sum (eta X)^v xi^{lift_name}]",
-            tag_actions,
-            endo_apply(j, x_v) - rhs_v,
-            seed,
-        )
-    ]
-
-    rhs_l = fx_l
-    for g_v, xv in zip(eta_x_v, ctx.xi_v):
-        rhs_l = rhs_l + _signed(spec.s, xv.scale(g_v))
-    if kind == COMPLETE:
-        eta_x_c = [lift_function(g, COMPLETE, tangent) for g in eta_x]
-        for g_c, xl in zip(eta_x_c, ctx.xi_l):
-            rhs_l = rhs_l + _signed(spec.t, xl.scale(g_c))
-        name_l = (
-            f"[X={label}] J(X^c) - [(FX)^c + ({spec.s:+d})*sum (eta X)^v xi^v"
-            f" + ({spec.t:+d})*sum (eta X)^c xi^c]"
-        )
-    else:
-        name_l = f"[X={label}] J(X^h) - [(FX)^h + ({spec.s:+d})*sum (eta X)^v xi^v]"
-    entries.append(new_entry(name_l, tag_actions, endo_apply(j, x_l) - rhs_l, seed))
-
-    report = CheckReport(entries=entries)
+    tag_actions = "post-4.x" if claim_tag is None else f"post-{claim_tag}"
     kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
 
-    # xi rows, when X is literally one of the structure's xi fields.
-    xi_index = next((b for b, xb in enumerate(base.xi) if xb == x), None)
-    if xi_index is not None and kappa is not None:
-        b = xi_index
-        tk = spec.t * kappa
-        sk = spec.s * kappa
-        report.entries.append(
-            new_entry(
-                f"J(xi_{b + 1}^v) - ({tk:+d})*xi_{b + 1}^{lift_name}",
-                tag_actions,
-                endo_apply(j, ctx.xi_v[b]) - _signed(tk, ctx.xi_l[b]),
-                seed,
-            )
-        )
-        report.entries.append(
-            new_entry(
-                f"J(xi_{b + 1}^{lift_name}) - ({sk:+d})*xi_{b + 1}^v",
-                tag_actions,
-                endo_apply(j, ctx.xi_l[b]) - _signed(sk, ctx.xi_v[b]),
-                seed,
-            )
-        )
+    entries = []
+    xi_rows = False
+    for x in fields:
+        if x.valence != (1, 0) or x.chart != base.chart:
+            raise LiftError("action check needs a (1,0) field on the base chart")
+        label, b = _field_role(x, base)
+        if b is None:
+            x_v = lift_vector(x, VERTICAL, tangent)
+            x_l = lift_vector(x, kind, tangent, spec.conn)
+        else:
+            x_v, x_l = ctx.xi_v[b], ctx.xi_l[b]
+        j_xv, j_xl = endo_apply(j, x_v), endo_apply(j, x_l)
+        fx = endo_apply(base.f, x)
+        eta_x = [oneform_apply(w, x) for w in base.eta]
+        eta_x_v = [lift_function(g, VERTICAL, tangent) for g in eta_x]
 
-    if claims is not None:
+        rhs_v = _plus_sum(lift_vector(fx, VERTICAL, tangent), spec.t, ctx.xi_l, eta_x_v)
+        entries.append(new_entry(
+            f"[X={label}] J(X^v) - [(FX)^v + ({spec.t:+d})*sum (eta X)^v xi^{lift_name}]",
+            tag_actions, j_xv - rhs_v, seed,
+        ))
+        rhs_l = _plus_sum(lift_vector(fx, kind, tangent, spec.conn), spec.s, ctx.xi_v, eta_x_v)
+        if kind == COMPLETE:
+            eta_x_c = [lift_function(g, COMPLETE, tangent) for g in eta_x]
+            rhs_l = _plus_sum(rhs_l, spec.t, ctx.xi_l, eta_x_c)
+            name_l = (
+                f"[X={label}] J(X^c) - [(FX)^c + ({spec.s:+d})*sum (eta X)^v xi^v"
+                f" + ({spec.t:+d})*sum (eta X)^c xi^c]"
+            )
+        else:
+            name_l = f"[X={label}] J(X^h) - [(FX)^h + ({spec.s:+d})*sum (eta X)^v xi^v]"
+        entries.append(new_entry(name_l, tag_actions, j_xl - rhs_l, seed))
+
+        # xi rows, when X is literally one of the structure's xi fields
+        if b is not None and kappa is not None:
+            xi_rows = True
+            tk, sk = spec.t * kappa, spec.s * kappa
+            entries.append(new_entry(
+                f"J(xi_{b + 1}^v) - ({tk:+d})*xi_{b + 1}^{lift_name}",
+                tag_actions, j_xv - x_l if tk > 0 else j_xv + x_l, seed,
+            ))
+            entries.append(new_entry(
+                f"J(xi_{b + 1}^{lift_name}) - ({sk:+d})*xi_{b + 1}^v",
+                tag_actions, j_xl - x_v if sk > 0 else j_xl + x_v, seed,
+            ))
+
+    report = CheckReport(entries=entries)
+    if claims is not None and fields:
         if claims.uses_u_symbol:
             report.notes.append(
                 f"[erratum {tag_actions}-u-symbol] catalogued displays write the xi factors "
@@ -445,7 +454,7 @@ def verify_action_formulas(
                 f"((eta X))^h xi^h term; eta^h(X^h) = 0 identically and functions have no "
                 f"horizontal lift, so the derived display omits it"
             )
-        if xi_index is not None and kappa is not None:
+        if xi_rows:
             if claims.xi_v_sign != spec.t * kappa:
                 report.notes.append(
                     f"[erratum {tag_actions}-xi-v-sign] catalogued J(xi_beta^v) = "
@@ -459,28 +468,3 @@ def verify_action_formulas(
                     f"({claims.xi_l_sign:+d})*xi_beta^v; derived ({spec.s * kappa:+d})*xi_beta^v"
                 )
     return report
-
-
-def action_report(
-    spec: LiftedStructureSpec,
-    fields: Sequence[TensorField] | None = None,
-    seed: int | None = None,
-    *, ctx: Optional[LiftContext] = None,
-) -> CheckReport:
-    """Aggregate action checks over several test fields with deduplicated notes.
-
-    Default test fields: every base frame field d/dx_i plus every xi_alpha.
-    """
-    base = spec.base
-    if fields is None:
-        fields = [
-            TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords
-        ]
-        for x in base.xi:
-            if x not in fields:
-                fields.append(x)
-    ctx = ctx or _context(spec)
-    combined = CheckReport()
-    for x in fields:
-        combined = combined.merge(verify_action_formulas(spec, x, seed, ctx=ctx))
-    return combined

@@ -352,7 +352,8 @@ def test_contraction_kernel_matches_dense_reference(operands):
     assert all(q.variables == XYZ for line in out for q in line)
     # a product is formed only where both factors are nonzero: by Poly.__mul__
     # in a sum with one such pair, inside _dot for each pair of a longer sum
-    fused = [pair for call in dot.call_args_list for pair in call.args[0]]
+    # (a one-pair _dot call is Poly.__mul__'s own, already counted)
+    fused = [pair for call in dot.call_args_list if len(call.args[0]) > 1 for pair in call.args[0]]
     assert all(a and b for a, b in fused)
     assert mul.call_count + len(fused) == sum(
         1 for row in rows for col in cols for a, b in zip(row, col) if a and b

@@ -123,3 +123,50 @@ def test_structure_to_definition_round_trip():
     defn = structure_to_definition(s, tasks=[Task("check"), Task("sweep", ("complete",))])
     rebuilt = build_structure(parse_definition(emit_definition(defn)))
     assert rebuilt == s
+
+
+# (line of CANONICAL, its replacement, the exact message with its location)
+STRUCTURE_ERRORS = {
+    "F-index": ("F[1,2] = -1", "F[1,4] = -1", "F index out of range 1..3 (line 9)"),
+    "F-index-zero": ("F[1,2] = -1", "F[0,2] = -1", "F index out of range 1..3 (line 9)"),
+    "xi-component": (
+        "xi[1,3] = 1", "xi[1,4] = 1", "xi component index out of range 1..3 (line 11)"
+    ),
+    "eta-component": (
+        "eta[1,3] = 1", "eta[1,0] = 1", "eta component index out of range 1..3 (line 12)"
+    ),
+    "metric-index": (
+        "eta[1,3] = 1", "eta[1,3] = 1\n  metric[4,1] = 1",
+        "metric index out of range 1..3 (line 13)",
+    ),
+    # the family index is checked once r is known, at the structure line
+    "xi-family": ("xi[1,3] = 1", "xi[2,3] = 1", "xi/eta family index out of range 1..1 (line 4)"),
+    "eta-family": (
+        "eta[1,3] = 1", "eta[0,3] = 1", "xi/eta family index out of range 1..1 (line 4)"
+    ),
+    "index-count": ("F[1,2] = -1", "F[1] = -1", "expected 2 comma-separated indices (line 9)"),
+    "unknown-field": ("F[2,1] = 1", "zeta[2,1] = 1", "unknown structure field 'zeta' (line 10)"),
+    "unknown-line": ("F[2,1] = 1", "zeta 1", "unknown structure field 'zeta' (line 10)"),
+    # the right-hand side is read before the field name and the indices
+    "unknown-field-bad-rhs": (
+        "F[2,1] = 1", "zeta[2,1] = q", "unknown coordinate 'q' (line 10, column 15)"
+    ),
+    "bad-index-bad-rhs": ("F[2,1] = 1", "F[2,9] = q", "unknown coordinate 'q' (line 10, column 12)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+def test_structure_block_messages(case):
+    old, new, message = STRUCTURE_ERRORS[case]
+    assert old in CANONICAL
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(CANONICAL.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_metric_of_zero_entries_is_still_a_metric():
+    defn = parse_definition(CANONICAL.replace("eta[1,3] = 1", "eta[1,3] = 1\n  metric[1,1] = 0"))
+    assert defn.structure.metric_entries == {(0, 0): defn.chart.zero_poly()}
+    metric = build_structure(defn).metric
+    assert metric is not None and metric.valence == (0, 2) and metric.is_zero()
+    assert parse_definition(CANONICAL).structure.metric_entries is None

@@ -1,6 +1,7 @@
 """Lifted structure assembly, squaring verdicts, sign sweeps, action formulas."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,3 +240,98 @@ def test_spec_validation():
         LiftedStructureSpec(base=s, lift_kind=COMPLETE, s=2, t=-1)
     with pytest.raises(LiftError):
         theorem_spec("4.9", s)
+
+
+# -- action reports: field roles, notes, recorded names -------------------------------
+
+
+def test_field_role_labels():
+    from liftcheck.theorems import _field_role
+
+    s = canonical_structure(1, 1, -1, "riemannian")
+    d_a1 = TensorField.basis_vector(s.chart, "a1")
+    d_b1 = TensorField.basis_vector(s.chart, "b1")
+    assert _field_role(d_a1, s) == ("d/da1", None)
+    # xi_1 = d/dc1 here, and xi is matched first
+    assert _field_role(s.xi[0], s) == ("xi_1", 0)
+    assert _field_role(TensorField.basis_vector(s.chart, "c1"), s) == ("xi_1", 0)
+    assert _field_role(d_a1.scale(2), s) == ("X", None)
+    assert _field_role(d_a1 + d_b1, s) == ("X", None)
+    for x in (d_a1.scale(2), d_a1 + d_b1):
+        report = verify_action_formulas(theorem_spec("4.1", s), x)
+        assert all(e.name.startswith("[X=X] ") for e in report.entries)
+
+
+def test_single_field_action_notes():
+    s = canonical_structure(1, 1, -1, "riemannian")
+    spec = theorem_spec("4.1", s)
+    plain = verify_action_formulas(spec, TensorField.basis_vector(s.chart, "a1"))
+    assert not any("xi-v-sign" in n for n in plain.notes)
+    assert [n.split("]")[0] for n in plain.notes] == ["[erratum post-4.1-u-symbol"]
+    on_xi = verify_action_formulas(spec, s.xi[0])
+    assert [n.split("]")[0] for n in on_xi.notes] == [
+        "[erratum post-4.1-u-symbol", "[erratum post-4.1-xi-v-sign"
+    ]
+
+
+def _conjugated_riemannian():
+    rng = random.Random(5)
+    base = canonical_structure(1, 1, -1, "riemannian")
+    u, uinv = random_unimodular(base.chart, rng, max_shears=3, max_degree=1)
+    return conjugate_structure(base, u, uinv)
+
+
+_FRAME_ACTIONS = {
+    "c": "[X={x}] J(X^v) - [(FX)^v + (-1)*sum (eta X)^v xi^c]|"
+         "[X={x}] J(X^c) - [(FX)^c + (+1)*sum (eta X)^v xi^v + (-1)*sum (eta X)^c xi^c]",
+    "h": "[X={x}] J(X^v) - [(FX)^v + (-1)*sum (eta X)^v xi^h]|"
+         "[X={x}] J(X^h) - [(FX)^h + (+1)*sum (eta X)^v xi^v]",
+}
+_U_SYMBOL_41 = (
+    "[erratum post-4.1-u-symbol] catalogued displays write the xi factors as U_alpha^c, "
+    "U_alpha^v, symbols defined nowhere; verified here under the presumption "
+    "U_alpha = xi_alpha (presumption recorded, not asserted)"
+)
+_XI_V_SIGN = (
+    "[erratum post-4.{tag}-xi-v-sign] catalogued J(xi_beta^v) = (+1)*xi_beta^{l} conflicts "
+    "with its own delta contraction; derived J(xi_beta^v) = (-1)*xi_beta^{l} "
+    "(residual verified zero)"
+)
+_ETA_H_43 = (
+    "[note post-4.3-eta-h-term] catalogued X^h display carries a ((eta X))^h xi^h term; "
+    "eta^h(X^h) = 0 identically and functions have no horizontal lift, so the derived "
+    "display omits it"
+)
+
+
+def _frame_names(lift, labels):
+    return [name.format(x=x) for x in labels for name in _FRAME_ACTIONS[lift].split("|")]
+
+
+def test_action_report_on_conjugated_model_matches_recorded():
+    # xi_1 = -2*c1 d/db1 + d/dc1 here, not a frame field; names and notes as recorded
+    # before the report was built in one pass
+    conj = _conjugated_riemannian()
+    assert [str(c) for c in conj.xi[0].comps] == ["0", "-2*c1", "1"]
+    labels = ("d/da1", "d/db1", "d/dc1", "xi_1")
+    report = action_report(theorem_spec("4.1", conj))
+    assert report.overall
+    assert [e.name for e in report.entries] == _frame_names("c", labels) + [
+        "J(xi_1^v) - (-1)*xi_1^c", "J(xi_1^c) - (+1)*xi_1^v"
+    ]
+    assert report.notes == [_U_SYMBOL_41, _XI_V_SIGN.format(tag=1, l="c")]
+
+    conn = Connection.from_entries(conj.chart, {(2, 0, 0): conj.chart.coordinate("a1")})
+    report = action_report(theorem_spec("4.3", conj, conn=conn))
+    assert report.overall
+    assert [e.name for e in report.entries] == _frame_names("h", labels) + [
+        "J(xi_1^v) - (-1)*xi_1^h", "J(xi_1^h) - (+1)*xi_1^v"
+    ]
+    assert report.notes == [_ETA_H_43, _XI_V_SIGN.format(tag=3, l="h")]
+
+    # eta rescaled by 2: the pairing is not +-1, so there are no xi rows or xi notes
+    mutant = replace(conj, eta=tuple(w.scale(2) for w in conj.eta))
+    report = action_report(theorem_spec("4.1", mutant))
+    assert report.overall
+    assert [e.name for e in report.entries] == _frame_names("c", labels)
+    assert report.notes == [_U_SYMBOL_41]
