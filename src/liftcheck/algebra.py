@@ -133,7 +133,7 @@ class Poly:
     ``_trusted``, which skips the checks because they hold by construction.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms")
 
     def __init__(
         self,
@@ -158,7 +158,6 @@ class Poly:
                 clean[exps] = coeff
         _set_variables(self, variables)
         _set_terms(self, clean)
-        _set_hash(self, None)
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Poly":
@@ -171,7 +170,6 @@ class Poly:
         self = object.__new__(cls)
         _set_variables(self, variables)
         _set_terms(self, terms)
-        _set_hash(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -446,11 +444,7 @@ class Poly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.variables, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -485,7 +479,6 @@ class Poly:
 # slot setters that bypass Poly.__setattr__, which refuses every write
 _set_variables = Poly.variables.__set__
 _set_terms = Poly.terms.__set__
-_set_hash = Poly._hash.__set__
 
 
 def _numerators(terms: dict[Exponents, Fraction]) -> tuple[list[tuple[Exponents, int]], int]:

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: check, lift, build-j, verify, sweep, run, demo.  All but demo
-take a `.def` definition file.  Exit status is 0 when every non-informational
-verdict passes, 1 when some verdict fails, 2 on usage, definition or input
-errors (a file that is not UTF-8 text included).
+take a `.def` definition file.  Each of check, lift, build-j, verify and
+sweep runs one task built from its flags and checked by the validator of
+`.def` task lines, so a request is accepted or refused alike on both paths.
+Exit status is 0 when every non-informational verdict passes, 1 when some
+verdict fails, 2 on usage, definition or input errors (a file that is not
+UTF-8 text included).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .definition import (
     Task,
     parse_definition,
     structure_to_definition,
+    validate_task,
 )
 from .expr import ParseError
 from .lifts import COMPLETE, HORIZONTAL, Connection
@@ -36,6 +40,12 @@ from .theorems import THEOREM_SIGNS
 def _add_common(parser: argparse.ArgumentParser, needs_file: bool = True) -> None:
     if needs_file:
         parser.add_argument("definition", help="path to a .def definition file")
+        parser.add_argument(
+            "--mode",
+            choices=(PAPER_LITERAL, CONSISTENT),
+            default=None,
+            help="override the definition's axiom mode",
+        )
     parser.add_argument(
         "--format",
         choices=("human", "machine"),
@@ -48,18 +58,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_file: bool = True) -> Non
         default=DEFAULT_SEED,
         help=f"seed for witness search and sampling (default: {DEFAULT_SEED})",
     )
-    parser.add_argument(
-        "--mode",
-        choices=(PAPER_LITERAL, CONSISTENT),
-        default=None,
-        help="override the definition's axiom mode",
-    )
-
-
-def _signs(value: str) -> int:
-    if value not in ("1", "+1", "-1"):
-        raise argparse.ArgumentTypeError("sign must be -1 or +1")
-    return int(value)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -72,59 +70,53 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each task subcommand's ``task_args`` maps its flags to the arguments of
+    # the task line it stands for; the task validator judges them
 
     p = sub.add_parser("check", help="verify structure axioms (and metric if present)")
     _add_common(p)
+    p.set_defaults(task_args=lambda args: ())
 
     p = sub.add_parser("lift", help="verify the lift interaction identity tables")
     _add_common(p)
     p.add_argument(
         "--kind",
-        choices=(COMPLETE, HORIZONTAL, "both"),
         default="both",
-        help="which table to check (default: both)",
+        help=f"which table to check: {COMPLETE}, {HORIZONTAL} or both (default: both)",
     )
+    p.set_defaults(task_args=lambda args: () if args.kind == "both" else (args.kind,))
 
-    p = sub.add_parser("build-j", help="assemble the lifted candidate structure J")
-    _add_common(p)
-    _add_spec_args(p)
-
-    p = sub.add_parser("verify", help="verify J^2 = eps*I for a lifted structure")
-    _add_common(p)
-    _add_spec_args(p)
+    for name, summary in (
+        ("build-j", "assemble the lifted candidate structure J"),
+        ("verify", "verify J^2 = eps*I for a lifted structure"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p)
+        p.add_argument(
+            "--theorem",
+            help=f"catalogued instance, one of {', '.join(THEOREM_SIGNS)} (sets lift kind and signs)",
+        )
+        p.add_argument("--lift", help=f"{COMPLETE} or {HORIZONTAL}")
+        p.add_argument("--s", help="sign s, -1 or +1")
+        p.add_argument("--t", help="sign t, -1 or +1")
+        p.set_defaults(task_args=lambda args: tuple(
+            v for v in (args.theorem, args.lift, args.s, args.t) if v is not None
+        ))
 
     p = sub.add_parser("sweep", help="verdicts for all four (s,t) sign cells")
     _add_common(p)
-    p.add_argument("--lift", choices=(COMPLETE, HORIZONTAL), default=COMPLETE)
+    p.add_argument("--lift", default=COMPLETE, help=f"{COMPLETE} (default) or {HORIZONTAL}")
+    p.set_defaults(task_args=lambda args: (args.lift,))
 
     p = sub.add_parser("run", help="execute the definition file's own task list")
     _add_common(p)
+    p.set_defaults(task_args=None)
 
     p = sub.add_parser(
         "demo", help="end-to-end pipeline on built-in canonical models"
     )
     _add_common(p, needs_file=False)
     return parser
-
-
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--theorem",
-        choices=tuple(THEOREM_SIGNS),
-        default=None,
-        help="catalogued instance to use (sets lift kind and signs)",
-    )
-    parser.add_argument("--lift", choices=(COMPLETE, HORIZONTAL), default=None)
-    parser.add_argument("--s", type=_signs, default=None)
-    parser.add_argument("--t", type=_signs, default=None)
-
-
-def _spec_task(kind: str, args: argparse.Namespace) -> Task:
-    if args.theorem is not None:
-        return Task(kind, (args.theorem,))
-    if args.lift is None or args.s is None or args.t is None:
-        raise TaskError(f"{kind} needs --theorem or all of --lift --s --t")
-    return Task(kind, (args.lift, str(args.s), str(args.t)))
 
 
 def _demo_report(seed: int) -> Report:
@@ -196,22 +188,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except UnicodeDecodeError as exc:
                 raise TaskError(f"{args.definition}: not UTF-8 text at byte {exc.start}") from None
             defn = parse_definition(text)
-            if args.command == "check":
-                tasks = [Task("check")]
-            elif args.command == "lift":
-                tasks = [Task("lift", () if args.kind == "both" else (args.kind,))]
-            elif args.command == "build-j":
-                tasks = [_spec_task("build-j", args)]
-            elif args.command == "verify":
-                tasks = [_spec_task("verify", args)]
-            elif args.command == "sweep":
-                tasks = [Task("sweep", (args.lift,))]
-            elif args.command == "run":
-                tasks = list(defn.tasks)
-                if not tasks:
-                    raise TaskError("definition file declares no tasks")
-            else:  # pragma: no cover - argparse restricts choices
-                raise TaskError(f"unknown command {args.command!r}")
+            if args.task_args is None:
+                tasks = defn.tasks
+            else:
+                tasks = [validate_task(args.command, args.task_args(args))]
+            if not tasks:
+                raise TaskError("definition file declares no tasks")
             report = run_tasks(defn, tasks, seed=args.seed, mode_override=args.mode)
     except (DefinitionError, ParseError, TaskError, AlgebraError, OSError) as exc:
         print(f"liftcheck: error: {exc}", file=sys.stderr)

@@ -59,14 +59,17 @@ from .theorems import THEOREM_SIGNS
 
 
 class DefinitionError(ValueError):
-    """Parse or validation failure with a 1-based line (and column) location."""
+    """Parse or validation failure with a 1-based line (and column) location;
+    a task built from command-line flags has none."""
 
-    def __init__(self, message: str, line: int, column: int | None = None):
+    def __init__(self, message: str, line: int | None, column: int | None = None):
         super().__init__(message)
         self.line = line
         self.column = column
 
     def __str__(self) -> str:
+        if self.line is None:
+            return self.args[0]
         where = f"line {self.line}"
         if self.column is not None:
             where += f", column {self.column}"
@@ -170,7 +173,9 @@ def _parse_rhs(rhs: str, coords, lineno: int, offset: int) -> Poly:
         raise DefinitionError(exc.args[0], lineno, offset + exc.column + 1) from exc
 
 
-def _validate_task(kind: str, args: tuple[str, ...], lineno: int) -> Task:
+def validate_task(kind: str, args: tuple[str, ...], lineno: int | None = None) -> Task:
+    """The task ``kind args`` once its arguments are checked; the one check of a
+    task, read from a ``task`` line at ``lineno`` or built from command-line flags."""
     if kind not in _TASK_ARITY:
         raise DefinitionError(f"unknown task {kind!r}", lineno)
     lo, hi = _TASK_ARITY[kind]
@@ -186,7 +191,7 @@ def _validate_task(kind: str, args: tuple[str, ...], lineno: int) -> Task:
         if args[0] in THEOREM_SIGNS:
             if len(args) != 1:
                 raise DefinitionError(
-                    f"task {kind!r} with a theorem tag takes no signs", lineno
+                    f"task {kind!r} with a theorem tag takes no lift kind or signs", lineno
                 )
         elif args[0] in (COMPLETE, HORIZONTAL):
             if len(args) != 3 or any(a not in ("1", "-1", "+1") for a in args[1:]):
@@ -289,7 +294,7 @@ def parse_definition(text: str) -> Definition:
         if head == "task":
             if len(words) < 2:
                 raise DefinitionError("task needs a kind", lineno)
-            tasks.append(_validate_task(words[1], tuple(words[2:]), lineno))
+            tasks.append(validate_task(words[1], tuple(words[2:]), lineno))
             continue
 
         raise DefinitionError(f"unknown directive {head!r}", lineno)
@@ -460,11 +465,16 @@ def emit_definition(defn: Definition) -> str:
             out.append(f"  mode {block.mode}")
         out.append(f"  n {block.n}")
         out.append(f"  r {block.r}")
-        for name, *_ in _FAMILIES:
-            entries = getattr(block, f"{name.lower()}_entries") or {}
-            for (a, b), val in sorted(entries.items()):
-                if not val.is_zero():
-                    out.append(f"  {name}[{a + 1},{b + 1}] = {val}")
+        for name, _, _, optional in _FAMILIES:
+            entries = getattr(block, f"{name.lower()}_entries")
+            lines = [
+                f"  {name}[{a + 1},{b + 1}] = {val}"
+                for (a, b), val in sorted((entries or {}).items()) if not val.is_zero()
+            ]
+            # an optional family is present iff some line of it is written
+            if optional and entries is not None and not lines:
+                lines = [f"  {name}[1,1] = 0"]
+            out.extend(lines)
         out.append("end")
     if defn.tasks:
         out.append("")
@@ -478,7 +488,6 @@ def structure_to_definition(
     mode: str = PAPER_LITERAL,
     conn: Optional[Connection] = None,
     tasks: Optional[list[Task]] = None,
-    fiber_suffix: str = DEFAULT_FIBER_SUFFIX,
 ) -> Definition:
     """Definition equivalent of an in-memory structure (used by the demo and tests)."""
     chart = structure.chart
@@ -518,7 +527,6 @@ def structure_to_definition(
     )
     return Definition(
         chart=chart,
-        fiber_suffix=fiber_suffix,
         connection_entries=connection_entries,
         connection_symmetric=conn.symmetric if conn else True,
         structure=block,

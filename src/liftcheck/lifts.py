@@ -136,6 +136,14 @@ class Connection:
         return all(e.is_zero() for plane in self.gamma for row in plane for e in row)
 
 
+def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Optional[Connection]:
+    """The connection a lift of ``kind`` uses: a horizontal lift uses ``conn``, or the
+    flat connection on ``chart`` when none is given; vertical and complete lifts use none."""
+    if kind != HORIZONTAL:
+        return None
+    return Connection.flat(chart) if conn is None else conn
+
+
 def _need_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Connection:
     if kind == HORIZONTAL:
         if conn is None:
@@ -312,8 +320,9 @@ class LiftContext:
 def _contexts(
     structure: RContactStructure, conn: Optional[Connection], suffix: str
 ) -> Callable[[str], LiftContext]:
-    """One LiftContext per lift kind, each built on first request; the horizontal
-    one is over ``conn``, and every kind reuses the vertical one's chart and lifts."""
+    """One LiftContext per lift kind, each built on first request over the
+    connection ``lift_connection`` gives it; every kind reuses the vertical
+    one's chart and lifts."""
     built: dict[str, LiftContext] = {}
 
     def context(kind: str) -> LiftContext:
@@ -327,7 +336,7 @@ def _contexts(
             built[VERTICAL] = LiftContext(t, None, f_v, xi_v, xi_v, eta_v, eta_v)
         if kind not in built:
             v = built[VERTICAL]
-            t, c = v.tangent, conn if kind == HORIZONTAL else None
+            t, c = v.tangent, lift_connection(kind, conn, structure.chart)
             xi = tuple(lift_vector(x, kind, t, c) for x in structure.xi)
             eta = tuple(lift_oneform(w, kind, t, c) for w in structure.eta)
             f_lift = lift_endo(structure.f, kind, t, c)

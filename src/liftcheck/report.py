@@ -8,7 +8,7 @@ inputs produce byte-identical machine reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__ as _pkg_version
@@ -156,18 +156,12 @@ def section_from_check(task: str, title: str, check: CheckReport) -> Section:
 def section_from_verdict(
     task: str, title: str, verdict: TheoremVerdict, tag: str = "J^2"
 ) -> Section:
-    eps = verdict.row.epsilon
-    entry = EntryView(
-        name=f"J^2 - ({eps:+d})*I",
-        tag=tag,
-        passed=verdict.passed,
-        residual=render_residual(verdict.residual),
-        witness=render_point(verdict.witness),
-    )
+    """The verdict's J^2 entry, reported under ``tag``, and a note of its signs."""
     notes = [
-        f"signs: s = {verdict.row.s:+d}, t = {verdict.row.t:+d}; "
-        f"eps = {eps:+d}, signature = {verdict.row.signature}"
+        f"signs: s = {verdict.s:+d}, t = {verdict.t:+d}; "
+        f"eps = {verdict.epsilon:+d}, signature = {verdict.signature}"
     ]
+    entry = EntryView.from_entry(replace(verdict.entry, tag=tag))
     return Section(
         task=task, title=title, passed=verdict.passed, entries=[entry], notes=notes
     )
@@ -185,7 +179,7 @@ def section_from_sweep(task: str, title: str, sweep: SignSweep) -> Section:
             "passed": row.passed,
             "predicted": predicted,
         }
-        witness = render_point(sweep.witnesses.get((row.s, row.t)))
+        witness = render_point(row.witness)
         if witness is not None:
             doc["witness"] = witness
         rows.append(doc)

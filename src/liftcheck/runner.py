@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .definition import Definition, DefinitionError, Task, build_connection, build_structure
-from .lifts import Connection, LiftContext, _contexts, verify_lift_interactions
+from .lifts import COMPLETE, HORIZONTAL, LiftContext, _contexts, verify_lift_interactions
 from .structures import (
     DEFAULT_SEED,
     PAPER_LITERAL,
@@ -25,15 +25,13 @@ from .report import (
 )
 from .theorems import (
     THEOREM_SIGNS,
+    VERDICT_TAGS,
     LiftedStructureSpec,
     action_report,
     build_lifted_j,
     sign_sweep,
     verify_theorem,
 )
-
-# result tags for the catalogued theorem instances
-_VERDICT_TAGS = {"4.1": "2.8", "4.2": "2.15", "4.3": "2.22", "4.4": "2.22"}
 
 
 class TaskError(ValueError):
@@ -42,17 +40,16 @@ class TaskError(ValueError):
 
 class _Shared:
     """The structure and one lift context per lift kind, which every task of
-    a run reads; horizontal uses the declared connection, or the flat one, and
-    every kind shares the vertical lifts."""
+    a run reads; the horizontal one is over the declared connection, if any,
+    and every kind shares the vertical lifts."""
 
     def __init__(self, defn: Definition):
         try:
             self.structure = build_structure(defn)
         except DefinitionError as exc:
             raise TaskError(str(exc)) from exc
-        self.conn = build_connection(defn) or Connection.flat(defn.chart)
         self.suffix = defn.fiber_suffix
-        self.context = _contexts(self.structure, self.conn, self.suffix)
+        self.context = _contexts(self.structure, build_connection(defn), self.suffix)
 
     def spec(self, kind: str, s: int, t: int) -> tuple[LiftedStructureSpec, LiftContext]:
         ctx = self.context(kind)
@@ -60,6 +57,7 @@ class _Shared:
 
 
 def _spec_from_args(shared: _Shared, args: tuple[str, ...]) -> tuple[LiftedStructureSpec, LiftContext, str]:
+    """The spec of a theorem tag, or of a lift kind and signs, with its label."""
     if args[0] in THEOREM_SIGNS:
         return (*shared.spec(*THEOREM_SIGNS[args[0]]), args[0])
     kind, s, t = args[0], int(args[1]), int(args[2])
@@ -104,9 +102,8 @@ def run_task(
 
     if task.kind == "lift":
         which = task.args[0] if task.args else "both"
-        conn = None
-        if which in ("horizontal", "both"):
-            conn = shared.conn
+        # the horizontal table is checked unless only the complete one is asked for
+        conn = None if which == COMPLETE else shared.context(HORIZONTAL).conn
         report = verify_lift_interactions(
             structure, conn=conn, suffix=defn.fiber_suffix, seed=seed, contexts=shared.context
         )
@@ -116,44 +113,30 @@ def run_task(
             )
         ]
 
-    if task.kind == "build-j":
+    if task.kind in ("build-j", "verify", "theorem", "actions"):
         spec, ctx, label = _spec_from_args(shared, task.args)
+
+    if task.kind == "build-j":
         j = build_lifted_j(spec, ctx=ctx)
         return [section_from_j("build-j", f"build-j: {label}", j)]
 
-    if task.kind == "verify":
-        spec, ctx, label = _spec_from_args(shared, task.args)
+    if task.kind in ("verify", "theorem"):
         verdict = verify_theorem(spec, seed=seed, ctx=ctx)
-        tag = _VERDICT_TAGS.get(task.args[0], "J^2")
-        return [section_from_verdict("verify", f"verify: {label}", verdict, tag=tag)]
-
-    if task.kind == "theorem":
-        tag = task.args[0]
-        spec, ctx = shared.spec(*THEOREM_SIGNS[tag])
-        verdict = verify_theorem(spec, seed=seed, ctx=ctx)
-        sections = [
-            section_from_verdict(
-                "theorem",
-                f"theorem {tag}: J^2 = eps*I",
-                verdict,
-                tag=_VERDICT_TAGS[tag],
+        title = f"verify: {label}" if task.kind == "verify" else f"theorem {label}: J^2 = eps*I"
+        tag = VERDICT_TAGS.get(task.args[0], "J^2")
+        sections = [section_from_verdict(task.kind, title, verdict, tag=tag)]
+        if task.kind == "theorem":
+            actions = action_report(spec, seed=seed, ctx=ctx)
+            sections.append(
+                section_from_check("theorem", f"theorem {label}: action formulas", actions)
             )
-        ]
-        actions = action_report(spec, seed=seed, ctx=ctx)
-        sections.append(
-            section_from_check(
-                "theorem", f"theorem {tag}: action formulas", actions
-            )
-        )
         return sections
 
     if task.kind == "actions":
-        tag = task.args[0]
-        spec, ctx = shared.spec(*THEOREM_SIGNS[tag])
         return [
             section_from_check(
                 "actions",
-                f"actions {tag}: derived displays",
+                f"actions {label}: derived displays",
                 action_report(spec, seed=seed, ctx=ctx),
             )
         ]

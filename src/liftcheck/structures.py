@@ -535,18 +535,10 @@ class EigenReport:
         return all(e.passed for e in self.entries)
 
 
-def canonical_complex(
-    n: int, epsilon: int, chart: Chart | None = None
-) -> tuple[TensorField, EigenReport]:
+def canonical_complex(n: int, epsilon: int) -> tuple[TensorField, EigenReport]:
     """The block structure J(d/dx_i) = d/dy_i, J(d/dy_i) = eps*d/dx_i, with
     eps-complex eigenvector checks and the dual squaring check (J*)^2 = eps*I."""
-    if chart is None:
-        coords = [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
-        chart = Chart("C", tuple(coords))
-    if chart.dim % 2 != 0:
-        raise StructureError("canonical complex block needs an even-dimensional chart")
-    if chart.dim != 2 * n:
-        raise StructureError(f"chart dim {chart.dim} != 2n = {2 * n}")
+    chart = Chart("C", tuple([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]))
     m = chart.dim
     z = chart.zero_poly()
     jmat = [[z for _ in range(m)] for _ in range(m)]

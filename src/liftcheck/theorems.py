@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from .algebra import _contract
 from .lifts import (
     COMPLETE,
     DEFAULT_FIBER_SUFFIX,
@@ -32,10 +33,11 @@ from .lifts import (
     Connection,
     LiftContext,
     LiftError,
+    lift_connection,
     lift_function,
     lift_vector,
 )
-from .structures import CheckReport, RContactStructure, find_witness, new_entry
+from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
 from .tensor import (
     Point,
     TensorField,
@@ -70,31 +72,51 @@ class LiftedStructureSpec:
 
 
 @dataclass(frozen=True)
-class SignLedgerRow:
-    epsilon: int
-    signature: str
-    s: int
-    t: int
-    passed: bool
-
-
-@dataclass
 class TheoremVerdict:
+    """The J^2 = eps*I check of one spec: the lifted J and the check entry
+    of its residual, which carries the verdict and, on failure, a witness."""
+
+    spec: LiftedStructureSpec
     j: TensorField
-    residual: TensorField
-    passed: bool
-    row: SignLedgerRow
-    witness: Optional[Point] = None
+    entry: CheckEntry
+
+    @property
+    def passed(self) -> bool:
+        return self.entry.passed
+
+    @property
+    def residual(self) -> TensorField:
+        return self.entry.residual
+
+    @property
+    def witness(self) -> Optional[Point]:
+        return self.entry.witness
+
+    @property
+    def s(self) -> int:
+        return self.spec.s
+
+    @property
+    def t(self) -> int:
+        return self.spec.t
+
+    @property
+    def epsilon(self) -> int:
+        return self.spec.base.epsilon
+
+    @property
+    def signature(self) -> str:
+        return self.spec.base.signature
 
 
 @dataclass
 class SignSweep:
-    """All four (s, t) verdicts plus the computed pairing and squaring data."""
+    """The verdicts of all four (s, t) cells plus the computed pairing and
+    squaring data."""
 
-    rows: list[SignLedgerRow]
+    rows: list[TheoremVerdict]
     kappa: Optional[int]
     c: Optional[int]
-    witnesses: dict[tuple[int, int], Optional[Point]]
     notes: list[str] = field(default_factory=list)
 
     def predicted(self, s: int, t: int) -> Optional[bool]:
@@ -114,13 +136,15 @@ class SignSweep:
         return [(row.s, row.t) for row in self.rows if row.passed]
 
 
-# Catalogued theorem instances: tag -> (lift kind, s, t).
+# Catalogued theorem instances: tag -> (lift kind, s, t), and tag -> the
+# result tag its J^2 verdict is reported under.
 THEOREM_SIGNS = {
     "4.1": (COMPLETE, 1, -1),
     "4.2": (COMPLETE, -1, 1),
     "4.3": (HORIZONTAL, 1, -1),
     "4.4": (HORIZONTAL, -1, 1),
 }
+VERDICT_TAGS = {"4.1": "2.8", "4.2": "2.15", "4.3": "2.22", "4.4": "2.22"}
 
 
 def theorem_spec(
@@ -133,11 +157,10 @@ def theorem_spec(
     if tag not in THEOREM_SIGNS:
         raise LiftError(f"unknown theorem tag {tag!r}")
     kind, s, t = THEOREM_SIGNS[tag]
-    if kind == HORIZONTAL and conn is None:
-        conn = Connection.flat(base.chart)
-    if kind == COMPLETE:
-        conn = None
-    return LiftedStructureSpec(base=base, lift_kind=kind, s=s, t=t, conn=conn, suffix=suffix)
+    return LiftedStructureSpec(
+        base=base, lift_kind=kind, s=s, t=t, conn=lift_connection(kind, conn, base.chart),
+        suffix=suffix,
+    )
 
 
 # A ``ctx`` passed below must be built from the spec's base, lift kind,
@@ -171,18 +194,9 @@ def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> T
 
 def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
     j = _lifted_j(ctx, spec.s, spec.t)
-    eps_identity = _signed(spec.base.epsilon, TensorField.identity_endo(ctx.tangent.total))
-    residual = endo_compose(j, j) - eps_identity
-    passed = residual.is_zero()
-    witness = None if passed else find_witness(residual, seed)
-    row = SignLedgerRow(
-        epsilon=spec.base.epsilon,
-        signature=spec.base.signature,
-        s=spec.s,
-        t=spec.t,
-        passed=passed,
-    )
-    return TheoremVerdict(j=j, residual=residual, passed=passed, row=row, witness=witness)
+    eps = spec.base.epsilon
+    residual = endo_compose(j, j) - _signed(eps, TensorField.identity_endo(ctx.tangent.total))
+    return TheoremVerdict(spec, j, new_entry(f"J^2 - ({eps:+d})*I", "J^2", residual, seed))
 
 
 def verify_theorem(
@@ -246,24 +260,15 @@ def sign_sweep(
     the sweep records whether the observed pass/fail pattern matches
     "pass iff s*t*kappa = -c".
     """
-    if lift_kind == HORIZONTAL and conn is None:
-        conn = Connection.flat(base.chart)
-    if lift_kind == COMPLETE:
-        conn = None
     probe = LiftedStructureSpec(
-        base=base, lift_kind=lift_kind, s=1, t=1, conn=conn, suffix=suffix
+        base=base, lift_kind=lift_kind, s=1, t=1,
+        conn=lift_connection(lift_kind, conn, base.chart), suffix=suffix,
     )
     ctx = ctx or _context(probe)
     kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
     c, _ = _squaring_coefficient(ctx, base)
-    rows: list[SignLedgerRow] = []
-    witnesses: dict[tuple[int, int], Optional[Point]] = {}
-    for s in (-1, 1):
-        for t in (-1, 1):
-            verdict = _verdict(replace(probe, s=s, t=t), ctx, seed)
-            rows.append(verdict.row)
-            witnesses[(s, t)] = verdict.witness
-    sweep = SignSweep(rows=rows, kappa=kappa, c=c, witnesses=witnesses)
+    rows = [_verdict(replace(probe, s=s, t=t), ctx, seed) for s in (-1, 1) for t in (-1, 1)]
+    sweep = SignSweep(rows=rows, kappa=kappa, c=c)
     sweep.notes.append(
         f"[sweep] computed pairing kappa = {kappa}, squaring coefficient c = {c}"
     )
@@ -327,10 +332,13 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
 
 
 def _plus_sum(total: TensorField, sign: int, fields, factors) -> TensorField:
-    """total + sign * sum field.scale(factor), adding or subtracting each term."""
-    for f, g in zip(fields, factors):
-        total = total + f.scale(g) if sign > 0 else total - f.scale(g)
-    return total
+    """total + sign * sum factor * field over vector fields and scalar factors, the
+    sum as one (dim x r)(r) product."""
+    chart = total.chart
+    rows = [[f.comps[i] for f in fields] for i in range(chart.dim)]
+    column = _contract(rows, [[g.comps for g in factors]], chart.zero_poly())
+    combined = TensorField.vector(chart, [c for (c,) in column])
+    return total + combined if sign > 0 else total - combined
 
 
 def verify_action_formulas(

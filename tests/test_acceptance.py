@@ -199,7 +199,7 @@ def test_criterion_05_sign_ledger():
         # ... and fails the eps=+1 consistent paracontact cell, with a witness
         para = sign_sweep(canonical_structure(1, 1, 1, "riemannian"), COMPLETE)
         assert (1, -1) not in para.passing_cells()
-        witness = para.witnesses[(1, -1)]
+        witness = next(row.witness for row in para.rows if (row.s, row.t) == (1, -1))
         assert witness is not None
         spec = theorem_spec("4.1", canonical_structure(1, 1, 1, "riemannian"))
         residual = verify_theorem(spec).residual

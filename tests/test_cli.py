@@ -10,7 +10,9 @@ import pytest
 from liftcheck import cli
 from liftcheck.algebra import NotUnimodular
 from liftcheck.cli import main
+from liftcheck.definition import parse_definition
 from liftcheck.expr import MAX_NESTING
+from liftcheck.report import Report
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFS = ROOT / "defs"
@@ -211,3 +213,68 @@ def test_non_ascii_digits_are_located_input_errors(tmp_path, entry, replacement,
     assert proc.returncode == 2
     assert proc.stderr == f"liftcheck: error: {message}\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_demo_takes_no_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--mode", "consistent"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
+
+
+def _with_task_line(line: str) -> str:
+    return Path(CONTACT).read_text(encoding="utf-8") + line + "\n"
+
+
+# (subcommand and its flags, the .def task line they stand for)
+FLAG_TASKS = [
+    (["check"], "task check"),
+    (["lift"], "task lift"),
+    (["lift", "--kind", "horizontal"], "task lift horizontal"),
+    (["build-j", "--theorem", "4.3"], "task build-j 4.3"),
+    (["build-j", "--lift", "horizontal", "--s", "-1", "--t", "+1"], "task build-j horizontal -1 +1"),
+    (["verify", "--theorem", "4.1"], "task verify 4.1"),
+    (["verify", "--lift", "complete", "--s", "1", "--t", "-1"], "task verify complete 1 -1"),
+    (["sweep"], "task sweep complete"),
+    (["sweep", "--lift", "horizontal"], "task sweep horizontal"),
+]
+
+
+@pytest.mark.parametrize("flags, line", FLAG_TASKS, ids=[line for _, line in FLAG_TASKS])
+def test_flags_build_the_task_of_the_def_line(flags, line, monkeypatch, capsys):
+    seen = []
+
+    def record(defn, tasks, **kwargs):
+        seen.extend(tasks)
+        return Report(seed=0)
+
+    monkeypatch.setattr(cli, "run_tasks", record)
+    assert main([flags[0], CONTACT, *flags[1:]]) == 0
+    assert seen == parse_definition(_with_task_line(line)).tasks[-1:]
+
+
+# (subcommand and flags that conflict, the same request as a .def task line)
+CONFLICTS = [
+    (["verify", "--theorem", "4.1", "--lift", "horizontal", "--s", "-1", "--t", "1"],
+     "task verify 4.1 horizontal -1 1"),
+    (["verify", "--theorem", "4.1", "--s", "-1", "--t", "1"], "task verify 4.1 -1 1"),
+    (["build-j", "--theorem", "4.2", "--lift", "complete"], "task build-j 4.2 complete"),
+    (["verify", "--lift", "complete", "--s", "2", "--t", "1"], "task verify complete 2 1"),
+    (["verify", "--s", "1", "--t", "-1"], "task verify 1 -1"),
+    (["verify"], "task verify"),
+    (["lift", "--kind", "vertical"], "task lift vertical"),
+    (["sweep", "--lift", "vertical"], "task sweep vertical"),
+]
+
+
+@pytest.mark.parametrize("flags, line", CONFLICTS, ids=[line for _, line in CONFLICTS])
+def test_conflicting_flags_fail_like_the_def_line(flags, line, tmp_path, capsys):
+    assert main([flags[0], CONTACT, *flags[1:]]) == 2
+    via_flags = capsys.readouterr().err
+    text = _with_task_line(line)
+    path = tmp_path / "conflict.def"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    via_line = capsys.readouterr().err
+    assert via_flags.startswith("liftcheck: error: task ")
+    assert via_line == via_flags[:-1] + f" (line {len(text.splitlines())})\n"

@@ -1,5 +1,6 @@
 """Definition format: parsing, diagnostics, emission round trip, assembly."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from liftcheck.definition import (
     parse_definition,
     structure_to_definition,
 )
+from liftcheck.runner import run_tasks
 from liftcheck.structures import canonical_structure, check_axioms
+from liftcheck.tensor import TensorField
 
 DEFS_DIR = Path(__file__).resolve().parent.parent / "defs"
 
@@ -123,6 +126,24 @@ def test_structure_to_definition_round_trip():
     defn = structure_to_definition(s, tasks=[Task("check"), Task("sweep", ("complete",))])
     rebuilt = build_structure(parse_definition(emit_definition(defn)))
     assert rebuilt == s
+
+
+def test_all_zero_metric_survives_the_round_trip():
+    # a metric block whose every entry is 0 is still a metric: emission keeps
+    # one zero entry, so the reparsed structure is checked against it too
+    s = canonical_structure(1, 1, -1, "riemannian")
+    zero = TensorField.bilinear(s.chart, [[s.chart.zero_poly()] * 3 for _ in range(3)])
+    for defn in (
+        structure_to_definition(replace(s, metric=zero), tasks=[Task("check")]),
+        parse_definition(CANONICAL.replace("end\n", "  metric[2,2] = 0\nend\n")),
+    ):
+        text = emit_definition(defn)
+        assert "  metric[1,1] = 0\n" in text
+        again = parse_definition(text)
+        assert build_structure(again).metric == zero
+        before = run_tasks(defn, defn.tasks).render_machine()
+        assert "check: metric compatibility" in before
+        assert run_tasks(again, again.tasks).render_machine() == before
 
 
 # (line of CANONICAL, its replacement, the exact message with its location)

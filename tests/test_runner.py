@@ -74,9 +74,9 @@ def test_run_tasks_builds_g_y_once(monkeypatch):
     horizontal = shared.context(HORIZONTAL)
     # the horizontal context's lifts and the action formulas' horizontal
     # lifts read one G_y, kept on the run's connection
-    assert list(shared.conn.memo) == [horizontal.tangent]
+    assert list(horizontal.conn.memo) == [horizontal.tangent]
     builds = count_calls(monkeypatch, lifts, "_fiber_sum")
-    lifts.lift_vector(shared.structure.xi[0], HORIZONTAL, horizontal.tangent, shared.conn)
+    lifts.lift_vector(shared.structure.xi[0], HORIZONTAL, horizontal.tangent, horizontal.conn)
     assert builds == []
 
 

@@ -277,8 +277,3 @@ def test_eigenvalue_square_is_eps_in_eps_arithmetic():
     for eps in (-1, 1):
         lam = EpsComplex(0, -eps, eps)
         assert lam * lam == EpsComplex(eps, 0, eps)
-
-
-def test_canonical_complex_rejects_odd_chart():
-    with pytest.raises(Exception, match="even-dimensional"):
-        canonical_complex(1, -1, chart=Chart("odd", ("u", "v", "w")))

@@ -155,7 +155,7 @@ def test_sweep_paracontact_consistent():
     assert sweep.kappa == 1 and sweep.c == -1
     assert sorted(sweep.passing_cells()) == [(-1, -1), (1, 1)]
     assert sweep.matches_law
-    assert sweep.witnesses[(1, -1)] is not None
+    assert next(row.witness for row in sweep.rows if (row.s, row.t) == (1, -1)) is not None
 
 
 def test_sweep_law_holds_on_conjugated_variants():
@@ -169,7 +169,7 @@ def test_sweep_law_holds_on_conjugated_variants():
         for row in sweep.rows:
             assert row.passed == sweep.predicted(row.s, row.t)
             if not row.passed:
-                assert sweep.witnesses[(row.s, row.t)] is not None
+                assert row.witness is not None
 
 
 def test_sweep_horizontal_matches_complete_pattern():
