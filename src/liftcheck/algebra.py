@@ -123,6 +123,12 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
+def _term_grlex_key(term: tuple[Exponents, Fraction]) -> tuple:
+    """``_grlex_key`` of an (exponents, coefficient) term."""
+    exps = term[0]
+    return (sum(exps), exps)
+
+
 class Poly:
     """Sparse multivariate polynomial over an ordered variable list.
 
@@ -225,7 +231,7 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order (canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=_term_grlex_key, reverse=True)
 
     def leading(self) -> tuple[Exponents, Fraction]:
         if not self.terms:
@@ -459,17 +465,18 @@ class Poly:
                 for name, e in zip(self.variables, exps)
                 if e
             ]
-            mag = abs(coeff)
-            if factors and mag == 1:
+            num, den = coeff.numerator, coeff.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if factors and mag == "1":
                 body = "*".join(factors)
             elif factors:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             else:
-                body = str(mag)
+                body = mag
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+                parts.append(f" + {body}" if num > 0 else f" - {body}")
         return "".join(parts)
 
     def __repr__(self) -> str:

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .definition import Definition, DefinitionError, Task, build_connection, build_structure
+from .definition import (
+    Definition,
+    DefinitionError,
+    Task,
+    build_connection,
+    build_structure,
+    validate_task,
+)
 from .lifts import COMPLETE, HORIZONTAL, LiftContext, _contexts, verify_lift_interactions
 from .structures import (
     DEFAULT_SEED,
@@ -72,6 +79,9 @@ def run_task(
     *,
     shared: Optional[_Shared] = None,
 ) -> list[Section]:
+    """The sections of one task; a malformed task raises the ``DefinitionError``
+    its ``.def`` line would, without a location."""
+    validate_task(task.kind, task.args)
     shared = shared or _Shared(defn)
     structure = shared.structure
     mode = mode_override or (defn.structure.mode if defn.structure else PAPER_LITERAL)
@@ -141,17 +151,13 @@ def run_task(
             )
         ]
 
-    if task.kind == "sweep":
-        kind = task.args[0]
-        ctx = shared.context(kind)
-        sweep = sign_sweep(
-            structure, kind, conn=ctx.conn, suffix=defn.fiber_suffix, seed=seed, ctx=ctx
-        )
-        return [
-            section_from_sweep("sweep", f"sweep: {kind} lift sign ledger", sweep)
-        ]
-
-    raise TaskError(f"unknown task kind {task.kind!r}")
+    # the one kind left: sweep
+    kind = task.args[0]
+    ctx = shared.context(kind)
+    sweep = sign_sweep(
+        structure, kind, conn=ctx.conn, suffix=defn.fiber_suffix, seed=seed, ctx=ctx
+    )
+    return [section_from_sweep("sweep", f"sweep: {kind} lift sign ledger", sweep)]
 
 
 def run_tasks(

@@ -15,8 +15,30 @@ and (s, t) = (-1, +1) for lorentzian bases (4.2, 4.4).  The engine treats
 
 where kappa is the computed eta^v(xi^L) pairing sign and c is the computed
 coefficient in (F^L)^2 = eps*I + c * sum(...).  So J^2 = eps*I exactly when
-s*t*kappa = -c; ``sign_sweep`` verifies all four cells by brute residual and
+s*t*kappa = -c; ``sign_sweep`` computes the residual of all four cells and
 reports whether they match this law.
+
+The residuals are computed, not predicted.  Write F = F^L, V = sum xi^v (x)
+eta^v and L = sum xi^L (x) eta^L.  Since s^2 = t^2 = 1, distributivity and
+associativity alone give
+
+    J^2 - eps*I = P + s*(FV + VF) + t*(FL + LF) + V^2 + L^2 + s*t*(VL + LV)
+
+with P = F^2 - eps*I, and every term but P is a sum of outer products:
+FV = sum (F xi_a^v) (x) eta^a,v, VF = sum xi_a^v (x) (eta^a,v o F), and
+VL = sum xi_a^v (x) sum_b eta^a,v(xi_b^L) eta^b,L, likewise for V^2, L^2 and
+LV.  So each cell's residual is P plus one rank-4r product
+
+    sum_a (F xi_a^v) (x) s*eta^a,v + (F xi_a^L) (x) t*eta^a,L
+        + xi_a^v (x) [s*(eta^a,v o F) + sum_b (eta^a,v(xi_b^v) eta^b,v
+                                            + s*t*eta^a,v(xi_b^L) eta^b,L)]
+        + xi_a^L (x) [t*(eta^a,L o F) + sum_b (eta^a,L(xi_b^L) eta^b,L
+                                            + s*t*eta^a,L(xi_b^v) eta^b,v)]
+
+One lift context computes P (the one square of a 2m x 2m field), F xi,
+eta o F and the four r x r pairing matrices once, from its own lifts; the
+pairings are never replaced by the values the paper claims for them.  J
+itself is assembled only for the action formulas and ``build_lifted_j``.
 """
 
 from __future__ import annotations
@@ -24,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .algebra import _contract
+from .algebra import Poly, _contract
 from .lifts import (
     COMPLETE,
     DEFAULT_FIBER_SUFFIX,
@@ -45,6 +67,7 @@ from .tensor import (
     _signed,
     endo_apply,
     endo_compose,
+    oneform_after_endo,
     oneform_apply,
 )
 
@@ -73,11 +96,10 @@ class LiftedStructureSpec:
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    """The J^2 = eps*I check of one spec: the lifted J and the check entry
-    of its residual, which carries the verdict and, on failure, a witness."""
+    """The J^2 = eps*I check of one spec: the check entry of its residual,
+    which carries the verdict and, on failure, a witness."""
 
     spec: LiftedStructureSpec
-    j: TensorField
     entry: CheckEntry
 
     @property
@@ -188,15 +210,88 @@ def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = No
     return _lifted_j(ctx or _context(spec), spec.s, spec.t)
 
 
+def _pairings(ctx: LiftContext) -> dict[str, list[list[Poly]]]:
+    """The r x r pairing matrices eta^a,U(xi_b^W), keyed U + W for U, W in
+    {v, l} (l for the context's lift kind), each one ``_contract`` product."""
+    def build():
+        zero = ctx.tangent.total.zero_poly()
+        etas = {"v": ctx.eta_v, "l": ctx.eta_l}
+        xis = {"v": ctx.xi_v, "l": ctx.xi_l}
+        return {
+            u + w: _contract([e.comps for e in etas[u]], [x.comps for x in xis[w]], zero)
+            for u in "vl" for w in "vl"
+        }
+    return ctx.memoised("pairings", build)
+
+
+@dataclass(frozen=True)
+class _SquareParts:
+    """The parts of J^2 - eps*I that no sign changes, for one context: P =
+    (F^L)^2 - eps*I, the 4r left factors F^L xi^v, F^L xi^L, xi^v, xi^L, and
+    per a the one-forms eta^a o F^L and sum_b eta^a(xi_b) eta^b (see the
+    module docstring)."""
+
+    p: TensorField
+    lefts: tuple[TensorField, ...]
+    eta_f_v: tuple[TensorField, ...]
+    eta_f_l: tuple[TensorField, ...]
+    folds: dict[str, tuple[TensorField, ...]]
+
+
+def _square_parts(ctx: LiftContext, eps: int) -> _SquareParts:
+    def build():
+        total, f = ctx.tangent.total, ctx.f_lift
+        f2 = endo_compose(f, f)
+        one = total.const(eps)
+        p = TensorField._trusted(total, (1, 1), tuple(
+            tuple(c - one if i == k else c for k, c in enumerate(row))
+            for i, row in enumerate(f2.comps)
+        ))
+        lefts = tuple(endo_apply(f, x) for x in ctx.xi_v + ctx.xi_l) + ctx.xi_v + ctx.xi_l
+        cols = {
+            key: [[w.comps[j] for w in etas] for j in range(total.dim)]
+            for key, etas in (("v", ctx.eta_v), ("l", ctx.eta_l))
+        }
+        folds = {
+            key: tuple(
+                TensorField._trusted(total, (0, 1), tuple(row))
+                for row in _contract(pairing, cols[key[1]], total.zero_poly())
+            )
+            for key, pairing in _pairings(ctx).items()
+        }
+        return _SquareParts(
+            p, lefts,
+            tuple(oneform_after_endo(w, f) for w in ctx.eta_v),
+            tuple(oneform_after_endo(w, f) for w in ctx.eta_l),
+            folds,
+        )
+    return ctx.memoised(("square", eps), build)
+
+
+def _square_residual(ctx: LiftContext, eps: int, s: int, t: int) -> TensorField:
+    """J^2 - eps*I for the cell (s, t): P plus one rank-4r outer-product sum."""
+    parts = _square_parts(ctx, eps)
+    folds, st = parts.folds, s * t
+
+    rights = [_signed(s, w) for w in ctx.eta_v] + [_signed(t, w) for w in ctx.eta_l]
+    for sign, eta_f, square, cross in (
+        (s, parts.eta_f_v, folds["vv"], folds["vl"]),
+        (t, parts.eta_f_l, folds["ll"], folds["lv"]),
+    ):
+        for w, q, x in zip(eta_f, square, cross):
+            w = _signed(sign, w) + q
+            rights.append(w + x if st > 0 else w - x)
+    return parts.p + _outer_sum(ctx.tangent.total, parts.lefts, rights)
+
+
 def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
     return ctx.memoised(("verdict", spec.s, spec.t, seed), lambda: _check_square(spec, ctx, seed))
 
 
 def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
-    j = _lifted_j(ctx, spec.s, spec.t)
     eps = spec.base.epsilon
-    residual = endo_compose(j, j) - _signed(eps, TensorField.identity_endo(ctx.tangent.total))
-    return TheoremVerdict(spec, j, new_entry(f"J^2 - ({eps:+d})*I", "J^2", residual, seed))
+    residual = _square_residual(ctx, eps, spec.s, spec.t)
+    return TheoremVerdict(spec, new_entry(f"J^2 - ({eps:+d})*I", "J^2", residual, seed))
 
 
 def verify_theorem(
@@ -206,18 +301,16 @@ def verify_theorem(
     return _verdict(spec, ctx or _context(spec), seed)
 
 
-def _pairing_sign(ctx: LiftContext, r: int) -> Optional[int]:
-    """kappa with eta^alpha,v(xi_beta^L) = kappa*delta, or None if non-uniform."""
-    if r == 0:
-        return None
+def _pairing_sign(ctx: LiftContext) -> Optional[int]:
+    """kappa with eta^alpha,v(xi_beta^L) = kappa*delta, or None if non-uniform
+    or r = 0."""
     kappa: Optional[int] = None
-    for a in range(r):
-        for b in range(r):
-            value = oneform_apply(ctx.eta_v[a], ctx.xi_l[b])
+    for a, row in enumerate(_pairings(ctx)["vl"]):
+        for b, value in enumerate(row):
             if a == b:
-                if not value.comps.is_constant():
+                if not value.is_constant():
                     return None
-                v = value.comps.constant_value()
+                v = value.constant_value()
                 if v not in (-1, 1):
                     return None
                 if kappa is None:
@@ -229,21 +322,17 @@ def _pairing_sign(ctx: LiftContext, r: int) -> Optional[int]:
     return kappa
 
 
-def _squaring_coefficient(
-    ctx: LiftContext, base: RContactStructure
-) -> tuple[Optional[int], TensorField]:
+def _squaring_coefficient(ctx: LiftContext, eps: int) -> Optional[int]:
     """c with (F^L)^2 = eps*I + c * sum(xi^v(x)eta^L + xi^L(x)eta^v), computed."""
-    total = ctx.tangent.total
-    f2 = endo_compose(ctx.f_lift, ctx.f_lift)
-    p = f2 - _signed(base.epsilon, TensorField.identity_endo(total))
-    d = _outer_sum(total, ctx.xi_v + ctx.xi_l, ctx.eta_l + ctx.eta_v)
+    p = _square_parts(ctx, eps).p
+    d = _outer_sum(ctx.tangent.total, ctx.xi_v + ctx.xi_l, ctx.eta_l + ctx.eta_v)
     if p.is_zero() and d.is_zero():
-        return 0, d
+        return 0
     if (p - d).is_zero():
-        return 1, d
+        return 1
     if (p + d).is_zero():
-        return -1, d
-    return None, d
+        return -1
+    return None
 
 
 def sign_sweep(
@@ -265,8 +354,8 @@ def sign_sweep(
         conn=lift_connection(lift_kind, conn, base.chart), suffix=suffix,
     )
     ctx = ctx or _context(probe)
-    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
-    c, _ = _squaring_coefficient(ctx, base)
+    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx))
+    c = _squaring_coefficient(ctx, base.epsilon)
     rows = [_verdict(replace(probe, s=s, t=t), ctx, seed) for s in (-1, 1) for t in (-1, 1)]
     sweep = SignSweep(rows=rows, kappa=kappa, c=c)
     sweep.notes.append(
@@ -390,7 +479,7 @@ def action_report(
     lift_name = "c" if kind == COMPLETE else "h"
     claim_tag, claims = _claims_for(spec)
     tag_actions = "post-4.x" if claim_tag is None else f"post-{claim_tag}"
-    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx, base.r))
+    kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx))
 
     entries = []
     xi_rows = False

@@ -40,7 +40,13 @@ from liftcheck.structures import (
     random_unimodular,
 )
 from liftcheck.tensor import TensorField, endo_apply, endo_compose, oneform_apply, outer
-from liftcheck.theorems import action_report, sign_sweep, theorem_spec, verify_theorem
+from liftcheck.theorems import (
+    action_report,
+    build_lifted_j,
+    sign_sweep,
+    theorem_spec,
+    verify_theorem,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFS = ROOT / "defs"
@@ -142,10 +148,11 @@ def test_criterion_03_complete_lift_theorems():
                     base, 2, f"c3-{n}-{r}-{signature}", max_shears=3, max_degree=2
                 )
                 for model in models:
-                    verdict = verify_theorem(theorem_spec(tag, model))
+                    spec = theorem_spec(tag, model)
+                    verdict = verify_theorem(spec)
                     assert verdict.passed and verdict.residual.is_zero(), (n, r, tag)
                     # J^2 + I = 0 spelled out, not just via the verdict
-                    j = verdict.j
+                    j = build_lifted_j(spec)
                     total_identity = TensorField.identity_endo(j.chart)
                     assert (endo_compose(j, j) + total_identity).is_zero()
 

@@ -110,6 +110,29 @@ def test_canonical_string_order():
     assert str(Poly.zero(XY)) == "0"
 
 
+@pytest.mark.parametrize("terms, text", [
+    ({(0, 0): 1}, "1"),
+    ({(0, 0): -1}, "-1"),
+    ({(0, 0): 7}, "7"),
+    ({(0, 0): -7}, "-7"),
+    ({(0, 0): Fraction(3, 4)}, "3/4"),
+    ({(0, 0): Fraction(-3, 4)}, "-3/4"),
+    ({(1, 0): 1}, "x"),
+    ({(1, 0): -1}, "-x"),
+    ({(1, 2): -5}, "-5*x*y^2"),
+    ({(0, 1): Fraction(-1, 3)}, "-1/3*y"),
+    ({(2, 0): Fraction(5, 2)}, "5/2*x^2"),
+    ({(1, 0): -1, (0, 0): -1}, "-x - 1"),
+    ({(1, 0): 1, (0, 1): -1, (0, 0): 1}, "x - y + 1"),
+    ({(2, 0): -1, (1, 0): Fraction(-2, 3), (0, 0): Fraction(1, 6)}, "-x^2 - 2/3*x + 1/6"),
+    ({(1, 1): Fraction(7, 5), (0, 1): -1, (0, 0): Fraction(-9, 2)}, "7/5*x*y - y - 9/2"),
+])
+def test_canonical_string_signs_and_magnitudes(terms, text):
+    """Sign and magnitude of each term, first and later, constant or not, with
+    the unit magnitude left out only before a monomial."""
+    assert str(p(terms)) == text
+
+
 # -- eps-complex ----------------------------------------------------------------
 
 

@@ -141,6 +141,10 @@ GOLDEN_RUNS.append((["demo", "--format", "machine"], "demo.json", 0))
 # axiom and lift tables past r = 1, and the witnesses of their FAIL entries
 LIFT_N2_R2 = str(GOLDEN / "lift_n2_r2.def")
 GOLDEN_RUNS.append((["run", LIFT_N2_R2, "--format", "machine"], "lift_n2_r2.json", 1))
+# r = 0 over a non-flat connection: every sum over xi and eta is empty
+GOLDEN_RUNS.append(
+    (["run", str(GOLDEN / "run_horizontal_r0.def"), "--format", "machine"], "run_horizontal_r0.json", 0)
+)
 HUMAN_GOLDEN_RUNS = [(["run", LIFT_N2_R2], "lift_n2_r2.txt", 1)]
 
 

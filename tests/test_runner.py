@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from liftcheck import definition, lifts, runner, theorems
+from liftcheck import definition, lifts, runner, structures, tensor, theorems
 from liftcheck.definition import Task, parse_definition, structure_to_definition
 from liftcheck.lifts import COMPLETE, HORIZONTAL, VERTICAL, Connection
 from liftcheck.report import Report
@@ -34,7 +34,7 @@ def count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (definition, lifts, runner, theorems):
+    for module in (definition, lifts, runner, structures, theorems):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -43,16 +43,20 @@ def count_calls(monkeypatch, owner, name):
 def test_run_tasks_builds_each_lift_once(monkeypatch):
     text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
     defn = parse_definition(text)
-    structures = count_calls(monkeypatch, definition, "build_structure")
+    structure_builds = count_calls(monkeypatch, definition, "build_structure")
     endo_lifts = count_calls(monkeypatch, lifts, "lift_endo")
     js = count_calls(monkeypatch, theorems, "_assemble_j")
+    squares = count_calls(monkeypatch, tensor, "endo_compose")
     report = runner.run_tasks(defn, TASKS)
     assert report.overall
-    assert len(structures) == 1
+    assert len(structure_builds) == 1
     # F^c and F^h for the two contexts, and F^v for the interaction table
     assert len(endo_lifts) <= 3
-    # J(+1,-1) complete, then the four horizontal cells of the sweep
-    assert len(js) <= 5
+    # J(+1,-1) complete and horizontal, for the action formulas and build-j;
+    # the J^2 verdicts and the sweep assemble none
+    assert len(js) <= 2
+    # F^2 for the axioms, then (F^c)^2 and (F^h)^2, once per context
+    assert len(squares) <= 3
 
 
 def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
@@ -126,3 +130,19 @@ def test_run_tasks_empty_and_missing_structure():
     assert runner.run_tasks(defn, []).sections == []
     with pytest.raises(runner.TaskError, match="no structure block"):
         runner.run_tasks(defn, defn.tasks)
+
+
+@pytest.mark.parametrize("task, message", [
+    (Task("verify", ("4.9",)), "needs a theorem tag or a lift kind"),
+    (Task("verify", ("4.1", "1", "-1")), "takes no lift kind or signs"),
+    (Task("build-j", ("complete", "2", "1")), "signs s t in -1/[+]1"),
+    (Task("sweep"), "takes 1..1 arguments"),
+    (Task("sweep", ("vertical",)), "needs complete or horizontal"),
+    (Task("prove", ()), "unknown task 'prove'"),
+])
+def test_run_task_validates_the_task(task, message):
+    """A task handed to the runner directly is checked as its .def line would be."""
+    defn = parse_definition((ROOT / "defs" / "contact_n1_r1.def").read_text(encoding="utf-8"))
+    with pytest.raises(definition.DefinitionError, match=message) as raised:
+        runner.run_tasks(defn, [Task("check"), task])
+    assert raised.value.line is None

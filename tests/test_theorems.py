@@ -14,7 +14,7 @@ from liftcheck.structures import (
     conjugate_structure,
     random_unimodular,
 )
-from liftcheck.tensor import Chart, TensorField
+from liftcheck.tensor import Chart, TensorField, endo_compose
 from liftcheck.theorems import (
     LiftedStructureSpec,
     action_report,
@@ -131,6 +131,63 @@ def test_failing_cell_produces_witness():
     assert any(
         comp.eval_at(values) != 0 for _, comp in verdict.residual.nonzero_items()
     )
+
+
+def _differential_model(n, r, eps, signature, rng, mutant):
+    """A conjugated model with n, r (r = 0 included) and, if ``mutant``, its F
+    perturbed and, for r > 0, its eta rescaled by a non-constant factor."""
+    if r:
+        base = canonical_structure(n, r, eps, signature)
+    else:
+        chart = Chart("M", tuple(f"{p}{i + 1}" for p in "ab" for i in range(n)))
+        z, one = chart.zero_poly(), chart.const(1)
+        rows = [[z] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            rows[n + i][i], rows[i][n + i] = one, chart.const(eps)
+        base = RContactStructure(
+            chart=chart, f=TensorField.endo(chart, rows), xi=(), eta=(),
+            epsilon=eps, signature=signature, n=n, r=0,
+        )
+    u, uinv = random_unimodular(base.chart, rng, max_shears=3, max_degree=1)
+    model = conjugate_structure(base, u, uinv)
+    if mutant:
+        chart = model.chart
+        bump = TensorField.endo(chart, [
+            [chart.coordinate(chart.coords[0]) if (i, j) == (0, chart.dim - 1) else 0
+             for j in range(chart.dim)]
+            for i in range(chart.dim)
+        ])
+        # a non-constant eta(xi) makes eta^c(xi^c) nonzero, the one pairing
+        # that J^2 reads and the paper's models make vanish
+        factor = chart.const(2) + chart.coordinate(chart.coords[0])
+        model = replace(model, f=model.f + bump, eta=tuple(w.scale(factor) for w in model.eta))
+    return model
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
+                                           (-1, "lorentzian"), (1, "lorentzian")])
+def test_square_residual_matches_the_dense_square(r, eps, signature):
+    """Every sweep cell's residual, read from (F^L)^2 and the rank-4r sum, is
+    the dense endo_compose(J, J) - eps*I of the assembled J."""
+    rng = random.Random(f"square-{r}-{eps}-{signature}")
+    n = 1 if r > 1 else 2
+    for mutant in (False, True):
+        model = _differential_model(n, r, eps, signature, rng, mutant)
+        chart = model.chart
+        nonflat = Connection.from_entries(chart, {
+            (0, 0, 1): chart.coordinate(chart.coords[-1]),
+            (chart.dim - 1, 0, 0): chart.const(2),
+        })
+        for kind, conn in ((COMPLETE, None), (HORIZONTAL, None), (HORIZONTAL, nonflat)):
+            sweep = sign_sweep(model, kind, conn=conn)
+            for row in sweep.rows:
+                j = build_lifted_j(row.spec)
+                dense = endo_compose(j, j) - TensorField.identity_endo(j.chart).scale(eps)
+                assert row.residual == dense, (r, eps, signature, mutant, kind, row.s, row.t)
+                assert row.passed == dense.is_zero()
+            if mutant:
+                assert not any(row.passed for row in sweep.rows)
 
 
 # -- sign sweeps ------------------------------------------------------------------
