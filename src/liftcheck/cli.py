@@ -34,7 +34,7 @@ from .structures import (
     PAPER_LITERAL,
     canonical_structure,
 )
-from .theorems import THEOREM_SIGNS
+from .theorems import THEOREMS
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_file: bool = True) -> None:
@@ -94,7 +94,7 @@ def make_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.add_argument(
             "--theorem",
-            help=f"catalogued instance, one of {', '.join(THEOREM_SIGNS)} (sets lift kind and signs)",
+            help=f"catalogued instance, one of {', '.join(THEOREMS)} (sets lift kind and signs)",
         )
         p.add_argument("--lift", help=f"{COMPLETE} or {HORIZONTAL}")
         p.add_argument("--s", help="sign s, -1 or +1")

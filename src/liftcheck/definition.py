@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Poly
-from .expr import ParseError, parse_poly
+from .expr import ParseError, is_name, parse_poly
 from .lifts import COMPLETE, DEFAULT_FIBER_SUFFIX, HORIZONTAL, Connection
 from .structures import (
     AXIOM_MODES,
@@ -55,7 +55,7 @@ from .structures import (
     StructureError,
 )
 from .tensor import Chart, TensorField
-from .theorems import THEOREM_SIGNS
+from .theorems import THEOREMS
 
 
 class DefinitionError(ValueError):
@@ -182,13 +182,13 @@ def validate_task(kind: str, args: tuple[str, ...], lineno: int | None = None) -
     if not (lo <= len(args) <= hi):
         raise DefinitionError(f"task {kind!r} takes {lo}..{hi} arguments", lineno)
     if kind in ("theorem", "actions"):
-        if args[0] not in THEOREM_SIGNS:
+        if args[0] not in THEOREMS:
             raise DefinitionError(
-                f"unknown theorem tag {args[0]!r} (expected one of {', '.join(THEOREM_SIGNS)})",
+                f"unknown theorem tag {args[0]!r} (expected one of {', '.join(THEOREMS)})",
                 lineno,
             )
     if kind in ("build-j", "verify"):
-        if args[0] in THEOREM_SIGNS:
+        if args[0] in THEOREMS:
             if len(args) != 1:
                 raise DefinitionError(
                     f"task {kind!r} with a theorem tag takes no lift kind or signs", lineno
@@ -235,6 +235,9 @@ def parse_definition(text: str) -> Definition:
                 raise DefinitionError("duplicate chart declaration", lineno)
             if len(words) < 3:
                 raise DefinitionError("chart needs a name and coordinates", lineno)
+            for word in words[2:]:
+                if not is_name(word):
+                    raise DefinitionError(f"coordinate {word!r} is not a name", lineno)
             try:
                 chart = Chart(words[1], tuple(words[2:]))
             except ValueError as exc:
@@ -244,6 +247,9 @@ def parse_definition(text: str) -> Definition:
         if head == "fiber_suffix":
             if len(words) != 2:
                 raise DefinitionError("fiber_suffix needs one value", lineno)
+            # a coordinate name plus the suffix must again be a name
+            if not is_name("_" + words[1]):
+                raise DefinitionError(f"fiber_suffix {words[1]!r} has a non-name character", lineno)
             fiber_suffix = words[1]
             continue
 

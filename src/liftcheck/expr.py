@@ -50,6 +50,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def is_name(text: str) -> bool:
+    """True when ``text`` is read as exactly one name token, itself."""
+    try:
+        return [tok[:2] for tok in _tokenize(text)] == [("name", text)]
+    except ParseError:
+        return False
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], variables: Sequence[str], length: int):
         self.tokens = tokens

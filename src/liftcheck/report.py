@@ -8,13 +8,13 @@ inputs produce byte-identical machine reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__ as _pkg_version
 from .structures import CheckEntry, CheckReport
 from .tensor import Point, TensorField
-from .theorems import SignSweep, TheoremVerdict
+from .theorems import SignSweep
 
 
 @dataclass
@@ -121,14 +121,8 @@ class Report:
                         extra = len(e.residual) - len(shown)
                         if extra > 0:
                             lines.append(f"        ... {extra} more nonzero components")
-                    if e.witness is not None:
-                        inner = ", ".join(f"{k}={v}" for k, v in e.witness.items())
-                        lines.append(f"        witness: ({inner})")
-                    else:
-                        lines.append(
-                            "        witness: none found within the sample cap; "
-                            "residual is nonzero symbolically (components above)"
-                        )
+                    inner = ", ".join(f"{k}={v}" for k, v in e.witness.items())
+                    lines.append(f"        witness: ({inner})")
             for row in section.rows:
                 cells = ", ".join(f"{k}={v}" for k, v in row.items())
                 lines.append(f"  {cells}")
@@ -150,20 +144,6 @@ def section_from_check(task: str, title: str, check: CheckReport) -> Section:
         passed=check.overall,
         entries=[EntryView.from_entry(e) for e in check.entries],
         notes=list(check.notes),
-    )
-
-
-def section_from_verdict(
-    task: str, title: str, verdict: TheoremVerdict, tag: str = "J^2"
-) -> Section:
-    """The verdict's J^2 entry, reported under ``tag``, and a note of its signs."""
-    notes = [
-        f"signs: s = {verdict.s:+d}, t = {verdict.t:+d}; "
-        f"eps = {verdict.epsilon:+d}, signature = {verdict.signature}"
-    ]
-    entry = EntryView.from_entry(replace(verdict.entry, tag=tag))
-    return Section(
-        task=task, title=title, passed=verdict.passed, entries=[entry], notes=notes
     )
 
 

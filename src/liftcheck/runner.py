@@ -14,25 +14,17 @@ from .definition import (
 )
 from .lifts import COMPLETE, HORIZONTAL, LiftContext, _contexts, verify_lift_interactions
 from .structures import (
+    AXIOM_MODES,
     DEFAULT_SEED,
     PAPER_LITERAL,
-    R_CONTACT_FAMILY,
-    CONSISTENT_FAMILY,
+    CheckReport,
     check_axioms,
     check_metric,
     consistency_lint,
 )
-from .report import (
-    Report,
-    Section,
-    section_from_check,
-    section_from_j,
-    section_from_sweep,
-    section_from_verdict,
-)
+from .report import Report, Section, section_from_check, section_from_j, section_from_sweep
 from .theorems import (
-    THEOREM_SIGNS,
-    VERDICT_TAGS,
+    THEOREMS,
     LiftedStructureSpec,
     action_report,
     build_lifted_j,
@@ -65,8 +57,8 @@ class _Shared:
 
 def _spec_from_args(shared: _Shared, args: tuple[str, ...]) -> tuple[LiftedStructureSpec, LiftContext, str]:
     """The spec of a theorem tag, or of a lift kind and signs, with its label."""
-    if args[0] in THEOREM_SIGNS:
-        return (*shared.spec(*THEOREM_SIGNS[args[0]]), args[0])
+    if args[0] in THEOREMS:
+        return (*shared.spec(*THEOREMS[args[0]][:3]), args[0])
     kind, s, t = args[0], int(args[1]), int(args[2])
     return (*shared.spec(kind, s, t), f"{kind} (s={s:+d}, t={t:+d})")
 
@@ -88,9 +80,8 @@ def run_task(
 
     if task.kind == "check":
         report = check_axioms(structure, mode=mode, seed=seed)
-        family = R_CONTACT_FAMILY if mode == PAPER_LITERAL else CONSISTENT_FAMILY
         report.notes.extend(
-            consistency_lint(family, structure.epsilon, structure.signature)
+            consistency_lint(AXIOM_MODES[mode], structure.epsilon, structure.signature)
         )
         sections = [
             section_from_check(
@@ -133,8 +124,11 @@ def run_task(
     if task.kind in ("verify", "theorem"):
         verdict = verify_theorem(spec, seed=seed, ctx=ctx)
         title = f"verify: {label}" if task.kind == "verify" else f"theorem {label}: J^2 = eps*I"
-        tag = VERDICT_TAGS.get(task.args[0], "J^2")
-        sections = [section_from_verdict(task.kind, title, verdict, tag=tag)]
+        signs = (
+            f"signs: s = {spec.s:+d}, t = {spec.t:+d}; "
+            f"eps = {verdict.epsilon:+d}, signature = {verdict.signature}"
+        )
+        sections = [section_from_check(task.kind, title, CheckReport([verdict.entry], [signs]))]
         if task.kind == "theorem":
             actions = action_report(spec, seed=seed, ctx=ctx)
             sections.append(

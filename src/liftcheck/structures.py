@@ -50,9 +50,38 @@ RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
 SIGNATURES = (RIEMANNIAN, LORENTZIAN)
 
+CONTACT_FAMILY = "contact"
+R_CONTACT_FAMILY = "r-contact"
+CONSISTENT_FAMILY = "consistent"
+
+# (family, signature) -> (squaring coefficient p, pairing kappa, tag) of the
+# axiom F^2 = eps*I + p * sum xi(x)eta; the consistent family rewrites the
+# r-contact one (see ``_squaring_axiom``)
+_FAMILY_TABLE = {
+    (CONTACT_FAMILY, RIEMANNIAN): (-1, 1, "1.6"),
+    (CONTACT_FAMILY, LORENTZIAN): (1, -1, "1.10"),
+    (R_CONTACT_FAMILY, RIEMANNIAN): (1, 1, "1.9"),
+    (R_CONTACT_FAMILY, LORENTZIAN): (-1, -1, "1.13"),
+}
+
 PAPER_LITERAL = "paper-literal"
 CONSISTENT = "consistent"
-AXIOM_MODES = (PAPER_LITERAL, CONSISTENT)
+# axiom mode -> the family whose squaring axiom ``check_axioms`` checks in it
+AXIOM_MODES = {PAPER_LITERAL: R_CONTACT_FAMILY, CONSISTENT: CONSISTENT_FAMILY}
+
+
+def _kappa(signature: str) -> int:
+    """The pairing sign of a signature: eta^a(xi_b) = kappa*delta."""
+    return 1 if signature == RIEMANNIAN else -1
+
+
+def _squaring_axiom(family: str, signature: str, epsilon: int) -> tuple[int, int, str]:
+    """(p, kappa, tag) of a family's squaring axiom; the consistent family is
+    the r-contact one rewritten with p = -eps*kappa, under the tag plus "c"."""
+    if family != CONSISTENT_FAMILY:
+        return _FAMILY_TABLE[(family, signature)]
+    _, kappa, tag = _FAMILY_TABLE[(R_CONTACT_FAMILY, signature)]
+    return -epsilon * kappa, kappa, tag + "c"
 
 
 class StructureError(TensorError):
@@ -96,24 +125,43 @@ class CheckReport:
         raise KeyError(name)
 
 
-def find_witness(residual: TensorField, seed: int | None = None) -> Optional[Point]:
-    """A sample point where some residual component is nonzero, if one is found.
+def find_witness(residual: TensorField, seed: int | None = None) -> Point:
+    """A point where some component of the nonzero residual is nonzero.
 
-    The residual is already known nonzero symbolically; the witness is a
-    concrete demonstration.  Search is seeded and capped, so reports are
-    reproducible; ``None`` after the cap means "nonzero symbolically only".
+    Up to WITNESS_CAP seeded random sample points are tried first, so reports
+    are reproducible.  Should all of them vanish, leading-coefficient descent
+    on the first nonzero component finds a point (``_descent_point``).
     """
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     components = [c for _, c in residual.nonzero_items()]
     if not components:
-        return None
+        raise StructureError("a zero residual has no witness")
     for _ in range(WITNESS_CAP):
         point = random_point(residual.chart, rng)
         values = point.mapping()
         for comp in components:
             if comp.eval_at(values) != 0:
                 return point
-    return None
+    return Point(residual.chart, _descent_point(components[0]))
+
+
+def _descent_point(p: Poly) -> list[Fraction]:
+    """Integer values at which the nonzero p is nonzero.  p_{i+1} is the top
+    coefficient of p_i in variable i, and the last is a nonzero constant; last
+    variable first, p_i at the later values has degree d in variable i and a
+    nonzero top coefficient, so one of 0..d is not a root (Schwartz 1980)."""
+    chain = [p.terms]
+    for i in range(len(p.variables)):
+        top = max(e[i] for e in chain[-1])
+        chain.append({e[:i] + (0,) + e[i + 1:]: c for e, c in chain[-1].items() if e[i] == top})
+    values = dict.fromkeys(p.variables, Fraction(0))
+    for i in reversed(range(len(p.variables))):
+        pi = Poly._trusted(p.variables, chain[i])
+        for x in range(max(e[i] for e in chain[i]) + 1):
+            values[p.variables[i]] = Fraction(x)
+            if pi.eval_at(values) != 0:
+                break
+    return list(values.values())
 
 
 def new_entry(
@@ -188,7 +236,7 @@ class RContactStructure:
 
     def pairing_convention(self) -> int:
         """Expected eta(xi) diagonal: +1 riemannian, -1 lorentzian."""
-        return 1 if self.signature == RIEMANNIAN else -1
+        return _kappa(self.signature)
 
     def sum_outer(self) -> TensorField:
         """sum_alpha xi_alpha (x) eta^alpha as a (1,1) field."""
@@ -223,17 +271,9 @@ def contact_structure(
 # -- axiom checks ----------------------------------------------------------------
 
 
-def _axiom_tag(signature: str, mode: str) -> str:
-    base = "1.9" if signature == RIEMANNIAN else "1.13"
-    return base if mode == PAPER_LITERAL else base + "c"
-
-
 def squaring_sign(signature: str, mode: str, epsilon: int) -> int:
     """Coefficient p in the axiom F^2 = eps*I + p * sum xi(x)eta."""
-    kappa = 1 if signature == RIEMANNIAN else -1
-    if mode == PAPER_LITERAL:
-        return 1 if signature == RIEMANNIAN else -1
-    return -epsilon * kappa
+    return _squaring_axiom(AXIOM_MODES[mode], signature, epsilon)[0]
 
 
 def check_axioms(
@@ -245,26 +285,23 @@ def check_axioms(
     if mode not in AXIOM_MODES:
         raise StructureError(f"unknown axiom mode {mode!r}")
     s = structure
-    kappa = s.pairing_convention()
-    tag = _axiom_tag(s.signature, mode)
+    p, kappa, tag = _squaring_axiom(AXIOM_MODES[mode], s.signature, s.epsilon)
     sign = "+" if kappa > 0 else "-"
 
     def pairing(a: int, b: int) -> TensorField:
         expected = TensorField.function(s.chart, s.chart.const(kappa if a == b else 0))
         return oneform_apply(s.eta[a], s.xi[b]) - expected
 
-    entries = identity_entries([
+    def squaring() -> TensorField:
+        rhs = _signed(s.epsilon, TensorField.identity_endo(s.chart)) + _signed(p, s.sum_outer())
+        return endo_compose(s.f, s.f) - rhs
+
+    report = CheckReport(entries=identity_entries([
         (tag, 2, [(f"eta^{{a}}(xi_{{b}}) - ({sign}delta)", pairing)]),
         (tag, 1, [("F(xi_{a})", lambda a: endo_apply(s.f, s.xi[a]))]),
         (tag, 1, [("eta^{a} o F", lambda a: oneform_after_endo(s.eta[a], s.f))]),
-    ], s.r, seed)
-    p = squaring_sign(s.signature, mode, s.epsilon)
-    identity = TensorField.identity_endo(s.chart)
-    rhs = _signed(s.epsilon, identity) + _signed(p, s.sum_outer())
-    f2 = endo_compose(s.f, s.f)
-    p_sign = "+" if p > 0 else "-"
-    entries.append(new_entry(f"F^2 - (eps*I {p_sign} sum xi(x)eta)", tag, f2 - rhs, seed))
-    report = CheckReport(entries=entries)
+        (tag, 0, [(f"F^2 - (eps*I {'+' if p > 0 else '-'} sum xi(x)eta)", squaring)]),
+    ], s.r, seed))
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     pts = [random_point(s.chart, rng) for _ in range(3)]
     sampled = rank_at(s.f, pts)
@@ -280,32 +317,22 @@ def check_metric(structure: RContactStructure, seed: int | None = None) -> Check
     s = structure
     if s.metric is None:
         raise MissingMetric("structure has no metric")
-    tag = "1.8" if s.signature == RIEMANNIAN else "1.12"
-    q = 1 if s.signature == RIEMANNIAN else -1
-    eta_sq = TensorField.bilinear(s.chart, _outer_sum(s.chart, s.eta, s.eta).comps)
-    residual = metric_pullback(s.metric, s.f) - s.metric + _signed(q, eta_sq)
-    q_sign = "+" if q > 0 else "-"
-    entries = [
-        new_entry(
-            f"G(F.,F.) - G {q_sign} sum eta(x)eta",
-            tag,
-            residual,
-            seed,
-        )
-    ]
+    q = s.pairing_convention()
+    tag = "1.8" if q > 0 else "1.12"
+
+    def pullback() -> TensorField:
+        eta_sq = TensorField.bilinear(s.chart, _outer_sum(s.chart, s.eta, s.eta).comps)
+        return metric_pullback(s.metric, s.f) - s.metric + _signed(q, eta_sq)
+
+    def lowered(a: int) -> TensorField:
+        # G(xi, .) is the row vector xi . G
+        row = (PolyMatrix([s.xi[a].comps]) @ s.metric.to_matrix()).entries[0]
+        return s.eta[a] - TensorField.oneform(s.chart, row)
+
+    table = [(tag, 0, [(f"G(F.,F.) - G {'+' if q > 0 else '-'} sum eta(x)eta", pullback)])]
     if s.signature == RIEMANNIAN:
-        for a in range(s.r):
-            # G(xi, .) is the row vector xi . G
-            x_lowered = PolyMatrix([s.xi[a].comps]) @ s.metric.to_matrix()
-            entries.append(
-                new_entry(
-                    f"eta^{a + 1} - G(xi_{a + 1}, .)",
-                    tag,
-                    s.eta[a] - TensorField.oneform(s.chart, x_lowered.entries[0]),
-                    seed,
-                )
-            )
-    report = CheckReport(entries=entries)
+        table.append((tag, 1, [("eta^{a} - G(xi_{a}, .)", lowered)]))
+    report = CheckReport(entries=identity_entries(table, s.r, seed))
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     if s.signature == RIEMANNIAN:
         ok = all(
@@ -353,7 +380,7 @@ def canonical_structure(
         fmat[i][n + i] = chart.const(epsilon)
     f = TensorField.endo(chart, fmat)
     xi = tuple(TensorField.basis_vector(chart, f"c{a + 1}") for a in range(r))
-    eta_sign = 1 if signature == RIEMANNIAN else -1
+    eta_sign = _kappa(signature)
     eta = tuple(
         _signed(eta_sign, TensorField.basis_oneform(chart, f"c{a + 1}")) for a in range(r)
     )
@@ -458,20 +485,6 @@ def random_unimodular(
 # -- sign-consistency lint -----------------------------------------------------------
 
 
-CONTACT_FAMILY = "contact"
-R_CONTACT_FAMILY = "r-contact"
-CONSISTENT_FAMILY = "consistent"
-AXIOM_FAMILIES = (CONTACT_FAMILY, R_CONTACT_FAMILY, CONSISTENT_FAMILY)
-
-_FAMILY_TABLE = {
-    # (family, signature) -> (squaring coefficient p, pairing kappa, tag)
-    (CONTACT_FAMILY, RIEMANNIAN): (-1, 1, "1.6"),
-    (CONTACT_FAMILY, LORENTZIAN): (1, -1, "1.10"),
-    (R_CONTACT_FAMILY, RIEMANNIAN): (1, 1, "1.9"),
-    (R_CONTACT_FAMILY, LORENTZIAN): (-1, -1, "1.13"),
-}
-
-
 def consistency_lint(family: str, epsilon: int, signature: str) -> list[str]:
     """Apply the squaring axiom to xi_beta symbolically and report the forced eps.
 
@@ -485,32 +498,27 @@ def consistency_lint(family: str, epsilon: int, signature: str) -> list[str]:
         raise StructureError(f"unknown signature {signature!r}")
     if epsilon not in (-1, 1):
         raise StructureError("epsilon must be -1 or +1")
-    notes: list[str] = []
-    kappa = 1 if signature == RIEMANNIAN else -1
-    if family == CONSISTENT_FAMILY:
-        tag = "1.9c" if signature == RIEMANNIAN else "1.13c"
-        rewrite = "F^2 = eps*(I - sum xi(x)eta)" if kappa > 0 else "F^2 = eps*(I + sum xi(x)eta)"
-        notes.append(
-            f"[lint {tag}] {rewrite}: applied to xi_beta gives (eps - eps*kappa^2)*xi_beta = 0; "
-            f"satisfiable for both eps, requested eps = {epsilon:+d} is CONSISTENT"
-        )
-        return notes
     try:
-        p, kappa, tag = _FAMILY_TABLE[(family, signature)]
+        p, kappa, tag = _squaring_axiom(family, signature, epsilon)
     except KeyError:
         raise StructureError(f"unknown axiom family {family!r}")
+    rewrite = f"F^2 = eps*(I {'-' if kappa > 0 else '+'} sum xi(x)eta)"
+    if family == CONSISTENT_FAMILY:
+        return [
+            f"[lint {tag}] {rewrite}: applied to xi_beta gives (eps - eps*kappa^2)*xi_beta = 0; "
+            f"satisfiable for both eps, requested eps = {epsilon:+d} is CONSISTENT"
+        ]
     forced = -p * kappa
-    notes.append(
+    notes = [
         f"[lint {tag}] F^2 axiom applied to xi_beta gives (eps + ({p:+d})*({kappa:+d}))*xi_beta = 0, "
         f"forcing eps = {forced:+d}"
-    )
+    ]
     if epsilon == forced:
         notes.append(f"[lint {tag}] requested eps = {epsilon:+d} is CONSISTENT")
     else:
         notes.append(
             f"[lint {tag}] requested eps = {epsilon:+d} is INCONSISTENT; "
-            f"the consistent rewrite F^2 = eps*(I {'-' if kappa > 0 else '+'} sum xi(x)eta) "
-            f"admits both eps"
+            f"the consistent rewrite {rewrite} admits both eps"
         )
     return notes
 

@@ -44,7 +44,7 @@ itself is assembled only for the action formulas and ``build_lifted_j``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Poly, _contract
 from .lifts import (
@@ -92,6 +92,11 @@ class LiftedStructureSpec:
             raise LiftError("horizontal lifted structure requires a connection")
         if self.lift_kind == COMPLETE and self.conn is not None:
             raise LiftError("complete lifted structure takes no connection")
+
+    @property
+    def theorem(self) -> Optional[str]:
+        """The tag of the catalogued theorem with this lift kind and these signs."""
+        return _CELLS.get((self.lift_kind, self.s, self.t))
 
 
 @dataclass(frozen=True)
@@ -158,15 +163,38 @@ class SignSweep:
         return [(row.s, row.t) for row in self.rows if row.passed]
 
 
-# Catalogued theorem instances: tag -> (lift kind, s, t), and tag -> the
-# result tag its J^2 verdict is reported under.
-THEOREM_SIGNS = {
-    "4.1": (COMPLETE, 1, -1),
-    "4.2": (COMPLETE, -1, 1),
-    "4.3": (HORIZONTAL, 1, -1),
-    "4.4": (HORIZONTAL, -1, 1),
+class Claims(NamedTuple):
+    """A theorem's post-theorem displays: J X^v = (FX)^v + xv * (eta X)^v xi^L,
+    J X^L = (FX)^L + xl_v * (eta X)^v xi^v + xl_l * (eta X)^L-lift xi^L, the
+    signs of J xi^v and J xi^L, and whether the xi factors are written U."""
+
+    xv: int
+    xl_v: int
+    xl_l: int
+    xi_v_sign: int
+    xi_l_sign: int
+    uses_u_symbol: bool
+
+
+class Theorem(NamedTuple):
+    """A catalogued theorem: the lift kind and signs of its J, the result tag of
+    its J^2 verdict, and its displays (None when it has none)."""
+
+    kind: str
+    s: int
+    t: int
+    result: str
+    claims: Optional[Claims]
+
+
+THEOREMS = {
+    "4.1": Theorem(COMPLETE, 1, -1, "2.8", Claims(-1, 1, -1, 1, 1, True)),
+    "4.2": Theorem(COMPLETE, -1, 1, "2.15", Claims(1, -1, 1, 1, 1, False)),
+    "4.3": Theorem(HORIZONTAL, 1, -1, "2.22", Claims(-1, 1, -1, 1, 1, False)),
+    "4.4": Theorem(HORIZONTAL, -1, 1, "2.22", None),
 }
-VERDICT_TAGS = {"4.1": "2.8", "4.2": "2.15", "4.3": "2.22", "4.4": "2.22"}
+# the theorem tag of each catalogued (lift kind, s, t) cell
+_CELLS = {(th.kind, th.s, th.t): tag for tag, th in THEOREMS.items()}
 
 
 def theorem_spec(
@@ -176,9 +204,9 @@ def theorem_spec(
     suffix: str = DEFAULT_FIBER_SUFFIX,
 ) -> LiftedStructureSpec:
     """The LiftedStructureSpec for a catalogued theorem tag (4.1 .. 4.4)."""
-    if tag not in THEOREM_SIGNS:
+    if tag not in THEOREMS:
         raise LiftError(f"unknown theorem tag {tag!r}")
-    kind, s, t = THEOREM_SIGNS[tag]
+    kind, s, t, _, _ = THEOREMS[tag]
     return LiftedStructureSpec(
         base=base, lift_kind=kind, s=s, t=t, conn=lift_connection(kind, conn, base.chart),
         suffix=suffix,
@@ -195,8 +223,8 @@ def _context(spec: LiftedStructureSpec) -> LiftContext:
 
 def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
     total = ctx.tangent.total
-    v_sum = ctx.memoised("v_sum", lambda: _outer_sum(total, ctx.xi_v, ctx.eta_v))
-    l_sum = ctx.memoised("l_sum", lambda: _outer_sum(total, ctx.xi_l, ctx.eta_l))
+    v_sum = _outer_sum(total, ctx.xi_v, ctx.eta_v)
+    l_sum = _outer_sum(total, ctx.xi_l, ctx.eta_l)
     j = ctx.f_lift + v_sum if s > 0 else ctx.f_lift - v_sum
     return j + l_sum if t > 0 else j - l_sum
 
@@ -289,9 +317,12 @@ def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> T
 
 
 def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
+    """The J^2 entry, tagged by the result of the catalogued theorem of its
+    cell, or J^2 for a cell no theorem names."""
     eps = spec.base.epsilon
     residual = _square_residual(ctx, eps, spec.s, spec.t)
-    return TheoremVerdict(spec, new_entry(f"J^2 - ({eps:+d})*I", "J^2", residual, seed))
+    tag = THEOREMS[spec.theorem].result if spec.theorem else "J^2"
+    return TheoremVerdict(spec, new_entry(f"J^2 - ({eps:+d})*I", tag, residual, seed))
 
 
 def verify_theorem(
@@ -376,34 +407,6 @@ def sign_sweep(
 
 # -- action formulas -------------------------------------------------------------
 
-# Claimed post-theorem displays, catalogued by theorem tag.  Coefficients are
-# for the displays J X^v = (FX)^v + xv * (eta X)^v xi^L and
-# J X^L = (FX)^L + xl_v * (eta X)^v xi^v + xl_l * (eta X)^L-lift xi^L, plus the
-# claimed final values of J xi^v and J xi^L.  4.4 has no catalogued displays.
-@dataclass(frozen=True)
-class _ClaimedActions:
-    xv: int
-    xl_v: int
-    xl_l: int
-    xi_v_sign: int
-    xi_l_sign: int
-    uses_u_symbol: bool
-
-
-_CLAIMS = {
-    "4.1": _ClaimedActions(xv=-1, xl_v=1, xl_l=-1, xi_v_sign=1, xi_l_sign=1, uses_u_symbol=True),
-    "4.2": _ClaimedActions(xv=1, xl_v=-1, xl_l=1, xi_v_sign=1, xi_l_sign=1, uses_u_symbol=False),
-    "4.3": _ClaimedActions(xv=-1, xl_v=1, xl_l=-1, xi_v_sign=1, xi_l_sign=1, uses_u_symbol=False),
-}
-
-
-def _claims_for(spec: LiftedStructureSpec) -> tuple[Optional[str], Optional[_ClaimedActions]]:
-    for tag, (kind, s, t) in THEOREM_SIGNS.items():
-        if kind == spec.lift_kind and (s, t) == (spec.s, spec.t):
-            return tag, _CLAIMS.get(tag)
-    return None, None
-
-
 def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[int]]:
     """A test field's label in entry names, and b when it is the structure's xi_b.
 
@@ -477,8 +480,8 @@ def action_report(
     kind = spec.lift_kind
     j = _lifted_j(ctx, spec.s, spec.t)
     lift_name = "c" if kind == COMPLETE else "h"
-    claim_tag, claims = _claims_for(spec)
-    tag_actions = "post-4.x" if claim_tag is None else f"post-{claim_tag}"
+    claims = THEOREMS[spec.theorem].claims if spec.theorem else None
+    tag_actions = f"post-{spec.theorem or '4.x'}"
     kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx))
 
     entries = []

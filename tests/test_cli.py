@@ -44,6 +44,19 @@ def test_verify_theorem_41(capsys):
     assert "[2.8]" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "4.1"],
+    ["--lift", "complete", "--s", "1", "--t", "-1"],
+    ["--lift", "complete", "--s", "+1", "--t", "-1"],
+])
+def test_verify_spellings_of_one_cell_report_one_entry(flags, capsys):
+    assert main(["verify", CONTACT, *flags, "--format", "machine"]) == 0
+    (section,) = json.loads(capsys.readouterr().out)["sections"]
+    assert section["entries"] == [{
+        "name": "J^2 - (-1)*I", "tag": "2.8", "passed": True, "residual": "0", "witness": None,
+    }]
+
+
 def test_verify_bad_sign_cell_fails(capsys):
     code = main(["verify", CONTACT, "--lift", "complete", "--s", "1", "--t", "1"])
     out = capsys.readouterr().out
@@ -282,3 +295,20 @@ def test_conflicting_flags_fail_like_the_def_line(flags, line, tmp_path, capsys)
     via_line = capsys.readouterr().err
     assert via_flags.startswith("liftcheck: error: task ")
     assert via_line == via_flags[:-1] + f" (line {len(text.splitlines())})\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("chart M a1 b1 c1", "chart M a1 b-1 c1", "coordinate 'b-1' is not a name (line 2)"),
+    ("chart M a1 b1 c1", "chart M a1 b1 c1\nfiber_suffix -x",
+     "fiber_suffix '-x' has a non-name character (line 3)"),
+])
+def test_names_that_do_not_read_back_are_located_input_errors(tmp_path, old, new, message):
+    # b-1 and a1-x would be printed in residual labels and read back as differences
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    assert text.splitlines()[1] == old
+    bad = tmp_path / "bad.def"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr == f"liftcheck: error: {message}\n"
+

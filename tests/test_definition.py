@@ -191,3 +191,23 @@ def test_metric_of_zero_entries_is_still_a_metric():
     metric = build_structure(defn).metric
     assert metric is not None and metric.valence == (0, 2) and metric.is_zero()
     assert parse_definition(CANONICAL).structure.metric_entries is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("chart M a1 b-1 c1\n", "coordinate 'b-1' is not a name (line 1)"),
+    ("chart M 1a\n", "coordinate '1a' is not a name (line 1)"),
+    ("\nchart M a1 b1*c1\n", "coordinate 'b1*c1' is not a name (line 2)"),
+    ("fiber_suffix -x\nchart M a1\n", "fiber_suffix '-x' has a non-name character (line 1)"),
+    ("chart M a1\nfiber_suffix ^2\n", "fiber_suffix '^2' has a non-name character (line 2)"),
+])
+def test_coordinates_and_fiber_names_must_be_names(text, message):
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(text)
+    assert str(err.value) == message
+
+
+def test_names_of_every_kind_are_accepted():
+    defn = parse_definition("chart M _x α2 b_1\nfiber_suffix 1\n")
+    assert defn.chart.coords == ("_x", "α2", "b_1")
+    assert defn.fiber_suffix == "1"
+

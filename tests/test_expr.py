@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.expr import MAX_NESTING, ParseError, _tokenize, parse_poly
+from liftcheck.expr import MAX_NESTING, ParseError, _tokenize, is_name, parse_poly
 
 XY = ("x", "y")
 
@@ -214,3 +214,12 @@ def test_random_token_strings_parse_or_raise_parse_error(tokens):
         assert 0 <= err.column <= len(" ".join(tokens))
     else:
         assert isinstance(result, Poly) and result.variables == VARS
+
+
+def test_a_name_is_one_name_token():
+    for name in ("a1", "_", "x_dot", "α"):
+        assert is_name(name)
+        assert parse_poly(name, (name,)) == Poly.variable(name, (name,))
+    for text in ("", "1a", "a-1", "a b", " a", "a^2", "²", "a$"):
+        assert not is_name(text)
+

@@ -146,3 +146,29 @@ def test_run_task_validates_the_task(task, message):
     with pytest.raises(definition.DefinitionError, match=message) as raised:
         runner.run_tasks(defn, [Task("check"), task])
     assert raised.value.line is None
+
+
+# the result tag each catalogued theorem's J^2 verdict is reported under
+RESULT_TAGS = {"4.1": "2.8", "4.2": "2.15", "4.3": "2.22", "4.4": "2.22"}
+
+
+@pytest.mark.parametrize("tag", sorted(RESULT_TAGS))
+def test_j2_entry_is_tagged_by_the_cell_checked(tag):
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    kind, s, t, _, _ = theorems.THEOREMS[tag]
+    (by_tag,) = runner.run_task(defn, Task("verify", (tag,)))
+    (by_cell,) = runner.run_task(defn, Task("verify", (kind, str(s), str(t))))
+    theorem = runner.run_task(defn, Task("theorem", (tag,)))[0]
+    # one entry and one signs note, whichever way the cell is named
+    assert by_tag.entries == by_cell.entries == theorem.entries
+    assert by_tag.notes == by_cell.notes == theorem.notes
+    assert [e.tag for e in by_cell.entries] == [RESULT_TAGS[tag]]
+
+
+@pytest.mark.parametrize("kind", [COMPLETE, HORIZONTAL])
+@pytest.mark.parametrize("s, t", [(1, 1), (-1, -1)])
+def test_j2_entry_of_an_uncatalogued_cell_is_tagged_j2(kind, s, t):
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    (section,) = runner.run_task(defn, Task("verify", (kind, str(s), str(t))))
+    assert [e.tag for e in section.entries] == ["J^2"]
+

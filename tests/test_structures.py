@@ -1,8 +1,12 @@
 """Axiom checkers, canonical models, conjugation, lint, eps-complex eigenchecks."""
 
+import importlib.util
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liftcheck.algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix
 from liftcheck.structures import (
@@ -16,9 +20,12 @@ from liftcheck.structures import (
     conjugate_structure,
     consistency_lint,
     contact_structure,
+    find_witness,
     identity_entries,
+    new_entry,
     random_unimodular,
 )
+from liftcheck.report import EntryView
 from liftcheck.tensor import Chart, TensorField, endo_apply, endo_compose, outer
 
 
@@ -41,6 +48,72 @@ def test_identity_entries_run_the_indices_outermost():
     assert [e.passed for e in entries] == [True, True, False, False, True, False, False, False]
     assert all((e.witness is None) == e.passed for e in entries)
     assert identity_entries(table, 0) == []
+    # an unindexed identity has one entry, whatever r is
+    zero = [("t0", 0, [("z", lambda: residual(0))])]
+    assert [e.name for e in identity_entries(zero, 0)] == ["z"]
+    assert [e.name for e in identity_entries(zero, 3)] == ["z"]
+
+
+# perfbench's evaluator of printed polynomials, which imports no liftcheck code
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_answers", Path(__file__).resolve().parent.parent / "perfbench" / "answers.py"
+)
+answers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(answers)
+
+# every value the random witness search samples: k/d with |k| <= 9, 1 <= d <= 4
+SAMPLE_GRID = sorted({Fraction(k, d) for k in range(-9, 10) for d in range(1, 5)})
+WITNESS_CHART = Chart("M", ("x", "y"))
+
+
+def grid_product(name: str, values) -> Poly:
+    """prod (name - v) over the values: zero at every sample with name in them."""
+    x = WITNESS_CHART.coordinate(name)
+    out = WITNESS_CHART.const(1)
+    for v in values:
+        out = out * (x - WITNESS_CHART.const(v))
+    return out
+
+
+def assert_rendered_witness(poly: Poly, seed: int) -> None:
+    """The entry of a nonzero residual fails with a witness at which the
+    rendered residual, read back by perfbench's evaluator, is nonzero."""
+    entry = new_entry("p", "t", TensorField.function(WITNESS_CHART, poly), seed)
+    view = EntryView.from_entry(entry)
+    assert not view.passed
+    point = {name: Fraction(value) for name, value in view.witness.items()}
+    assert any(answers.evaluate(text, point) != 0 for text in view.residual.values())
+
+
+def test_product_over_the_sample_grid_has_a_witness():
+    p = grid_product("x", SAMPLE_GRID)
+    assert len(SAMPLE_GRID) == 51 and p.total_degree() == 51 and len(p.terms) == 26
+    assert_rendered_witness(p, seed=1729)
+    # the fallback runs only after every random sample vanished
+    witness = find_witness(TensorField.function(WITNESS_CHART, p), seed=1729)
+    assert witness.values[0] not in SAMPLE_GRID
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 2), st.integers(-5, 5).filter(bool), min_size=1, max_size=4
+    ),
+    # a whole grid in both variables vanishes at every sample point
+    roots=st.lists(
+        st.tuples(st.sampled_from("xy"), st.one_of(
+            st.just(tuple(SAMPLE_GRID)), st.lists(st.sampled_from(SAMPLE_GRID), max_size=6)
+        )),
+        max_size=2,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(terms={(1, 1): 3}, roots=[("x", tuple(SAMPLE_GRID)), ("y", tuple(SAMPLE_GRID))], seed=0)
+def test_every_nonzero_residual_gets_a_witness(terms, roots, seed):
+    p = Poly(WITNESS_CHART.coords, terms)
+    for name, values in roots:
+        p = p * grid_product(name, values)
+    assert_rendered_witness(p, seed)
 
 
 def test_canonical_f_matrix():
