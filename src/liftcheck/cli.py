@@ -195,14 +195,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not tasks:
                 raise TaskError("definition file declares no tasks")
             report = run_tasks(defn, tasks, seed=args.seed, mode_override=args.mode)
+        text = report.render_machine() if args.format == "machine" else report.render_human()
     except (DefinitionError, ParseError, TaskError, AlgebraError, OSError) as exc:
         print(f"liftcheck: error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # str() of an int of more than sys.get_int_max_str_digits() digits
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"liftcheck: error: a coefficient has more than {sys.get_int_max_str_digits()} "
+            "digits and cannot be printed",
+            file=sys.stderr,
+        )
+        return 2
 
-    if args.format == "machine":
-        sys.stdout.write(report.render_machine())
-    else:
-        sys.stdout.write(report.render_human())
+    sys.stdout.write(text)
     return 0 if report.overall else 1
 
 

@@ -34,14 +34,17 @@ and a task list::
     task sweep complete
 
 All polynomial right-hand sides are infix expressions over the declared
-coordinates.  ``emit_definition(parse_definition(text))`` reparses to an
-equal Definition.
+coordinates.  Each entry may be given once; in a symmetric connection
+``Gamma[i,k,j]`` is the entry ``Gamma[i,j,k]``.  Parsing builds the
+structure and the connection, and ``emit_definition(parse_definition(text))``
+reparses to an equal Definition.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .algebra import Poly
@@ -86,25 +89,16 @@ class Task:
 
 
 @dataclass
-class StructureBlock:
-    epsilon: int
-    signature: str
-    mode: str
-    n: int
-    r: int
-    f_entries: dict[tuple[int, int], Poly]
-    xi_entries: dict[tuple[int, int], Poly]
-    eta_entries: dict[tuple[int, int], Poly]
-    metric_entries: Optional[dict[tuple[int, int], Poly]]
-
-
-@dataclass
 class Definition:
+    """A parsed ``.def`` file: the chart, the connection and the structure its
+    blocks build (None when a block is absent), the structure block's axiom
+    mode and the task list."""
+
     chart: Chart
     fiber_suffix: str = DEFAULT_FIBER_SUFFIX
-    connection_entries: Optional[dict[tuple[int, int, int], Poly]] = None
-    connection_symmetric: bool = True
-    structure: Optional[StructureBlock] = None
+    connection: Optional[Connection] = None
+    structure: Optional[RContactStructure] = None
+    mode: str = PAPER_LITERAL
     tasks: list[Task] = field(default_factory=list)
 
 
@@ -113,17 +107,15 @@ class Definition:
 # whether the family is optional.  An "index" family is one m x m field, both
 # indices over the chart.  A "component index" family is one field per
 # alpha = 1..r, the first index alpha (checked once r is known), the second a
-# chart index.  Each family is kept as ``<name>_entries`` on the StructureBlock
-# and as ``<name>`` on the structure, with the name lower-cased.  An optional
-# family is present iff some line of it was read, even one whose value is 0.
+# chart index.  Each family is the structure's attribute of the lower-cased
+# name.  An optional family is present iff some line of it was read, even one
+# whose value is 0.  The parser and the emitter are the only readers.
 _FAMILIES = (
     ("F", "index", TensorField.endo, False),
     ("xi", "component index", TensorField.vector, False),
     ("eta", "component index", TensorField.oneform, False),
     ("metric", "index", TensorField.bilinear, True),
 )
-_MEANINGS = {name: meaning for name, meaning, _, _ in _FAMILIES}
-_PER_ALPHA = "/".join(name for name, meaning, _, _ in _FAMILIES if meaning != "index")
 
 
 _ENTRY_RE = re.compile(r"^(\w+)\[([0-9,\s]+)\]\s*=\s*(.+)$")
@@ -154,16 +146,23 @@ def _rhs_offset(raw_line: str) -> int:
     return eq + 1 + (len(tail) - len(tail.lstrip()))
 
 
-def _is_natural(text: str) -> bool:
-    """True for a run of ASCII digits; ``str.isdigit`` also accepts "²" and "٣"."""
-    return text.isascii() and text.isdigit()
+def _natural(text: str, message: str, lineno: int) -> int:
+    """``text`` as a natural number, or ``message`` at ``lineno``: ASCII digits
+    only, since ``str.isdigit`` also accepts "²" and "٣"."""
+    if not (text.isascii() and text.isdigit()):
+        raise DefinitionError(message, lineno)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise DefinitionError(f"integer of {len(text)} digits is too long", lineno) from None
 
 
 def _parse_indices(text: str, count: int, lineno: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count or not all(_is_natural(p) for p in parts):
-        raise DefinitionError(f"expected {count} comma-separated indices", lineno)
-    return tuple(int(p) for p in parts)
+    message = f"expected {count} comma-separated indices"
+    if len(parts) != count:
+        raise DefinitionError(message, lineno)
+    return tuple(_natural(p, message, lineno) for p in parts)
 
 
 def _parse_rhs(rhs: str, coords, lineno: int, offset: int) -> Poly:
@@ -211,22 +210,65 @@ def validate_task(kind: str, args: tuple[str, ...], lineno: int | None = None) -
     return Task(kind, args)
 
 
+def _block(rows, head: str, start: int) -> list[tuple[int, str, str]]:
+    """The rows of the block opened at line ``start``, read from ``rows`` up
+    to its ``end`` line."""
+    body = []
+    for row in rows:
+        if row[2] == "end":
+            return body
+        body.append(row)
+    raise DefinitionError(f"{head} block not closed with 'end'", start)
+
+
+def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: dict,
+                unknown: str, symmetric: bool = False) -> tuple[str, tuple[int, ...], Poly]:
+    """(name, 0-based indices, value) of the entry line ``name[i,...] = expr``.
+
+    ``meanings`` maps each family name to what its indices mean (see
+    ``_FAMILIES``); ``unknown`` is the message, formatted with the line's first
+    word, for a line of no family.  ``seen`` maps each entry read so far to its
+    line and text; with ``symmetric`` the last two indices commute, so
+    ``Gamma[i,k,j]`` repeats ``Gamma[i,j,k]``.
+    """
+    lineno, raw, line = row
+    match = _ENTRY_RE.match(line)
+    if not match:
+        raise DefinitionError(unknown.format(line.split()[0]), lineno)
+    name = match.group(1)
+    value = _parse_rhs(match.group(3), chart.coords, lineno, _rhs_offset(raw))
+    meaning = meanings.get(name)
+    if meaning is None:
+        raise DefinitionError(unknown.format(name), lineno)
+    idx = _parse_indices(match.group(2), arity, lineno)
+    if any(v < 1 or v > chart.dim for v in (idx if meaning == "index" else idx[1:])):
+        raise DefinitionError(f"{name} {meaning} out of range 1..{chart.dim}", lineno)
+    text = f"{name}[{','.join(map(str, idx))}]"
+    key = (name, idx[0], *sorted(idx[1:])) if symmetric else (name, *idx)
+    if key in seen:
+        first_line, first = seen[key]
+        raise DefinitionError(f"{text} repeats {first} of line {first_line}", lineno)
+    seen[key] = (lineno, text)
+    return name, tuple(v - 1 for v in idx), value
+
+
 def parse_definition(text: str) -> Definition:
     chart: Optional[Chart] = None
     fiber_suffix = DEFAULT_FIBER_SUFFIX
-    connection_entries: Optional[dict[tuple[int, int, int], Poly]] = None
-    connection_symmetric = True
-    structure: Optional[StructureBlock] = None
+    connection: Optional[Connection] = None
+    structure: Optional[RContactStructure] = None
+    mode = PAPER_LITERAL
     tasks: list[Task] = []
 
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = _strip_comment(lines[i]).strip()
-        i += 1
-        if not line:
-            continue
+    # (line number, raw line, line less comment and outer blanks) of each
+    # non-blank line; a block reads its body from the same iterator
+    rows = (
+        (lineno, raw, line)
+        for lineno, raw in enumerate(lines, 1)
+        if (line := _strip_comment(raw).strip())
+    )
+    for lineno, _, line in rows:
         words = line.split()
         head = words[0]
 
@@ -257,44 +299,26 @@ def parse_definition(text: str) -> Definition:
             raise DefinitionError("chart declaration must come first", lineno)
 
         if head == "connection":
-            if connection_entries is not None:
+            if connection is not None:
                 raise DefinitionError("duplicate connection block", lineno)
             if len(words) > 2 or (len(words) == 2 and words[1] not in ("symmetric", "general")):
                 raise DefinitionError("connection takes optional 'symmetric' or 'general'", lineno)
-            connection_symmetric = len(words) < 2 or words[1] == "symmetric"
-            connection_entries = {}
-            while True:
-                if i >= len(lines):
-                    raise DefinitionError("connection block not closed with 'end'", lineno)
-                inner_no = i + 1
-                inner = _strip_comment(lines[i]).strip()
-                i += 1
-                if not inner:
-                    continue
-                if inner == "end":
-                    break
-                match = _ENTRY_RE.match(inner)
-                if not match or match.group(1) != "Gamma":
-                    raise DefinitionError(
-                        "expected 'Gamma[i,j,k] = expr' or 'end'", inner_no
-                    )
-                idx = _parse_indices(match.group(2), 3, inner_no)
-                if any(v < 1 or v > chart.dim for v in idx):
-                    raise DefinitionError(
-                        f"Gamma index out of range 1..{chart.dim}", inner_no
-                    )
-                key = (idx[0] - 1, idx[1] - 1, idx[2] - 1)
-                connection_entries[key] = _parse_rhs(
-                    match.group(3), chart.coords, inner_no, _rhs_offset(lines[i - 1])
+            symmetric = len(words) < 2 or words[1] == "symmetric"
+            seen: dict = {}
+            entries = {}
+            for row in _block(rows, head, lineno):
+                _, idx, value = _read_entry(
+                    row, chart, {"Gamma": "index"}, 3, seen,
+                    "expected 'Gamma[i,j,k] = expr' or 'end'", symmetric,
                 )
+                entries[idx] = value
+            connection = Connection.from_entries(chart, entries, symmetric)
             continue
 
         if head == "structure":
             if structure is not None:
                 raise DefinitionError("duplicate structure block", lineno)
-            structure = _parse_structure_block(lines, i, chart)
-            i = structure[1]
-            structure = structure[0]
+            structure, mode = _read_structure(_block(rows, head, lineno), lineno, chart)
             continue
 
         if head == "task":
@@ -307,35 +331,21 @@ def parse_definition(text: str) -> Definition:
 
     if chart is None:
         raise DefinitionError("missing chart declaration", len(lines) or 1)
-    return Definition(
-        chart=chart,
-        fiber_suffix=fiber_suffix,
-        connection_entries=connection_entries,
-        connection_symmetric=connection_symmetric,
-        structure=structure,
-        tasks=tasks,
-    )
+    return Definition(chart, fiber_suffix, connection, structure, mode, tasks)
 
 
-def _parse_structure_block(lines, i, chart) -> tuple[StructureBlock, int]:
+def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, str]:
+    """The structure and axiom mode of the block opened at line ``start``."""
     epsilon: Optional[int] = None
     signature: Optional[str] = None
     mode = PAPER_LITERAL
-    n: Optional[int] = None
-    r: Optional[int] = None
+    sizes: dict[str, int] = {}
+    meanings = {name: meaning for name, meaning, _, _ in _FAMILIES}
     entries: dict[str, dict[tuple[int, int], Poly]] = {}
-    start = i
+    seen: dict = {}
 
-    while True:
-        if i >= len(lines):
-            raise DefinitionError("structure block not closed with 'end'", start)
-        lineno = i + 1
-        line = _strip_comment(lines[i]).strip()
-        i += 1
-        if not line:
-            continue
-        if line == "end":
-            break
+    for row in body:
+        lineno, _, line = row
         words = line.split()
         head = words[0]
         if head == "epsilon":
@@ -358,127 +368,102 @@ def _parse_structure_block(lines, i, chart) -> tuple[StructureBlock, int]:
             mode = words[1]
             continue
         if head in ("n", "r"):
-            if len(words) != 2 or not _is_natural(words[1]):
-                raise DefinitionError(f"{head} must be a nonnegative integer", lineno)
-            if head == "n":
-                n = int(words[1])
-            else:
-                r = int(words[1])
+            value = words[1] if len(words) == 2 else ""
+            sizes[head] = _natural(value, f"{head} must be a nonnegative integer", lineno)
             continue
-        match = _ENTRY_RE.match(line)
-        if not match:
-            raise DefinitionError(f"unknown structure field {head!r}", lineno)
-        name = match.group(1)
-        value = _parse_rhs(match.group(3), chart.coords, lineno, _rhs_offset(lines[i - 1]))
-        meaning = _MEANINGS.get(name)
-        if meaning is None:
-            raise DefinitionError(f"unknown structure field {name!r}", lineno)
-        idx = _parse_indices(match.group(2), 2, lineno)
-        if any(v < 1 or v > chart.dim for v in (idx if meaning == "index" else idx[1:])):
-            raise DefinitionError(f"{name} {meaning} out of range 1..{chart.dim}", lineno)
-        entries.setdefault(name, {})[(idx[0] - 1, idx[1] - 1)] = value
+        name, idx, value = _read_entry(row, chart, meanings, 2, seen, "unknown structure field {!r}")
+        entries.setdefault(name, {})[idx] = value
 
-    if epsilon is None or signature is None or n is None or r is None:
+    if epsilon is None or signature is None or len(sizes) < 2:
         raise DefinitionError(
             "structure block needs epsilon, signature, n and r", start
         )
-    for name, meaning, _, optional in _FAMILIES:
-        family = entries.setdefault(name, None if optional else {})
-        if meaning != "index" and any(not 0 <= alpha < r for alpha, _ in family):
-            raise DefinitionError(f"{_PER_ALPHA} family index out of range 1..{r}", start)
-    block = StructureBlock(
-        epsilon=epsilon, signature=signature, mode=mode, n=n, r=r,
-        **{f"{name.lower()}_entries": entries[name] for name in _MEANINGS},
-    )
-    return block, i
+    n, r = sizes["n"], sizes["r"]
+    per_alpha = [name for name, meaning in meanings.items() if meaning != "index"]
+    if any(not 0 <= alpha < r for name in per_alpha for alpha, _ in entries.get(name, ())):
+        raise DefinitionError(f"{'/'.join(per_alpha)} family index out of range 1..{r}", start)
+
+    z = chart.zero_poly()
+
+    def rows(family: dict[tuple[int, int], Poly], count: int):
+        return ([family.get((a, b), z) for b in range(chart.dim)] for a in range(count))
+
+    fields = {}
+    for name, meaning, make, optional in _FAMILIES:
+        family = entries.get(name)
+        if family is None and optional:
+            fields[name.lower()] = None
+        elif meaning == "index":
+            fields[name.lower()] = make(chart, rows(family or {}, chart.dim))
+        else:
+            # lazy, so that RContactStructure checks 2n + r = m before any of
+            # the r fields is made
+            fields[name.lower()] = map(partial(make, chart), rows(family or {}, r))
+    try:
+        structure = RContactStructure(
+            chart=chart, epsilon=epsilon, signature=signature, n=n, r=r, **fields
+        )
+    except StructureError as exc:
+        raise DefinitionError(str(exc), start) from exc
+    return structure, mode
 
 
-# -- assembly into engine objects ---------------------------------------------------
+# -- accessors of the built objects ---------------------------------------------------
 
 
 def build_structure(defn: Definition) -> RContactStructure:
+    """The structure the definition's block built."""
     if defn.structure is None:
         raise DefinitionError("definition has no structure block", 1)
-    block = defn.structure
-    chart = defn.chart
-    m = chart.dim
-    if 2 * block.n + block.r != m:
-        raise DefinitionError(
-            f"chart dim {m} != 2n + r = {2 * block.n + block.r}", 1
-        )
-    z = chart.zero_poly()
-
-    def dense(entries: dict[tuple[int, int], Poly], rows: int) -> list[list[Poly]]:
-        out = [[z] * m for _ in range(rows)]
-        for (a, b), val in entries.items():
-            out[a][b] = val
-        return out
-
-    fields = {}
-    for name, meaning, make, _ in _FAMILIES:
-        entries = getattr(block, f"{name.lower()}_entries")
-        if entries is None:
-            fields[name.lower()] = None
-        elif meaning == "index":
-            fields[name.lower()] = make(chart, dense(entries, m))
-        else:
-            fields[name.lower()] = tuple(make(chart, row) for row in dense(entries, block.r))
-    try:
-        return RContactStructure(
-            chart=chart,
-            epsilon=block.epsilon,
-            signature=block.signature,
-            n=block.n,
-            r=block.r,
-            **fields,
-        )
-    except StructureError as exc:
-        raise DefinitionError(str(exc), 1) from exc
+    return defn.structure
 
 
 def build_connection(defn: Definition) -> Optional[Connection]:
-    if defn.connection_entries is None:
-        return None
-    return Connection.from_entries(
-        defn.chart, defn.connection_entries, defn.connection_symmetric
-    )
+    """The connection the definition's block built, or None without one."""
+    return defn.connection
 
 
 # -- canonical emission ---------------------------------------------------------------
 
 
 def emit_definition(defn: Definition) -> str:
+    """The ``.def`` text of ``defn``: the nonzero components of each field, a
+    symmetric connection's with j <= k only."""
     out: list[str] = []
     out.append("chart " + defn.chart.name + " " + " ".join(defn.chart.coords))
     if defn.fiber_suffix != DEFAULT_FIBER_SUFFIX:
         out.append(f"fiber_suffix {defn.fiber_suffix}")
-    if defn.connection_entries is not None:
+    conn = defn.connection
+    if conn is not None:
         out.append("")
-        out.append(
-            "connection " + ("symmetric" if defn.connection_symmetric else "general")
-        )
-        for (a, b, c) in sorted(defn.connection_entries):
-            val = defn.connection_entries[(a, b, c)]
-            out.append(f"  Gamma[{a + 1},{b + 1},{c + 1}] = {val}")
+        out.append("connection " + ("symmetric" if conn.symmetric else "general"))
+        for i, plane in enumerate(conn.gamma):
+            for j, row in enumerate(plane):
+                for k, val in enumerate(row):
+                    if not val.is_zero() and not (conn.symmetric and j > k):
+                        out.append(f"  Gamma[{i + 1},{j + 1},{k + 1}] = {val}")
         out.append("end")
-    if defn.structure is not None:
-        block = defn.structure
+    s = defn.structure
+    if s is not None:
         out.append("")
         out.append("structure")
-        out.append(f"  epsilon {block.epsilon}")
-        out.append(f"  signature {block.signature}")
-        if block.mode != PAPER_LITERAL:
-            out.append(f"  mode {block.mode}")
-        out.append(f"  n {block.n}")
-        out.append(f"  r {block.r}")
-        for name, _, _, optional in _FAMILIES:
-            entries = getattr(block, f"{name.lower()}_entries")
+        out.append(f"  epsilon {s.epsilon}")
+        out.append(f"  signature {s.signature}")
+        if defn.mode != PAPER_LITERAL:
+            out.append(f"  mode {defn.mode}")
+        out.append(f"  n {s.n}")
+        out.append(f"  r {s.r}")
+        for name, meaning, _, optional in _FAMILIES:
+            value = getattr(s, name.lower())
+            if value is None:
+                continue
+            rows = value.comps if meaning == "index" else [x.comps for x in value]
             lines = [
                 f"  {name}[{a + 1},{b + 1}] = {val}"
-                for (a, b), val in sorted((entries or {}).items()) if not val.is_zero()
+                for a, row in enumerate(rows) for b, val in enumerate(row) if not val.is_zero()
             ]
             # an optional family is present iff some line of it is written
-            if optional and entries is not None and not lines:
+            if optional and not lines:
                 lines = [f"  {name}[1,1] = 0"]
             out.extend(lines)
         out.append("end")
@@ -495,46 +480,6 @@ def structure_to_definition(
     conn: Optional[Connection] = None,
     tasks: Optional[list[Task]] = None,
 ) -> Definition:
-    """Definition equivalent of an in-memory structure (used by the demo and tests)."""
-    chart = structure.chart
-
-    def sparse(rows) -> dict[tuple[int, int], Poly]:
-        return {
-            (i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if not c.is_zero()
-        }
-
-    families = {}
-    for name, meaning, _, _ in _FAMILIES:
-        value = getattr(structure, name.lower())
-        if value is None:
-            families[f"{name.lower()}_entries"] = None
-        else:
-            rows = value.comps if meaning == "index" else [x.comps for x in value]
-            families[f"{name.lower()}_entries"] = sparse(rows)
-    connection_entries = None
-    if conn is not None:
-        connection_entries = {}
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                for k in range(chart.dim):
-                    entry = conn.gamma[i][j][k]
-                    if entry.is_zero():
-                        continue
-                    if conn.symmetric and j > k:
-                        continue
-                    connection_entries[(i, j, k)] = entry
-    block = StructureBlock(
-        epsilon=structure.epsilon,
-        signature=structure.signature,
-        mode=mode,
-        n=structure.n,
-        r=structure.r,
-        **families,
-    )
-    return Definition(
-        chart=chart,
-        connection_entries=connection_entries,
-        connection_symmetric=conn.symmetric if conn else True,
-        structure=block,
-        tasks=list(tasks or []),
-    )
+    """Definition of an in-memory structure (used by the demo and tests)."""
+    return Definition(structure.chart, connection=conn, structure=structure, mode=mode,
+                      tasks=list(tasks or []))

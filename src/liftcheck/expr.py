@@ -58,6 +58,15 @@ def is_name(text: str) -> bool:
         return False
 
 
+def _int(tok: tuple[str, str, int]) -> int:
+    """The value of an integer token; one longer than ``int`` reads (over
+    ``sys.get_int_max_str_digits()`` digits) is an error at its column."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], variables: Sequence[str], length: int):
         self.tokens = tokens
@@ -143,7 +152,7 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 col = exp_tok[2] if exp_tok else self.length
                 raise ParseError("exponent must be a nonnegative integer", col)
-            return negate, atom, int(exp_tok[1])
+            return negate, atom, _int(exp_tok)
         return negate, atom, None
 
     def parse_primary(self) -> Poly | int | tuple[int, int]:
@@ -160,10 +169,11 @@ class _Parser:
                 if den_tok is None or den_tok[0] != "int":
                     dcol = den_tok[2] if den_tok else self.length
                     raise ParseError("denominator must be an integer literal", dcol)
-                if int(den_tok[1]) == 0:
+                den = _int(den_tok)
+                if den == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                return int(text), int(den_tok[1])
-            return int(text), 1
+                return _int(tok), den
+            return _int(tok), 1
         if kind == "name":
             index = self.index.get(text)
             if index is None:

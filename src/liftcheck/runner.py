@@ -16,7 +16,6 @@ from .lifts import COMPLETE, HORIZONTAL, LiftContext, _contexts, verify_lift_int
 from .structures import (
     AXIOM_MODES,
     DEFAULT_SEED,
-    PAPER_LITERAL,
     CheckReport,
     check_axioms,
     check_metric,
@@ -76,7 +75,7 @@ def run_task(
     validate_task(task.kind, task.args)
     shared = shared or _Shared(defn)
     structure = shared.structure
-    mode = mode_override or (defn.structure.mode if defn.structure else PAPER_LITERAL)
+    mode = mode_override or defn.mode
 
     if task.kind == "check":
         report = check_axioms(structure, mode=mode, seed=seed)

@@ -207,8 +207,6 @@ class RContactStructure:
     metric: Optional[TensorField] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(self.xi))
-        object.__setattr__(self, "eta", tuple(self.eta))
         if self.epsilon not in (-1, 1):
             raise StructureError("epsilon must be -1 or +1")
         if self.signature not in SIGNATURES:
@@ -219,6 +217,9 @@ class RContactStructure:
             raise StructureError(
                 f"chart dim {self.chart.dim} != 2n + r = {2 * self.n + self.r}"
             )
+        # xi and eta may be any iterables; they are read only once r fits the chart
+        object.__setattr__(self, "xi", tuple(self.xi))
+        object.__setattr__(self, "eta", tuple(self.eta))
         if len(self.xi) != self.r or len(self.eta) != self.r:
             raise StructureError("need exactly r xi fields and r eta fields")
         if self.f.valence != (1, 1) or self.f.chart != self.chart:
@@ -269,11 +270,6 @@ def contact_structure(
 
 
 # -- axiom checks ----------------------------------------------------------------
-
-
-def squaring_sign(signature: str, mode: str, epsilon: int) -> int:
-    """Coefficient p in the axiom F^2 = eps*I + p * sum xi(x)eta."""
-    return _squaring_axiom(AXIOM_MODES[mode], signature, epsilon)[0]
 
 
 def check_axioms(

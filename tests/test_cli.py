@@ -312,3 +312,31 @@ def test_names_that_do_not_read_back_are_located_input_errors(tmp_path, old, new
     assert proc.returncode == 2
     assert proc.stderr == f"liftcheck: error: {message}\n"
 
+
+
+# ``int`` reads and ``str`` prints at most this many digits (0: any number)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "7" * (INT_DIGITS + 1)
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("old, new, message", [
+    # read, but too long to print once F^2 is formed
+    ("  F[1,2] = -1", f"  F[1,2] = 10^{INT_DIGITS}",
+     f"a coefficient has more than {INT_DIGITS} digits and cannot be printed"),
+    ("  F[1,2] = -1", f"  F[1,2] = {TOO_LONG}",
+     f"integer of {len(TOO_LONG)} digits is too long (line 9, column 12)"),
+    ("  F[1,2] = -1", f"  F[1,{TOO_LONG}] = -1", f"integer of {len(TOO_LONG)} digits is too long (line 9)"),
+    ("  n 1", f"  n {TOO_LONG}", f"integer of {len(TOO_LONG)} digits is too long (line 7)"),
+])
+def test_integers_too_long_for_python_are_input_errors(tmp_path, fmt, old, new, message):
+    # int() and str() raise ValueError past the limit, which left as a
+    # traceback would exit 1, the status of a failed verdict
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    assert old in text.splitlines()
+    bad = tmp_path / "long.def"
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    proc = run_cli("check", str(bad), "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stderr == f"liftcheck: error: {message}\n"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from liftcheck import definition
+from liftcheck.cli import main
 from liftcheck.definition import (
     Definition,
     DefinitionError,
@@ -86,8 +88,31 @@ def test_bad_indices_and_tasks():
 
 def test_dimension_mismatch_reported():
     bad = CANONICAL.replace("n 1", "n 2")
-    with pytest.raises(DefinitionError, match="2n \\+ r"):
-        build_structure(parse_definition(bad))
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(bad)
+    assert str(err.value) == "chart dim 3 != 2n + r = 5 (line 4)"
+
+
+def test_r_past_the_chart_is_refused_before_anything_sized_by_r(monkeypatch, tmp_path, capsys):
+    made = []
+
+    def counted(make):
+        def wrapper(chart, comps):
+            made.append(make)
+            assert len(made) < 10, "a field was made for each alpha of r"
+            return make(chart, comps)
+        return wrapper
+
+    monkeypatch.setattr(definition, "_FAMILIES", tuple(
+        (name, meaning, counted(make), optional)
+        for name, meaning, make, optional in definition._FAMILIES
+    ))
+    path = tmp_path / "huge_r.def"
+    path.write_text(CANONICAL.replace("r 1\n", "r 1000000000\n"), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "liftcheck: error: chart dim 3 != 2n + r = 1000000002 (line 4)\n"
+    )
 
 
 def test_connection_block():
@@ -187,10 +212,68 @@ def test_structure_block_messages(case):
 
 def test_metric_of_zero_entries_is_still_a_metric():
     defn = parse_definition(CANONICAL.replace("eta[1,3] = 1", "eta[1,3] = 1\n  metric[1,1] = 0"))
-    assert defn.structure.metric_entries == {(0, 0): defn.chart.zero_poly()}
-    metric = build_structure(defn).metric
+    metric = defn.structure.metric
     assert metric is not None and metric.valence == (0, 2) and metric.is_zero()
-    assert parse_definition(CANONICAL).structure.metric_entries is None
+    assert parse_definition(CANONICAL).structure.metric is None
+
+
+# (line of CANONICAL, its replacement, the exact message with both locations)
+REPEATED_ENTRIES = {
+    "F": ("F[2,1] = 1", "F[2,1] = 1\n  F[2,1] = 2", "F[2,1] repeats F[2,1] of line 10 (line 11)"),
+    "F-spaced": ("F[2,1] = 1", "F[2,1] = 1\n  F[ 2, 1 ] = 1", "F[2,1] repeats F[2,1] of line 10 (line 11)"),
+    "eta-zero-padded": (
+        "eta[1,3] = 1", "eta[1,3] = 1\n  eta[1,03] = 0", "eta[1,3] repeats eta[1,3] of line 12 (line 13)"
+    ),
+    "metric": (
+        "eta[1,3] = 1", "eta[1,3] = 1\n  metric[1,2] = 1\n  metric[1,2] = 1",
+        "metric[1,2] repeats metric[1,2] of line 13 (line 14)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_ENTRIES))
+def test_a_repeated_structure_entry_is_located_at_its_second_line(case):
+    old, new, message = REPEATED_ENTRIES[case]
+    assert old in CANONICAL
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(CANONICAL.replace(old, new))
+    assert str(err.value) == message
+
+
+def _connection_text(kind, *entries):
+    return "".join(
+        ["chart M a1 b1 c1\n", f"connection {kind}\n"]
+        + [f"  {entry}\n" for entry in entries] + ["end\n"]
+    )
+
+
+@pytest.mark.parametrize("kind, entries, message", [
+    # the lower indices of a symmetric connection commute
+    ("symmetric", ("Gamma[3,1,2] = a1", "Gamma[3,2,1] = b1"),
+     "Gamma[3,2,1] repeats Gamma[3,1,2] of line 3 (line 4)"),
+    ("symmetric", ("Gamma[1,1,1] = a1", "Gamma[3,1,1] = a1", "Gamma[1,1,1] = a1"),
+     "Gamma[1,1,1] repeats Gamma[1,1,1] of line 3 (line 5)"),
+    ("general", ("Gamma[2,3,1] = a1", "Gamma[2,3,1] = b1"),
+     "Gamma[2,3,1] repeats Gamma[2,3,1] of line 3 (line 4)"),
+])
+def test_a_repeated_connection_entry_is_located_at_its_second_line(kind, entries, message):
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(_connection_text(kind, *entries))
+    assert str(err.value) == message
+
+
+def test_a_general_connection_keeps_both_orders_of_its_lower_indices():
+    defn = parse_definition(_connection_text("general", "Gamma[3,1,2] = a1", "Gamma[3,2,1] = b1"))
+    a1, b1 = defn.chart.coordinate("a1"), defn.chart.coordinate("b1")
+    assert (defn.connection.gamma[2][0][1], defn.connection.gamma[2][1][0]) == (a1, b1)
+    assert parse_definition(emit_definition(defn)) == defn
+
+
+def test_symmetric_gamma_round_trips_to_its_lower_index_order():
+    defn = parse_definition(_connection_text("symmetric", "Gamma[3,2,1] = a1"))
+    text = emit_definition(defn)
+    assert "  Gamma[3,1,2] = a1\n" in text and "Gamma[3,2,1]" not in text
+    assert parse_definition(text) == defn
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,5 +1,6 @@
 """Polynomial expression parsing and the print/parse round trip."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,15 @@ def test_a_name_is_one_name_token():
     for text in ("", "1a", "a-1", "a b", " a", "a^2", "²", "a$"):
         assert not is_name(text)
 
+
+
+def test_an_integer_too_long_to_read_is_located():
+    # past sys.get_int_max_str_digits() digits int() raises a bare ValueError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    digits = "7" * (limit + 1)
+    for text in (f"{digits}*x", f"x^{digits}", f"1/{digits}", f"{digits}/3", f"y + {digits}"):
+        with pytest.raises(ParseError, match=f"integer of {limit + 1} digits is too long") as err:
+            parse_poly(text, XY)
+        assert err.value.column == text.index(digits)
