@@ -29,7 +29,6 @@ from .lifts import (
 )
 from .theorems import (
     LiftedStructureSpec,
-    TheoremVerdict,
     build_lifted_j,
     sign_sweep,
     theorem_spec,

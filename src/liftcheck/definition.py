@@ -35,9 +35,10 @@ and a task list::
 
 All polynomial right-hand sides are infix expressions over the declared
 coordinates.  Each entry may be given once; in a symmetric connection
-``Gamma[i,k,j]`` is the entry ``Gamma[i,j,k]``.  Parsing builds the
-structure and the connection, and ``emit_definition(parse_definition(text))``
-reparses to an equal Definition.
+``Gamma[i,k,j]`` is the entry ``Gamma[i,j,k]``.  So may each header line:
+``fiber_suffix`` and a structure's ``epsilon``, ``signature``, ``mode``, ``n``
+and ``r``.  Parsing builds the structure and the connection, and
+``emit_definition(parse_definition(text))`` reparses to an equal Definition.
 """
 
 from __future__ import annotations
@@ -221,6 +222,15 @@ def _block(rows, head: str, start: int) -> list[tuple[int, str, str]]:
     raise DefinitionError(f"{head} block not closed with 'end'", start)
 
 
+def _once(seen: dict, key, text: str, lineno: int) -> None:
+    """Keep ``text`` at ``lineno`` under ``key`` in ``seen``, the lines read
+    so far; a line with a key read before names the first one."""
+    if key in seen:
+        first_line, first = seen[key]
+        raise DefinitionError(f"{text} repeats {first} of line {first_line}", lineno)
+    seen[key] = (lineno, text)
+
+
 def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: dict,
                 unknown: str, symmetric: bool = False) -> tuple[str, tuple[int, ...], Poly]:
     """(name, 0-based indices, value) of the entry line ``name[i,...] = expr``.
@@ -244,11 +254,7 @@ def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: d
     if any(v < 1 or v > chart.dim for v in (idx if meaning == "index" else idx[1:])):
         raise DefinitionError(f"{name} {meaning} out of range 1..{chart.dim}", lineno)
     text = f"{name}[{','.join(map(str, idx))}]"
-    key = (name, idx[0], *sorted(idx[1:])) if symmetric else (name, *idx)
-    if key in seen:
-        first_line, first = seen[key]
-        raise DefinitionError(f"{text} repeats {first} of line {first_line}", lineno)
-    seen[key] = (lineno, text)
+    _once(seen, (name, idx[0], *sorted(idx[1:])) if symmetric else (name, *idx), text, lineno)
     return name, tuple(v - 1 for v in idx), value
 
 
@@ -259,6 +265,7 @@ def parse_definition(text: str) -> Definition:
     structure: Optional[RContactStructure] = None
     mode = PAPER_LITERAL
     tasks: list[Task] = []
+    seen: dict = {}
 
     lines = text.splitlines()
     # (line number, raw line, line less comment and outer blanks) of each
@@ -287,6 +294,7 @@ def parse_definition(text: str) -> Definition:
             continue
 
         if head == "fiber_suffix":
+            _once(seen, head, " ".join(words), lineno)
             if len(words) != 2:
                 raise DefinitionError("fiber_suffix needs one value", lineno)
             # a coordinate name plus the suffix must again be a name
@@ -304,7 +312,6 @@ def parse_definition(text: str) -> Definition:
             if len(words) > 2 or (len(words) == 2 and words[1] not in ("symmetric", "general")):
                 raise DefinitionError("connection takes optional 'symmetric' or 'general'", lineno)
             symmetric = len(words) < 2 or words[1] == "symmetric"
-            seen: dict = {}
             entries = {}
             for row in _block(rows, head, lineno):
                 _, idx, value = _read_entry(
@@ -348,6 +355,8 @@ def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, 
         lineno, _, line = row
         words = line.split()
         head = words[0]
+        if head in ("epsilon", "signature", "mode", "n", "r"):
+            _once(seen, head, " ".join(words), lineno)
         if head == "epsilon":
             if len(words) != 2 or words[1] not in ("-1", "1", "+1"):
                 raise DefinitionError("epsilon must be -1 or +1", lineno)

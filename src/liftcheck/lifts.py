@@ -31,7 +31,7 @@ from .algebra import Poly, _contract
 from .structures import (
     LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
 )
-from .tensor import Chart, TensorError, TensorField, endo_apply, oneform_after_endo, oneform_apply
+from .tensor import Chart, TensorError, TensorField, endo_apply, oneform_after_endo
 
 VERTICAL = "vertical"
 COMPLETE = "complete"
@@ -122,11 +122,15 @@ class Connection:
         entries: dict[tuple[int, int, int], Poly],
         symmetric: bool = True,
     ) -> "Connection":
-        """Sparse constructor; keys are 0-based (upper, lower1, lower2)."""
+        """Sparse constructor; keys are 0-based (upper, lower1, lower2).  When
+        ``symmetric``, (i, j, k) also fills (i, k, j), and the two keys may both
+        be given only with equal values."""
         m = chart.dim
         z = chart.zero_poly()
         g = [[[z for _ in range(m)] for _ in range(m)] for _ in range(m)]
         for (i, j, k), value in entries.items():
+            if symmetric and entries.get((i, k, j), value) != value:
+                raise LiftError(f"symmetric connection entries {(i, j, k)} and {(i, k, j)} differ")
             g[i][j][k] = value
             if symmetric and j != k:
                 g[i][k][j] = value
@@ -292,7 +296,11 @@ def lift_endo(
 class LiftContext:
     """The lifts of one structure's F, xi and eta for one lift kind L, built once and
     read by every check on it; ``memo`` keeps what those checks derive from them.
-    In the vertical context xi_l and eta_l are xi_v and eta_v."""
+    In the vertical context xi_l and eta_l are xi_v and eta_v.
+
+    The interaction table and the J^2 checks read the lifted products here, each
+    made on first use: with X = ``xi`` = xi_v + xi_l and E = ``eta`` = eta_v + eta_l,
+    ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the 2r x 2r E_a(X_b)."""
 
     tangent: TangentChart
     conn: Optional[Connection]
@@ -315,6 +323,30 @@ class LiftContext:
         if key not in self.memo:
             self.memo[key] = build()
         return self.memo[key]
+
+    @property
+    def xi(self) -> tuple[TensorField, ...]:
+        return self.xi_v + self.xi_l
+
+    @property
+    def eta(self) -> tuple[TensorField, ...]:
+        return self.eta_v + self.eta_l
+
+    @property
+    def f_xi(self) -> tuple[TensorField, ...]:
+        return self.memoised("f_xi", lambda: tuple(endo_apply(self.f_lift, x) for x in self.xi))
+
+    @property
+    def eta_f(self) -> tuple[TensorField, ...]:
+        return self.memoised(
+            "eta_f", lambda: tuple(oneform_after_endo(w, self.f_lift) for w in self.eta)
+        )
+
+    @property
+    def pairing(self) -> list[list[Poly]]:
+        return self.memoised("pairing", lambda: _contract(
+            [w.comps for w in self.eta], [x.comps for x in self.xi], self.tangent.total.zero_poly()
+        ))
 
 
 def _contexts(
@@ -375,32 +407,35 @@ def verify_lift_interactions(
     total = lifted["c"].tangent.total
     kappa = structure.pairing_convention()
     sign = "+" if kappa > 0 else "-"
+    # where a lift of xi_a or eta^a sits in its context's products
+    at = {"v": 0, "c": structure.r, "h": structure.r}
 
-    # Row makers: the superscripts name the lift of each factor.
-    def f_xi(f: str, x: str):
-        return f"F^{f}(xi_{{a}}^{x})", lambda a: endo_apply(lifted[f].f_lift, lifted[x].xi_l[a])
+    # Row makers, read from the products of the context of ``lift``; the
+    # superscripts name the lift of each factor.
+    def f_xi(lift: str, x: str):
+        return f"F^{lift}(xi_{{a}}^{x})", lambda a: lifted[lift].f_xi[at[x] + a]
 
-    def eta_f(w: str, f: str):
-        return f"eta^{{a}}{w} o F^{f}", lambda a: oneform_after_endo(
-            lifted[w].eta_l[a], lifted[f].f_lift
-        )
+    def eta_f(lift: str, w: str):
+        return f"eta^{{a}}{w} o F^{lift}", lambda a: lifted[lift].eta_f[at[w] + a]
 
-    def pairing(w: str, x: str, delta: bool):
+    def pairing(lift: str, w: str, x: str, delta: bool):
         """eta^a,w(xi_b^x) less its expected value: kappa*delta_ab, or 0."""
         def residual(a: int, b: int) -> TensorField:
-            value = oneform_apply(lifted[w].eta_l[a], lifted[x].xi_l[b])
-            if not delta:
-                return value
-            return value - TensorField.function(total, total.const(kappa if a == b else 0))
+            value = lifted[lift].pairing[at[w] + a][at[x] + b]
+            return TensorField.function(total, value - (kappa if delta and a == b else 0))
 
         return f"eta^{{a}}{w}(xi_{{b}}^{x})" + (f" - ({sign}delta)" if delta else ""), residual
 
+    # eta^c o F^v, the one row whose factors are in two contexts
+    eta_c_f_v = "eta^{a}c o F^v", lambda a: oneform_after_endo(
+        lifted["c"].eta_l[a], lifted["v"].f_lift
+    )
     tags = _COMPLETE_TAGS[structure.signature]
     table = [
         (tags[0], 1, [f_xi("c", "v"), f_xi("c", "c")]),
-        (tags[1], 1, [eta_f("v", "c"), eta_f("c", "v"), eta_f("c", "c")]),
-        (tags[2], 2, [pairing("v", "v", False), pairing("v", "c", True),
-                      pairing("c", "v", True), pairing("c", "c", False)]),
+        (tags[1], 1, [eta_f("c", "v"), eta_c_f_v, eta_f("c", "c")]),
+        (tags[2], 2, [pairing("c", "v", "v", False), pairing("c", "v", "c", True),
+                      pairing("c", "c", "v", True), pairing("c", "c", "c", False)]),
     ]
     notes: list[str] = []
     if conn is not None:
@@ -408,9 +443,9 @@ def verify_lift_interactions(
         tags = _HORIZONTAL_TAGS
         table += [
             (tags[0], 1, [f_xi("h", "h"), f_xi("h", "v")]),
-            (tags[1], 1, [eta_f("h", "h"), eta_f("v", "h")]),
-            (tags[2], 2, [pairing("h", "h", False), pairing("h", "v", True),
-                          pairing("v", "h", True)]),
+            (tags[1], 1, [eta_f("h", "h"), eta_f("h", "v")]),
+            (tags[2], 2, [pairing("h", "h", "h", False), pairing("h", "h", "v", True),
+                          pairing("h", "v", "h", True)]),
         ]
         if conn.is_flat():
             notes.append("[connection] horizontal table checked with the flat connection")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__ as _pkg_version
-from .structures import CheckEntry, CheckReport
+from .structures import CheckEntry, CheckReport, RContactStructure
 from .tensor import Point, TensorField
 from .theorems import SignSweep
 
@@ -147,19 +147,20 @@ def section_from_check(task: str, title: str, check: CheckReport) -> Section:
     )
 
 
-def section_from_sweep(task: str, title: str, sweep: SignSweep) -> Section:
+def section_from_sweep(
+    task: str, title: str, sweep: SignSweep, structure: RContactStructure
+) -> Section:
     rows = []
-    for row in sweep.rows:
-        predicted = sweep.predicted(row.s, row.t)
+    for (s, t), entry in sweep.cells.items():
         doc = {
-            "s": row.s,
-            "t": row.t,
-            "epsilon": row.epsilon,
-            "signature": row.signature,
-            "passed": row.passed,
-            "predicted": predicted,
+            "s": s,
+            "t": t,
+            "epsilon": structure.epsilon,
+            "signature": structure.signature,
+            "passed": entry.passed,
+            "predicted": sweep.predicted(s, t),
         }
-        witness = render_point(row.witness)
+        witness = render_point(entry.witness)
         if witness is not None:
             doc["witness"] = witness
         rows.append(doc)

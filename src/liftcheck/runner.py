@@ -121,13 +121,13 @@ def run_task(
         return [section_from_j("build-j", f"build-j: {label}", j)]
 
     if task.kind in ("verify", "theorem"):
-        verdict = verify_theorem(spec, seed=seed, ctx=ctx)
+        entry = verify_theorem(spec, seed=seed, ctx=ctx)
         title = f"verify: {label}" if task.kind == "verify" else f"theorem {label}: J^2 = eps*I"
         signs = (
             f"signs: s = {spec.s:+d}, t = {spec.t:+d}; "
-            f"eps = {verdict.epsilon:+d}, signature = {verdict.signature}"
+            f"eps = {structure.epsilon:+d}, signature = {structure.signature}"
         )
-        sections = [section_from_check(task.kind, title, CheckReport([verdict.entry], [signs]))]
+        sections = [section_from_check(task.kind, title, CheckReport([entry], [signs]))]
         if task.kind == "theorem":
             actions = action_report(spec, seed=seed, ctx=ctx)
             sections.append(
@@ -150,7 +150,7 @@ def run_task(
     sweep = sign_sweep(
         structure, kind, conn=ctx.conn, suffix=defn.fiber_suffix, seed=seed, ctx=ctx
     )
-    return [section_from_sweep("sweep", f"sweep: {kind} lift sign ledger", sweep)]
+    return [section_from_sweep("sweep", f"sweep: {kind} lift sign ledger", sweep, structure)]
 
 
 def run_tasks(

@@ -18,27 +18,25 @@ coefficient in (F^L)^2 = eps*I + c * sum(...).  So J^2 = eps*I exactly when
 s*t*kappa = -c; ``sign_sweep`` computes the residual of all four cells and
 reports whether they match this law.
 
-The residuals are computed, not predicted.  Write F = F^L, V = sum xi^v (x)
-eta^v and L = sum xi^L (x) eta^L.  Since s^2 = t^2 = 1, distributivity and
-associativity alone give
+The residuals are computed, not predicted.  Write sigma = (s,..,s, t,..,t),
+X = xi^v + xi^L and E = eta^v + eta^L (2r entries each), so that J = F^L +
+sum_i sigma_i X_i (x) E_i.  With F = F^L, distributivity and associativity
+alone give
 
-    J^2 - eps*I = P + s*(FV + VF) + t*(FL + LF) + V^2 + L^2 + s*t*(VL + LV)
+    J^2 - eps*I = P + sum_i (F X_i) (x) sigma_i E_i
+                    + X_i (x) sigma_i (E_i o F + sum_j sigma_j E_i(X_j) E_j)
 
-with P = F^2 - eps*I, and every term but P is a sum of outer products:
-FV = sum (F xi_a^v) (x) eta^a,v, VF = sum xi_a^v (x) (eta^a,v o F), and
-VL = sum xi_a^v (x) sum_b eta^a,v(xi_b^L) eta^b,L, likewise for V^2, L^2 and
-LV.  So each cell's residual is P plus one rank-4r product
+with P = F^2 - eps*I: P plus one rank-4r product per (s, t) cell.  The lift
+context computes F X_i, E_i o F and the pairing matrix E_i(X_j) once, from
+its own lifts, for these residuals and the interaction tables alike; the
+pairings are never replaced by the values the paper claims for them.  Per
+context, P is one square of a 2m x 2m field, and the sums over j are two
+products, the pairing's v columns times eta^v and its L columns times eta^L,
+which each cell combines with its signs.  J itself is assembled only for the
+action formulas and ``build_lifted_j``.
 
-    sum_a (F xi_a^v) (x) s*eta^a,v + (F xi_a^L) (x) t*eta^a,L
-        + xi_a^v (x) [s*(eta^a,v o F) + sum_b (eta^a,v(xi_b^v) eta^b,v
-                                            + s*t*eta^a,v(xi_b^L) eta^b,L)]
-        + xi_a^L (x) [t*(eta^a,L o F) + sum_b (eta^a,L(xi_b^L) eta^b,L
-                                            + s*t*eta^a,L(xi_b^v) eta^b,v)]
-
-One lift context computes P (the one square of a 2m x 2m field), F xi,
-eta o F and the four r x r pairing matrices once, from its own lifts; the
-pairings are never replaced by the values the paper claims for them.  J
-itself is assembled only for the action formulas and ``build_lifted_j``.
+A J^2 verdict is the ``CheckEntry`` of its residual; a sweep keeps the
+entries of its four cells by (s, t).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import Poly, _contract
+from .algebra import _contract
 from .lifts import (
     COMPLETE,
     DEFAULT_FIBER_SUFFIX,
@@ -61,13 +59,11 @@ from .lifts import (
 )
 from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
 from .tensor import (
-    Point,
     TensorField,
     _outer_sum,
     _signed,
     endo_apply,
     endo_compose,
-    oneform_after_endo,
     oneform_apply,
 )
 
@@ -99,49 +95,12 @@ class LiftedStructureSpec:
         return _CELLS.get((self.lift_kind, self.s, self.t))
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """The J^2 = eps*I check of one spec: the check entry of its residual,
-    which carries the verdict and, on failure, a witness."""
-
-    spec: LiftedStructureSpec
-    entry: CheckEntry
-
-    @property
-    def passed(self) -> bool:
-        return self.entry.passed
-
-    @property
-    def residual(self) -> TensorField:
-        return self.entry.residual
-
-    @property
-    def witness(self) -> Optional[Point]:
-        return self.entry.witness
-
-    @property
-    def s(self) -> int:
-        return self.spec.s
-
-    @property
-    def t(self) -> int:
-        return self.spec.t
-
-    @property
-    def epsilon(self) -> int:
-        return self.spec.base.epsilon
-
-    @property
-    def signature(self) -> str:
-        return self.spec.base.signature
-
-
 @dataclass
 class SignSweep:
-    """The verdicts of all four (s, t) cells plus the computed pairing and
-    squaring data."""
+    """The J^2 entries of all four (s, t) cells, in report order, plus the
+    computed pairing and squaring data."""
 
-    rows: list[TheoremVerdict]
+    cells: dict[tuple[int, int], CheckEntry]
     kappa: Optional[int]
     c: Optional[int]
     notes: list[str] = field(default_factory=list)
@@ -153,14 +112,12 @@ class SignSweep:
 
     @property
     def matches_law(self) -> bool:
-        return all(
-            self.predicted(row.s, row.t) == row.passed
-            for row in self.rows
-            if self.predicted(row.s, row.t) is not None
-        )
+        """Whether every cell with a prediction passes exactly when predicted."""
+        return all(self.predicted(*cell) in (None, entry.passed)
+                   for cell, entry in self.cells.items())
 
     def passing_cells(self) -> list[tuple[int, int]]:
-        return [(row.s, row.t) for row in self.rows if row.passed]
+        return [cell for cell, entry in self.cells.items() if entry.passed]
 
 
 class Claims(NamedTuple):
@@ -221,12 +178,15 @@ def _context(spec: LiftedStructureSpec) -> LiftContext:
     return LiftContext.build(spec.base, spec.lift_kind, spec.conn, spec.suffix)
 
 
+def _sigma(ctx: LiftContext, s: int, t: int) -> tuple[int, ...]:
+    """The sign of each lifted pair X_i (x) E_i: s for the r v lifts, t for the r L lifts."""
+    r = len(ctx.xi_v)
+    return (s,) * r + (t,) * r
+
+
 def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
-    total = ctx.tangent.total
-    v_sum = _outer_sum(total, ctx.xi_v, ctx.eta_v)
-    l_sum = _outer_sum(total, ctx.xi_l, ctx.eta_l)
-    j = ctx.f_lift + v_sum if s > 0 else ctx.f_lift - v_sum
-    return j + l_sum if t > 0 else j - l_sum
+    signed = [_signed(g, w) for g, w in zip(_sigma(ctx, s, t), ctx.eta)]
+    return ctx.f_lift + _outer_sum(ctx.tangent.total, ctx.xi, signed)
 
 
 def _lifted_j(ctx: LiftContext, s: int, t: int) -> TensorField:
@@ -238,125 +198,84 @@ def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = No
     return _lifted_j(ctx or _context(spec), spec.s, spec.t)
 
 
-def _pairings(ctx: LiftContext) -> dict[str, list[list[Poly]]]:
-    """The r x r pairing matrices eta^a,U(xi_b^W), keyed U + W for U, W in
-    {v, l} (l for the context's lift kind), each one ``_contract`` product."""
-    def build():
-        zero = ctx.tangent.total.zero_poly()
-        etas = {"v": ctx.eta_v, "l": ctx.eta_l}
-        xis = {"v": ctx.xi_v, "l": ctx.xi_l}
-        return {
-            u + w: _contract([e.comps for e in etas[u]], [x.comps for x in xis[w]], zero)
-            for u in "vl" for w in "vl"
-        }
-    return ctx.memoised("pairings", build)
-
-
-@dataclass(frozen=True)
-class _SquareParts:
-    """The parts of J^2 - eps*I that no sign changes, for one context: P =
-    (F^L)^2 - eps*I, the 4r left factors F^L xi^v, F^L xi^L, xi^v, xi^L, and
-    per a the one-forms eta^a o F^L and sum_b eta^a(xi_b) eta^b (see the
-    module docstring)."""
-
-    p: TensorField
-    lefts: tuple[TensorField, ...]
-    eta_f_v: tuple[TensorField, ...]
-    eta_f_l: tuple[TensorField, ...]
-    folds: dict[str, tuple[TensorField, ...]]
-
-
-def _square_parts(ctx: LiftContext, eps: int) -> _SquareParts:
+def _square_offset(ctx: LiftContext, eps: int) -> TensorField:
+    """P = (F^L)^2 - eps*I."""
     def build():
         total, f = ctx.tangent.total, ctx.f_lift
-        f2 = endo_compose(f, f)
         one = total.const(eps)
-        p = TensorField._trusted(total, (1, 1), tuple(
+        return TensorField._trusted(total, (1, 1), tuple(
             tuple(c - one if i == k else c for k, c in enumerate(row))
-            for i, row in enumerate(f2.comps)
+            for i, row in enumerate(endo_compose(f, f).comps)
         ))
-        lefts = tuple(endo_apply(f, x) for x in ctx.xi_v + ctx.xi_l) + ctx.xi_v + ctx.xi_l
-        cols = {
-            key: [[w.comps[j] for w in etas] for j in range(total.dim)]
-            for key, etas in (("v", ctx.eta_v), ("l", ctx.eta_l))
-        }
-        folds = {
-            key: tuple(
+    return ctx.memoised(("p", eps), build)
+
+
+def _folds(ctx: LiftContext) -> tuple[tuple[TensorField, ...], tuple[TensorField, ...]]:
+    """Per i, the one-forms sum_b E_i(xi_b^v) eta^b,v and sum_b E_i(xi_b^L) eta^b,L:
+    the pairing matrix's v columns times eta^v and its L columns times eta^L."""
+    def build():
+        total, r = ctx.tangent.total, len(ctx.xi_v)
+
+        def fold(columns: slice, etas) -> tuple[TensorField, ...]:
+            cols = [[w.comps[j] for w in etas] for j in range(total.dim)]
+            rows = [row[columns] for row in ctx.pairing]
+            return tuple(
                 TensorField._trusted(total, (0, 1), tuple(row))
-                for row in _contract(pairing, cols[key[1]], total.zero_poly())
+                for row in _contract(rows, cols, total.zero_poly())
             )
-            for key, pairing in _pairings(ctx).items()
-        }
-        return _SquareParts(
-            p, lefts,
-            tuple(oneform_after_endo(w, f) for w in ctx.eta_v),
-            tuple(oneform_after_endo(w, f) for w in ctx.eta_l),
-            folds,
-        )
-    return ctx.memoised(("square", eps), build)
+        return fold(slice(0, r), ctx.eta_v), fold(slice(r, 2 * r), ctx.eta_l)
+    return ctx.memoised("folds", build)
+
+
+def _plus(w: TensorField, sign: int, x: TensorField) -> TensorField:
+    """w + sign * x for sign in {-1, +1}."""
+    return w + x if sign > 0 else w - x
 
 
 def _square_residual(ctx: LiftContext, eps: int, s: int, t: int) -> TensorField:
     """J^2 - eps*I for the cell (s, t): P plus one rank-4r outer-product sum."""
-    parts = _square_parts(ctx, eps)
-    folds, st = parts.folds, s * t
-
-    rights = [_signed(s, w) for w in ctx.eta_v] + [_signed(t, w) for w in ctx.eta_l]
-    for sign, eta_f, square, cross in (
-        (s, parts.eta_f_v, folds["vv"], folds["vl"]),
-        (t, parts.eta_f_l, folds["ll"], folds["lv"]),
-    ):
-        for w, q, x in zip(eta_f, square, cross):
-            w = _signed(sign, w) + q
-            rights.append(w + x if st > 0 else w - x)
-    return parts.p + _outer_sum(ctx.tangent.total, parts.lefts, rights)
+    sigma = _sigma(ctx, s, t)
+    rights = [_signed(g, w) for g, w in zip(sigma, ctx.eta)]
+    for g, w, fold_v, fold_l in zip(sigma, ctx.eta_f, *_folds(ctx)):
+        rights.append(_plus(_plus(_signed(g, w), g * s, fold_v), g * t, fold_l))
+    return _square_offset(ctx, eps) + _outer_sum(ctx.tangent.total, ctx.f_xi + ctx.xi, rights)
 
 
-def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
-    return ctx.memoised(("verdict", spec.s, spec.t, seed), lambda: _check_square(spec, ctx, seed))
-
-
-def _check_square(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> TheoremVerdict:
+def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> CheckEntry:
     """The J^2 entry, tagged by the result of the catalogued theorem of its
     cell, or J^2 for a cell no theorem names."""
-    eps = spec.base.epsilon
-    residual = _square_residual(ctx, eps, spec.s, spec.t)
-    tag = THEOREMS[spec.theorem].result if spec.theorem else "J^2"
-    return TheoremVerdict(spec, new_entry(f"J^2 - ({eps:+d})*I", tag, residual, seed))
+    def build():
+        eps = spec.base.epsilon
+        residual = _square_residual(ctx, eps, spec.s, spec.t)
+        tag = THEOREMS[spec.theorem].result if spec.theorem else "J^2"
+        return new_entry(f"J^2 - ({eps:+d})*I", tag, residual, seed)
+    return ctx.memoised(("verdict", spec.s, spec.t, seed), build)
 
 
 def verify_theorem(
     spec: LiftedStructureSpec, seed: int | None = None, *, ctx: Optional[LiftContext] = None
-) -> TheoremVerdict:
-    """Exact check of J^2 = eps*I; on failure the verdict carries a witness point."""
+) -> CheckEntry:
+    """Exact check of J^2 = eps*I: the entry of its residual, which carries a
+    witness point on failure."""
     return _verdict(spec, ctx or _context(spec), seed)
 
 
 def _pairing_sign(ctx: LiftContext) -> Optional[int]:
     """kappa with eta^alpha,v(xi_beta^L) = kappa*delta, or None if non-uniform
     or r = 0."""
-    kappa: Optional[int] = None
-    for a, row in enumerate(_pairings(ctx)["vl"]):
-        for b, value in enumerate(row):
-            if a == b:
-                if not value.is_constant():
-                    return None
-                v = value.constant_value()
-                if v not in (-1, 1):
-                    return None
-                if kappa is None:
-                    kappa = int(v)
-                elif kappa != v:
-                    return None
-            elif not value.is_zero():
-                return None
-    return kappa
+    r = len(ctx.xi_v)
+    block = [row[r:] for row in ctx.pairing[:r]]
+    for kappa in (1, -1) if r else ():
+        if all(value == (kappa if a == b else 0)
+               for a, row in enumerate(block) for b, value in enumerate(row)):
+            return kappa
+    return None
 
 
 def _squaring_coefficient(ctx: LiftContext, eps: int) -> Optional[int]:
     """c with (F^L)^2 = eps*I + c * sum(xi^v(x)eta^L + xi^L(x)eta^v), computed."""
-    p = _square_parts(ctx, eps).p
-    d = _outer_sum(ctx.tangent.total, ctx.xi_v + ctx.xi_l, ctx.eta_l + ctx.eta_v)
+    p = _square_offset(ctx, eps)
+    d = _outer_sum(ctx.tangent.total, ctx.xi, ctx.eta_l + ctx.eta_v)
     if p.is_zero() and d.is_zero():
         return 0
     if (p - d).is_zero():
@@ -374,7 +293,7 @@ def sign_sweep(
     seed: int | None = None,
     *, ctx: Optional[LiftContext] = None,
 ) -> SignSweep:
-    """Brute-force verdicts for all (s, t) cells, plus the predicted pass law.
+    """Brute-force J^2 entries for all (s, t) cells, plus the predicted pass law.
 
     kappa and c are computed from the structure's own lifts, never assumed;
     the sweep records whether the observed pass/fail pattern matches
@@ -387,16 +306,17 @@ def sign_sweep(
     ctx = ctx or _context(probe)
     kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx))
     c = _squaring_coefficient(ctx, base.epsilon)
-    rows = [_verdict(replace(probe, s=s, t=t), ctx, seed) for s in (-1, 1) for t in (-1, 1)]
-    sweep = SignSweep(rows=rows, kappa=kappa, c=c)
+    sweep = SignSweep(cells={
+        (s, t): _verdict(replace(probe, s=s, t=t), ctx, seed) for s in (-1, 1) for t in (-1, 1)
+    }, kappa=kappa, c=c)
     sweep.notes.append(
         f"[sweep] computed pairing kappa = {kappa}, squaring coefficient c = {c}"
     )
     if kappa is not None and c is not None:
-        cells = ", ".join(f"(s={s:+d}, t={t:+d})" for s, t in sweep.passing_cells())
+        passing = ", ".join(f"(s={s:+d}, t={t:+d})" for s, t in sweep.passing_cells())
         law = "matches" if sweep.matches_law else "VIOLATES"
         sweep.notes.append(
-            f"[sweep] passing cells: {cells or 'none'}; pattern {law} the law s*t*kappa = -c"
+            f"[sweep] passing cells: {passing or 'none'}; pattern {law} the law s*t*kappa = -c"
         )
     else:
         sweep.notes.append(
@@ -430,7 +350,7 @@ def _plus_sum(total: TensorField, sign: int, fields, factors) -> TensorField:
     rows = [[f.comps[i] for f in fields] for i in range(chart.dim)]
     column = _contract(rows, [[g.comps for g in factors]], chart.zero_poly())
     combined = TensorField.vector(chart, [c for (c,) in column])
-    return total + combined if sign > 0 else total - combined
+    return _plus(total, sign, combined)
 
 
 def verify_action_formulas(
@@ -523,11 +443,11 @@ def action_report(
             tk, sk = spec.t * kappa, spec.s * kappa
             entries.append(new_entry(
                 f"J(xi_{b + 1}^v) - ({tk:+d})*xi_{b + 1}^{lift_name}",
-                tag_actions, j_xv - x_l if tk > 0 else j_xv + x_l, seed,
+                tag_actions, _plus(j_xv, -tk, x_l), seed,
             ))
             entries.append(new_entry(
                 f"J(xi_{b + 1}^{lift_name}) - ({sk:+d})*xi_{b + 1}^v",
-                tag_actions, j_xl - x_v if sk > 0 else j_xl + x_v, seed,
+                tag_actions, _plus(j_xl, -sk, x_v), seed,
             ))
 
     report = CheckReport(entries=entries)

@@ -196,8 +196,8 @@ def test_criterion_05_sign_ledger():
                     sweep = sign_sweep(base, kind)
                     assert sweep.kappa is not None and sweep.c is not None
                     assert sweep.matches_law, (signature, eps, kind)
-                    for row in sweep.rows:
-                        assert row.passed == sweep.predicted(row.s, row.t)
+                    for (s, t), entry in sweep.cells.items():
+                        assert entry.passed == sweep.predicted(s, t)
                         cells += 1
         assert cells == 32  # 4 structures x 2 lift kinds x 4 sign cells
         # the catalogued (+1,-1) choice: passes the eps=-1 contact cell ...
@@ -206,7 +206,7 @@ def test_criterion_05_sign_ledger():
         # ... and fails the eps=+1 consistent paracontact cell, with a witness
         para = sign_sweep(canonical_structure(1, 1, 1, "riemannian"), COMPLETE)
         assert (1, -1) not in para.passing_cells()
-        witness = next(row.witness for row in para.rows if (row.s, row.t) == (1, -1))
+        witness = para.cells[1, -1].witness
         assert witness is not None
         spec = theorem_spec("4.1", canonical_structure(1, 1, 1, "riemannian"))
         residual = verify_theorem(spec).residual

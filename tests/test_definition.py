@@ -240,6 +240,47 @@ def test_a_repeated_structure_entry_is_located_at_its_second_line(case):
     assert str(err.value) == message
 
 
+# a header line given twice, read like a repeated entry
+REPEATED_HEADERS = {
+    "epsilon": (
+        "epsilon -1", "epsilon -1\n  epsilon 1", "epsilon 1 repeats epsilon -1 of line 5 (line 6)"
+    ),
+    "signature": (
+        "signature riemannian", "signature riemannian\n  signature lorentzian",
+        "signature lorentzian repeats signature riemannian of line 6 (line 7)",
+    ),
+    "mode": (
+        "r 1", "r 1\n  mode consistent\n  mode consistent",
+        "mode consistent repeats mode consistent of line 9 (line 10)",
+    ),
+    "n": ("n 1", "n 1\n  n 1", "n 1 repeats n 1 of line 7 (line 8)"),
+    "r-spaced": ("r 1", "r 1\n  r   2", "r 2 repeats r 1 of line 8 (line 9)"),
+    "fiber_suffix": (
+        "chart M a1 b1 c1", "chart M a1 b1 c1\nfiber_suffix _d\nfiber_suffix _e",
+        "fiber_suffix _e repeats fiber_suffix _d of line 3 (line 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_HEADERS))
+def test_a_repeated_header_line_is_located_at_its_second_line(case):
+    old, new, message = REPEATED_HEADERS[case]
+    assert old in CANONICAL
+    with pytest.raises(DefinitionError) as err:
+        parse_definition(CANONICAL.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_a_second_epsilon_is_not_checked_in_place_of_the_first(tmp_path, capsys):
+    text = (DEFS_DIR / "contact_n1_r1.def").read_text(encoding="utf-8")
+    path = tmp_path / "two_epsilons.def"
+    path.write_text(text.replace("epsilon -1\n", "epsilon -1\n  epsilon 1\n"), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "liftcheck: error: epsilon 1 repeats epsilon -1 of line 5 (line 6)\n"
+    )
+
+
 def _connection_text(kind, *entries):
     return "".join(
         ["chart M a1 b1 c1\n", f"connection {kind}\n"]

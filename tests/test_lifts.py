@@ -56,7 +56,8 @@ def rnd_connection(chart, rng):
     entries = {}
     for _ in range(rng.randint(1, 4)):
         i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-        entries[(i, j, k)] = rnd_poly(chart, rng)
+        # (i, j, k) and (i, k, j) are one entry of a symmetric connection
+        entries[(i, min(j, k), max(j, k))] = rnd_poly(chart, rng)
     return Connection.from_entries(chart, entries)
 
 
@@ -202,6 +203,18 @@ def test_horizontal_fiber_block_single_christoffel():
         for j in range(m):
             expected = a1 * a1_dot if (i, j) == (2, 1) else Poly.zero(total.coords)
             assert f_h.comps[m + i][j] == expected
+
+
+def test_symmetric_connection_refuses_two_values_for_one_entry():
+    a, b = AB.coordinate("a"), AB.coordinate("b")
+    with pytest.raises(LiftError, match=r"entries \(1, 0, 1\) and \(1, 1, 0\) differ"):
+        Connection.from_entries(AB, {(1, 0, 1): a, (1, 1, 0): b})
+    # the same value under both orders is one entry; a general connection
+    # keeps both orders apart
+    same = Connection.from_entries(AB, {(1, 0, 1): a, (1, 1, 0): a})
+    assert same == Connection.from_entries(AB, {(1, 0, 1): a})
+    general = Connection.from_entries(AB, {(1, 0, 1): a, (1, 1, 0): b}, symmetric=False)
+    assert (general.gamma[1][0][1], general.gamma[1][1][0]) == (a, b)
 
 
 def test_horizontal_block_against_frame_contract():

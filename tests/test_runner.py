@@ -59,6 +59,33 @@ def test_run_tasks_builds_each_lift_once(monkeypatch):
     assert len(squares) <= 3
 
 
+def test_run_tasks_forms_each_context_product_once(monkeypatch):
+    # r = 1 on a 3-coordinate chart; the test fields of the action formulas
+    # are d/da1, d/db1 and d/dc1 = xi_1
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    applied = count_calls(monkeypatch, tensor, "endo_apply")
+    composed = count_calls(monkeypatch, tensor, "oneform_after_endo")
+    paired = count_calls(monkeypatch, tensor, "oneform_apply")
+    tasks = [Task("check"), Task("lift"), Task("theorem", ("4.1",)), Task("theorem", ("4.3",)),
+             Task("sweep", ("complete",)), Task("sweep", ("horizontal",))]
+    assert runner.run_tasks(defn, tasks).overall
+    shared = runner._Shared(defn)
+    contexts = [shared.context(kind) for kind in (COMPLETE, HORIZONTAL)]
+    # F(xi) for the axioms; F^L xi^v and F^L xi^L once per context, read by the
+    # interaction tables and the J^2 residuals alike; then J X^v, J X^L and F X
+    # for each of the 3 test fields of each theorem
+    assert len(applied) == 1 + 2 * 2 + 2 * 3 * 3
+    # eta o F for the axioms; eta^v o F^L and eta^L o F^L once per context;
+    # eta^c o F^v, the one table row whose factors are in two contexts
+    assert len(composed) == 1 + 2 * 2 + 1
+    # eta(xi) for the axioms, then eta(X) for each test field of each theorem;
+    # every lifted pairing comes from one matrix product per context
+    assert len(paired) == 1 + 2 * 3
+    for ctx in contexts:
+        lifted = [args for args in applied if args[0] == ctx.f_lift]
+        assert [x for _, x in lifted] == list(ctx.xi)
+
+
 def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
     text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
     defn = parse_definition(text)

@@ -1,22 +1,42 @@
 """Lifted structure assembly, squaring verdicts, sign sweeps, action formulas."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from liftcheck.algebra import Poly
-from liftcheck.lifts import COMPLETE, HORIZONTAL, Connection, LiftError
+from liftcheck.lifts import (
+    COMPLETE,
+    DEFAULT_FIBER_SUFFIX,
+    HORIZONTAL,
+    VERTICAL,
+    Connection,
+    LiftError,
+    _contexts,
+    lift_connection,
+    verify_lift_interactions,
+)
 from liftcheck.structures import (
     RContactStructure,
     canonical_structure,
     conjugate_structure,
     random_unimodular,
 )
-from liftcheck.tensor import Chart, TensorField, endo_compose
+from liftcheck.tensor import (
+    Chart,
+    TensorField,
+    endo_apply,
+    endo_compose,
+    oneform_after_endo,
+    oneform_apply,
+    outer,
+)
 from liftcheck.theorems import (
     LiftedStructureSpec,
+    _assemble_j,
     action_report,
     build_lifted_j,
     sign_sweep,
@@ -181,13 +201,83 @@ def test_square_residual_matches_the_dense_square(r, eps, signature):
         })
         for kind, conn in ((COMPLETE, None), (HORIZONTAL, None), (HORIZONTAL, nonflat)):
             sweep = sign_sweep(model, kind, conn=conn)
-            for row in sweep.rows:
-                j = build_lifted_j(row.spec)
+            for (s, t), entry in sweep.cells.items():
+                j = build_lifted_j(spec_for(model, kind, s, t, lift_connection(kind, conn, chart)))
                 dense = endo_compose(j, j) - TensorField.identity_endo(j.chart).scale(eps)
-                assert row.residual == dense, (r, eps, signature, mutant, kind, row.s, row.t)
-                assert row.passed == dense.is_zero()
+                assert entry.residual == dense, (r, eps, signature, mutant, kind, s, t)
+                assert entry.passed == dense.is_zero()
             if mutant:
-                assert not any(row.passed for row in sweep.rows)
+                assert not sweep.passing_cells()
+
+
+def _pairing_residual(lifted, a, w, b, x, sign):
+    value = oneform_apply(lifted[w].eta_l[int(a) - 1], lifted[x].xi_l[int(b) - 1])
+    expected = {"+": 1, "-": -1}[sign] if sign and a == b else 0
+    return value - TensorField.function(value.chart, expected)
+
+
+# (entry name pattern, its residual from the named lifts); a lift is named by
+# its letter: v, c or h
+_TABLE_ROWS = [
+    (re.compile(r"F\^(\w)\(xi_(\d+)\^(\w)\)$"),
+     lambda lifted, f, a, x: endo_apply(lifted[f].f_lift, lifted[x].xi_l[int(a) - 1])),
+    (re.compile(r"eta\^(\d+)(\w) o F\^(\w)$"),
+     lambda lifted, a, w, f: oneform_after_endo(lifted[w].eta_l[int(a) - 1], lifted[f].f_lift)),
+    (re.compile(r"eta\^(\d+)(\w)\(xi_(\d+)\^(\w)\)(?: - \(([+-])delta\))?$"), _pairing_residual),
+]
+
+
+def _direct_residual(lifted, name):
+    """The residual of the interaction-table entry ``name``, computed from the
+    lifts of the contexts by one tensor product, as its name spells it."""
+    for pattern, direct in _TABLE_ROWS:
+        match = pattern.match(name)
+        if match:
+            return direct(lifted, *match.groups())
+    raise AssertionError(f"no direct product for entry {name!r}")
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
+                                           (-1, "lorentzian"), (1, "lorentzian")])
+def test_context_products_match_the_direct_products(r, eps, signature):
+    """Every interaction-table residual and every J read from the lift
+    context's products equals the direct product of the context's lifts; on
+    valid models every block is zero, so only this test sees a product read
+    from the wrong position."""
+    rng = random.Random(f"products-{r}-{eps}-{signature}")
+    n = 1 if r > 1 else 2
+    for mutant in (False, True):
+        model = _differential_model(n, r, eps, signature, rng, mutant)
+        chart = model.chart
+        if mutant and r > 1:
+            # eta^1(xi_2) != eta^2(xi_1), so a pairing read transposed shows
+            shifted = model.eta[0] + model.eta[1].scale(chart.coordinate(chart.coords[0]))
+            model = replace(model, eta=(shifted,) + model.eta[1:])
+        nonflat = Connection.from_entries(chart, {
+            (0, 0, 1): chart.coordinate(chart.coords[-1]),
+            (chart.dim - 1, 0, 0): chart.const(2),
+        })
+        for conn in (None, nonflat):
+            contexts = _contexts(model, conn, DEFAULT_FIBER_SUFFIX)
+            report = verify_lift_interactions(model, conn=conn, contexts=contexts)
+            lifted = {"v": contexts(VERTICAL), "c": contexts(COMPLETE)}
+            if conn is not None:
+                lifted["h"] = contexts(HORIZONTAL)
+            # complete: 5 rows of r entries, 4 of r^2; horizontal: 4 of r, 3 of r^2
+            assert len(report.entries) == 5 * r + 4 * r * r + (4 * r + 3 * r * r if conn else 0)
+            for entry in report.entries:
+                assert entry.residual == _direct_residual(lifted, entry.name), (mutant, entry.name)
+
+            for kind in (COMPLETE, HORIZONTAL) if conn else (COMPLETE,):
+                ctx = contexts(kind)
+                zero = TensorField.identity_endo(ctx.tangent.total).scale(0)
+                v_sum = sum((outer(x, w) for x, w in zip(ctx.xi_v, ctx.eta_v)), zero)
+                l_sum = sum((outer(x, w) for x, w in zip(ctx.xi_l, ctx.eta_l)), zero)
+                for s in (-1, 1):
+                    for t in (-1, 1):
+                        expected = ctx.f_lift + v_sum.scale(s) + l_sum.scale(t)
+                        assert _assemble_j(ctx, s, t) == expected, (mutant, kind, s, t)
 
 
 # -- sign sweeps ------------------------------------------------------------------
@@ -212,7 +302,7 @@ def test_sweep_paracontact_consistent():
     assert sweep.kappa == 1 and sweep.c == -1
     assert sorted(sweep.passing_cells()) == [(-1, -1), (1, 1)]
     assert sweep.matches_law
-    assert next(row.witness for row in sweep.rows if (row.s, row.t) == (1, -1)) is not None
+    assert sweep.cells[1, -1].witness is not None
 
 
 def test_sweep_law_holds_on_conjugated_variants():
@@ -223,10 +313,10 @@ def test_sweep_law_holds_on_conjugated_variants():
         conj = conjugate_structure(base, u, uinv)
         sweep = sign_sweep(conj, COMPLETE)
         assert sweep.matches_law
-        for row in sweep.rows:
-            assert row.passed == sweep.predicted(row.s, row.t)
-            if not row.passed:
-                assert row.witness is not None
+        for (s, t), entry in sweep.cells.items():
+            assert entry.passed == sweep.predicted(s, t)
+            if not entry.passed:
+                assert entry.witness is not None
 
 
 def test_sweep_horizontal_matches_complete_pattern():
