@@ -300,7 +300,8 @@ class LiftContext:
 
     The interaction table and the J^2 checks read the lifted products here, each
     made on first use: with X = ``xi`` = xi_v + xi_l and E = ``eta`` = eta_v + eta_l,
-    ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the 2r x 2r E_a(X_b)."""
+    ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the 2r x 2r E_a(X_b).
+    ``vertical`` is the vertical context (None in it), whose memo every lift kind reads."""
 
     tangent: TangentChart
     conn: Optional[Connection]
@@ -310,6 +311,7 @@ class LiftContext:
     eta_v: tuple[TensorField, ...]
     eta_l: tuple[TensorField, ...]
     memo: dict = field(default_factory=dict, compare=False, repr=False)
+    vertical: Optional["LiftContext"] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -372,7 +374,7 @@ def _contexts(
             xi = tuple(lift_vector(x, kind, t, c) for x in structure.xi)
             eta = tuple(lift_oneform(w, kind, t, c) for w in structure.eta)
             f_lift = lift_endo(structure.f, kind, t, c)
-            built[kind] = LiftContext(t, c, f_lift, v.xi_v, xi, v.eta_v, eta)
+            built[kind] = LiftContext(t, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
         return built[kind]
 
     return context

@@ -31,9 +31,17 @@ context computes F X_i, E_i o F and the pairing matrix E_i(X_j) once, from
 its own lifts, for these residuals and the interaction tables alike; the
 pairings are never replaced by the values the paper claims for them.  Per
 context, P is one square of a 2m x 2m field, and the sums over j are two
-products, the pairing's v columns times eta^v and its L columns times eta^L,
-which each cell combines with its signs.  J itself is assembled only for the
-action formulas and ``build_lifted_j``.
+products (``_folds``), which each cell combines with its signs.
+
+The action residuals regroup alike.  A lifted test field Y (X^v, X^L, or a
+lift of xi_b) has J Y = F Y + sum_i sigma_i E_i(Y) X_i, and each right side the
+engine derives (``verify_action_formulas``; no display supplies a term) is a
+lifted F X, none in a xi row, plus sum_i sigma_i rho_i X_i, rho_i one of
+(eta X)^v, (eta X)^c, kappa and 0.  By distributivity alone the residual is
+D + sum_i sigma_i g_i X_i with D = F Y - (F X)^{v|L} and g_i = E_i(Y) - rho_i,
+every E_i(Y) computed, eta^v(X^v) included.  D and g are kept on the context,
+their kind-free inputs on the vertical one, and per (s, t) all entries are one
+(entries x 2r)(2r x 2m) product.  J itself is assembled only for ``build_lifted_j``.
 
 A J^2 verdict is the ``CheckEntry`` of its residual; a sweep keeps the
 entries of its four cells by (s, t).
@@ -42,6 +50,7 @@ entries of its four cells by (s, t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import _contract
@@ -62,9 +71,7 @@ from .tensor import (
     TensorField,
     _outer_sum,
     _signed,
-    endo_apply,
     endo_compose,
-    oneform_apply,
 )
 
 
@@ -189,13 +196,10 @@ def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
     return ctx.f_lift + _outer_sum(ctx.tangent.total, ctx.xi, signed)
 
 
-def _lifted_j(ctx: LiftContext, s: int, t: int) -> TensorField:
-    return ctx.memoised(("j", s, t), lambda: _assemble_j(ctx, s, t))
-
-
 def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = None) -> TensorField:
     """Assemble J = F^L + s*sum xi^v(x)eta^v + t*sum xi^L(x)eta^L on the total chart."""
-    return _lifted_j(ctx or _context(spec), spec.s, spec.t)
+    ctx = ctx or _context(spec)
+    return ctx.memoised(("j", spec.s, spec.t), lambda: _assemble_j(ctx, spec.s, spec.t))
 
 
 def _square_offset(ctx: LiftContext, eps: int) -> TensorField:
@@ -343,14 +347,60 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
     return "X", None
 
 
-def _plus_sum(total: TensorField, sign: int, fields, factors) -> TensorField:
-    """total + sign * sum factor * field over vector fields and scalar factors, the
-    sum as one (dim x r)(r) product."""
-    chart = total.chart
-    rows = [[f.comps[i] for f in fields] for i in range(chart.dim)]
-    column = _contract(rows, [[g.comps for g in factors]], chart.zero_poly())
-    combined = TensorField.vector(chart, [c for (c,) in column])
-    return _plus(total, sign, combined)
+def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[tuple]) -> tuple:
+    """The kind-free parts of the action residuals, kept on the vertical context:
+    the test fields, by default every frame field d/dx_i and every xi_alpha, and
+    per field its role, X^v, (F X)^v, F X, the eta^a X and the (eta^a X)^v."""
+    def build():
+        tangent, zero, xs = ctx.tangent, base.chart.zero_poly(), fields
+        if xs is None:
+            xs = [TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords]
+            xs = tuple(xs + [x for b, x in enumerate(base.xi) if x not in xs + list(base.xi[:b])])
+        roles = [_field_role(x, base) for x in xs]
+        comps = [x.comps for x in xs]
+        fx = [TensorField._trusted(base.chart, (1, 0), tuple(row))
+              for row in _contract(comps, base.f.comps, zero)]
+        eta_x = [[TensorField._trusted(base.chart, (0, 0), g) for g in row]
+                 for row in _contract(comps, [w.comps for w in base.eta], zero)]
+        return (xs, roles, [lift_vector(x, VERTICAL, tangent) if b is None else ctx.xi_v[b]
+                            for x, (_, b) in zip(xs, roles)],
+                [lift_vector(y, VERTICAL, tangent) for y in fx], fx, eta_x,
+                [[lift_function(g, VERTICAL, tangent).comps for g in row] for row in eta_x])
+    return (ctx.vertical or ctx).memoised(("action fields", fields), build)
+
+
+def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) -> list:
+    """Per action entry, in report order, the parts (D, g) of its residual
+    D + sum_i sigma_i g_i X_i, which do not depend on (s, t), for the test fields
+    of ``_action_fields`` and the context's pairing sign kappa."""
+    def build():
+        xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
+        tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
+        x_l = [lift_vector(x, kind, tangent, ctx.conn) if b is None else ctx.xi_l[b]
+               for x, (_, b) in zip(xs, roles)]
+        # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
+        plain = [y.comps for (_, b), *ys in zip(roles, x_v, x_l) if b is None for y in ys]
+        zero = tangent.total.zero_poly()
+        computed = iter(zip(_contract(plain, ctx.f_lift.comps, zero),
+                            _contract(plain, [w.comps for w in ctx.eta], zero)))
+        parts = []
+        for (_, b), f_x_v, f_x, eta, eta_v in zip(roles, fx_v, fx, eta_x, eta_x_v):
+            eta_l = [lift_function(g, COMPLETE, tangent).comps if kind == COMPLETE else 0
+                     for g in eta]
+            ys = [next(computed), next(computed)] if b is None else [
+                (ctx.f_xi[i].comps, [row[i] for row in ctx.pairing]) for i in (b, r + b)]
+            # per entry of Y: the right side's lifted F X and its rho
+            rights = [(f_x_v.comps, [0] * r + eta_v),
+                      (lift_vector(f_x, kind, tangent, ctx.conn).comps, eta_v + eta_l)]
+            if b is not None and kappa is not None:
+                ys += ys
+                rights += [(None, [kappa * (i == r + b) for i in range(2 * r)]),
+                           (None, [kappa * (i == b) for i in range(2 * r)])]
+            parts += [(tuple(f_y) if f is None else tuple(map(sub, f_y, f)),
+                       [e - c if c else e for e, c in zip(e_y, rho)])
+                      for (f_y, e_y), (f, rho) in zip(ys, rights)]
+        return parts
+    return ctx.memoised(("action parts", fields), build)
 
 
 def verify_action_formulas(
@@ -388,70 +438,39 @@ def action_report(
     Default test fields: every base frame field d/dx_i plus every xi_alpha.
     """
     base = spec.base
-    if fields is None:
-        fields = [
-            TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords
-        ]
-        for x in base.xi:
-            if x not in fields:
-                fields.append(x)
     ctx = ctx or _context(spec)
-    tangent = ctx.tangent
-    kind = spec.lift_kind
-    j = _lifted_j(ctx, spec.s, spec.t)
+    fields = None if fields is None else tuple(fields)
+    if any(x.valence != (1, 0) or x.chart != base.chart for x in fields or ()):
+        raise LiftError("action check needs a (1,0) field on the base chart")
+    kind, s, t = spec.lift_kind, spec.s, spec.t
     lift_name = "c" if kind == COMPLETE else "h"
     claims = THEOREMS[spec.theorem].claims if spec.theorem else None
     tag_actions = f"post-{spec.theorem or '4.x'}"
     kappa = ctx.memoised("kappa", lambda: _pairing_sign(ctx))
+    xs, roles = _action_fields(ctx, base, fields)[:2]
 
-    entries = []
-    xi_rows = False
-    for x in fields:
-        if x.valence != (1, 0) or x.chart != base.chart:
-            raise LiftError("action check needs a (1,0) field on the base chart")
-        label, b = _field_role(x, base)
-        if b is None:
-            x_v = lift_vector(x, VERTICAL, tangent)
-            x_l = lift_vector(x, kind, tangent, spec.conn)
-        else:
-            x_v, x_l = ctx.xi_v[b], ctx.xi_l[b]
-        j_xv, j_xl = endo_apply(j, x_v), endo_apply(j, x_l)
-        fx = endo_apply(base.f, x)
-        eta_x = [oneform_apply(w, x) for w in base.eta]
-        eta_x_v = [lift_function(g, VERTICAL, tangent) for g in eta_x]
-
-        rhs_v = _plus_sum(lift_vector(fx, VERTICAL, tangent), spec.t, ctx.xi_l, eta_x_v)
-        entries.append(new_entry(
-            f"[X={label}] J(X^v) - [(FX)^v + ({spec.t:+d})*sum (eta X)^v xi^{lift_name}]",
-            tag_actions, j_xv - rhs_v, seed,
-        ))
-        rhs_l = _plus_sum(lift_vector(fx, kind, tangent, spec.conn), spec.s, ctx.xi_v, eta_x_v)
-        if kind == COMPLETE:
-            eta_x_c = [lift_function(g, COMPLETE, tangent) for g in eta_x]
-            rhs_l = _plus_sum(rhs_l, spec.t, ctx.xi_l, eta_x_c)
-            name_l = (
-                f"[X={label}] J(X^c) - [(FX)^c + ({spec.s:+d})*sum (eta X)^v xi^v"
-                f" + ({spec.t:+d})*sum (eta X)^c xi^c]"
-            )
-        else:
-            name_l = f"[X={label}] J(X^h) - [(FX)^h + ({spec.s:+d})*sum (eta X)^v xi^v]"
-        entries.append(new_entry(name_l, tag_actions, j_xl - rhs_l, seed))
-
+    names = []
+    for label, b in roles:
+        names += [
+            f"[X={label}] J(X^v) - [(FX)^v + ({t:+d})*sum (eta X)^v xi^{lift_name}]",
+            f"[X={label}] J(X^{lift_name}) - [(FX)^{lift_name} + ({s:+d})*sum (eta X)^v xi^v"
+            + (f" + ({t:+d})*sum (eta X)^c xi^c]" if kind == COMPLETE else "]"),
+        ]
         # xi rows, when X is literally one of the structure's xi fields
         if b is not None and kappa is not None:
-            xi_rows = True
-            tk, sk = spec.t * kappa, spec.s * kappa
-            entries.append(new_entry(
-                f"J(xi_{b + 1}^v) - ({tk:+d})*xi_{b + 1}^{lift_name}",
-                tag_actions, _plus(j_xv, -tk, x_l), seed,
-            ))
-            entries.append(new_entry(
-                f"J(xi_{b + 1}^{lift_name}) - ({sk:+d})*xi_{b + 1}^v",
-                tag_actions, _plus(j_xl, -sk, x_v), seed,
-            ))
+            names += [f"J(xi_{b + 1}^v) - ({t * kappa:+d})*xi_{b + 1}^{lift_name}",
+                      f"J(xi_{b + 1}^{lift_name}) - ({s * kappa:+d})*xi_{b + 1}^v"]
+    # D + sum_i sigma_i g_i X_i for every entry: one (entries x 2r)(2r x 2m) product
+    parts, total = _action_parts(ctx, spec, fields, kappa), ctx.tangent.total
+    signed = [_signed(g, x).comps for g, x in zip(_sigma(ctx, s, t), ctx.xi)]
+    sums = _contract([g for _, g in parts], list(zip(*signed)) or [()] * total.dim,
+                     total.zero_poly())
+    residuals = [tuple(map(add, d, row)) for (d, _), row in zip(parts, sums)]
+    entries = [new_entry(name, tag_actions, TensorField._trusted(total, (1, 0), comps), seed)
+               for name, comps in zip(names, residuals)]
 
     report = CheckReport(entries=entries)
-    if claims is not None and fields:
+    if claims is not None and xs:
         if claims.uses_u_symbol:
             report.notes.append(
                 f"[erratum {tag_actions}-u-symbol] catalogued displays write the xi factors "
@@ -474,7 +493,7 @@ def action_report(
                 f"((eta X))^h xi^h term; eta^h(X^h) = 0 identically and functions have no "
                 f"horizontal lift, so the derived display omits it"
             )
-        if xi_rows:
+        if kappa is not None and any(b is not None for _, b in roles):
             if claims.xi_v_sign != spec.t * kappa:
                 report.notes.append(
                     f"[erratum {tag_actions}-xi-v-sign] catalogued J(xi_beta^v) = "

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from liftcheck import definition, lifts, runner, structures, tensor, theorems
+from liftcheck import algebra, definition, lifts, runner, structures, tensor, theorems
 from liftcheck.definition import Task, parse_definition, structure_to_definition
 from liftcheck.lifts import COMPLETE, HORIZONTAL, VERTICAL, Connection
 from liftcheck.report import Report
 from liftcheck.structures import canonical_structure
+from liftcheck.tensor import TensorField
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,9 +53,9 @@ def test_run_tasks_builds_each_lift_once(monkeypatch):
     assert len(structure_builds) == 1
     # F^c and F^h for the two contexts, and F^v for the interaction table
     assert len(endo_lifts) <= 3
-    # J(+1,-1) complete and horizontal, for the action formulas and build-j;
-    # the J^2 verdicts and the sweep assemble none
-    assert len(js) <= 2
+    # J(+1,-1) horizontal for build-j; the J^2 verdicts, the sweep and the
+    # action formulas assemble none
+    assert len(js) == 1
     # F^2 for the axioms, then (F^c)^2 and (F^h)^2, once per context
     assert len(squares) <= 3
 
@@ -66,24 +67,48 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
     applied = count_calls(monkeypatch, tensor, "endo_apply")
     composed = count_calls(monkeypatch, tensor, "oneform_after_endo")
     paired = count_calls(monkeypatch, tensor, "oneform_apply")
+    vectors = count_calls(monkeypatch, lifts, "lift_vector")
+    functions = count_calls(monkeypatch, lifts, "lift_function")
+    contracted = count_calls(monkeypatch, algebra, "_contract")
     tasks = [Task("check"), Task("lift"), Task("theorem", ("4.1",)), Task("theorem", ("4.3",)),
              Task("sweep", ("complete",)), Task("sweep", ("horizontal",))]
-    assert runner.run_tasks(defn, tasks).overall
     shared = runner._Shared(defn)
+    report = Report(seed=structures.DEFAULT_SEED)
+    for task in tasks:
+        report.sections.extend(runner.run_task(defn, task, shared=shared))
+    assert report.overall
     contexts = [shared.context(kind) for kind in (COMPLETE, HORIZONTAL)]
     # F(xi) for the axioms; F^L xi^v and F^L xi^L once per context, read by the
-    # interaction tables and the J^2 residuals alike; then J X^v, J X^L and F X
-    # for each of the 3 test fields of each theorem
-    assert len(applied) == 1 + 2 * 2 + 2 * 3 * 3
+    # interaction tables, the J^2 residuals and the action rows of xi_1 alike;
+    # the action formulas apply F and F^L in batched products, never J
+    assert len(applied) == 1 + 2 * 2
     # eta o F for the axioms; eta^v o F^L and eta^L o F^L once per context;
     # eta^c o F^v, the one table row whose factors are in two contexts
     assert len(composed) == 1 + 2 * 2 + 1
-    # eta(xi) for the axioms, then eta(X) for each test field of each theorem;
-    # every lifted pairing comes from one matrix product per context
-    assert len(paired) == 1 + 2 * 3
-    for ctx in contexts:
+    # eta(xi) for the axioms; eta(X) of the test fields is one batched product
+    # per structure, and every lifted pairing one matrix product per context
+    assert len(paired) == 1
+    # xi^v, xi^c and xi^h for the contexts; the kind-free parts once for both
+    # theorems: X^v of the 2 frame fields and (FX)^v of the 3 test fields; then
+    # per context X^L of the 2 frame fields and (FX)^L of the 3 test fields
+    assert len(vectors) == 3 + (2 + 3) + 2 * (2 + 3)
+    assert [args[1] for args in vectors].count(VERTICAL) == 1 + 2 + 3
+    # (eta X)^v once for both theorems, (eta X)^c in the complete context
+    assert [args[1] for args in functions] == [VERTICAL] * 3 + [COMPLETE] * 3
+    assert contexts[0].vertical is contexts[1].vertical is shared.context(VERTICAL)
+    frames = [TensorField.basis_vector(defn.structure.chart, c) for c in ("a1", "b1")]
+    for ctx, kind in zip(contexts, (COMPLETE, HORIZONTAL)):
         lifted = [args for args in applied if args[0] == ctx.f_lift]
         assert [x for _, x in lifted] == list(ctx.xi)
+        # F^L and E = eta^v + eta^L act on the lifts of the frame fields in one
+        # product each; the lifts of xi_1 read ctx.f_xi and ctx.pairing instead
+        ys = [lifts.lift_vector(x, k, ctx.tangent, ctx.conn if k == kind else None)
+              for x in frames for k in (VERTICAL, kind)]
+        eta = [w.comps for w in ctx.eta]
+        assert [rows for rows, cols, _ in contracted if cols is ctx.f_lift.comps] == [
+            [y.comps for y in ys]
+        ]
+        assert [rows for rows, cols, _ in contracted if cols == eta] == [[y.comps for y in ys]]
 
 
 def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):

@@ -15,8 +15,12 @@ from liftcheck.lifts import (
     VERTICAL,
     Connection,
     LiftError,
+    TangentChart,
     _contexts,
     lift_connection,
+    lift_function,
+    lift_oneform,
+    lift_vector,
     verify_lift_interactions,
 )
 from liftcheck.structures import (
@@ -482,3 +486,111 @@ def test_action_report_on_conjugated_model_matches_recorded():
     assert report.overall
     assert [e.name for e in report.entries] == _frame_names("c", labels)
     assert report.notes == [_U_SYMBOL_41]
+
+
+def _label(x, base):
+    """The entry label of a test field: xi_b, d/d<coord> for a frame field, else X."""
+    if x in base.xi:
+        return f"xi_{base.xi.index(x) + 1}"
+    for coord in base.chart.coords:
+        if x == TensorField.basis_vector(base.chart, coord):
+            return f"d/d{coord}"
+    return "X"
+
+
+def _per_field_actions(spec, fields):
+    """(name, residual) of every action entry, field by field, as J's action on
+    each lifted field less its right side: J applied to X^v and X^L, the right
+    sides summed from lifts, one field at a time."""
+    base, kind, s, t = spec.base, spec.lift_kind, spec.s, spec.t
+    tangent = TangentChart.over(base.chart)
+    j = build_lifted_j(spec)
+    lift_name = "c" if kind == COMPLETE else "h"
+    xi_v = [lift_vector(x, VERTICAL, tangent) for x in base.xi]
+    xi_l = [lift_vector(x, kind, tangent, spec.conn) for x in base.xi]
+    pairs = [[oneform_apply(lift_oneform(w, VERTICAL, tangent), x).comps for x in xi_l]
+             for w in base.eta]
+    kappa = next((k for k in (1, -1) if base.r and all(
+        p == tangent.total.const(k if a == b else 0)
+        for a, row in enumerate(pairs) for b, p in enumerate(row))), None)
+
+    def plus_sum(total, sign, vectors, factors):
+        for x, g in zip(vectors, factors):
+            total = total + x.scale(g).scale(sign)
+        return total
+
+    out = []
+    for x in fields:
+        label = _label(x, base)
+        x_v = lift_vector(x, VERTICAL, tangent)
+        x_l = lift_vector(x, kind, tangent, spec.conn)
+        fx = endo_apply(base.f, x)
+        eta_x = [oneform_apply(w, x) for w in base.eta]
+        eta_x_v = [lift_function(g, VERTICAL, tangent) for g in eta_x]
+        rhs_v = plus_sum(lift_vector(fx, VERTICAL, tangent), t, xi_l, eta_x_v)
+        out.append((f"[X={label}] J(X^v) - [(FX)^v + ({t:+d})*sum (eta X)^v xi^{lift_name}]",
+                    endo_apply(j, x_v) - rhs_v))
+        rhs_l = plus_sum(lift_vector(fx, kind, tangent, spec.conn), s, xi_v, eta_x_v)
+        if kind == COMPLETE:
+            eta_x_c = [lift_function(g, COMPLETE, tangent) for g in eta_x]
+            rhs_l = plus_sum(rhs_l, t, xi_l, eta_x_c)
+            name = (f"[X={label}] J(X^c) - [(FX)^c + ({s:+d})*sum (eta X)^v xi^v"
+                    f" + ({t:+d})*sum (eta X)^c xi^c]")
+        else:
+            name = f"[X={label}] J(X^h) - [(FX)^h + ({s:+d})*sum (eta X)^v xi^v]"
+        out.append((name, endo_apply(j, x_l) - rhs_l))
+        if x in base.xi and kappa is not None:
+            b = base.xi.index(x)
+            out.append((f"J(xi_{b + 1}^v) - ({t * kappa:+d})*xi_{b + 1}^{lift_name}",
+                        endo_apply(j, x_v) - x_l.scale(t * kappa)))
+            out.append((f"J(xi_{b + 1}^{lift_name}) - ({s * kappa:+d})*xi_{b + 1}^v",
+                        endo_apply(j, x_l) - x_v.scale(s * kappa)))
+    return out
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
+                                           (-1, "lorentzian")])
+def test_batched_actions_match_the_per_field_path(r, eps, signature):
+    """Every action entry, read from the lift context's batched products, has
+    the name, place and residual of J applied to one lifted field at a time;
+    valid models, an F that moves xi_1 and a rescaled eta, both lift kinds with
+    and without a connection, the default test fields and three lists of others
+    on one set of shared contexts."""
+    rng = random.Random(f"actions-{r}-{eps}-{signature}")
+    n = 1 if r > 1 else 2
+    valid = _differential_model(n, r, eps, signature, rng, False)
+    chart = valid.chart
+    x0, x1 = (chart.coordinate(c) for c in chart.coords[:2])
+    d0, d1 = (TensorField.basis_vector(chart, c) for c in chart.coords[:2])
+    models = [valid, _differential_model(n, r, eps, signature, rng, True)]
+    if r:
+        # F xi_1 != 0, so the xi rows fail while the pairing stays +-delta
+        models.append(replace(valid, f=valid.f + outer(d0.scale(x1), valid.eta[0])))
+    nonflat = Connection.from_entries(chart, {
+        (0, 0, 1): x1, (chart.dim - 1, 0, 0): chart.const(2),
+    })
+    custom = [
+        [d0.scale(x0 * x0 + x1) + d1.scale(3)],
+        [d0.scale(2) + d1.scale(-1), d0] + ([valid.xi[-1]] if r else []),
+        [],
+    ]
+    failed = 0
+    for model in models:
+        for conn in (None, nonflat):
+            contexts = _contexts(model, conn, DEFAULT_FIBER_SUFFIX)
+            for kind in (COMPLETE, HORIZONTAL):
+                for s, t in ((1, -1), (-1, 1), (1, 1)):
+                    spec = spec_for(model, kind, s, t, lift_connection(kind, conn, chart))
+                    default = [TensorField.basis_vector(chart, c) for c in chart.coords]
+                    default += [x for x in model.xi if x not in default]
+                    for fields in [None] + custom:
+                        report = action_report(spec, fields, ctx=contexts(kind))
+                        expected = _per_field_actions(spec, default if fields is None else fields)
+                        assert [e.name for e in report.entries] == [name for name, _ in expected]
+                        for entry, (name, residual) in zip(report.entries, expected):
+                            assert entry.residual == residual, (name, kind, conn, s, t)
+                            assert entry.passed == residual.is_zero()
+                            failed += not entry.passed
+    if r:
+        assert failed
