@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -380,37 +380,31 @@ class Poly:
         )
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
-        return self.evaluator()(point)
-
-    def evaluator(self) -> Callable[[Mapping[str, Fraction]], Fraction]:
-        """``eval_at`` at many points, with numerators and top exponents made once."""
+        missing = [v for v in self.variables if v not in point]
+        if missing:
+            raise AlgebraError(f"missing value for variable {missing[0]!r}")
+        values = [as_fraction(point[v]) for v in self.variables]
+        if not self.terms:
+            return Fraction(0)
         # With c = n / D and each value p_i / q_i, every term is an integer
         # over D * prod q_i^top_i (top_i: the highest exponent of variable i),
         # so the sum runs over integers and one Fraction is built at the end.
         numerators, den = _numerators(self.terms)
-        tops = list(map(max, zip(*self.terms)))
-
-        def evaluate(point: Mapping[str, Fraction]) -> Fraction:
-            missing = [v for v in self.variables if v not in point]
-            if missing:
-                raise AlgebraError(f"missing value for variable {missing[0]!r}")
-            values = [as_fraction(point[v]) for v in self.variables]
-            used, scale = [], den
-            for i, (value, top) in enumerate(zip(values, tops)):
-                if top:
-                    used.append((i, value.numerator, value.denominator, top, {}))
-                    scale *= value.denominator**top
-            total = 0
-            for exps, n in numerators:
-                for i, p, q, top, cache in used:
-                    e = exps[i]
-                    factor = cache.get(e)
-                    if factor is None:
-                        factor = cache[e] = p**e * q ** (top - e)
-                    n *= factor
-                total += n
-            return Fraction(total, scale)
-        return evaluate
+        used = []
+        for i, (value, top) in enumerate(zip(values, map(max, zip(*self.terms)))):
+            if top:
+                used.append((i, value.numerator, value.denominator, top, {}))
+                den *= value.denominator**top
+        total = 0
+        for exps, n in numerators:
+            for i, p, q, top, cache in used:
+                e = exps[i]
+                factor = cache.get(e)
+                if factor is None:
+                    factor = cache[e] = p**e * q ** (top - e)
+                n *= factor
+            total += n
+        return Fraction(total, den)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact; raises otherwise.

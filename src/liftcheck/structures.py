@@ -136,14 +136,11 @@ def find_witness(residual: TensorField, seed: int | None = None) -> Point:
     components = [c for _, c in residual.nonzero_items()]
     if not components:
         raise StructureError("a zero residual has no witness")
-    evaluators = []  # each component's, made when the search first reaches it
     for _ in range(WITNESS_CAP):
         point = random_point(residual.chart, rng)
         values = point.mapping()
-        for k, comp in enumerate(components):
-            if k == len(evaluators):
-                evaluators.append(comp.evaluator())
-            if evaluators[k](values) != 0:
+        for comp in components:
+            if comp.eval_at(values) != 0:
                 return point
     return Point(residual.chart, _descent_point(components[0]))
 

@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liftcheck.algebra import AlgebraError, EpsComplex, NotUnimodular, Poly, PolyMatrix
+from liftcheck.algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix
 from liftcheck.structures import (
     CONSISTENT,
-    WITNESS_CAP,
     MissingMetric,
     PAPER_LITERAL,
     canonical_complex,
@@ -25,10 +24,9 @@ from liftcheck.structures import (
     identity_entries,
     new_entry,
     random_unimodular,
-    _descent_point,
 )
 from liftcheck.report import EntryView
-from liftcheck.tensor import Chart, Point, TensorField, endo_apply, endo_compose, outer, random_point
+from liftcheck.tensor import Chart, TensorField, endo_apply, endo_compose, outer
 
 
 def test_identity_entries_run_the_indices_outermost():
@@ -116,45 +114,6 @@ def test_every_nonzero_residual_gets_a_witness(terms, roots, seed):
     for name, values in roots:
         p = p * grid_product(name, values)
     assert_rendered_witness(p, seed)
-
-
-def _eval_at_witness(residual, seed):
-    """The witness search as a loop of ``Poly.eval_at`` calls, each redoing the
-    numerators, the denominator and the top exponents of its component."""
-    rng = random.Random(seed)
-    components = [c for _, c in residual.nonzero_items()]
-    for _ in range(WITNESS_CAP):
-        point = random_point(residual.chart, rng)
-        values = point.mapping()
-        if any(comp.eval_at(values) != 0 for comp in components):
-            return point
-    return Point(residual.chart, _descent_point(components[0]))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 1729])
-def test_witness_is_the_point_of_the_eval_at_loop(seed):
-    """Evaluating each component from numerators made once finds the same point."""
-    rng = random.Random(seed)
-    x, y = (WITNESS_CHART.coordinate(c) for c in "xy")
-    # leading components that vanish on part of the sample grid, so the search
-    # reads later components at several points; the last case never succeeds
-    cases = [
-        [grid_product("x", SAMPLE_GRID[::2]), (x * y + WITNESS_CHART.const(Fraction(1, 3))) ** 3],
-        [grid_product("y", SAMPLE_GRID[1::3]) * x, grid_product("x", SAMPLE_GRID[::3]) * (y - x)],
-        [grid_product("x", SAMPLE_GRID) * (y - WITNESS_CHART.const(Fraction(rng.randint(1, 9), 7))),
-         WITNESS_CHART.zero_poly()],
-    ]
-    for comps in cases:
-        residual = TensorField.vector(WITNESS_CHART, comps)
-        assert find_witness(residual, seed) == _eval_at_witness(residual, seed)
-    p = cases[0][1]
-    evaluate = p.evaluator()
-    for _ in range(5):
-        values = random_point(WITNESS_CHART, rng).mapping()
-        assert evaluate(values) == p.eval_at(values)
-    assert WITNESS_CHART.zero_poly().evaluator()({"x": 1, "y": 2}) == 0
-    with pytest.raises(AlgebraError, match="missing value for variable 'y'"):
-        evaluate({"x": 1})
 
 
 def test_canonical_f_matrix():
