@@ -82,7 +82,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="both",
-        help=f"which table to check: {COMPLETE}, {HORIZONTAL} or both (default: both)",
+        help=f"{COMPLETE}: the complete table alone; {HORIZONTAL} or both (the default): "
+        f"the complete and the horizontal table",
     )
     p.set_defaults(task_args=lambda args: () if args.kind == "both" else (args.kind,))
 

@@ -30,6 +30,10 @@ class ParseError(ValueError):
 # well inside the interpreter's default recursion limit.
 MAX_NESTING = 100
 
+# The highest total degree of a power or product, checked before it is made,
+# so that a short entry such as a1^100000000 starts no unbounded work.
+MAX_DEGREE = 1000
+
 # whitespace | ASCII integer | word | symbol | any other character; a word
 # that does not start with a letter or "_" (a non-ASCII digit, say) is an
 # unexpected character, so integers are ASCII digits only
@@ -65,6 +69,13 @@ def _int(tok: tuple[str, str, int]) -> int:
         return int(tok[1])
     except ValueError:
         raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+
+def _capped(degree: int, column: int) -> int:
+    """``degree``, or a ParseError at ``column`` when it is over MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds the cap of {MAX_DEGREE}", column)
+    return degree
 
 
 class _Parser:
@@ -108,8 +119,11 @@ class _Parser:
         num, den = 1, 1
         exps = [0] * len(self.variables)
         factors = []
+        degree, star = 0, None
         while True:
-            negate, atom, power = self.parse_factor()
+            negate, atom, power, factor_degree = self.parse_factor()
+            # each factor is within the cap alone, so a product past it has a "*"
+            degree = _capped(degree + factor_degree, star)
             if negate:
                 num = -num
             if isinstance(atom, Poly):
@@ -123,6 +137,7 @@ class _Parser:
                 num, den = num * p, den * q
             tok = self.peek()
             if tok and tok[0] == "sym" and tok[1] == "*":
+                star = tok[2]
                 self.next()
             elif tok and tok[0] == "sym" and tok[1] == "/":
                 raise ParseError("division is allowed only in rational literals", tok[2])
@@ -134,9 +149,9 @@ class _Parser:
             value = value * factor
         return value
 
-    def parse_factor(self) -> tuple[bool, Poly | int | tuple[int, int], int | None]:
-        """(negate, atom, power): a run of unary signs, a primary and its
-        exponent, or None when there is no ``^``."""
+    def parse_factor(self) -> tuple[bool, Poly | int | tuple[int, int], int | None, int]:
+        """(negate, atom, power, degree): a run of unary signs, a primary, its
+        exponent, or None when there is no ``^``, and the factor's total degree."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -145,6 +160,7 @@ class _Parser:
             negate ^= tok[1] == "-"
             tok = self.peek()
         atom = self.parse_primary()
+        degree = atom.total_degree() if isinstance(atom, Poly) else int(isinstance(atom, int))
         tok = self.peek()
         if tok and tok[0] == "sym" and tok[1] == "^":
             self.next()
@@ -152,8 +168,9 @@ class _Parser:
             if exp_tok is None or exp_tok[0] != "int":
                 col = exp_tok[2] if exp_tok else self.length
                 raise ParseError("exponent must be a nonnegative integer", col)
-            return negate, atom, _int(exp_tok)
-        return negate, atom, None
+            power = _int(exp_tok)
+            return negate, atom, power, _capped(degree * power, tok[2])
+        return negate, atom, None, degree
 
     def parse_primary(self) -> Poly | int | tuple[int, int]:
         """A parenthesised Poly, a coordinate's index, or a literal as (p, q)."""

@@ -13,9 +13,11 @@ Writing y^k for the fiber coordinates, the lifts used here are
               F^h = [[F,0],[B,F]],  B^i_j = y^k (G^s_kj F^i_s - G^i_ks F^s_j)
 
 with G^i_jk the connection coefficients (zero when no connection is given).
-The horizontal lifts are computed as products with G_y = y^k G_k, where
-(G_k)^i_j = G^i_kj: the fiber of X^h is -G_y X, the first half of w^h is
-w G_y, and B = F G_y - G_y F.
+So each complete or horizontal lift is T on the diagonal blocks plus the
+vertical lift of one fiber derivative dT: y^k d_k T, or T G_y over a lower
+index minus G_y T over an upper one, with G_y = y^k G_k and (G_k)^i_j = G^i_kj
+(the fiber of X^h is -G_y X, the first half of w^h is w G_y, B = F G_y - G_y F).
+One routine, ``_lift``, makes every lift by this rule.
 These block formulas are definitions here; the identity tables they are
 expected to satisfy are checked, not assumed, by ``verify_lift_interactions``
 and by the test suite's evaluation contracts.
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .algebra import Poly, _contract
@@ -148,37 +152,6 @@ def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Opti
     return Connection.flat(chart) if conn is None else conn
 
 
-def _need_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Connection:
-    if kind == HORIZONTAL:
-        if conn is None:
-            raise LiftError("horizontal lift requires a connection")
-        if conn.chart != chart:
-            raise LiftError("connection lives on a different chart")
-        return conn
-    if conn is not None and conn.chart != chart:
-        raise LiftError("connection lives on a different chart")
-    return conn
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in LIFT_KINDS:
-        raise LiftError(f"unknown lift kind {kind!r}")
-
-
-def lift_function(
-    f: TensorField, kind: str, tangent: TangentChart
-) -> TensorField:
-    """Vertical or complete lift of a scalar field; horizontal is unsupported."""
-    _check_kind(kind)
-    if f.valence != (0, 0) or f.chart != tangent.base:
-        raise LiftError("lift_function needs a (0,0) field on the base chart")
-    if kind == HORIZONTAL:
-        raise LiftError("horizontal lift of functions is not defined")
-    if kind == VERTICAL:
-        return TensorField.function(tangent.total, tangent.embed(f.comps))
-    return TensorField.function(tangent.total, _y_dot_derivative(f.comps, tangent))
-
-
 def _fiber_sum(pairs: Iterable[tuple[int, Poly]], tangent: TangentChart) -> Poly:
     """The sum of y^k p_k over (k, p_k) pairs of base-chart polynomials, on the total chart."""
     pairs = [(k, p) for k, p in pairs if p.terms]
@@ -210,27 +183,66 @@ def _connection_matrix(conn: Connection, tangent: TangentChart) -> tuple[tuple[P
     return conn.memo[tangent]
 
 
+def _lift(
+    name: str, valence: tuple[int, int], t: TensorField, kind: str, tangent: TangentChart,
+    conn: Optional[Connection],
+) -> TensorField:
+    """The ``kind`` lift of t, a ``valence`` field, checked for the entry point ``name``.
+
+    t and its lift are read as matrices, rows by the upper index and columns by
+    the lower one (one row or column where there is none).  T^v is T in the
+    vertical slot, the block with its upper index on the fiber and its lower
+    index on the base; T^c and T^h are T in each block one index away from it
+    plus dT in it, and dT is the only code per kind.
+    """
+    if kind not in LIFT_KINDS:
+        raise LiftError(f"unknown lift kind {kind!r}")
+    if t.valence != valence or t.chart != tangent.base:
+        raise LiftError(f"{name} needs a ({valence[0]},{valence[1]}) field on the base chart")
+    if kind == HORIZONTAL and valence == (0, 0):
+        raise LiftError("horizontal lift of functions is not defined")
+    if kind == HORIZONTAL and conn is None:
+        raise LiftError("horizontal lift requires a connection")
+    if conn is not None and conn.chart != tangent.base:
+        raise LiftError("connection lives on a different chart")
+    upper, lower = valence
+    zero = tangent.total.zero_poly()
+    rows = t.comps if upper else (t.comps,)
+    rows = rows if lower else list(zip(rows))
+    embedded = [list(map(tangent.embed, row)) for row in rows]
+    zeros = [[zero] * len(rows[0])] * len(rows)
+    if kind == COMPLETE:
+        dt = [list(map(_y_dot_derivative, row, repeat(tangent))) for row in rows]
+    elif kind == HORIZONTAL:
+        # T G_y over a lower index minus G_y T over an upper one
+        g_y = _connection_matrix(conn, tangent)
+        t_g = _contract(embedded, zip(*g_y), zero) if lower else zeros
+        g_t = _contract(g_y, zip(*embedded), zero) if upper else zeros
+        dt = [list(map(sub, a, b)) for a, b in zip(t_g, g_t)]
+    top, slot, diagonal = (zeros, embedded, zeros) if kind == VERTICAL else (embedded, dt, embedded)
+    if lower:
+        top, slot = [a + b for a, b in zip(top, zeros)], [a + b for a, b in zip(slot, diagonal)]
+    lifted = top + slot if upper else slot
+    # every block lives on the total chart by construction; without a lower
+    # index the lift is one column
+    comps = tuple(map(tuple, lifted)) if lower else next(zip(*lifted))
+    return TensorField._trusted(tangent.total, valence, comps if upper else comps[0])
+
+
+def lift_function(
+    f: TensorField, kind: str, tangent: TangentChart
+) -> TensorField:
+    """Vertical or complete lift of a scalar field; horizontal is unsupported."""
+    return _lift("lift_function", (0, 0), f, kind, tangent, None)
+
+
 def lift_vector(
     x: TensorField,
     kind: str,
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    _check_kind(kind)
-    if x.valence != (1, 0) or x.chart != tangent.base:
-        raise LiftError("lift_vector needs a (1,0) field on the base chart")
-    conn = _need_connection(kind, conn, tangent.base)
-    m = tangent.base.dim
-    zero = tangent.total.zero_poly()
-    base_comps = [tangent.embed(c) for c in x.comps]
-    if kind == VERTICAL:
-        return TensorField.vector(tangent.total, [zero] * m + base_comps)
-    if kind == COMPLETE:
-        fiber = [_y_dot_derivative(c, tangent) for c in x.comps]
-        return TensorField.vector(tangent.total, base_comps + fiber)
-    # fiber = -G_y X
-    (gx,) = _contract([base_comps], _connection_matrix(conn, tangent), zero)
-    return TensorField.vector(tangent.total, base_comps + [-c for c in gx])
+    return _lift("lift_vector", (1, 0), x, kind, tangent, conn)
 
 
 def lift_oneform(
@@ -239,21 +251,7 @@ def lift_oneform(
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    _check_kind(kind)
-    if w.valence != (0, 1) or w.chart != tangent.base:
-        raise LiftError("lift_oneform needs a (0,1) field on the base chart")
-    conn = _need_connection(kind, conn, tangent.base)
-    m = tangent.base.dim
-    zero = tangent.total.zero_poly()
-    base_comps = [tangent.embed(c) for c in w.comps]
-    if kind == VERTICAL:
-        return TensorField.oneform(tangent.total, base_comps + [zero] * m)
-    if kind == COMPLETE:
-        lead = [_y_dot_derivative(c, tangent) for c in w.comps]
-        return TensorField.oneform(tangent.total, lead + base_comps)
-    # lead = w G_y
-    (lead,) = _contract([base_comps], zip(*_connection_matrix(conn, tangent)), zero)
-    return TensorField.oneform(tangent.total, lead + base_comps)
+    return _lift("lift_oneform", (0, 1), w, kind, tangent, conn)
 
 
 def lift_endo(
@@ -262,34 +260,7 @@ def lift_endo(
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    _check_kind(kind)
-    if f.valence != (1, 1) or f.chart != tangent.base:
-        raise LiftError("lift_endo needs a (1,1) field on the base chart")
-    conn = _need_connection(kind, conn, tangent.base)
-    m = tangent.base.dim
-    zero = tangent.total.zero_poly()
-    fmat = [[tangent.embed(f.comps[i][j]) for j in range(m)] for i in range(m)]
-    zmat = [[zero] * m for _ in range(m)]
-
-    def block(tl, tr, bl, br):
-        rows = [tl[i] + tr[i] for i in range(m)]
-        rows += [bl[i] + br[i] for i in range(m)]
-        return TensorField.endo(tangent.total, rows)
-
-    if kind == VERTICAL:
-        return block(zmat, zmat, fmat, zmat)
-    if kind == COMPLETE:
-        deriv = [
-            [_y_dot_derivative(f.comps[i][j], tangent) for j in range(m)]
-            for i in range(m)
-        ]
-        return block(fmat, zmat, deriv, fmat)
-    # B = y^k (F G_k - G_k F) = F G_y - G_y F
-    g_y = _connection_matrix(conn, tangent)
-    fg = _contract(fmat, zip(*g_y), zero)
-    gf = _contract(g_y, zip(*fmat), zero)
-    bblock = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(fg, gf)]
-    return block(fmat, zmat, bblock, fmat)
+    return _lift("lift_endo", (1, 1), f, kind, tangent, conn)
 
 
 @dataclass(frozen=True)
@@ -312,13 +283,6 @@ class LiftContext:
     eta_l: tuple[TensorField, ...]
     memo: dict = field(default_factory=dict, compare=False, repr=False)
     vertical: Optional["LiftContext"] = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def build(
-        cls, structure: RContactStructure, kind: str, conn: Optional[Connection] = None,
-        suffix: str = DEFAULT_FIBER_SUFFIX,
-    ) -> "LiftContext":
-        return _contexts(structure, conn, suffix)(kind)
 
     def memoised(self, key, build: Callable[[], object]):
         """The value kept under ``key``, made by ``build()`` on first use."""

@@ -39,9 +39,9 @@ engine derives (``verify_action_formulas``; no display supplies a term) is a
 lifted F X, none in a xi row, plus sum_i sigma_i rho_i X_i, rho_i one of
 (eta X)^v, (eta X)^c, kappa and 0.  By distributivity alone the residual is
 D + sum_i sigma_i g_i X_i with D = F Y - (F X)^{v|L} and g_i = E_i(Y) - rho_i,
-every E_i(Y) computed, eta^v(X^v) included.  D and g are kept on the context,
-their kind-free inputs on the vertical one, and per (s, t) all entries are one
-(entries x 2r)(2r x 2m) product.  J itself is assembled only for ``build_lifted_j``.
+every E_i(Y) computed, eta^v(X^v) included.  Per report, D and g are made
+once, from kind-free inputs kept on the vertical context, and all entries are
+one (entries x 2r)(2r x 2m) product.  J is assembled only for ``build_lifted_j``.
 
 A J^2 verdict is the ``CheckEntry`` of its residual; a sweep keeps the
 entries of its four cells by (s, t).
@@ -62,6 +62,7 @@ from .lifts import (
     Connection,
     LiftContext,
     LiftError,
+    _contexts,
     lift_connection,
     lift_function,
     lift_vector,
@@ -182,7 +183,7 @@ def theorem_spec(
 
 
 def _context(spec: LiftedStructureSpec) -> LiftContext:
-    return LiftContext.build(spec.base, spec.lift_kind, spec.conn, spec.suffix)
+    return _contexts(spec.base, spec.conn, spec.suffix)(spec.lift_kind)
 
 
 def _sigma(ctx: LiftContext, s: int, t: int) -> tuple[int, ...]:
@@ -198,8 +199,7 @@ def _assemble_j(ctx: LiftContext, s: int, t: int) -> TensorField:
 
 def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = None) -> TensorField:
     """Assemble J = F^L + s*sum xi^v(x)eta^v + t*sum xi^L(x)eta^L on the total chart."""
-    ctx = ctx or _context(spec)
-    return ctx.memoised(("j", spec.s, spec.t), lambda: _assemble_j(ctx, spec.s, spec.t))
+    return _assemble_j(ctx or _context(spec), spec.s, spec.t)
 
 
 def _square_offset(ctx: LiftContext, eps: int) -> TensorField:
@@ -373,34 +373,32 @@ def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) ->
     """Per action entry, in report order, the parts (D, g) of its residual
     D + sum_i sigma_i g_i X_i, which do not depend on (s, t), for the test fields
     of ``_action_fields`` and the context's pairing sign kappa."""
-    def build():
-        xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
-        tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
-        x_l = [lift_vector(x, kind, tangent, ctx.conn) if b is None else ctx.xi_l[b]
-               for x, (_, b) in zip(xs, roles)]
-        # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
-        plain = [y.comps for (_, b), *ys in zip(roles, x_v, x_l) if b is None for y in ys]
-        zero = tangent.total.zero_poly()
-        computed = iter(zip(_contract(plain, ctx.f_lift.comps, zero),
-                            _contract(plain, [w.comps for w in ctx.eta], zero)))
-        parts = []
-        for (_, b), f_x_v, f_x, eta, eta_v in zip(roles, fx_v, fx, eta_x, eta_x_v):
-            eta_l = [lift_function(g, COMPLETE, tangent).comps if kind == COMPLETE else 0
-                     for g in eta]
-            ys = [next(computed), next(computed)] if b is None else [
-                (ctx.f_xi[i].comps, [row[i] for row in ctx.pairing]) for i in (b, r + b)]
-            # per entry of Y: the right side's lifted F X and its rho
-            rights = [(f_x_v.comps, [0] * r + eta_v),
-                      (lift_vector(f_x, kind, tangent, ctx.conn).comps, eta_v + eta_l)]
-            if b is not None and kappa is not None:
-                ys += ys
-                rights += [(None, [kappa * (i == r + b) for i in range(2 * r)]),
-                           (None, [kappa * (i == b) for i in range(2 * r)])]
-            parts += [(tuple(f_y) if f is None else tuple(map(sub, f_y, f)),
-                       [e - c if c else e for e, c in zip(e_y, rho)])
-                      for (f_y, e_y), (f, rho) in zip(ys, rights)]
-        return parts
-    return ctx.memoised(("action parts", fields), build)
+    xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
+    tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
+    x_l = [lift_vector(x, kind, tangent, ctx.conn) if b is None else ctx.xi_l[b]
+           for x, (_, b) in zip(xs, roles)]
+    # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
+    plain = [y.comps for (_, b), *ys in zip(roles, x_v, x_l) if b is None for y in ys]
+    zero = tangent.total.zero_poly()
+    computed = iter(zip(_contract(plain, ctx.f_lift.comps, zero),
+                        _contract(plain, [w.comps for w in ctx.eta], zero)))
+    parts = []
+    for (_, b), f_x_v, f_x, eta, eta_v in zip(roles, fx_v, fx, eta_x, eta_x_v):
+        eta_l = [lift_function(g, COMPLETE, tangent).comps if kind == COMPLETE else 0
+                 for g in eta]
+        ys = [next(computed), next(computed)] if b is None else [
+            (ctx.f_xi[i].comps, [row[i] for row in ctx.pairing]) for i in (b, r + b)]
+        # per entry of Y: the right side's lifted F X and its rho
+        rights = [(f_x_v.comps, [0] * r + eta_v),
+                  (lift_vector(f_x, kind, tangent, ctx.conn).comps, eta_v + eta_l)]
+        if b is not None and kappa is not None:
+            ys += ys
+            rights += [(None, [kappa * (i == r + b) for i in range(2 * r)]),
+                       (None, [kappa * (i == b) for i in range(2 * r)])]
+        parts += [(tuple(f_y) if f is None else tuple(map(sub, f_y, f)),
+                   [e - c if c else e for e, c in zip(e_y, rho)])
+                  for (f_y, e_y), (f, rho) in zip(ys, rights)]
+    return parts
 
 
 def verify_action_formulas(

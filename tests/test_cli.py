@@ -11,7 +11,7 @@ from liftcheck import cli
 from liftcheck.algebra import NotUnimodular
 from liftcheck.cli import main
 from liftcheck.definition import parse_definition
-from liftcheck.expr import MAX_NESTING
+from liftcheck.expr import MAX_DEGREE, MAX_NESTING
 from liftcheck.report import Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,12 +19,13 @@ DEFS = ROOT / "defs"
 CONTACT = str(DEFS / "contact_n1_r1.def")
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "liftcheck", *argv],
         capture_output=True,
         text=True,
         cwd=ROOT,
+        timeout=timeout,
     )
     return proc
 
@@ -214,6 +215,24 @@ def test_deep_nesting_is_a_located_input_error(tmp_path):
     assert proc.stderr == (f"liftcheck: error: parentheses nested deeper than {MAX_NESTING} "
                            f"(line 9, column {12 + MAX_NESTING})\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("expression, degree, column", [
+    ("a1^100000000", 100000000, 14),
+    ("(a1+b1)^3000", 3000, 19),
+], ids=["power-of-a-coordinate", "power-of-a-sum"])
+def test_degree_past_the_cap_is_a_located_input_error(tmp_path, expression, degree, column):
+    # both ran past a 15 s timeout before the cap; the timeout here only keeps
+    # a regression from hanging the suite
+    bad = tmp_path / "degree.def"
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    entry = "  F[1,2] = -1\n"
+    assert entry in text
+    bad.write_text(text.replace(entry, f"  F[1,2] = {expression}\n"), encoding="utf-8")
+    proc = run_cli("check", str(bad), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"liftcheck: error: total degree {degree} exceeds the cap of "
+                           f"{MAX_DEGREE} (line 9, column {column})\n")
 
 
 @pytest.mark.parametrize("entry, replacement, message", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.expr import MAX_NESTING, ParseError, _tokenize, is_name, parse_poly
+from liftcheck.expr import MAX_DEGREE, MAX_NESTING, ParseError, _tokenize, is_name, parse_poly
 
 XY = ("x", "y")
 
@@ -55,6 +55,47 @@ def test_nesting_depth_is_capped_at_the_offending_column():
     with pytest.raises(ParseError, match="nested deeper") as err:
         parse_poly("(" * 3000 + "x" + ")" * 3000, XY)
     assert err.value.column == MAX_NESTING
+
+
+def test_degree_cap_holds_up_to_and_including_max_degree():
+    half = MAX_DEGREE // 2
+    assert parse_poly(f"x^{MAX_DEGREE}", XY) == Poly(XY, {(MAX_DEGREE, 0): 1})
+    assert parse_poly(f"x^{half}*y^{MAX_DEGREE - half}", XY).total_degree() == MAX_DEGREE
+    assert parse_poly(f"3^2*x^{MAX_DEGREE - 1}*(y - 1)", XY).total_degree() == MAX_DEGREE
+    # a sum keeps the degree of its terms
+    assert parse_poly(f"x^{MAX_DEGREE} + y^{MAX_DEGREE}", XY).total_degree() == MAX_DEGREE
+
+
+@pytest.mark.parametrize("text, degree, column", [
+    ("x^100000000", 100000000, 1),
+    ("(x+y)^3000", 3000, 5),
+    (f"x*(x+y)^{MAX_DEGREE}", MAX_DEGREE + 1, 1),
+    ("((x+y)^40)^30", 1200, 10),
+    (f"(x+y)^600*(x - 1)^{MAX_DEGREE - 600}*y", MAX_DEGREE + 1, 21),
+    (f"2 + y*(x^{MAX_DEGREE})", MAX_DEGREE + 1, 5),
+], ids=["power-of-a-coordinate", "power-of-a-sum", "product", "nested-power",
+        "product-of-powers", "inside-a-sum"])
+def test_degree_past_the_cap_is_refused_at_its_operator(text, degree, column, monkeypatch):
+    # refused before it is computed: no power or product past the cap is formed
+    formed = []
+    pow_, mul = Poly.__pow__, Poly.__mul__
+
+    def counted_pow(self, k):
+        formed.append(self.total_degree() * k)
+        return pow_(self, k)
+
+    def counted_mul(self, other):
+        formed.append(self.total_degree() + getattr(other, "total_degree", int)())
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__pow__", counted_pow)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, XY)
+    assert str(err.value) == (f"total degree {degree} exceeds the cap of {MAX_DEGREE} "
+                              f"(column {column + 1})")
+    assert err.value.column == column
+    assert max(formed, default=0) <= MAX_DEGREE
 
 
 def test_long_unary_sign_chain():
@@ -196,9 +237,9 @@ def test_parser_matches_reference_evaluator(case):
     assert parse_poly(str(value), VARS) == value
 
 
-# Integer literals stay small: an unbounded exponent such as a1^100000000 is
-# a known open budget defect of the parser (ROADMAP item 7(d)), not what this
-# test is after.
+# Integer literals stay small: a power of a literal, such as 7^100000000, has
+# degree 0, so MAX_DEGREE does not bound it; that is an open budget defect of
+# the parser (ROADMAP item 7(d)), not what this test is after.
 fuzz_tokens = st.sampled_from(
     ["x", "y", "z_1", "q", "x2", "0", "1", "2", "3", "+", "-", "*", "/", "^",
      "(", ")", "$", "²", "."]

@@ -84,6 +84,45 @@ def test_function_horizontal_unsupported():
         lift_function(TensorField.function(AB, 1), HORIZONTAL, TAB)
 
 
+OTHER = Chart("Q", ("a", "b"))
+
+
+@pytest.mark.parametrize("lift, field, kind, conn, message", [
+    (lift_function, TensorField.function(AB, 1), HORIZONTAL, None,
+     "horizontal lift of functions is not defined"),
+    (lift_vector, TensorField.basis_vector(AB, "a"), HORIZONTAL, None,
+     "horizontal lift requires a connection"),
+    (lift_oneform, TensorField.basis_oneform(AB, "a"), HORIZONTAL, None,
+     "horizontal lift requires a connection"),
+    (lift_endo, TensorField.identity_endo(AB), HORIZONTAL, None,
+     "horizontal lift requires a connection"),
+    (lift_vector, TensorField.basis_vector(OTHER, "a"), VERTICAL, None,
+     "lift_vector needs a (1,0) field on the base chart"),
+    (lift_oneform, TensorField.basis_vector(AB, "a"), COMPLETE, None,
+     "lift_oneform needs a (0,1) field on the base chart"),
+    (lift_endo, TensorField.identity_endo(OTHER), COMPLETE, None,
+     "lift_endo needs a (1,1) field on the base chart"),
+    # the field is checked before the kind's own conditions
+    (lift_function, TensorField.basis_vector(AB, "a"), HORIZONTAL, None,
+     "lift_function needs a (0,0) field on the base chart"),
+    (lift_endo, TensorField.identity_endo(AB), HORIZONTAL, Connection.flat(OTHER),
+     "connection lives on a different chart"),
+    (lift_vector, TensorField.basis_vector(AB, "a"), COMPLETE, Connection.flat(OTHER),
+     "connection lives on a different chart"),
+    # and the kind before anything else
+    (lift_oneform, TensorField.basis_vector(OTHER, "a"), "diagonal", None,
+     "unknown lift kind 'diagonal'"),
+], ids=["function-horizontal", "vector-no-connection", "oneform-no-connection",
+        "endo-no-connection", "vector-other-chart", "oneform-of-a-vector", "endo-other-chart",
+        "function-of-a-vector", "endo-connection-chart", "complete-connection-chart",
+        "unknown-kind"])
+def test_lift_errors_name_the_first_failed_check(lift, field, kind, conn, message):
+    args = (field, kind, TAB) if lift is lift_function else (field, kind, TAB, conn)
+    with pytest.raises(LiftError) as err:
+        lift(*args)
+    assert str(err.value) == message
+
+
 # -- vector lifts -----------------------------------------------------------------
 
 
