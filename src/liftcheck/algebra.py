@@ -6,10 +6,20 @@ the canonical term order is graded lexicographic over that list, so two
 equal polynomials always print and hash identically.  There is no floating
 point anywhere: every verification downstream reduces to testing that a
 polynomial in canonical form is literally zero.
+
+Every sum of products runs through one kernel, ``_contract`` and its ``_dot``,
+on integer numerators over a common denominator.  A sum with at least
+``_PACK_CUTOFF`` term products keys each monomial by one int instead of a
+tuple: each variable gets an unsigned field of 1, 2, 4 or 8 bytes, wider than
+the highest exponent sum that variable reaches in the call, so a product's key
+is the sum of its factors' keys with no carry between fields.  Smaller sums,
+and sums whose fields would need more than 8 bytes, add exponent tuples.
+``Poly.terms`` is keyed by exponent tuples either way.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -525,7 +535,7 @@ def _contract(
     """
     variables = zero.variables
     cols = [_nonzero(col, variables) for col in cols]
-    numerators: dict[int, tuple[Poly, list[tuple[Exponents, int]], int]] = {}
+    operands: dict[int, _Operand] = {}
     out = []
     for row in rows:
         nonzero = _nonzero(row, variables).items()
@@ -538,7 +548,7 @@ def _contract(
                 ((a, b),) = pairs
                 line.append(a * b)
             else:
-                line.append(_dot(pairs, variables, numerators))
+                line.append(_dot(pairs, variables, operands))
         out.append(line)
     return out
 
@@ -559,33 +569,40 @@ def _nonzero(line: Sequence[Poly], variables: tuple[str, ...]) -> dict[int, Poly
 def _dot(
     pairs: list[tuple[Poly, Poly]],
     variables: tuple[str, ...],
-    numerators: dict[int, tuple[Poly, list[tuple[Exponents, int]], int]],
+    operands: dict[int, _Operand],
 ) -> Poly:
     """sum a * b over pairs of nonzero Polys, in one integer accumulator.
 
     Every product is written over D, the LCM of the pairs' denominators
     D_a * D_b, and its integer numerators are added into one dict; one
-    Fraction is built per nonzero sum.  ``numerators`` keeps each entry's
-    integer numerators for the whole contraction, by ``id`` and next to the
-    entry itself, so that no id is reused while the cache lives.  A general
-    product of ``Poly.__mul__`` comes here as a single pair.
+    Fraction is built per nonzero sum.  ``operands`` keeps each entry's
+    ``_Operand`` for the whole contraction, by ``id`` and next to the entry
+    itself, so that no id is reused while the cache lives.  A sum of at least
+    ``_PACK_CUTOFF`` term products is keyed by packed exponents when they fit
+    (``_packed_dot``).  A general product of ``Poly.__mul__`` comes here as a
+    single pair.
     """
     parts = []
     for a, b in pairs:
-        left = numerators.get(id(a))
+        left = operands.get(id(a))
         if left is None:
-            left = numerators[id(a)] = (a, *_numerators(a.terms))
-        right = numerators.get(id(b))
+            left = operands[id(a)] = _Operand(a)
+        right = operands.get(id(b))
         if right is None:
-            right = numerators[id(b)] = (b, *_numerators(b.terms))
-        parts.append((left[1:], right[1:]))
-    den = lcm(*[d1 * d2 for (_, d1), (_, d2) in parts])
+            right = operands[id(b)] = _Operand(b)
+        parts.append((left, right))
+    den = lcm(*[left.den * right.den for left, right in parts])
+    if sum(len(left.numerators) * len(right.numerators) for left, right in parts) >= _PACK_CUTOFF:
+        layout = _layout(parts)
+        if layout is not None:
+            return _packed_dot(parts, den, layout, variables)
     acc: dict[Exponents, int] = {}
     get = acc.get
-    for (left, d1), (right, d2) in parts:
+    for left, right in parts:
+        scale = den // (left.den * right.den)
+        left, right = left.numerators, right.numerators
         if len(left) > len(right):
             left, right = right, left
-        scale = den // (d1 * d2)
         for e1, n1 in left:
             n1 *= scale
             if any(e1):
@@ -600,6 +617,97 @@ def _dot(
         terms = {e: Fraction(n) for e, n in acc.items() if n}
     else:
         terms = {e: Fraction(n, den) for e, n in acc.items() if n}
+    return Poly._trusted(variables, terms)
+
+
+# A row . column sum of at least this many term products is accumulated on
+# packed exponents.  Packing an operand costs more than the tuple sums it
+# saves on small products, such as the few-term entries of most contractions.
+_PACK_CUTOFF = 256
+
+# (bound, struct code) of the unsigned field widths of a packed exponent: 1, 2,
+# 4 and 8 bytes
+_FIELDS = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
+
+
+class _Operand:
+    """An entry of a contraction as ``_dot`` reads it.
+
+    ``numerators`` and ``den`` are its coefficients as integers over their
+    common denominator.  ``top`` (each variable's highest exponent) and
+    ``packed`` (the numerators keyed by packed exponents, per field layout)
+    are made the first time a sum of the entry is packed.
+    """
+
+    __slots__ = ("poly", "numerators", "den", "top", "packed")
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self.numerators, self.den = _numerators(poly.terms)
+        self.top: Exponents | None = None
+        self.packed: dict[str, list[tuple[int, int]]] | None = None
+
+    def tops(self) -> Exponents:
+        if self.top is None:
+            self.top = tuple(map(max, zip(*self.poly.terms)))
+        return self.top
+
+    def pack(self, layout: struct.Struct) -> list[tuple[int, int]]:
+        if self.packed is None:
+            self.packed = {}
+        packed = self.packed.get(layout.format)
+        if packed is None:
+            pack, from_bytes = layout.pack, int.from_bytes
+            packed = self.packed[layout.format] = [
+                (from_bytes(pack(*e), "big"), n) for e, n in self.numerators
+            ]
+        return packed
+
+
+def _layout(parts: list[tuple[_Operand, _Operand]]) -> struct.Struct | None:
+    """The packed exponent layout of a sum, or None when a field needs over 8 bytes.
+
+    Each variable gets the narrowest field above its highest exponent sum over
+    the pairs, so that adding two packed exponents of one pair never carries
+    from one field into the next: the packed sum is the packing of the sum.
+    """
+    codes = []
+    for top in map(max, zip(*[map(add, left.tops(), right.tops()) for left, right in parts])):
+        code = next((code for bound, code in _FIELDS if top < bound), None)
+        if code is None:
+            return None
+        codes.append(code)
+    return struct.Struct(">" + "".join(codes))
+
+
+def _packed_dot(
+    parts: list[tuple[_Operand, _Operand]],
+    den: int,
+    layout: struct.Struct,
+    variables: tuple[str, ...],
+) -> Poly:
+    """``_dot``'s sum with each monomial keyed by its packed exponents, one int.
+
+    A product's key is the sum of its factors' keys, and each surviving key is
+    unpacked once, into the exponent tuple of the result.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
+    for left, right in parts:
+        scale = den // (left.den * right.den)
+        left, right = left.pack(layout), right.pack(layout)
+        if len(left) > len(right):
+            left, right = right, left
+        for k1, n1 in left:
+            n1 *= scale
+            for k2, n2 in right:
+                key = k1 + k2
+                acc[key] = get(key, 0) + n1 * n2
+    unpack, size = layout.unpack, layout.size
+    if den == 1:
+        terms = {unpack(k.to_bytes(size, "big")): Fraction(n) for k, n in acc.items() if n}
+    else:
+        terms = {unpack(k.to_bytes(size, "big")): Fraction(n, den) for k, n in acc.items() if n}
     return Poly._trusted(variables, terms)
 
 

@@ -9,7 +9,9 @@ produced by ``Poly.__str__`` always reparses to an equal polynomial.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import Poly, _accumulate
@@ -33,6 +35,11 @@ MAX_NESTING = 100
 # The highest total degree of a power or product, checked before it is made,
 # so that a short entry such as a1^100000000 starts no unbounded work.
 MAX_DEGREE = 1000
+
+# The digit limit of a coefficient made by a power or product of literals where
+# the interpreter reads integers of any length: CPython's default
+# sys.get_int_max_str_digits()
+DEFAULT_DIGITS = 4300
 
 # whitespace | ASCII integer | word | symbol | any other character; a word
 # that does not start with a letter or "_" (a non-ASCII digit, say) is an
@@ -78,6 +85,33 @@ def _capped(degree: int, column: int) -> int:
     return degree
 
 
+def _digit_limit() -> tuple[int, int]:
+    """(d, 10**d): the most digits of an integer literal (as ``_int`` reads
+    them, or DEFAULT_DIGITS where any length is read) and the least integer
+    with more."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_DIGITS
+    return digits, _power_of_ten(digits)
+
+
+@lru_cache(maxsize=4)
+def _power_of_ten(digits: int) -> int:
+    return 10**digits
+
+
+def _coefficient_power(p: int, q: int, power: int, column: int) -> tuple[int, int]:
+    """(p**power, q**power) for p, q >= 0, or a ParseError at ``column`` (the
+    ``^``) when either has more digits than an integer literal may."""
+    digits, limit = _digit_limit()
+    # base >= 2**(bit_length - 1), so past this bound the power is past the
+    # limit without being computed; below it, it has under twice the limit's bits
+    bound = limit.bit_length()
+    if not any(base > 1 and power * (base.bit_length() - 1) >= bound for base in (p, q)):
+        p, q = p**power, q**power
+        if p < limit and q < limit:
+            return p, q
+    raise ParseError(f"a power has a coefficient of more than {digits} digits", column)
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]], variables: Sequence[str], length: int):
         self.tokens = tokens
@@ -86,6 +120,7 @@ class _Parser:
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.length = length
         self.depth = 0
+        self.digits, self.limit = _digit_limit()
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -131,10 +166,11 @@ class _Parser:
             elif isinstance(atom, int):
                 exps[atom] += 1 if power is None else power
             else:
-                p, q = atom
-                if power is not None:
-                    p, q = p**power, q**power
-                num, den = num * p, den * q
+                num, den = num * atom[0], den * atom[1]
+                if star is not None and (abs(num) >= self.limit or den >= self.limit):
+                    raise ParseError(
+                        f"a product has a coefficient of more than {self.digits} digits", star
+                    )
             tok = self.peek()
             if tok and tok[0] == "sym" and tok[1] == "*":
                 star = tok[2]
@@ -151,7 +187,9 @@ class _Parser:
 
     def parse_factor(self) -> tuple[bool, Poly | int | tuple[int, int], int | None, int]:
         """(negate, atom, power, degree): a run of unary signs, a primary, its
-        exponent, or None when there is no ``^``, and the factor's total degree."""
+        exponent, or None when there is no ``^``, and the factor's total degree.
+        A literal comes raised to its power, with power None; the coefficient
+        of a power of a literal or of a one-term Poly is bounded like a literal."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -169,7 +207,14 @@ class _Parser:
                 col = exp_tok[2] if exp_tok else self.length
                 raise ParseError("exponent must be a nonnegative integer", col)
             power = _int(exp_tok)
-            return negate, atom, power, _capped(degree * power, tok[2])
+            if isinstance(atom, tuple):
+                return negate, _coefficient_power(*atom, power, tok[2]), None, 0
+            degree = _capped(degree * power, tok[2])
+            if isinstance(atom, Poly) and len(atom.terms) == 1:
+                # a one-term power, (7)^k or (2*x)^k, is its coefficient to the k
+                (coeff,) = atom.terms.values()
+                _coefficient_power(abs(coeff.numerator), coeff.denominator, power, tok[2])
+            return negate, atom, power, degree
         return negate, atom, None, degree
 
     def parse_primary(self) -> Poly | int | tuple[int, int]:

@@ -1,6 +1,7 @@
 """Exact arithmetic: rationals, eps-complex numbers, polynomials, matrices."""
 
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -440,6 +441,100 @@ def test_fused_dot_products_by_hand():
     # products that cancel exactly
     (cancelled,) = _contract([[x, y, x]], [[y, x * -2, y]], Poly.zero(XYZ))
     assert cancelled == [Poly.zero(XYZ)]
+
+
+# -- packed exponents in large sums ---------------------------------------------------
+
+# enough terms on each side of a product to reach the packing cutoff
+LARGE = isqrt(algebra._PACK_CUTOFF - 1) + 1
+
+# each field's bound, where the sum of two operands' top exponents passes into
+# the next field: offsets near half of it make tops on either side of it, and
+# tops from 2**63 on sum past every field
+HALF_BOUNDARIES = [0, 127, 128, 32767, 2**31 - 1, 2**63 - 1, 2**63]
+
+
+@st.composite
+def large_operands(draw, count):
+    """``count`` Polys over x, y, z of LARGE..LARGE+8 terms with mixed
+    denominators, whose exponents of each variable lie in [o, o + 3] for one
+    offset o near half a field boundary, shared by all of them."""
+    offsets = [draw(st.sampled_from(HALF_BOUNDARIES)) for _ in XYZ]
+    exps = st.tuples(*[st.integers(o, o + 3) for o in offsets])
+    terms = st.dictionaries(exps, mixed_fractions.filter(bool), min_size=LARGE, max_size=LARGE + 8)
+    return [Poly(XYZ, draw(terms)) for _ in range(count)]
+
+
+def fits_packed(a, b):
+    """Whether every exponent sum of a * b fits a field of at most 8 bytes."""
+    tops = [list(map(max, zip(*q.terms))) for q in (a, b)]
+    return all(x + y < 2**64 for x, y in zip(*tops))
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_operands(2))
+def test_large_products_match_fraction_reference(operands):
+    a, b = operands
+    with mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed:
+        product = a * b
+    assert packed.called == fits_packed(a, b)
+    assert product.terms == reference_product(a, b)
+    # terms that cancel exactly inside the packed accumulator
+    for left, right in ((a + b, a - b), (a, -a)):
+        assert (left * right).terms == reference_product(left, right)
+    assert all(type(c) is Fraction and c != 0 for c in product.terms.values())
+    assert all(type(e) is int for exps in product.terms for e in exps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_operands(4), st.booleans())
+def test_large_contractions_match_dense_reference(operands, cancel):
+    a, b, c, d = operands
+    rows, cols = [[a, b], [c, d]], [[d, c], [b, a]]
+    if cancel:
+        # each row against a column and its negation: every sum is exactly zero
+        rows, cols = [row + row for row in rows], [col + [-q for q in col] for col in cols]
+    out = _contract(rows, cols, Poly.zero(XYZ))
+    assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
+    if cancel:
+        assert all(q.is_zero() for line in out for q in line)
+
+
+@pytest.mark.parametrize("top, code", [
+    (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
+    (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None),
+])
+def test_each_field_is_the_narrowest_that_holds_the_exponent_sum(top, code):
+    # y reaches exactly ``top`` in a * b; x and z stay within one byte
+    half = top // 2
+    a = Poly(XYZ, {(i, half - i % 2, 0): Fraction(i + 1, 3) for i in range(LARGE)})
+    b = Poly(XYZ, {(i, top - half - i % 3, i % 2): 2 * i - 31 for i in range(LARGE)})
+    layout = algebra._layout([(algebra._Operand(a), algebra._Operand(b))])
+    assert (layout and layout.format) == (code and f">B{code}B")
+    with mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed:
+        product = a * b
+    assert packed.called == (code is not None)
+    assert max(exps[1] for exps in product.terms) == top
+    assert product.terms == reference_product(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fused_operands(), mixed_polys(), mixed_polys())
+def test_packed_and_tuple_sums_give_equal_terms(operands, a, b):
+    rows, cols = operands
+    cancelling = ([row + row for row in rows], [col + [-q for q in col] for col in cols])
+    results = []
+    for cutoff in (0, 10**9):
+        with mock.patch.object(algebra, "_PACK_CUTOFF", cutoff), \
+                mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed, \
+                mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
+            out = [_contract(left, right, Poly.zero(XYZ)) for left, right in ((rows, cols), cancelling)]
+            out.append([[a * b, (a + b) * (a - b)]])
+        # every sum packs at cutoff 0 (no exponent here needs a wide field), none past it
+        assert packed.call_count == (dot.call_count if cutoff == 0 else 0)
+        # the terms in insertion order, which the packed keys keep
+        results.append([[[list(q.terms.items()) for q in line] for line in m] for m in out])
+    assert results[0] == results[1]
 
 
 def test_unit_factors_cost_no_fraction_product():

@@ -341,8 +341,11 @@ TOO_LONG = "7" * (INT_DIGITS + 1)
 @pytest.mark.skipif(not INT_DIGITS, reason="this interpreter reads integers of any length")
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 @pytest.mark.parametrize("old, new, message", [
-    # read, but too long to print once F^2 is formed
+    # one digit more than a literal may have, refused at its "^" before it is computed
     ("  F[1,2] = -1", f"  F[1,2] = 10^{INT_DIGITS}",
+     f"a power has a coefficient of more than {INT_DIGITS} digits (line 9, column 14)"),
+    # read, but too long to print once F^2 is formed
+    ("  F[1,2] = -1", f"  F[1,2] = 10^{INT_DIGITS - 1}",
      f"a coefficient has more than {INT_DIGITS} digits and cannot be printed"),
     ("  F[1,2] = -1", f"  F[1,2] = {TOO_LONG}",
      f"integer of {len(TOO_LONG)} digits is too long (line 9, column 12)"),

@@ -2,12 +2,15 @@
 
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.expr import MAX_DEGREE, MAX_NESTING, ParseError, _tokenize, is_name, parse_poly
+from liftcheck.expr import (
+    DEFAULT_DIGITS, MAX_DEGREE, MAX_NESTING, ParseError, _tokenize, is_name, parse_poly,
+)
 
 XY = ("x", "y")
 
@@ -237,11 +240,11 @@ def test_parser_matches_reference_evaluator(case):
     assert parse_poly(str(value), VARS) == value
 
 
-# Integer literals stay small: a power of a literal, such as 7^100000000, has
-# degree 0, so MAX_DEGREE does not bound it; that is an open budget defect of
-# the parser (ROADMAP item 7(d)), not what this test is after.
+# Every power and product is bounded before it is computed: MAX_DEGREE bounds
+# its degree and the integer digit limit its coefficient, so a string such as
+# "99 ^ 4300" or "3 ^ 4300 * 3 ^ 4300" is a ParseError, not unbounded work.
 fuzz_tokens = st.sampled_from(
-    ["x", "y", "z_1", "q", "x2", "0", "1", "2", "3", "+", "-", "*", "/", "^",
+    ["x", "y", "z_1", "q", "x2", "0", "1", "2", "3", "99", "4300", "+", "-", "*", "/", "^",
      "(", ")", "$", "²", "."]
 )
 
@@ -277,3 +280,52 @@ def test_an_integer_too_long_to_read_is_located():
         with pytest.raises(ParseError, match=f"integer of {limit + 1} digits is too long") as err:
             parse_poly(text, XY)
         assert err.value.column == text.index(digits)
+
+
+# -- the coefficient bound of powers and products of literals --------------------
+
+
+def digit_limit(digits):
+    """The interpreter's integer digit limit, as the parser reads it, set to ``digits``."""
+    return mock.patch.object(sys, "get_int_max_str_digits", return_value=digits, create=True)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("7^100000000", 1),          # would run without bound if computed
+    ("10^50", 2),                # 51 digits
+    ("x + (1/10)^50", 10),       # the denominator is bounded too
+    ("(7)^100000000", 3),        # a parenthesised constant is a one-term Poly
+    ("-(10^20*x)^3", 10),        # so is a monomial: its coefficient is 10^60
+])
+def test_a_power_past_the_digit_limit_is_located_at_its_caret(text, column):
+    with digit_limit(50), pytest.raises(
+        ParseError, match="a power has a coefficient of more than 50 digits"
+    ) as err:
+        parse_poly(text, XY)
+    assert err.value.column == column
+
+
+def test_a_product_of_literals_past_the_digit_limit_is_located_at_its_star():
+    text = "x*10^30*10^20*y"
+    with digit_limit(50), pytest.raises(
+        ParseError, match="a product has a coefficient of more than 50 digits"
+    ) as err:
+        parse_poly(text, XY)
+    assert err.value.column == text.index("*10^20")
+
+
+def test_coefficients_up_to_the_digit_limit_are_read_exactly():
+    with digit_limit(50):
+        assert parse_poly("10^49", XY) == Poly.const(10**49, XY)
+        assert parse_poly("(1/10)^49*x", XY) == Poly(XY, {(1, 0): Fraction(1, 10**49)})
+        assert parse_poly("x*10^30*10^19", XY) == Poly(XY, {(1, 0): 10**49})
+        assert parse_poly("-(10^16*y)^3", XY) == Poly(XY, {(0, 3): -(10**48)})
+        # a base of 0 or 1 stays small at any power
+        assert parse_poly("1^100000000 + 0^100000000*x", XY) == Poly.const(1, XY)
+
+
+def test_the_default_digit_limit_holds_where_any_integer_length_is_read():
+    with digit_limit(0):
+        assert parse_poly(f"10^{DEFAULT_DIGITS - 1}", XY) == Poly.const(10 ** (DEFAULT_DIGITS - 1), XY)
+        with pytest.raises(ParseError, match=f"more than {DEFAULT_DIGITS} digits"):
+            parse_poly(f"10^{DEFAULT_DIGITS}", XY)
