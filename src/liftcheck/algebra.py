@@ -1,29 +1,32 @@
 """Exact scalar, polynomial and polynomial-matrix arithmetic.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
-Polynomials are sparse multivariate with a fixed, ordered variable list;
-the canonical term order is graded lexicographic over that list, so two
-equal polynomials always print and hash identically.  There is no floating
-point anywhere: every verification downstream reduces to testing that a
-polynomial in canonical form is literally zero.
+Coefficients are arbitrary-precision rationals.  Polynomials are sparse
+multivariate with a fixed, ordered variable list, and each one keeps its
+coefficients as integer numerators (``Poly.nums``) over one positive
+denominator (``Poly.den``) that shares no factor with all of them, so two
+equal polynomials are stored, print and hash identically; the print order
+is graded lexicographic over the variable list.  Arithmetic runs on the
+integers and takes a gcd only where the denominator is above 1.  There is
+no floating point anywhere: every verification downstream reduces to testing
+that a polynomial in canonical form is literally zero.
 
 Every sum of products runs through one kernel, ``_contract`` and its ``_dot``,
-on integer numerators over a common denominator.  A sum with at least
+on the integer numerators over the LCM of the denominators.  A sum with at least
 ``_PACK_CUTOFF`` term products keys each monomial by one int instead of a
 tuple: each variable gets an unsigned field of 1, 2, 4 or 8 bytes, wider than
 the highest exponent sum that variable reaches in the call, so a product's key
 is the sum of its factors' keys with no carry between fields.  Smaller sums,
 and sums whose fields would need more than 8 bytes, add exponent tuples.
-``Poly.terms`` is keyed by exponent tuples either way.
+``Poly.nums`` is keyed by exponent tuples either way.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -133,7 +136,7 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-def _term_grlex_key(term: tuple[Exponents, Fraction]) -> tuple:
+def _term_grlex_key(term: tuple[Exponents, int]) -> tuple:
     """``_grlex_key`` of an (exponents, coefficient) term."""
     exps = term[0]
     return (sum(exps), exps)
@@ -142,14 +145,18 @@ def _term_grlex_key(term: tuple[Exponents, Fraction]) -> tuple:
 class Poly:
     """Sparse multivariate polynomial over an ordered variable list.
 
-    Immutable after construction.  ``terms`` maps exponent tuples (aligned
-    with ``variables``) to nonzero Fraction coefficients.
+    Immutable after construction.  ``nums`` maps exponent tuples (aligned
+    with ``variables``) to nonzero integer numerators over the one
+    denominator ``den`` >= 1, and gcd(den, *nums.values()) == 1, so the form
+    is canonical.  ``terms`` is the read-only view of the same polynomial
+    with one ``Fraction`` coefficient per exponent tuple.
 
     ``Poly(...)`` validates its input; arithmetic results are built with
-    ``_trusted``, which skips the checks because they hold by construction.
+    ``_trusted`` or ``_reduced``, which skip the checks because they hold by
+    construction.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "nums", "den")
 
     def __init__(
         self,
@@ -172,38 +179,50 @@ class Poly:
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
                 clean[exps] = coeff
+        nums, den = _over_lcm(clean)
         _set_variables(self, variables)
-        _set_terms(self, clean)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Poly":
+    def _trusted(
+        cls, variables: tuple[str, ...], nums: dict[Exponents, int], den: int
+    ) -> "Poly":
         """Wrap parts that are valid by construction, without checking them.
 
-        ``variables`` must be a tuple and ``terms`` a dict, owned by the new
+        ``variables`` must be a tuple and ``nums`` a dict, owned by the new
         Poly, of exponent tuples of that width with no negative entry to
-        nonzero Fractions.
+        nonzero ints; ``den`` >= 1 must have no common factor with them.
         """
         self = object.__new__(cls)
         _set_variables(self, variables)
-        _set_terms(self, terms)
+        _set_nums(self, nums)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> "Mapping[Exponents, Fraction]":
+        """The coefficients as a read-only mapping, one Fraction per lookup."""
+        return _Terms(self.nums, self.den)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls._trusted(tuple(variables), {})
+        return cls._trusted(tuple(variables), {}, 1)
 
     @classmethod
     def const(cls, value: int | Fraction, variables: Sequence[str]) -> "Poly":
         variables = tuple(variables)
         value = as_fraction(value)
         if value == 0:
-            return cls._trusted(variables, {})
-        return cls._trusted(variables, {(0,) * len(variables): value})
+            return cls._trusted(variables, {}, 1)
+        return cls._trusted(
+            variables, {(0,) * len(variables): value.numerator}, value.denominator
+        )
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "Poly":
@@ -211,43 +230,40 @@ class Poly:
         if name not in variables:
             raise VariableMismatch(f"unknown variable {name!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls._trusted(variables, {exps: Fraction(1)})
+        return cls._trusted(variables, {exps: 1}, 1)
 
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        terms = self.terms
-        if not terms:
+        nums = self.nums
+        if not nums:
             return True
-        if len(terms) > 1:
+        if len(nums) > 1:
             return False
-        (exps,) = terms
+        (exps,) = nums
         return not any(exps)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_constant():
             raise AlgebraError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        (n,) = self.nums.values()
+        return Fraction(n, self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum(exps) for exps in self.terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in descending graded-lex order (canonical print order)."""
-        return sorted(self.terms.items(), key=_term_grlex_key, reverse=True)
+        return max(sum(exps) for exps in self.nums)
 
     def leading(self) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise AlgebraError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=_grlex_key)
+        return exps, Fraction(self.nums[exps], self.den)
 
     # -- alignment ----------------------------------------------------------
 
@@ -276,7 +292,7 @@ class Poly:
                 f"{variables} does not extend {self.variables}"
             )
         pad = (0,) * (len(variables) - len(self.variables))
-        return Poly._trusted(variables, {exps + pad: c for exps, c in self.terms.items()})
+        return Poly._trusted(variables, {exps + pad: n for exps, n in self.nums.items()}, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -289,7 +305,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -307,63 +323,73 @@ class Poly:
         """self + other, or self - other if ``negate``, in one pass over other's terms."""
         if self.variables != other.variables and self.is_constant():
             return (-other if negate else other) + self.constant_value()
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return -other if negate else other
-        out = dict(self.terms)
-        _accumulate(out, other.terms, negate)
-        return Poly._trusted(self.variables, out)
+        den = self.den
+        if other.den == den:
+            out = dict(self.nums)
+            _accumulate(out, other.nums, negate)
+        else:
+            den = lcm(den, other.den)
+            k1, k2 = den // self.den, den // other.den
+            out = {e: n * k1 for e, n in self.nums.items()}
+            _accumulate(out, {e: n * k2 for e, n in other.nums.items()}, negate)
+        return _reduced(self.variables, out, den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self._scale(as_fraction(other))
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.variables != other.variables and self.is_constant():
             return other._scale(self.constant_value())
-        if not self.terms or not other.terms:
-            return Poly._trusted(self.variables, {})
+        if not self.nums or not other.nums:
+            return Poly._trusted(self.variables, {}, 1)
         # a single term shifts the other operand's exponents, injectively
-        if len(other.terms) == 1:
-            return self._shift(other.terms)
-        if len(self.terms) == 1:
-            return other._shift(self.terms)
+        if len(other.nums) == 1:
+            ((shift, n),) = other.nums.items()
+            return self._shift(shift, n, other.den)
+        if len(self.nums) == 1:
+            ((shift, n),) = self.nums.items()
+            return other._shift(shift, n, self.den)
         return _dot([(self, other)], self.variables, {})
 
-    def _shift(self, monomial: dict[Exponents, Fraction]) -> "Poly":
-        """self times the single term in ``monomial``."""
-        ((shift, value),) = monomial.items()
-        if not any(shift):
-            return self._scale(value)
-        terms = self.terms
-        if value == 1:
-            shifted = {tuple(map(add, e, shift)): c for e, c in terms.items()}
-        elif value == -1:
-            shifted = {tuple(map(add, e, shift)): -c for e, c in terms.items()}
-        else:
-            shifted = {tuple(map(add, e, shift)): c * value for e, c in terms.items()}
-        return Poly._trusted(self.variables, shifted)
-
-    def _scale(self, value: Fraction) -> "Poly":
-        # a unit factor costs no Fraction product
-        if value == 1:
+    def _shift(self, shift: Exponents, n: int, d: int) -> "Poly":
+        """self times the single term (n / d) * x^shift, n / d in lowest terms."""
+        nums = self.nums
+        if any(shift):
+            if n == 1:
+                shifted = {tuple(map(add, e, shift)): c for e, c in nums.items()}
+            else:
+                shifted = {tuple(map(add, e, shift)): c * n for e, c in nums.items()}
+        elif n == 1 and d == 1:
             return self
-        if value == -1:
-            return -self
+        else:
+            shifted = {e: c * n for e, c in nums.items()}
+        if d == 1 and (n == 1 or n == -1):
+            # a unit factor leaves the numerators prime to the denominator
+            return Poly._trusted(self.variables, shifted, self.den)
+        return _reduced(self.variables, shifted, self.den * d)
+
+    def _scale(self, value: int | Fraction) -> "Poly":
         if not value:
-            return Poly._trusted(self.variables, {})
-        return Poly._trusted(self.variables, {e: c * value for e, c in self.terms.items()})
+            return Poly._trusted(self.variables, {}, 1)
+        return self._shift((0,) * len(self.variables), value.numerator, value.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        if len(self.terms) == 1:
-            ((exps, coeff),) = self.terms.items()
-            return Poly._trusted(self.variables, {tuple(e * power for e in exps): coeff**power})
+        if len(self.nums) == 1:
+            # powers of coprime n and den stay coprime
+            ((exps, n),) = self.nums.items()
+            return Poly._trusted(
+                self.variables, {tuple(e * power for e in exps): n**power}, self.den**power
+            )
         result = Poly.const(1, self.variables)
         base = self
         while power:
@@ -377,16 +403,17 @@ class Poly:
     def diff(self, var: str) -> "Poly":
         """Exact partial derivative; zero when var does not occur."""
         if var not in self.variables:
-            return Poly._trusted(self.variables, {})
+            return Poly._trusted(self.variables, {}, 1)
         idx = self.variables.index(var)
         # lowering one exponent is injective on the terms where it is positive
-        return Poly._trusted(
+        return _reduced(
             self.variables,
             {
-                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
-                for exps, coeff in self.terms.items()
+                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: n * exps[idx]
+                for exps, n in self.nums.items()
                 if exps[idx]
             },
+            self.den,
         )
 
     def eval_at(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -394,19 +421,19 @@ class Poly:
         if missing:
             raise AlgebraError(f"missing value for variable {missing[0]!r}")
         values = [as_fraction(point[v]) for v in self.variables]
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        # With c = n / D and each value p_i / q_i, every term is an integer
-        # over D * prod q_i^top_i (top_i: the highest exponent of variable i),
+        # With each value p_i / q_i, every term is an integer over
+        # den * prod q_i^top_i (top_i: the highest exponent of variable i),
         # so the sum runs over integers and one Fraction is built at the end.
-        numerators, den = _numerators(self.terms)
+        den = self.den
         used = []
-        for i, (value, top) in enumerate(zip(values, map(max, zip(*self.terms)))):
+        for i, (value, top) in enumerate(zip(values, map(max, zip(*self.nums)))):
             if top:
                 used.append((i, value.numerator, value.denominator, top, {}))
                 den *= value.denominator**top
         total = 0
-        for exps, n in numerators:
+        for exps, n in self.nums.items():
             for i, p, q, top, cache in used:
                 e = exps[i]
                 factor = cache.get(e)
@@ -428,27 +455,29 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             return self._scale(1 / divisor.constant_value())
-        lead_exps, lead_coeff = divisor.leading()
-        remainder = dict(self.terms)
+        # the quotient of the numerators N / M, times M's den over N's
+        lead_exps, lead = divisor.leading()
+        lead *= divisor.den
+        remainder = {e: Fraction(n) for e, n in self.nums.items()}
         quotient: dict[Exponents, Fraction] = {}
         while remainder:
             rexps = max(remainder, key=_grlex_key)
-            rcoeff = remainder[rexps]
             qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
             if any(e < 0 for e in qexps):
                 raise ExactDivisionError("division is not exact")
-            qcoeff = rcoeff / lead_coeff
-            quotient[qexps] = quotient.get(qexps, Fraction(0)) + qcoeff
-            for dexps, dcoeff in divisor.terms.items():
+            qcoeff = quotient[qexps] = remainder[rexps] / lead
+            for dexps, m in divisor.nums.items():
                 exps = tuple(a + b for a, b in zip(qexps, dexps))
-                acc = remainder.get(exps, Fraction(0)) - qcoeff * dcoeff
-                if acc == 0:
-                    remainder.pop(exps, None)
-                else:
+                acc = remainder.get(exps, 0) - qcoeff * m
+                if acc:
                     remainder[exps] = acc
+                else:
+                    remainder.pop(exps, None)
         # the leading remainder term strictly decreases, so each quotient
         # exponent is produced once, with a nonzero coefficient
-        return Poly._trusted(self.variables, quotient)
+        return Poly._trusted(self.variables, *_over_lcm(quotient))._scale(
+            Fraction(divisor.den, self.den)
+        )
 
     # -- equality and printing ---------------------------------------------
 
@@ -457,26 +486,34 @@ class Poly:
             other = Poly.const(other, self.variables)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
+        for exps, n in sorted(self.nums.items(), key=_term_grlex_key, reverse=True):
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.variables, exps)
                 if e
             ]
-            num, den = coeff.numerator, coeff.denominator
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if den == 1:
+                mag = str(abs(n))
+            else:
+                g = gcd(n, den)
+                mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
             if factors and mag == "1":
                 body = "*".join(factors)
             elif factors:
@@ -484,9 +521,9 @@ class Poly:
             else:
                 body = mag
             if not parts:
-                parts.append(body if num > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f" + {body}" if num > 0 else f" - {body}")
+                parts.append(f" + {body}" if n > 0 else f" - {body}")
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -495,25 +532,79 @@ class Poly:
 
 # slot setters that bypass Poly.__setattr__, which refuses every write
 _set_variables = Poly.variables.__set__
-_set_terms = Poly.terms.__set__
+_set_nums = Poly.nums.__set__
+_set_den = Poly.den.__set__
 
 
-def _numerators(terms: dict[Exponents, Fraction]) -> tuple[list[tuple[Exponents, int]], int]:
-    """Integer numerators over the common denominator D, and D itself."""
+class _Terms(Mapping):
+    """``Poly.terms``: exponent tuples to ``Fraction(n, den)``, built on lookup."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[Exponents, int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exps: Exponents) -> Fraction:
+        return Fraction(self._nums[exps], self._den)
+
+    def __contains__(self, exps) -> bool:
+        return exps in self._nums
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _over_lcm(terms: dict[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+    """Nonzero Fractions as integer numerators over the LCM D of their
+    denominators, and D.  Some numerator is prime to each prime power of D,
+    so the gcd is 1 already."""
     den = lcm(*[c.denominator for c in terms.values()])
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _reduced(variables: tuple[str, ...], nums: dict[Exponents, int], den: int) -> Poly:
+    """The Poly of ``nums`` over ``den``, divided through by their gcd; each
+    numerator must be nonzero.  A denominator of 1 takes no gcd."""
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+    return Poly._trusted(variables, nums, den)
+
+
+def _sum_over_lcm(variables: tuple[str, ...], sums: dict[int, dict[Exponents, int]]) -> Poly:
+    """The sum of numerator dicts, each over its key in ``sums`` as denominator.
+
+    Each dict is rewritten over the LCM once, so the cost is linear in the
+    number of terms however many denominators there are.  ``sums`` must not
+    be empty, and its dicts are consumed.
+    """
+    den = lcm(*sums)
+    out = sums.pop(den, {})
+    for d, nums in sums.items():
+        k = den // d
+        _accumulate(out, {e: n * k for e, n in nums.items()}, False)
+    return _reduced(variables, out, den)
 
 
 def _accumulate(
-    out: dict[Exponents, Fraction], terms: dict[Exponents, Fraction], negate: bool
+    out: dict[Exponents, int], nums: dict[Exponents, int], negate: bool
 ) -> None:
-    """Add (or, if ``negate``, subtract) ``terms`` into ``out``, dropping keys that cancel."""
-    for exps, coeff in terms.items():
+    """Add (or, if ``negate``, subtract) ``nums`` into ``out``, dropping keys that cancel."""
+    for exps, n in nums.items():
         acc = out.get(exps)
         if acc is None:
-            out[exps] = -coeff if negate else coeff
+            out[exps] = -n if negate else n
         else:
-            total = acc - coeff if negate else acc + coeff
+            total = acc - n if negate else acc + n
             if total:
                 out[exps] = total
             else:
@@ -557,7 +648,7 @@ def _nonzero(line: Sequence[Poly], variables: tuple[str, ...]) -> dict[int, Poly
     """The nonzero entries of ``line`` by position; each must live over ``variables``."""
     found = {}
     for k, a in enumerate(line):
-        if a.terms:
+        if a.nums:
             if a.variables != variables:
                 raise VariableMismatch(
                     f"cannot contract an entry over {a.variables} into {variables}"
@@ -574,10 +665,10 @@ def _dot(
     """sum a * b over pairs of nonzero Polys, in one integer accumulator.
 
     Every product is written over D, the LCM of the pairs' denominators
-    D_a * D_b, and its integer numerators are added into one dict; one
-    Fraction is built per nonzero sum.  ``operands`` keeps each entry's
-    ``_Operand`` for the whole contraction, by ``id`` and next to the entry
-    itself, so that no id is reused while the cache lives.  A sum of at least
+    D_a * D_b, and its integer numerators are added into one dict, which
+    becomes the result over D once the zero sums are dropped.  ``operands``
+    keeps each entry's ``_Operand`` for the whole contraction, by ``id`` and
+    next to the entry itself, so that no id is reused while the cache lives.  A sum of at least
     ``_PACK_CUTOFF`` term products is keyed by packed exponents when they fit
     (``_packed_dot``).  A general product of ``Poly.__mul__`` comes here as a
     single pair.
@@ -592,7 +683,7 @@ def _dot(
             right = operands[id(b)] = _Operand(b)
         parts.append((left, right))
     den = lcm(*[left.den * right.den for left, right in parts])
-    if sum(len(left.numerators) * len(right.numerators) for left, right in parts) >= _PACK_CUTOFF:
+    if sum(len(left.nums) * len(right.nums) for left, right in parts) >= _PACK_CUTOFF:
         layout = _layout(parts)
         if layout is not None:
             return _packed_dot(parts, den, layout, variables)
@@ -600,7 +691,7 @@ def _dot(
     get = acc.get
     for left, right in parts:
         scale = den // (left.den * right.den)
-        left, right = left.numerators, right.numerators
+        left, right = left.nums.items(), right.nums.items()
         if len(left) > len(right):
             left, right = right, left
         for e1, n1 in left:
@@ -613,11 +704,7 @@ def _dot(
                 # a constant factor leaves the other side's exponents as they are
                 for e2, n2 in right:
                     acc[e2] = get(e2, 0) + n1 * n2
-    if den == 1:
-        terms = {e: Fraction(n) for e, n in acc.items() if n}
-    else:
-        terms = {e: Fraction(n, den) for e, n in acc.items() if n}
-    return Poly._trusted(variables, terms)
+    return _reduced(variables, {e: n for e, n in acc.items() if n}, den)
 
 
 # A row . column sum of at least this many term products is accumulated on
@@ -633,23 +720,23 @@ _FIELDS = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
 class _Operand:
     """An entry of a contraction as ``_dot`` reads it.
 
-    ``numerators`` and ``den`` are its coefficients as integers over their
-    common denominator.  ``top`` (each variable's highest exponent) and
-    ``packed`` (the numerators keyed by packed exponents, per field layout)
-    are made the first time a sum of the entry is packed.
+    ``nums`` and ``den`` are the entry's own.  ``top`` (each variable's
+    highest exponent) and ``packed`` (the numerators keyed by packed
+    exponents, per field layout) are made the first time a sum of the entry
+    is packed.
     """
 
-    __slots__ = ("poly", "numerators", "den", "top", "packed")
+    __slots__ = ("poly", "nums", "den", "top", "packed")
 
     def __init__(self, poly: Poly):
         self.poly = poly
-        self.numerators, self.den = _numerators(poly.terms)
+        self.nums, self.den = poly.nums, poly.den
         self.top: Exponents | None = None
         self.packed: dict[str, list[tuple[int, int]]] | None = None
 
     def tops(self) -> Exponents:
         if self.top is None:
-            self.top = tuple(map(max, zip(*self.poly.terms)))
+            self.top = tuple(map(max, zip(*self.nums)))
         return self.top
 
     def pack(self, layout: struct.Struct) -> list[tuple[int, int]]:
@@ -659,7 +746,7 @@ class _Operand:
         if packed is None:
             pack, from_bytes = layout.pack, int.from_bytes
             packed = self.packed[layout.format] = [
-                (from_bytes(pack(*e), "big"), n) for e, n in self.numerators
+                (from_bytes(pack(*e), "big"), n) for e, n in self.nums.items()
             ]
         return packed
 
@@ -704,11 +791,9 @@ def _packed_dot(
                 key = k1 + k2
                 acc[key] = get(key, 0) + n1 * n2
     unpack, size = layout.unpack, layout.size
-    if den == 1:
-        terms = {unpack(k.to_bytes(size, "big")): Fraction(n) for k, n in acc.items() if n}
-    else:
-        terms = {unpack(k.to_bytes(size, "big")): Fraction(n, den) for k, n in acc.items() if n}
-    return Poly._trusted(variables, terms)
+    return _reduced(
+        variables, {unpack(k.to_bytes(size, "big")): n for k, n in acc.items() if n}, den
+    )
 
 
 class PolyMatrix:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
-from .algebra import Poly, _accumulate
+from .algebra import Poly, _accumulate, _sum_over_lcm
 
 
 class ParseError(ValueError):
@@ -139,14 +139,17 @@ class _Parser:
             raise ParseError(f"expected {sym!r}, found {tok[1]!r}", tok[2])
 
     def parse_expr(self) -> Poly:
-        # every term is added into one dict, so a sum costs linear time
-        acc = dict(self.parse_term().terms)
+        # every term is added into the one dict of the terms over its
+        # denominator, and the dicts meet once, so a sum costs linear time
+        term = self.parse_term()
+        sums = {term.den: dict(term.nums)}
         tok = self.peek()
         while tok and tok[0] == "sym" and tok[1] in "+-":
             self.next()
-            _accumulate(acc, self.parse_term().terms, tok[1] == "-")
+            term = self.parse_term()
+            _accumulate(sums.setdefault(term.den, {}), term.nums, tok[1] == "-")
             tok = self.peek()
-        return Poly._trusted(self.variables, acc)
+        return _sum_over_lcm(self.variables, sums)
 
     def parse_term(self) -> Poly:
         # literals and coordinates fold into one coefficient num/den and one
@@ -179,8 +182,8 @@ class _Parser:
                 raise ParseError("division is allowed only in rational literals", tok[2])
             else:
                 break
-        terms = {tuple(exps): Fraction(num, den)} if num else {}
-        value = Poly._trusted(self.variables, terms)
+        g = gcd(num, den)
+        value = Poly._trusted(self.variables, {tuple(exps): num // g} if num else {}, den // g)
         for factor in factors:
             value = value * factor
         return value
@@ -188,8 +191,10 @@ class _Parser:
     def parse_factor(self) -> tuple[bool, Poly | int | tuple[int, int], int | None, int]:
         """(negate, atom, power, degree): a run of unary signs, a primary, its
         exponent, or None when there is no ``^``, and the factor's total degree.
-        A literal comes raised to its power, with power None; the coefficient
-        of a power of a literal or of a one-term Poly is bounded like a literal."""
+        A literal comes raised to its power, with power None.  The coefficient
+        of a power of a literal is bounded like a literal, and so is the
+        bound (||N||_1)^k, D^k on every coefficient of a power (N / D)^k of a
+        Poly, where ||N||_1 is the sum of the numerators' absolute values."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -210,10 +215,9 @@ class _Parser:
             if isinstance(atom, tuple):
                 return negate, _coefficient_power(*atom, power, tok[2]), None, 0
             degree = _capped(degree * power, tok[2])
-            if isinstance(atom, Poly) and len(atom.terms) == 1:
-                # a one-term power, (7)^k or (2*x)^k, is its coefficient to the k
-                (coeff,) = atom.terms.values()
-                _coefficient_power(abs(coeff.numerator), coeff.denominator, power, tok[2])
+            if isinstance(atom, Poly):
+                norm = sum(abs(n) for n in atom.nums.values())
+                _coefficient_power(norm, atom.den, power, tok[2])
             return negate, atom, power, degree
         return negate, atom, None, degree
 

@@ -154,7 +154,7 @@ def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Opti
 
 def _fiber_sum(pairs: Iterable[tuple[int, Poly]], tangent: TangentChart) -> Poly:
     """The sum of y^k p_k over (k, p_k) pairs of base-chart polynomials, on the total chart."""
-    pairs = [(k, p) for k, p in pairs if p.terms]
+    pairs = [(k, p) for k, p in pairs if p]
     fibers = [tangent.fiber_poly(k) for k, _ in pairs]
     embedded = [tangent.embed(p) for _, p in pairs]
     ((value,),) = _contract([fibers], [embedded], tangent.total.zero_poly())
@@ -163,10 +163,10 @@ def _fiber_sum(pairs: Iterable[tuple[int, Poly]], tangent: TangentChart) -> Poly
 
 def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
     """y^k d_k p, embedded on the total chart; d_k is taken only where x^k occurs in p."""
-    terms = p.terms
+    nums = p.nums
     return _fiber_sum(
         [(k, p.diff(name)) for k, name in enumerate(tangent.base.coords)
-         if any(exps[k] for exps in terms)],
+         if any(exps[k] for exps in nums)],
         tangent,
     )
 

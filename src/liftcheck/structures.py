@@ -150,13 +150,14 @@ def _descent_point(p: Poly) -> list[Fraction]:
     coefficient of p_i in variable i, and the last is a nonzero constant; last
     variable first, p_i at the later values has degree d in variable i and a
     nonzero top coefficient, so one of 0..d is not a root (Schwartz 1980)."""
-    chain = [p.terms]
+    chain = [p.nums]
     for i in range(len(p.variables)):
         top = max(e[i] for e in chain[-1])
         chain.append({e[:i] + (0,) + e[i + 1:]: c for e, c in chain[-1].items() if e[i] == top})
     values = dict.fromkeys(p.variables, Fraction(0))
     for i in reversed(range(len(p.variables))):
-        pi = Poly._trusted(p.variables, chain[i])
+        # p_i times its denominator has the same roots; over 1, it is canonical
+        pi = Poly._trusted(p.variables, chain[i], 1)
         for x in range(max(e[i] for e in chain[i]) + 1):
             values[p.variables[i]] = Fraction(x)
             if pi.eval_at(values) != 0:

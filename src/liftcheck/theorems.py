@@ -339,7 +339,7 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
     for b, xb in enumerate(base.xi):
         if xb == x:
             return f"xi_{b + 1}", b
-    nonzero = [(coord, c) for coord, c in zip(base.chart.coords, x.comps) if c.terms]
+    nonzero = [(coord, c) for coord, c in zip(base.chart.coords, x.comps) if c]
     if len(nonzero) == 1:
         ((coord, c),) = nonzero
         if c.is_constant() and c.constant_value() == 1:

@@ -1,7 +1,7 @@
 """Exact arithmetic: rationals, eps-complex numbers, polynomials, matrices."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -316,6 +316,114 @@ def test_eval_matches_fraction_reference(terms, values, constant):
         value = q.eval_at(point)
         assert type(value) is Fraction
         assert value == reference_eval(q, point)
+
+
+# -- the integer-numerator core against a Fraction reference -------------------------
+
+
+def assert_canonical(q):
+    """Integer numerators, none zero, over a denominator >= 1 prime to all of them."""
+    assert type(q.den) is int and q.den >= 1
+    assert all(type(n) is int and n != 0 for n in q.nums.values())
+    assert gcd(q.den, *q.nums.values()) == 1
+
+
+def ref_clean(terms):
+    return {exps: c for exps, c in terms.items() if c != 0}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k):
+    out = {(0,) * len(XYZ): Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_diff(a, i):
+    return {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i] for exps, c in a.items() if exps[i]}
+
+
+def ref_eval(a, values):
+    total = Fraction(0)
+    for exps, c in a.items():
+        for v, e in zip(values, exps):
+            c *= v**e
+        total += c
+    return total
+
+
+def ref_str(a, variables):
+    """Descending graded-lex terms, each coefficient a reduced Fraction."""
+    parts = []
+    for exps, c in sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]
+        mag = str(abs(c))
+        body = "*".join(factors if factors and mag == "1" else [mag] + factors)
+        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), mixed_fractions, max_size=6),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), mixed_fractions, max_size=6),
+    st.integers(0, 4),
+    st.tuples(point_values, point_values, point_values),
+)
+def test_integer_core_matches_fraction_reference(ta, tb, k, values):
+    a, b = Poly(XYZ, ta), Poly(XYZ, tb)
+    ra, rb = ref_clean(ta), ref_clean(tb)
+    xyzw = XYZ + ("w",)
+    cases = [
+        (a, ra), (b, rb), (a + b, ref_add(ra, rb)), (a - b, ref_add(ra, rb, -1)),
+        (-a, ref_add({}, ra, -1)), (a * b, ref_mul(ra, rb)), (a**k, ref_pow(ra, k)),
+        (a.diff("y"), ref_diff(ra, 1)), (a + b - b, ra),
+        (a.extend(xyzw), {exps + (0,): c for exps, c in ra.items()}),
+    ]
+    if rb:
+        cases.append(((a * b).divide_exact(b), ra))
+    for got, want in cases:
+        assert_canonical(got)
+        assert dict(got.terms.items()) == want
+        assert len(got.terms) == len(want)
+        assert str(got) == ref_str(want, got.variables)
+        # built from the reference terms, the same Poly, equal and of equal hash
+        same = Poly(got.variables, want)
+        assert got == same and hash(got) == hash(same)
+    assert a.eval_at(dict(zip(XYZ, values))) == ref_eval(ra, values)
+
+
+def test_cancellation_returns_to_denominator_one():
+    x, y = Poly.variable("x", XY), Poly.variable("y", XY)
+    half = x * Fraction(1, 2)
+    assert (half.nums, half.den) == ({(1, 0): 1}, 2)
+    for q in (half + y - half, half + half - x + y, (half * 2 + y) - x,
+              p({(2, 0): Fraction(1, 2), (0, 1): 1}).diff("y") * y):
+        assert q == y and (q.nums, q.den) == ({(0, 1): 1}, 1)
+        assert hash(q) == hash(y)
+    # a common factor of every numerator with the denominator is divided out
+    q = p({(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 3)}) * 3
+    assert (q.nums, q.den) == ({(1, 0): 1, (0, 1): 2}, 2)
+    assert str(q) == "1/2*x + y"
+    assert (half - half).den == 1 and not (half - half)
+    assert {half + y - half: 1}[y] == 1
 
 
 def test_subtraction_makes_no_negated_copy(monkeypatch):

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from liftcheck.expr import (
 )
 
 XY = ("x", "y")
+ABC = ("a1", "b1", "c1")
 
 
 def test_basic_expression():
@@ -322,6 +324,37 @@ def test_coefficients_up_to_the_digit_limit_are_read_exactly():
         assert parse_poly("-(10^16*y)^3", XY) == Poly(XY, {(0, 3): -(10**48)})
         # a base of 0 or 1 stays small at any power
         assert parse_poly("1^100000000 + 0^100000000*x", XY) == Poly.const(1, XY)
+
+
+def test_a_power_of_any_poly_is_bounded_by_its_numerators_l1_norm():
+    # every coefficient of (N / D)^p has a numerator of at most ||N||_1^p and a
+    # denominator of at most D^p, so these bound the power before it is made
+    with digit_limit(50):
+        # (10^12 + 1)^4 < 10^50
+        assert parse_poly("(10^12*x + 1)^4", XY) == Poly(
+            XY, {(i, 0): comb(4, i) * 10 ** (12 * i) for i in range(5)}
+        )
+        assert parse_poly("(1/7*x + 1/7*y)^50", XY).den == 7**50
+        # (10^12 + 1)^5 > 10^50, though the power is refused without being made
+        # the denominator (1/10)^13 of the last is bounded too
+        for text in ("y*(10^12*x + 1)^5", "(x - 10^12*y)^5 + x", "(1/10^13*x + 1/10^13*y)^4"):
+            with pytest.raises(
+                ParseError, match="a power has a coefficient of more than 50 digits"
+            ) as err:
+                parse_poly(text, XY)
+            assert err.value.column == text.index(")^") + 1
+
+
+def test_a_power_of_a_sum_with_a_huge_coefficient_stops_at_its_caret():
+    # 7^4000 has 3381 digits and degree 1000 is within the cap, so both caps
+    # pass this power; it would have 3.4 million digits in its largest coefficient
+    text = "(7^4000*a1 + 1)^1000"
+    with pytest.raises(ParseError, match=f"more than {DEFAULT_DIGITS} digits") as err:
+        parse_poly(text, ABC)
+    assert err.value.column == text.index(")^") + 1
+    series = parse_poly("(a1+b1+c1)^60", ABC)
+    assert len(series.terms) == comb(62, 2) and series.den == 1
+    assert series.nums[(20, 20, 20)] == factorial(60) // factorial(20) ** 3
 
 
 def test_the_default_digit_limit_holds_where_any_integer_length_is_read():
