@@ -50,7 +50,7 @@ from typing import Optional
 
 from .algebra import Poly
 from .expr import ParseError, is_name, parse_poly
-from .lifts import COMPLETE, DEFAULT_FIBER_SUFFIX, HORIZONTAL, Connection
+from .lifts import COMPLETE, DEFAULT_FIBER_SUFFIX, HORIZONTAL, Connection, LiftError, TangentChart
 from .structures import (
     AXIOM_MODES,
     PAPER_LITERAL,
@@ -291,6 +291,7 @@ def parse_definition(text: str) -> Definition:
                 chart = Chart(words[1], tuple(words[2:]))
             except ValueError as exc:
                 raise DefinitionError(str(exc), lineno) from exc
+            chart_line = lineno
             continue
 
         if head == "fiber_suffix":
@@ -338,6 +339,11 @@ def parse_definition(text: str) -> Definition:
 
     if chart is None:
         raise DefinitionError("missing chart declaration", len(lines) or 1)
+    try:
+        TangentChart.over(chart, fiber_suffix)
+    except LiftError as exc:
+        # at the fiber_suffix line, if there is one
+        raise DefinitionError(str(exc), seen.get("fiber_suffix", (chart_line,))[0]) from exc
     return Definition(chart, fiber_suffix, connection, structure, mode, tasks)
 
 
@@ -446,11 +452,9 @@ def emit_definition(defn: Definition) -> str:
     if conn is not None:
         out.append("")
         out.append("connection " + ("symmetric" if conn.symmetric else "general"))
-        for i, plane in enumerate(conn.gamma):
-            for j, row in enumerate(plane):
-                for k, val in enumerate(row):
-                    if not val.is_zero() and not (conn.symmetric and j > k):
-                        out.append(f"  Gamma[{i + 1},{j + 1},{k + 1}] = {val}")
+        for (i, j, k), val in sorted(conn.entries.items()):
+            if not (conn.symmetric and j > k):
+                out.append(f"  Gamma[{i + 1},{j + 1},{k + 1}] = {val}")
         out.append("end")
     s = defn.structure
     if s is not None:

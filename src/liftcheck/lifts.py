@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import sub
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .algebra import Poly, _contract
+from .algebra import Poly, _contract, _reduced
 from .structures import (
     LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
 )
@@ -81,43 +81,39 @@ class TangentChart:
 
 @dataclass(frozen=True)
 class Connection:
-    """Christoffel coefficients gamma[i][j][k] = G^i_jk as base-chart polynomials."""
+    """The nonzero Christoffel coefficients G^i_jk, base-chart polynomials keyed
+    by 0-based (i, j, k); a symmetric connection holds (i, j, k) and (i, k, j).
+
+    Every given key must be in range and every value on the chart; when
+    ``symmetric``, (i, j, k) also fills (i, k, j), and the two keys may both
+    be given only with equal values.  Zero values are dropped, so two
+    connections are equal when their chart, flag and nonzero entries are."""
 
     chart: Chart
-    gamma: tuple[tuple[tuple[Poly, ...], ...], ...]
+    # left out of the hash, which stays valid: equal connections share chart and flag
+    entries: dict[tuple[int, int, int], Poly] = field(hash=False)
     symmetric: bool = True
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = self.chart.dim
-        g = tuple(
-            tuple(tuple(entry for entry in row) for row in plane)
-            for plane in self.gamma
-        )
-        if len(g) != m or any(
-            len(plane) != m or any(len(row) != m for row in plane) for plane in g
-        ):
-            raise LiftError("connection coefficients must form an m*m*m array")
-        for plane in g:
-            for row in plane:
-                for entry in row:
-                    if entry.variables != self.chart.coords:
-                        raise LiftError("connection entries must live on the chart")
-        object.__setattr__(self, "gamma", g)
-        if self.symmetric:
-            for i in range(m):
-                for j in range(m):
-                    for k in range(j + 1, m):
-                        if g[i][j][k] != g[i][k][j]:
-                            raise LiftError(
-                                "connection flagged symmetric has gamma[i][j][k] != gamma[i][k][j]"
-                            )
+        m, given, entries = self.chart.dim, self.entries, {}
+        for key, value in given.items():
+            i, j, k = key
+            if not all(0 <= v < m for v in key):
+                raise LiftError(f"connection entry {key} out of range 0..{m - 1}")
+            if value.variables != self.chart.coords:
+                raise LiftError(f"connection entry {key} must live on the chart")
+            if self.symmetric and given.get((i, k, j), value) != value:
+                raise LiftError(f"symmetric connection entries {(i, j, k)} and {(i, k, j)} differ")
+            if value:
+                entries[key] = value
+                if self.symmetric:
+                    entries[i, k, j] = value
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def flat(cls, chart: Chart) -> "Connection":
-        z = chart.zero_poly()
-        m = chart.dim
-        return cls(chart, tuple(tuple((z,) * m for _ in range(m)) for _ in range(m)))
+        return cls(chart, {})
 
     @classmethod
     def from_entries(
@@ -126,22 +122,11 @@ class Connection:
         entries: dict[tuple[int, int, int], Poly],
         symmetric: bool = True,
     ) -> "Connection":
-        """Sparse constructor; keys are 0-based (upper, lower1, lower2).  When
-        ``symmetric``, (i, j, k) also fills (i, k, j), and the two keys may both
-        be given only with equal values."""
-        m = chart.dim
-        z = chart.zero_poly()
-        g = [[[z for _ in range(m)] for _ in range(m)] for _ in range(m)]
-        for (i, j, k), value in entries.items():
-            if symmetric and entries.get((i, k, j), value) != value:
-                raise LiftError(f"symmetric connection entries {(i, j, k)} and {(i, k, j)} differ")
-            g[i][j][k] = value
-            if symmetric and j != k:
-                g[i][k][j] = value
-        return cls(chart, tuple(tuple(tuple(row) for row in plane) for plane in g), symmetric)
+        """The connection of ``entries``, keyed by 0-based (upper, lower1, lower2)."""
+        return cls(chart, entries, symmetric)
 
     def is_flat(self) -> bool:
-        return all(e.is_zero() for plane in self.gamma for row in plane for e in row)
+        return not self.entries
 
 
 def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Optional[Connection]:
@@ -152,34 +137,30 @@ def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Opti
     return Connection.flat(chart) if conn is None else conn
 
 
-def _fiber_sum(pairs: Iterable[tuple[int, Poly]], tangent: TangentChart) -> Poly:
-    """The sum of y^k p_k over (k, p_k) pairs of base-chart polynomials, on the total chart."""
-    pairs = [(k, p) for k, p in pairs if p]
-    fibers = [tangent.fiber_poly(k) for k, _ in pairs]
-    embedded = [tangent.embed(p) for _, p in pairs]
-    ((value,),) = _contract([fibers], [embedded], tangent.total.zero_poly())
-    return value
-
-
 def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
-    """y^k d_k p, embedded on the total chart; d_k is taken only where x^k occurs in p."""
-    nums = p.nums
-    return _fiber_sum(
-        [(k, p.diff(name)) for k, name in enumerate(tangent.base.coords)
-         if any(exps[k] for exps in nums)],
-        tangent,
-    )
+    """y^k d_k p on the total chart, read off p's terms in one pass: n x^e gives
+    n e_k x^(e - 1_k) y^k for each k with e_k > 0.  No two (e, k) give the same
+    monomial, so no two terms are added."""
+    m = tangent.base.dim
+    nums = {}
+    for e, n in p.nums.items():
+        for k, ek in enumerate(e):
+            if ek:
+                y_k = (0,) * k + (1,) + (0,) * (m - 1 - k)
+                nums[e[:k] + (ek - 1,) + e[k + 1:] + y_k] = n * ek
+    return _reduced(tangent.total.coords, nums, p.den)
 
 
 def _connection_matrix(conn: Connection, tangent: TangentChart) -> tuple[tuple[Poly, ...], ...]:
-    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj is the k-th slice;
-    kept in ``conn.memo``, since every horizontal lift over ``conn`` reads the same G_y."""
+    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj: slot (i, j) is the
+    sum of y^k G^i_kj over the entries (i, k, j) that feed it.  Kept in
+    ``conn.memo``, since every horizontal lift over ``conn`` reads the same G_y."""
     if tangent not in conn.memo:
-        r = range(tangent.base.dim)
-        conn.memo[tangent] = tuple(
-            tuple(_fiber_sum(enumerate(conn.gamma[i][k][j] for k in r), tangent) for j in r)
-            for i in r
-        )
+        m, zero = tangent.base.dim, tangent.total.zero_poly()
+        g_y = [[zero] * m for _ in range(m)]
+        for (i, k, j), value in conn.entries.items():
+            g_y[i][j] = g_y[i][j] + tangent.fiber_poly(k) * tangent.embed(value)
+        conn.memo[tangent] = tuple(map(tuple, g_y))
     return conn.memo[tangent]
 
 

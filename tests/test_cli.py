@@ -333,6 +333,40 @@ def test_names_that_do_not_read_back_are_located_input_errors(tmp_path, old, new
 
 
 
+CLASH_STRUCTURE = """
+structure
+  epsilon -1
+  signature riemannian
+  n 1
+  r 2
+  F[1,2] = -1
+  F[2,1] = 1
+  xi[1,3] = 1
+  xi[2,4] = 1
+  eta[1,3] = 1
+  eta[2,4] = 1
+end
+
+task lift
+"""
+
+
+@pytest.mark.parametrize("header, fiber, line", [
+    ("chart M a b c a_dot", "a_dot", 1),
+    ("chart M a b c a_x\n# the suffix comes after the chart\nfiber_suffix _x", "a_x", 3),
+    ("fiber_suffix _x\nchart M a b c a_x", "a_x", 1),
+])
+def test_a_fiber_name_clash_is_located(tmp_path, capsys, header, fiber, line):
+    # a fiber coordinate named like a base one is reported at the fiber_suffix
+    # line, or at the chart line with the default suffix
+    path = tmp_path / "clash.def"
+    path.write_text(header + "\n" + CLASH_STRUCTURE, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"liftcheck: error: fiber names collide with base names: [{fiber!r}] (line {line})\n"
+    )
+
+
 # ``int`` reads and ``str`` prints at most this many digits (0: any number)
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 TOO_LONG = "7" * (INT_DIGITS + 1)

@@ -127,9 +127,11 @@ def test_connection_block():
     conn = build_connection(defn)
     assert conn is not None and conn.symmetric
     idx = {name: i for i, name in enumerate(defn.chart.coords)}
-    assert conn.gamma[idx["c1"]][idx["a1"]][idx["a1"]] == defn.chart.coordinate("a1")
+    a1, c1 = defn.chart.coordinate("a1"), defn.chart.coordinate("c1")
     # symmetric completion fills the mirrored slot
-    assert conn.gamma[0][0][1] == conn.gamma[0][1][0]
+    assert conn.entries == {
+        (idx["c1"], idx["a1"], idx["a1"]): a1, (0, 0, 1): c1**2, (0, 1, 0): c1**2,
+    }
 
 
 def test_emit_parse_round_trip_inline():
@@ -306,7 +308,7 @@ def test_a_repeated_connection_entry_is_located_at_its_second_line(kind, entries
 def test_a_general_connection_keeps_both_orders_of_its_lower_indices():
     defn = parse_definition(_connection_text("general", "Gamma[3,1,2] = a1", "Gamma[3,2,1] = b1"))
     a1, b1 = defn.chart.coordinate("a1"), defn.chart.coordinate("b1")
-    assert (defn.connection.gamma[2][0][1], defn.connection.gamma[2][1][0]) == (a1, b1)
+    assert defn.connection.entries == {(2, 0, 1): a1, (2, 1, 0): b1}
     assert parse_definition(emit_definition(defn)) == defn
 
 

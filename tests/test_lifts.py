@@ -133,6 +133,8 @@ def test_constant_vector_complete_lift():
 
 
 def test_complete_lift_differentiates_only_by_coordinates_that_occur(monkeypatch):
+    # y^k d_k p is read off the terms of p, each exponent e_k > 0 giving one
+    # term: no Poly.diff call, and nothing for a coordinate that does not occur
     calls = []
     diff = Poly.diff
 
@@ -145,11 +147,18 @@ def test_complete_lift_differentiates_only_by_coordinates_that_occur(monkeypatch
     assert lift_vector(x, COMPLETE, TAB) == TensorField.vector(
         TAB.total, [3, Fraction(1, 2), 0, 0]
     )
-    assert calls == []
-    a = AB.coordinate("a")
+    a, b = AB.coordinate("a"), AB.coordinate("b")
     lifted = lift_vector(TensorField.vector(AB, [a * a, AB.zero_poly()]), COMPLETE, TAB)
-    assert calls == ["a"]
     assert lifted.comps[2] == TAB.embed(2 * a) * TAB.fiber_poly(0)
+    # 3/2 a^2 b^3 - a/2: every term, every exponent and the denominator
+    p = Fraction(3, 2) * a**2 * b**3 - Fraction(1, 2) * a
+    lifted = lift_function(TensorField.function(AB, p), COMPLETE, TAB)
+    y = [TAB.fiber_poly(k) for k in range(AB.dim)]
+    assert lifted.comps == (
+        TAB.embed(3 * a * b**3 - Fraction(1, 2)) * y[0]
+        + TAB.embed(Fraction(9, 2) * a**2 * b**2) * y[1]
+    )
+    assert calls == []
 
 
 def test_vertical_lift_moves_to_fiber():
@@ -253,7 +262,55 @@ def test_symmetric_connection_refuses_two_values_for_one_entry():
     same = Connection.from_entries(AB, {(1, 0, 1): a, (1, 1, 0): a})
     assert same == Connection.from_entries(AB, {(1, 0, 1): a})
     general = Connection.from_entries(AB, {(1, 0, 1): a, (1, 1, 0): b}, symmetric=False)
-    assert (general.gamma[1][0][1], general.gamma[1][1][0]) == (a, b)
+    assert general.entries == {(1, 0, 1): a, (1, 1, 0): b}
+    assert same.entries == {(1, 0, 1): a, (1, 1, 0): a}
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (2, 0, 0), (0, -1, 1), (0, 1, 2), (1, 1, -2)])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+def test_connection_keys_out_of_range_are_refused(key, symmetric):
+    # -1 would read as the last coordinate, and 2 is past the two of AB
+    with pytest.raises(LiftError) as err:
+        Connection.from_entries(AB, {key: AB.coordinate("a")}, symmetric)
+    assert str(err.value) == f"connection entry {key} out of range 0..1"
+
+
+def test_connection_entries_must_live_on_the_chart():
+    with pytest.raises(LiftError, match=r"connection entry \(0, 1, 1\) must live on the chart"):
+        Connection.from_entries(AB, {(0, 1, 1): Chart("R", ("a", "c")).zero_poly()})
+
+
+def test_a_connection_holds_its_nonzero_entries_only():
+    a, b = AB.coordinate("a"), AB.coordinate("b")
+    assert Connection.flat(AB).entries == {} and Connection.flat(AB).is_flat()
+    zeros = Connection.from_entries(AB, {(0, 0, 1): AB.zero_poly(), (1, 1, 1): AB.const(0)})
+    assert zeros == Connection.flat(AB) and zeros.is_flat()
+    conn = Connection.from_entries(AB, {(0, 0, 1): a, (1, 1, 1): b, (1, 0, 0): AB.zero_poly()})
+    assert conn.entries == {(0, 0, 1): a, (0, 1, 0): a, (1, 1, 1): b}
+    assert not conn.is_flat()
+
+
+def test_general_connection_equality_hash_and_emission():
+    from liftcheck.definition import Definition, emit_definition, parse_definition
+
+    a, b = AB.coordinate("a"), AB.coordinate("b")
+    general = Connection.from_entries(AB, {(1, 1, 0): b * b, (0, 0, 1): a, (1, 0, 1): -b}, False)
+    again = Connection.from_entries(AB, {(0, 0, 1): a, (1, 0, 1): -b, (1, 1, 0): b * b}, False)
+    assert general == again and hash(general) == hash(again)
+    # a general connection keeps each order of the lower indices apart
+    assert general != Connection.from_entries(AB, {(0, 0, 1): a, (1, 0, 1): -b}, False)
+    # the same entries under the other flag are another connection
+    pair = {(0, 0, 1): a, (0, 1, 0): a}
+    assert Connection.from_entries(AB, pair, False) != Connection.from_entries(AB, pair, True)
+    assert general != Connection.from_entries(AB, {(0, 0, 1): a, (1, 1, 0): b * b, (1, 0, 1): b}, False)
+    text = emit_definition(Definition(AB, connection=general))
+    # the entries in sorted order, each once
+    assert text.splitlines()[1:] == [
+        "", "connection general", "  Gamma[1,1,2] = a", "  Gamma[2,1,2] = -b",
+        "  Gamma[2,2,1] = b^2", "end",
+    ]
+    assert parse_definition(text).connection == general
+    assert len({general, again, Connection.flat(AB)}) == 2
 
 
 def test_horizontal_block_against_frame_contract():
@@ -271,8 +328,8 @@ def test_horizontal_block_against_frame_contract():
         for s in range(m):
             acc = Poly.zero(total.coords)
             for k in range(m):
-                g = conn.gamma[s][k][j]
-                if not g.is_zero():
+                g = conn.entries.get((s, k, j))
+                if g is not None:
                     acc = acc - TAB.fiber_poly(k) * TAB.embed(g)
             fiber.append(acc)
         h_j = TensorField.vector(total, base + fiber)
@@ -317,8 +374,12 @@ class _TermwiseReference:
     as plain {exponents: Fraction} dicts over the total chart; no Poly arithmetic."""
 
     def __init__(self, conn):
-        self.gamma = conn.gamma
+        self.entries = conn.entries
+        self.zero = conn.chart.zero_poly()
         self.m = conn.chart.dim
+
+    def gamma(self, i, j, k):
+        return self.entries.get((i, j, k), self.zero)
 
     def embed(self, p):
         return {exps + (0,) * self.m: c for exps, c in p.terms.items()}
@@ -338,20 +399,20 @@ class _TermwiseReference:
     def vector_fiber(self, x, i):
         """(X^h)^{m+i} = -y^k G^i_kj X^j."""
         r = range(self.m)
-        return self.sum_terms((-1, k, self.gamma[i][k][j], x.comps[j]) for k in r for j in r)
+        return self.sum_terms((-1, k, self.gamma(i, k, j), x.comps[j]) for k in r for j in r)
 
     def oneform_lead(self, w, i):
         """(w^h)_i = y^k G^s_ki w_s."""
         r = range(self.m)
-        return self.sum_terms((1, k, self.gamma[s][k][i], w.comps[s]) for k in r for s in r)
+        return self.sum_terms((1, k, self.gamma(s, k, i), w.comps[s]) for k in r for s in r)
 
     def endo_block(self, f, i, j):
         """B^i_j = y^k (G^s_kj F^i_s - G^i_ks F^s_j)."""
         r = range(self.m)
         g = self.gamma
         return self.sum_terms(
-            [(1, k, g[s][k][j], f.comps[i][s]) for k in r for s in r]
-            + [(-1, k, g[i][k][s], f.comps[s][j]) for k in r for s in r]
+            [(1, k, g(s, k, j), f.comps[i][s]) for k in r for s in r]
+            + [(-1, k, g(i, k, s), f.comps[s][j]) for k in r for s in r]
         )
 
 
