@@ -23,8 +23,9 @@ and sums whose fields would need more than 8 bytes, add exponent tuples.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -612,49 +613,37 @@ def _accumulate(
 
 
 def _contract(
-    rows: Sequence[Sequence[Poly]], cols: Iterable[Sequence[Poly]], zero: Poly
-) -> list[list[Poly]]:
-    """Every row . column sum: out[i][j] = sum_k rows[i][k] * cols[j][k].
+    left: Mapping[tuple, Poly], right: Mapping[tuple, Poly], variables: tuple[str, ...]
+) -> dict[tuple, Poly]:
+    """The nonzero sums out[a + b] = sum_k left[a + (k,)] * right[(k,) + b].
 
     The one multiply-accumulate loop behind every matrix, tensor and lift
-    product.  Zero factors are skipped, so they cost no product.  A sum with
-    one nonzero product is that product; a longer one goes to ``_dot``.  The
-    caller passes the columns explicitly, so the shape of the result is
-    len(rows) x len(cols) even when the inner dimension is 0; every sum is
-    then ``zero``, as is any sum with no nonzero product.  Every nonzero
-    entry must live over ``zero.variables``.
+    product.  Both operands hold nonzero entries only, keyed by index tuple;
+    the last index of a left key is contracted with the first of a right key.
+    Only products of two present entries are formed: a sum of one product is
+    that product, a longer one goes to ``_dot``, and a sum that cancels is
+    left out.  Every entry must live over ``variables``.
     """
-    variables = zero.variables
-    cols = [_nonzero(col, variables) for col in cols]
+    for a in chain(left.values(), right.values()):
+        if a.variables != variables:
+            raise VariableMismatch(f"cannot contract an entry over {a.variables} into {variables}")
+    by_first: dict = {}
+    for key, b in right.items():
+        by_first.setdefault(key[0], []).append((key[1:], b))
+    sums: dict[tuple, list] = {}
+    for key, a in left.items():
+        head = key[:-1]
+        for tail, b in by_first.get(key[-1], ()):
+            sums.setdefault(head + tail, []).append((a, b))
     operands: dict[int, _Operand] = {}
-    out = []
-    for row in rows:
-        nonzero = _nonzero(row, variables).items()
-        line = []
-        for col in cols:
-            pairs = [(a, b) for k, a in nonzero if (b := col.get(k)) is not None]
-            if not pairs:
-                line.append(zero)
-            elif len(pairs) == 1:
-                ((a, b),) = pairs
-                line.append(a * b)
-            else:
-                line.append(_dot(pairs, variables, operands))
-        out.append(line)
+    out = {}
+    for key, pairs in sums.items():
+        if len(pairs) == 1:
+            ((a, b),) = pairs
+            out[key] = a * b
+        elif value := _dot(pairs, variables, operands):
+            out[key] = value
     return out
-
-
-def _nonzero(line: Sequence[Poly], variables: tuple[str, ...]) -> dict[int, Poly]:
-    """The nonzero entries of ``line`` by position; each must live over ``variables``."""
-    found = {}
-    for k, a in enumerate(line):
-        if a.nums:
-            if a.variables != variables:
-                raise VariableMismatch(
-                    f"cannot contract an entry over {a.variables} into {variables}"
-                )
-            found[k] = a
-    return found
 
 
 def _dot(
@@ -852,8 +841,13 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
+        # the kernel reads nonzero entries, keyed (row, column)
+        left, right = ({(i, j): a for i, row in enumerate(m.entries) for j, a in enumerate(row) if a}
+                       for m in (self, other))
+        product = _contract(left, right, self.variables)
+        zero = Poly.zero(self.variables)
         return PolyMatrix(
-            _contract(self.entries, zip(*other.entries), Poly.zero(self.variables))
+            [[product.get((i, j), zero) for j in range(other.cols)] for i in range(self.rows)]
         )
 
     def det(self) -> Poly:

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Optional
 
 from .algebra import Poly
@@ -58,7 +59,7 @@ from .structures import (
     SIGNATURES,
     StructureError,
 )
-from .tensor import Chart, TensorField
+from .tensor import Chart, TensorField, _stack
 from .theorems import THEOREMS
 
 
@@ -102,9 +103,16 @@ class Definition:
     mode: str = PAPER_LITERAL
     tasks: list[Task] = field(default_factory=list)
 
+    @cached_property
+    def tangent(self) -> TangentChart:
+        """The tangent chart of the chart and fiber suffix, made on first read
+        and read by every lift of a run; ``LiftError`` when a fiber name is a
+        base name."""
+        return TangentChart.over(self.chart, self.fiber_suffix)
+
 
 # The entry families of a structure block, in emission order: the name written
-# in the file, what its two indices mean, the field made from its rows, and
+# in the file, what its two indices mean, the valence of its fields, and
 # whether the family is optional.  An "index" family is one m x m field, both
 # indices over the chart.  A "component index" family is one field per
 # alpha = 1..r, the first index alpha (checked once r is known), the second a
@@ -112,10 +120,10 @@ class Definition:
 # name.  An optional family is present iff some line of it was read, even one
 # whose value is 0.  The parser and the emitter are the only readers.
 _FAMILIES = (
-    ("F", "index", TensorField.endo, False),
-    ("xi", "component index", TensorField.vector, False),
-    ("eta", "component index", TensorField.oneform, False),
-    ("metric", "index", TensorField.bilinear, True),
+    ("F", "index", (1, 1), False),
+    ("xi", "component index", (1, 0), False),
+    ("eta", "component index", (0, 1), False),
+    ("metric", "index", (0, 2), True),
 )
 
 
@@ -339,12 +347,13 @@ def parse_definition(text: str) -> Definition:
 
     if chart is None:
         raise DefinitionError("missing chart declaration", len(lines) or 1)
+    defn = Definition(chart, fiber_suffix, connection, structure, mode, tasks)
     try:
-        TangentChart.over(chart, fiber_suffix)
+        defn.tangent  # making it checks that no fiber name is a base name
     except LiftError as exc:
         # at the fiber_suffix line, if there is one
         raise DefinitionError(str(exc), seen.get("fiber_suffix", (chart_line,))[0]) from exc
-    return Definition(chart, fiber_suffix, connection, structure, mode, tasks)
+    return defn
 
 
 def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, str]:
@@ -398,22 +407,21 @@ def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, 
     if any(not 0 <= alpha < r for name in per_alpha for alpha, _ in entries.get(name, ())):
         raise DefinitionError(f"{'/'.join(per_alpha)} family index out of range 1..{r}", start)
 
-    z = chart.zero_poly()
-
-    def rows(family: dict[tuple[int, int], Poly], count: int):
-        return ([family.get((a, b), z) for b in range(chart.dim)] for a in range(count))
-
     fields = {}
-    for name, meaning, make, optional in _FAMILIES:
+    for name, meaning, valence, optional in _FAMILIES:
         family = entries.get(name)
         if family is None and optional:
             fields[name.lower()] = None
         elif meaning == "index":
-            fields[name.lower()] = make(chart, rows(family or {}, chart.dim))
+            fields[name.lower()] = TensorField.from_entries(chart, valence, family or {})
         else:
+            per_alpha: dict[int, dict] = {}
+            for (alpha, b), value in (family or {}).items():
+                per_alpha.setdefault(alpha, {})[b,] = value
             # lazy, so that RContactStructure checks 2n + r = m before any of
             # the r fields is made
-            fields[name.lower()] = map(partial(make, chart), rows(family or {}, r))
+            make = partial(TensorField.from_entries, chart, valence)
+            fields[name.lower()] = map(make, map(per_alpha.get, range(r), repeat({})))
     try:
         structure = RContactStructure(
             chart=chart, epsilon=epsilon, signature=signature, n=n, r=r, **fields
@@ -470,11 +478,8 @@ def emit_definition(defn: Definition) -> str:
             value = getattr(s, name.lower())
             if value is None:
                 continue
-            rows = value.comps if meaning == "index" else [x.comps for x in value]
-            lines = [
-                f"  {name}[{a + 1},{b + 1}] = {val}"
-                for a, row in enumerate(rows) for b, val in enumerate(row) if not val.is_zero()
-            ]
+            entries = value.entries if meaning == "index" else _stack(value)
+            lines = [f"  {name}[{a + 1},{b + 1}] = {val}" for (a, b), val in sorted(entries.items())]
             # an optional family is present iff some line of it is written
             if optional and not lines:
                 lines = [f"  {name}[1,1] = 0"]

@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
-from operator import sub
 from typing import Callable, Optional
 
 from .algebra import Poly, _contract, _reduced
 from .structures import (
     LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
 )
-from .tensor import Chart, TensorError, TensorField, endo_apply, oneform_after_endo
+from .tensor import (
+    Chart, TensorError, TensorField, _added, _pairings, endo_apply, oneform_after_endo,
+)
 
 VERTICAL = "vertical"
 COMPLETE = "complete"
@@ -84,7 +84,8 @@ class Connection:
     """The nonzero Christoffel coefficients G^i_jk, base-chart polynomials keyed
     by 0-based (i, j, k); a symmetric connection holds (i, j, k) and (i, k, j).
 
-    Every given key must be in range and every value on the chart; when
+    Every given key must be three indices in range and every value a Poly on
+    the chart; when
     ``symmetric``, (i, j, k) also fills (i, k, j), and the two keys may both
     be given only with equal values.  Zero values are dropped, so two
     connections are equal when their chart, flag and nonzero entries are."""
@@ -98,11 +99,13 @@ class Connection:
     def __post_init__(self):
         m, given, entries = self.chart.dim, self.entries, {}
         for key, value in given.items():
-            i, j, k = key
+            if not (isinstance(key, tuple) and len(key) == 3 and all(isinstance(v, int) for v in key)):
+                raise LiftError(f"connection entry {key!r} is not three indices (i, j, k)")
             if not all(0 <= v < m for v in key):
                 raise LiftError(f"connection entry {key} out of range 0..{m - 1}")
-            if value.variables != self.chart.coords:
-                raise LiftError(f"connection entry {key} must live on the chart")
+            if not isinstance(value, Poly) or value.variables != self.chart.coords:
+                raise LiftError(f"connection entry {key} must live on the chart as a Poly")
+            i, j, k = key
             if self.symmetric and given.get((i, k, j), value) != value:
                 raise LiftError(f"symmetric connection entries {(i, j, k)} and {(i, k, j)} differ")
             if value:
@@ -151,16 +154,14 @@ def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
     return _reduced(tangent.total.coords, nums, p.den)
 
 
-def _connection_matrix(conn: Connection, tangent: TangentChart) -> tuple[tuple[Poly, ...], ...]:
-    """G_y = y^k G_k on the total chart, where (G_k)^i_j = G^i_kj: slot (i, j) is the
-    sum of y^k G^i_kj over the entries (i, k, j) that feed it.  Kept in
+def _connection_matrix(conn: Connection, tangent: TangentChart) -> dict[tuple[int, int], Poly]:
+    """The nonzero entries of G_y = y^k G_k on the total chart, where (G_k)^i_j =
+    G^i_kj: the entries (i, k, j) contracted with y^k over k.  Kept in
     ``conn.memo``, since every horizontal lift over ``conn`` reads the same G_y."""
     if tangent not in conn.memo:
-        m, zero = tangent.base.dim, tangent.total.zero_poly()
-        g_y = [[zero] * m for _ in range(m)]
-        for (i, k, j), value in conn.entries.items():
-            g_y[i][j] = g_y[i][j] + tangent.fiber_poly(k) * tangent.embed(value)
-        conn.memo[tangent] = tuple(map(tuple, g_y))
+        g = {(i, j, k): tangent.embed(value) for (i, k, j), value in conn.entries.items()}
+        y = {(k,): tangent.fiber_poly(k) for _, k, _ in conn.entries}
+        conn.memo[tangent] = _contract(g, y, tangent.total.coords)
     return conn.memo[tangent]
 
 
@@ -170,11 +171,11 @@ def _lift(
 ) -> TensorField:
     """The ``kind`` lift of t, a ``valence`` field, checked for the entry point ``name``.
 
-    t and its lift are read as matrices, rows by the upper index and columns by
-    the lower one (one row or column where there is none).  T^v is T in the
-    vertical slot, the block with its upper index on the fiber and its lower
-    index on the base; T^c and T^h are T in each block one index away from it
-    plus dT in it, and dT is the only code per kind.
+    Each nonzero entry of t is placed in the blocks of the lift.  T^v is T in
+    the vertical slot, its upper index moved to the fiber.  T^c and T^h are dT
+    in that slot plus T in each block one index away from it: as it is, when
+    there is an upper index, and with every index moved to the fiber, when
+    there is a lower one.  dT is the only code per kind.
     """
     if kind not in LIFT_KINDS:
         raise LiftError(f"unknown lift kind {kind!r}")
@@ -187,27 +188,25 @@ def _lift(
     if conn is not None and conn.chart != tangent.base:
         raise LiftError("connection lives on a different chart")
     upper, lower = valence
-    zero = tangent.total.zero_poly()
-    rows = t.comps if upper else (t.comps,)
-    rows = rows if lower else list(zip(rows))
-    embedded = [list(map(tangent.embed, row)) for row in rows]
-    zeros = [[zero] * len(rows[0])] * len(rows)
-    if kind == COMPLETE:
-        dt = [list(map(_y_dot_derivative, row, repeat(tangent))) for row in rows]
-    elif kind == HORIZONTAL:
+    m, coords = tangent.base.dim, tangent.total.coords
+    embedded = {key: tangent.embed(c) for key, c in t.entries.items()}
+    if kind == VERTICAL:
+        dt = embedded
+    elif kind == COMPLETE:
+        dt = {key: d for key, c in t.entries.items() if (d := _y_dot_derivative(c, tangent))}
+    else:
         # T G_y over a lower index minus G_y T over an upper one
         g_y = _connection_matrix(conn, tangent)
-        t_g = _contract(embedded, zip(*g_y), zero) if lower else zeros
-        g_t = _contract(g_y, zip(*embedded), zero) if upper else zeros
-        dt = [list(map(sub, a, b)) for a, b in zip(t_g, g_t)]
-    top, slot, diagonal = (zeros, embedded, zeros) if kind == VERTICAL else (embedded, dt, embedded)
-    if lower:
-        top, slot = [a + b for a, b in zip(top, zeros)], [a + b for a, b in zip(slot, diagonal)]
-    lifted = top + slot if upper else slot
-    # every block lives on the total chart by construction; without a lower
-    # index the lift is one column
-    comps = tuple(map(tuple, lifted)) if lower else next(zip(*lifted))
-    return TensorField._trusted(tangent.total, valence, comps if upper else comps[0])
+        t_g = _contract(embedded, g_y, coords) if lower else {}
+        dt = _added(t_g, _contract(g_y, embedded, coords), negate=True) if upper else t_g
+    lifted = {(key[0] + m, *key[1:]) if upper else key: c for key, c in dt.items()}
+    if kind != VERTICAL:
+        if upper:
+            lifted.update(embedded)
+        if lower:
+            lifted.update({tuple(i + m for i in key): c for key, c in embedded.items()})
+    # every block lives on the total chart by construction
+    return TensorField._trusted(tangent.total, valence, lifted)
 
 
 def lift_function(
@@ -252,7 +251,7 @@ class LiftContext:
 
     The interaction table and the J^2 checks read the lifted products here, each
     made on first use: with X = ``xi`` = xi_v + xi_l and E = ``eta`` = eta_v + eta_l,
-    ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the 2r x 2r E_a(X_b).
+    ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the nonzero E_a(X_b) by (a, b).
     ``vertical`` is the vertical context (None in it), whose memo every lift kind reads."""
 
     tangent: TangentChart
@@ -290,36 +289,32 @@ class LiftContext:
         )
 
     @property
-    def pairing(self) -> list[list[Poly]]:
-        return self.memoised("pairing", lambda: _contract(
-            [w.comps for w in self.eta], [x.comps for x in self.xi], self.tangent.total.zero_poly()
-        ))
+    def pairing(self) -> dict[tuple[int, int], Poly]:
+        return self.memoised("pairing", lambda: _pairings(self.tangent.total, self.eta, self.xi))
 
 
 def _contexts(
-    structure: RContactStructure, conn: Optional[Connection], suffix: str
+    structure: RContactStructure, conn: Optional[Connection], tangent: TangentChart
 ) -> Callable[[str], LiftContext]:
-    """One LiftContext per lift kind, each built on first request over the
-    connection ``lift_connection`` gives it; every kind reuses the vertical
-    one's chart and lifts."""
+    """One LiftContext per lift kind over ``tangent``, each built on first
+    request over the connection ``lift_connection`` gives it; every kind reuses
+    the vertical one's lifts."""
     built: dict[str, LiftContext] = {}
 
     def context(kind: str) -> LiftContext:
         # no call of ``context`` from inside it: a closure that refers to itself
         # is a reference cycle, which would keep every lift until a gc pass
         if not built:
-            t = TangentChart.over(structure.chart, suffix)
-            xi_v = tuple(lift_vector(x, VERTICAL, t) for x in structure.xi)
-            eta_v = tuple(lift_oneform(w, VERTICAL, t) for w in structure.eta)
-            f_v = lift_endo(structure.f, VERTICAL, t)
-            built[VERTICAL] = LiftContext(t, None, f_v, xi_v, xi_v, eta_v, eta_v)
+            xi_v = tuple(lift_vector(x, VERTICAL, tangent) for x in structure.xi)
+            eta_v = tuple(lift_oneform(w, VERTICAL, tangent) for w in structure.eta)
+            f_v = lift_endo(structure.f, VERTICAL, tangent)
+            built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v)
         if kind not in built:
-            v = built[VERTICAL]
-            t, c = v.tangent, lift_connection(kind, conn, structure.chart)
-            xi = tuple(lift_vector(x, kind, t, c) for x in structure.xi)
-            eta = tuple(lift_oneform(w, kind, t, c) for w in structure.eta)
-            f_lift = lift_endo(structure.f, kind, t, c)
-            built[kind] = LiftContext(t, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
+            v, c = built[VERTICAL], lift_connection(kind, conn, structure.chart)
+            xi = tuple(lift_vector(x, kind, tangent, c) for x in structure.xi)
+            eta = tuple(lift_oneform(w, kind, tangent, c) for w in structure.eta)
+            f_lift = lift_endo(structure.f, kind, tangent, c)
+            built[kind] = LiftContext(tangent, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
         return built[kind]
 
     return context
@@ -349,7 +344,7 @@ def verify_lift_interactions(
     (vertical, complete, or horizontal over ``conn``); without it they are
     built here.
     """
-    contexts = contexts or _contexts(structure, conn, suffix)
+    contexts = contexts or _contexts(structure, conn, TangentChart.over(structure.chart, suffix))
     lifted = {"v": contexts(VERTICAL), "c": contexts(COMPLETE)}
     total = lifted["c"].tangent.total
     kappa = structure.pairing_convention()
@@ -368,7 +363,7 @@ def verify_lift_interactions(
     def pairing(lift: str, w: str, x: str, delta: bool):
         """eta^a,w(xi_b^x) less its expected value: kappa*delta_ab, or 0."""
         def residual(a: int, b: int) -> TensorField:
-            value = lifted[lift].pairing[at[w] + a][at[x] + b]
+            value = lifted[lift].pairing.get((at[w] + a, at[x] + b), 0)
             return TensorField.function(total, value - (kappa if delta and a == b else 0))
 
         return f"eta^{{a}}{w}(xi_{{b}}^{x})" + (f" - ({sign}delta)" if delta else ""), residual

@@ -47,7 +47,7 @@ class _Shared:
         except DefinitionError as exc:
             raise TaskError(str(exc)) from exc
         self.suffix = defn.fiber_suffix
-        self.context = _contexts(self.structure, build_connection(defn), self.suffix)
+        self.context = _contexts(self.structure, build_connection(defn), defn.tangent)
 
     def spec(self, kind: str, s: int, t: int) -> tuple[LiftedStructureSpec, LiftContext]:
         ctx = self.context(kind)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix
+from .algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix, _contract
 from .tensor import (
     Chart,
     Point,
@@ -318,13 +318,13 @@ def check_metric(structure: RContactStructure, seed: int | None = None) -> Check
     tag = "1.8" if q > 0 else "1.12"
 
     def pullback() -> TensorField:
-        eta_sq = TensorField.bilinear(s.chart, _outer_sum(s.chart, s.eta, s.eta).comps)
+        eta_sq = TensorField.from_entries(s.chart, (0, 2), _outer_sum(s.chart, s.eta, s.eta).entries)
         return metric_pullback(s.metric, s.f) - s.metric + _signed(q, eta_sq)
 
     def lowered(a: int) -> TensorField:
-        # G(xi, .) is the row vector xi . G
-        row = (PolyMatrix([s.xi[a].comps]) @ s.metric.to_matrix()).entries[0]
-        return s.eta[a] - TensorField.oneform(s.chart, row)
+        # G(xi, .)_j = xi^i G_ij
+        row = _contract(s.xi[a].entries, s.metric.entries, s.chart.coords)
+        return s.eta[a] - TensorField.from_entries(s.chart, (0, 1), row)
 
     table = [(tag, 0, [(f"G(F.,F.) - G {'+' if q > 0 else '-'} sum eta(x)eta", pullback)])]
     if s.signature == RIEMANNIAN:
@@ -355,6 +355,12 @@ def canonical_chart(n: int, r: int) -> Chart:
     return Chart("M", tuple(coords))
 
 
+def _swap_blocks(n: int, epsilon: int) -> dict[tuple[int, int], int]:
+    """The entries of the endomorphism sending d/dx_i to d/dx_(n+i) and
+    d/dx_(n+i) to eps * d/dx_i, for i < n."""
+    return {**{(n + i, i): 1 for i in range(n)}, **{(i, n + i): epsilon for i in range(n)}}
+
+
 def canonical_structure(
     n: int, r: int, epsilon: int, signature: str = RIEMANNIAN
 ) -> RContactStructure:
@@ -369,23 +375,14 @@ def canonical_structure(
     if signature not in SIGNATURES:
         raise StructureError(f"unknown signature {signature!r}")
     chart = canonical_chart(n, r)
-    m = chart.dim
-    z = chart.zero_poly()
-    fmat = [[z for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        fmat[n + i][i] = chart.const(1)
-        fmat[i][n + i] = chart.const(epsilon)
-    f = TensorField.endo(chart, fmat)
+    f = TensorField.from_entries(chart, (1, 1), _swap_blocks(n, epsilon))
     xi = tuple(TensorField.basis_vector(chart, f"c{a + 1}") for a in range(r))
     eta_sign = _kappa(signature)
     eta = tuple(
         _signed(eta_sign, TensorField.basis_oneform(chart, f"c{a + 1}")) for a in range(r)
     )
     diag = [1] * (2 * n) + [eta_sign] * r
-    metric = TensorField.bilinear(
-        chart,
-        [[chart.const(diag[i] if i == j else 0) for j in range(m)] for i in range(m)],
-    )
+    metric = TensorField.from_entries(chart, (0, 2), {(i, i): v for i, v in enumerate(diag)})
     return RContactStructure(
         chart=chart,
         f=f,
@@ -423,11 +420,9 @@ def conjugate_structure(
     if u @ u_inverse != PolyMatrix.identity(m, s.chart.coords):
         raise NotUnimodular("supplied inverse fails U * U^-1 = I")
 
-    f_new = TensorField.endo_from_matrix(
-        s.chart, u @ s.f.to_matrix() @ u_inverse
-    )
     u_field = TensorField.endo_from_matrix(s.chart, u)
     u_inverse_field = TensorField.endo_from_matrix(s.chart, u_inverse)
+    f_new = endo_compose(endo_compose(u_field, s.f), u_inverse_field)
     xi_new = tuple(endo_apply(u_field, x) for x in s.xi)
     eta_new = tuple(oneform_after_endo(w, u_inverse_field) for w in s.eta)
     metric_new = None
@@ -545,25 +540,13 @@ def canonical_complex(n: int, epsilon: int) -> tuple[TensorField, EigenReport]:
     eps-complex eigenvector checks and the dual squaring check (J*)^2 = eps*I."""
     chart = Chart("C", tuple([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]))
     m = chart.dim
-    z = chart.zero_poly()
-    jmat = [[z for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        jmat[n + i][i] = chart.const(1)
-        jmat[i][n + i] = chart.const(epsilon)
-    j = TensorField.endo(chart, jmat)
-
-    values = [[entry.constant_value() for entry in row] for row in jmat]
+    j = TensorField.from_entries(chart, (1, 1), _swap_blocks(n, epsilon))
     report = EigenReport(epsilon=epsilon)
 
     def apply_j(vec: list[EpsComplex]) -> list[EpsComplex]:
-        out = []
-        for i in range(m):
-            acc = EpsComplex(0, 0, epsilon)
-            for k in range(m):
-                if values[i][k] == 0:
-                    continue
-                acc = acc + vec[k].scale(values[i][k])
-            out.append(acc)
+        out = [EpsComplex(0, 0, epsilon) for _ in range(m)]
+        for (i, k), value in j.entries.items():
+            out[i] = out[i] + vec[k].scale(value.constant_value())
         return out
 
     half = Fraction(1, 2)

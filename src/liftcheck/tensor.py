@@ -3,6 +3,15 @@
 Supported valences: (0,0) functions, (1,0) vectors, (0,1) one-forms,
 (1,1) endomorphisms, (0,2) bilinear forms.  For endomorphisms the row
 index is the upper (output) index throughout: (F X)^i = F^i_j X^j.
+
+A field is its nonzero components: ``entries`` maps the 0-based index tuple
+of each, () for a function, (i,) for a vector or one-form and (i, j) for a
+(1,1) or (0,2) field, to a nonzero Poly on the chart.  Sums, scalings and
+contractions read and write entries only, so a zero component costs nothing;
+each contraction is one ``_contract`` call, the last index of one operand
+against the first of the other.  ``comps`` is a dense read-only view, built
+on each read.  The public constructors check their input, dense or, with
+``from_entries``, keyed.
 """
 
 from __future__ import annotations
@@ -86,46 +95,89 @@ def _as_poly(chart: Chart, value) -> Poly:
     return Poly.const(value, chart.coords)
 
 
+def _rank(valence: tuple[int, int]) -> int:
+    """The number of indices of a supported valence."""
+    if valence not in VALENCES:
+        raise TensorError(f"unsupported valence {valence}")
+    return sum(valence)
+
+
+def _dense_items(comps, rank: int, m: int) -> list[tuple]:
+    """(index tuple, value) of every component of the dense ``comps``: ``rank``
+    levels of m-long sequences."""
+    if not rank:
+        return [((), comps)]
+    lines = list(comps)
+    if len(lines) != m:
+        raise TensorError("components do not match the chart dimension")
+    return [((i, *key), c) for i, line in enumerate(lines) for key, c in _dense_items(line, rank - 1, m)]
+
+
+def _added(left: dict, right: dict, negate: bool = False) -> dict:
+    """The entries of left + right, or of left - right with ``negate``: a key on
+    one side only keeps its value (negated on the right with ``negate``), and a
+    sum that cancels is left out."""
+    out = dict(left)
+    for key, b in right.items():
+        a = out.pop(key, None)
+        c = (-b if negate else b) if a is None else (a - b if negate else a + b)
+        if c:
+            out[key] = c
+    return out
+
+
 class TensorField:
-    """A valence-tagged array of polynomials on one chart (immutable)."""
+    """A valence-tagged field on one chart, held as its nonzero components (immutable)."""
 
-    __slots__ = ("chart", "valence", "comps")
+    __slots__ = ("chart", "valence", "entries")
 
-    def __init__(self, chart: Chart, valence: tuple[int, int], comps):
-        if valence not in VALENCES:
-            raise TensorError(f"unsupported valence {valence}")
-        m = chart.dim
-        if valence == (0, 0):
-            comps = _as_poly(chart, comps)
-        elif valence in ((1, 0), (0, 1)):
-            comps = tuple(_as_poly(chart, c) for c in comps)
-            if len(comps) != m:
-                raise TensorError("component count does not match chart dimension")
-        else:
-            comps = tuple(tuple(_as_poly(chart, c) for c in row) for row in comps)
-            if len(comps) != m or any(len(row) != m for row in comps):
-                raise TensorError("component matrix does not match chart dimension")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "valence", valence)
-        object.__setattr__(self, "comps", comps)
+    def __new__(cls, chart: Chart, valence: tuple[int, int], comps):
+        """The field of the dense ``comps``: a function's value, a vector's or
+        one-form's m values, or m rows of m values; each a Poly on ``chart`` or a
+        constant."""
+        return cls.from_entries(chart, valence, dict(_dense_items(comps, _rank(valence), chart.dim)))
 
     @classmethod
-    def _trusted(cls, chart: Chart, valence: tuple[int, int], comps) -> "TensorField":
-        """Wrap components that are valid by construction, without checking them.
+    def _trusted(cls, chart: Chart, valence: tuple[int, int], entries: dict) -> "TensorField":
+        """Wrap entries that are valid by construction, without checking them.
 
-        ``comps`` must already have the shape of ``valence`` on ``chart``, as
-        tuples (of rows) of Polys over ``chart.coords``.
+        ``entries`` must map index tuples in range for ``valence`` to nonzero
+        Polys over ``chart.coords``; the field takes the dict over.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "valence", valence)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "entries", entries)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
 
+    @property
+    def comps(self):
+        """The dense components, built on each read: a Poly for a function, m
+        Polys for a vector or one-form, m rows of m for a (1,1) or (0,2) field."""
+        zero, get, span = self.chart.zero_poly(), self.entries.get, range(self.chart.dim)
+        rank = sum(self.valence)
+        if rank == 0:
+            return get((), zero)
+        if rank == 1:
+            return tuple(get((i,), zero) for i in span)
+        return tuple(tuple(get((i, j), zero) for j in span) for i in span)
+
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_entries(cls, chart: Chart, valence: tuple[int, int], entries) -> "TensorField":
+        """The field whose components are the values of ``entries``, keyed by
+        0-based index tuple; an absent key is a zero component."""
+        rank, m = _rank(valence), chart.dim
+        for key in entries:
+            if not (isinstance(key, tuple) and len(key) == rank
+                    and all(isinstance(i, int) and 0 <= i < m for i in key)):
+                raise TensorError(f"component {key!r} is not {rank} indices in range 0..{m - 1}")
+        return cls._trusted(chart, valence, {
+            key: p for key, c in entries.items() if (p := _as_poly(chart, c))})
 
     @classmethod
     def function(cls, chart: Chart, value) -> "TensorField":
@@ -149,36 +201,20 @@ class TensorField:
 
     @classmethod
     def zero(cls, chart: Chart, valence: tuple[int, int]) -> "TensorField":
-        z = chart.zero_poly()
-        if valence == (0, 0):
-            return cls(chart, valence, z)
-        if valence in ((1, 0), (0, 1)):
-            return cls(chart, valence, [z] * chart.dim)
-        return cls(chart, valence, [[z] * chart.dim for _ in range(chart.dim)])
+        return cls.from_entries(chart, valence, {})
 
     @classmethod
     def identity_endo(cls, chart: Chart) -> "TensorField":
         one = chart.const(1)
-        z = chart.zero_poly()
-        return cls(
-            chart,
-            (1, 1),
-            [[one if i == j else z for j in range(chart.dim)] for i in range(chart.dim)],
-        )
+        return cls._trusted(chart, (1, 1), {(i, i): one for i in range(chart.dim)})
 
     @classmethod
     def basis_vector(cls, chart: Chart, coord: str) -> "TensorField":
-        idx = chart.coords.index(coord)
-        return cls.vector(
-            chart, [chart.const(1 if i == idx else 0) for i in range(chart.dim)]
-        )
+        return cls._trusted(chart, (1, 0), {(chart.coords.index(coord),): chart.const(1)})
 
     @classmethod
     def basis_oneform(cls, chart: Chart, coord: str) -> "TensorField":
-        idx = chart.coords.index(coord)
-        return cls.oneform(
-            chart, [chart.const(1 if i == idx else 0) for i in range(chart.dim)]
-        )
+        return cls._trusted(chart, (0, 1), {(chart.coords.index(coord),): chart.const(1)})
 
     # -- pointwise algebra ---------------------------------------------------
 
@@ -190,71 +226,37 @@ class TensorField:
         if self.valence != other.valence:
             raise TensorError(f"valences {self.valence} and {other.valence} differ")
 
-    def _map(self, fn) -> "TensorField":
-        if self.valence == (0, 0):
-            comps = fn(self.comps)
-        elif self.valence in ((1, 0), (0, 1)):
-            comps = tuple(map(fn, self.comps))
-        else:
-            comps = tuple(tuple(map(fn, row)) for row in self.comps)
-        return TensorField._trusted(self.chart, self.valence, comps)
-
-    def _zip(self, other: "TensorField", fn) -> "TensorField":
-        self._check_same(other)
-        if self.valence == (0, 0):
-            comps = fn(self.comps, other.comps)
-        elif self.valence in ((1, 0), (0, 1)):
-            comps = tuple(map(fn, self.comps, other.comps))
-        else:
-            comps = tuple(tuple(map(fn, r1, r2)) for r1, r2 in zip(self.comps, other.comps))
-        return TensorField._trusted(self.chart, self.valence, comps)
-
     def __add__(self, other: "TensorField") -> "TensorField":
-        return self._zip(other, lambda a, b: a + b)
+        self._check_same(other)
+        return TensorField._trusted(self.chart, self.valence, _added(self.entries, other.entries))
 
     def __sub__(self, other: "TensorField") -> "TensorField":
-        return self._zip(other, lambda a, b: a - b)
+        self._check_same(other)
+        entries = _added(self.entries, other.entries, negate=True)
+        return TensorField._trusted(self.chart, self.valence, entries)
 
     def __neg__(self) -> "TensorField":
-        return self._map(lambda c: -c)
+        return TensorField._trusted(self.chart, self.valence, {k: -c for k, c in self.entries.items()})
 
     def scale(self, value) -> "TensorField":
         """Multiply every component by a constant or by a scalar polynomial."""
         if isinstance(value, TensorField):
             if value.valence != (0, 0) or value.chart != self.chart:
                 raise TensorError("scale by a (0,0) field on the same chart")
-            factor = value.comps
+            factor = value.entries.get(())
         else:
             factor = _as_poly(self.chart, value)
-        return self._map(lambda c: c * factor)
+        # a product of two nonzero polynomials is nonzero
+        entries = {k: c * factor for k, c in self.entries.items()} if factor else {}
+        return TensorField._trusted(self.chart, self.valence, entries)
 
     def is_zero(self) -> bool:
-        if self.valence == (0, 0):
-            return self.comps.is_zero()
-        if self.valence in ((1, 0), (0, 1)):
-            return all(c.is_zero() for c in self.comps)
-        return all(c.is_zero() for row in self.comps for c in row)
-
-    def component_items(self) -> list[tuple[tuple[str, ...], Poly]]:
-        """All (coordinate-label, component) pairs in a fixed order."""
-        coords = self.chart.coords
-        if self.valence == (0, 0):
-            return [((), self.comps)]
-        if self.valence in ((1, 0), (0, 1)):
-            return [((coords[i],), c) for i, c in enumerate(self.comps)]
-        return [
-            ((coords[i], coords[j]), self.comps[i][j])
-            for i in range(self.chart.dim)
-            for j in range(self.chart.dim)
-        ]
+        return not self.entries
 
     def nonzero_items(self) -> list[tuple[tuple[str, ...], Poly]]:
-        return [(label, c) for label, c in self.component_items() if not c.is_zero()]
-
-    def to_matrix(self) -> PolyMatrix:
-        if self.valence not in ((1, 1), (0, 2)):
-            raise TensorError("only matrix-valued valences convert to PolyMatrix")
-        return PolyMatrix(self.comps)
+        """(coordinate labels, component) of every nonzero component, in index order."""
+        coords = self.chart.coords
+        return [(tuple(coords[i] for i in key), c) for key, c in sorted(self.entries.items())]
 
     @classmethod
     def endo_from_matrix(cls, chart: Chart, matrix: PolyMatrix) -> "TensorField":
@@ -268,11 +270,11 @@ class TensorField:
         return (
             self.chart == other.chart
             and self.valence == other.valence
-            and self.comps == other.comps
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.chart, self.valence, self.comps))
+        return hash((self.chart, self.valence, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -282,11 +284,6 @@ class TensorField:
 
 
 # -- contractions ------------------------------------------------------------
-
-
-def _matrix_field(chart: Chart, rows: list[list[Poly]], valence=(1, 1)) -> TensorField:
-    """A matrix-valued field from a ``_contract`` result over ``chart.zero_poly()``."""
-    return TensorField._trusted(chart, valence, tuple(map(tuple, rows)))
 
 
 def _require(field: TensorField, valence: tuple[int, int], role: str) -> None:
@@ -304,8 +301,7 @@ def endo_apply(f: TensorField, x: TensorField) -> TensorField:
     _require(f, (1, 1), "endomorphism")
     _require(x, (1, 0), "vector")
     _check_charts(f, x, "endo_apply")
-    (out,) = _contract([x.comps], f.comps, f.chart.zero_poly())
-    return TensorField._trusted(f.chart, (1, 0), tuple(out))
+    return TensorField._trusted(f.chart, (1, 0), _contract(f.entries, x.entries, f.chart.coords))
 
 
 def oneform_apply(w: TensorField, x: TensorField) -> TensorField:
@@ -313,8 +309,7 @@ def oneform_apply(w: TensorField, x: TensorField) -> TensorField:
     _require(w, (0, 1), "one-form")
     _require(x, (1, 0), "vector")
     _check_charts(w, x, "oneform_apply")
-    ((value,),) = _contract([w.comps], [x.comps], w.chart.zero_poly())
-    return TensorField._trusted(w.chart, (0, 0), value)
+    return TensorField._trusted(w.chart, (0, 0), _contract(w.entries, x.entries, w.chart.coords))
 
 
 def endo_compose(f: TensorField, h: TensorField) -> TensorField:
@@ -322,7 +317,7 @@ def endo_compose(f: TensorField, h: TensorField) -> TensorField:
     _require(f, (1, 1), "endomorphism")
     _require(h, (1, 1), "endomorphism")
     _check_charts(f, h, "endo_compose")
-    return _matrix_field(f.chart, _contract(f.comps, zip(*h.comps), f.chart.zero_poly()))
+    return TensorField._trusted(f.chart, (1, 1), _contract(f.entries, h.entries, f.chart.coords))
 
 
 def oneform_after_endo(w: TensorField, f: TensorField) -> TensorField:
@@ -330,8 +325,7 @@ def oneform_after_endo(w: TensorField, f: TensorField) -> TensorField:
     _require(w, (0, 1), "one-form")
     _require(f, (1, 1), "endomorphism")
     _check_charts(w, f, "oneform_after_endo")
-    (out,) = _contract([w.comps], zip(*f.comps), f.chart.zero_poly())
-    return TensorField._trusted(w.chart, (0, 1), tuple(out))
+    return TensorField._trusted(w.chart, (0, 1), _contract(w.entries, f.entries, f.chart.coords))
 
 
 def outer(x: TensorField, w: TensorField) -> TensorField:
@@ -339,9 +333,7 @@ def outer(x: TensorField, w: TensorField) -> TensorField:
     _require(x, (1, 0), "vector")
     _require(w, (0, 1), "one-form")
     _check_charts(x, w, "outer")
-    rows = [[xi] for xi in x.comps]
-    cols = [[wj] for wj in w.comps]
-    return _matrix_field(x.chart, _contract(rows, cols, x.chart.zero_poly()))
+    return _outer_sum(x.chart, [x], [w])
 
 
 def _signed(sign: int, field: TensorField) -> TensorField:
@@ -349,19 +341,47 @@ def _signed(sign: int, field: TensorField) -> TensorField:
     return field if sign > 0 else -field
 
 
+def _stack(fields: Sequence[TensorField], start: int = 0) -> dict:
+    """The entries of a family of fields as one array: field a's entry at key k
+    at (start + a, *k)."""
+    return {(start + a, *key): c for a, x in enumerate(fields) for key, c in x.entries.items()}
+
+
+def _unstack(chart: Chart, valence: tuple[int, int], entries: dict, count: int) -> tuple:
+    """The ``count`` fields of ``valence`` whose ``_stack`` is ``entries``."""
+    fields = [{} for _ in range(count)]
+    for (a, *key), c in entries.items():
+        fields[a][tuple(key)] = c
+    return tuple(TensorField._trusted(chart, valence, e) for e in fields)
+
+
+def _transposed(entries: dict) -> dict:
+    return {(j, i): c for (i, j), c in entries.items()}
+
+
 def _outer_sum(
     chart: Chart, xs: Sequence[TensorField], ws: Sequence[TensorField]
 ) -> TensorField:
     """sum_a X_a (x) w_a as one (m x r)(r x m) product; zero when r = 0."""
-    rows = [[x.comps[i] for x in xs] for i in range(chart.dim)]
-    cols = [[w.comps[j] for w in ws] for j in range(chart.dim)]
-    return _matrix_field(chart, _contract(rows, cols, chart.zero_poly()))
+    entries = _contract(_transposed(_stack(xs)), _stack(ws), chart.coords)
+    return TensorField._trusted(chart, (1, 1), entries)
+
+
+def _pairings(chart: Chart, ws: Sequence[TensorField], xs: Sequence[TensorField]) -> dict:
+    """The nonzero w_a(X_b) of one-forms ws and vectors xs, keyed (a, b), as one product."""
+    return _contract(_stack(ws), _transposed(_stack(xs)), chart.coords)
+
+
+def _apply_all(f: TensorField, xs: Sequence[TensorField]) -> tuple[TensorField, ...]:
+    """F X for every vector X of xs, as one product."""
+    entries = _contract(_stack(xs), _transposed(f.entries), f.chart.coords)
+    return _unstack(f.chart, (1, 0), entries, len(xs))
 
 
 def endo_transpose(f: TensorField) -> TensorField:
     """Component transpose; acts on one-forms by (F* w)_j = w_i F^i_j."""
     _require(f, (1, 1), "endomorphism")
-    return TensorField._trusted(f.chart, (1, 1), tuple(zip(*f.comps)))
+    return TensorField._trusted(f.chart, (1, 1), _transposed(f.entries))
 
 
 def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
@@ -369,10 +389,9 @@ def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
     _require(g, (0, 2), "bilinear form")
     _require(f, (1, 1), "endomorphism")
     _check_charts(g, f, "metric_pullback")
-    zero = g.chart.zero_poly()
-    f_cols = list(zip(*f.comps))
-    gf = _contract(g.comps, f_cols, zero)
-    return _matrix_field(g.chart, _contract(f_cols, zip(*gf), zero), (0, 2))
+    coords = g.chart.coords
+    gf = _contract(g.entries, f.entries, coords)
+    return TensorField._trusted(g.chart, (0, 2), _contract(_transposed(f.entries), gf, coords))
 
 
 def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:
@@ -407,8 +426,11 @@ def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:
 def evaluate_matrix(f: TensorField, point: Point) -> list[list[Fraction]]:
     if f.valence not in ((1, 1), (0, 2)):
         raise TensorError("matrix evaluation needs a matrix-valued field")
-    values = point.mapping()
-    return [[entry.eval_at(values) for entry in row] for row in f.comps]
+    values, m = point.mapping(), f.chart.dim
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for (i, j), c in f.entries.items():
+        out[i][j] = c.eval_at(values)
+    return out
 
 
 def rank_at(f: TensorField, points: Iterable[Point]) -> int:

@@ -50,7 +50,6 @@ entries of its four cells by (s, t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import _contract
@@ -62,6 +61,7 @@ from .lifts import (
     Connection,
     LiftContext,
     LiftError,
+    TangentChart,
     _contexts,
     lift_connection,
     lift_function,
@@ -70,8 +70,13 @@ from .lifts import (
 from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
 from .tensor import (
     TensorField,
+    _added,
+    _apply_all,
     _outer_sum,
+    _pairings,
     _signed,
+    _stack,
+    _unstack,
     endo_compose,
 )
 
@@ -183,7 +188,8 @@ def theorem_spec(
 
 
 def _context(spec: LiftedStructureSpec) -> LiftContext:
-    return _contexts(spec.base, spec.conn, spec.suffix)(spec.lift_kind)
+    tangent = TangentChart.over(spec.base.chart, spec.suffix)
+    return _contexts(spec.base, spec.conn, tangent)(spec.lift_kind)
 
 
 def _sigma(ctx: LiftContext, s: int, t: int) -> tuple[int, ...]:
@@ -205,29 +211,21 @@ def build_lifted_j(spec: LiftedStructureSpec, *, ctx: Optional[LiftContext] = No
 def _square_offset(ctx: LiftContext, eps: int) -> TensorField:
     """P = (F^L)^2 - eps*I."""
     def build():
-        total, f = ctx.tangent.total, ctx.f_lift
-        one = total.const(eps)
-        return TensorField._trusted(total, (1, 1), tuple(
-            tuple(c - one if i == k else c for k, c in enumerate(row))
-            for i, row in enumerate(endo_compose(f, f).comps)
-        ))
+        identity = TensorField.identity_endo(ctx.tangent.total)
+        return endo_compose(ctx.f_lift, ctx.f_lift) - _signed(eps, identity)
     return ctx.memoised(("p", eps), build)
 
 
 def _folds(ctx: LiftContext) -> tuple[tuple[TensorField, ...], tuple[TensorField, ...]]:
     """Per i, the one-forms sum_b E_i(xi_b^v) eta^b,v and sum_b E_i(xi_b^L) eta^b,L:
-    the pairing matrix's v columns times eta^v and its L columns times eta^L."""
+    the pairing matrix times eta^v stacked at its v columns, or eta^L at its L ones."""
     def build():
         total, r = ctx.tangent.total, len(ctx.xi_v)
 
-        def fold(columns: slice, etas) -> tuple[TensorField, ...]:
-            cols = [[w.comps[j] for w in etas] for j in range(total.dim)]
-            rows = [row[columns] for row in ctx.pairing]
-            return tuple(
-                TensorField._trusted(total, (0, 1), tuple(row))
-                for row in _contract(rows, cols, total.zero_poly())
-            )
-        return fold(slice(0, r), ctx.eta_v), fold(slice(r, 2 * r), ctx.eta_l)
+        def fold(start: int, etas) -> tuple[TensorField, ...]:
+            pairs = _contract(ctx.pairing, _stack(etas, start), total.coords)
+            return _unstack(total, (0, 1), pairs, 2 * r)
+        return fold(0, ctx.eta_v), fold(r, ctx.eta_l)
     return ctx.memoised("folds", build)
 
 
@@ -268,10 +266,9 @@ def _pairing_sign(ctx: LiftContext) -> Optional[int]:
     """kappa with eta^alpha,v(xi_beta^L) = kappa*delta, or None if non-uniform
     or r = 0."""
     r = len(ctx.xi_v)
-    block = [row[r:] for row in ctx.pairing[:r]]
+    block = {(a, b - r): g for (a, b), g in ctx.pairing.items() if a < r <= b}
     for kappa in (1, -1) if r else ():
-        if all(value == (kappa if a == b else 0)
-               for a, row in enumerate(block) for b, value in enumerate(row)):
+        if len(block) == r and all(block.get((a, a)) == kappa for a in range(r)):
             return kappa
     return None
 
@@ -339,9 +336,9 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
     for b, xb in enumerate(base.xi):
         if xb == x:
             return f"xi_{b + 1}", b
-    nonzero = [(coord, c) for coord, c in zip(base.chart.coords, x.comps) if c]
+    nonzero = x.nonzero_items()
     if len(nonzero) == 1:
-        ((coord, c),) = nonzero
+        (((coord,), c),) = nonzero
         if c.is_constant() and c.constant_value() == 1:
             return f"d/d{coord}", None
     return "X", None
@@ -352,53 +349,55 @@ def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[t
     the test fields, by default every frame field d/dx_i and every xi_alpha, and
     per field its role, X^v, (F X)^v, F X, the eta^a X and the (eta^a X)^v."""
     def build():
-        tangent, zero, xs = ctx.tangent, base.chart.zero_poly(), fields
+        tangent, xs = ctx.tangent, fields
         if xs is None:
             xs = [TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords]
             xs = tuple(xs + [x for b, x in enumerate(base.xi) if x not in xs + list(base.xi[:b])])
         roles = [_field_role(x, base) for x in xs]
-        comps = [x.comps for x in xs]
-        fx = [TensorField._trusted(base.chart, (1, 0), tuple(row))
-              for row in _contract(comps, base.f.comps, zero)]
-        eta_x = [[TensorField._trusted(base.chart, (0, 0), g) for g in row]
-                 for row in _contract(comps, [w.comps for w in base.eta], zero)]
+        fx = _apply_all(base.f, xs)
+        pairs = _pairings(base.chart, base.eta, xs)
+        eta_x = [[TensorField.function(base.chart, pairs.get((a, e), 0)) for a in range(base.r)]
+                 for e in range(len(xs))]
         return (xs, roles, [lift_vector(x, VERTICAL, tangent) if b is None else ctx.xi_v[b]
                             for x, (_, b) in zip(xs, roles)],
                 [lift_vector(y, VERTICAL, tangent) for y in fx], fx, eta_x,
-                [[lift_function(g, VERTICAL, tangent).comps for g in row] for row in eta_x])
+                [[lift_function(g, VERTICAL, tangent) for g in row] for row in eta_x])
     return (ctx.vertical or ctx).memoised(("action fields", fields), build)
 
 
-def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) -> list:
-    """Per action entry, in report order, the parts (D, g) of its residual
-    D + sum_i sigma_i g_i X_i, which do not depend on (s, t), for the test fields
-    of ``_action_fields`` and the context's pairing sign kappa."""
+def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) -> tuple[dict, dict]:
+    """The parts D and C of the action residuals D_e + sum_i sigma_i C_ei X_i, which
+    do not depend on (s, t), stacked by entry e in report order, for the test
+    fields of ``_action_fields`` and the context's pairing sign kappa."""
     xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
     tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
     x_l = [lift_vector(x, kind, tangent, ctx.conn) if b is None else ctx.xi_l[b]
            for x, (_, b) in zip(xs, roles)]
     # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
-    plain = [y.comps for (_, b), *ys in zip(roles, x_v, x_l) if b is None for y in ys]
-    zero = tangent.total.zero_poly()
-    computed = iter(zip(_contract(plain, ctx.f_lift.comps, zero),
-                        _contract(plain, [w.comps for w in ctx.eta], zero)))
+    def column(matrix: dict, k: int) -> dict:
+        return {(i,): g for (i, j), g in matrix.items() if j == k}
+
+    plain = [y for (_, b), *ys in zip(roles, x_v, x_l) if b is None for y in ys]
+    e_plain = _pairings(tangent.total, ctx.eta, plain)
+    computed = iter([(f_y, column(e_plain, k))
+                     for k, f_y in enumerate(_apply_all(ctx.f_lift, plain))])
+
     parts = []
     for (_, b), f_x_v, f_x, eta, eta_v in zip(roles, fx_v, fx, eta_x, eta_x_v):
-        eta_l = [lift_function(g, COMPLETE, tangent).comps if kind == COMPLETE else 0
-                 for g in eta]
+        eta_c = [lift_function(g, COMPLETE, tangent) for g in eta] if kind == COMPLETE else []
         ys = [next(computed), next(computed)] if b is None else [
-            (ctx.f_xi[i].comps, [row[i] for row in ctx.pairing]) for i in (b, r + b)]
+            (ctx.f_xi[i], column(ctx.pairing, i)) for i in (b, r + b)]
         # per entry of Y: the right side's lifted F X and its rho
-        rights = [(f_x_v.comps, [0] * r + eta_v),
-                  (lift_vector(f_x, kind, tangent, ctx.conn).comps, eta_v + eta_l)]
+        rights = [(f_x_v, _stack(eta_v, r)),
+                  (lift_vector(f_x, kind, tangent, ctx.conn), {**_stack(eta_v), **_stack(eta_c, r)})]
         if b is not None and kappa is not None:
+            one = tangent.total.const(kappa)
             ys += ys
-            rights += [(None, [kappa * (i == r + b) for i in range(2 * r)]),
-                       (None, [kappa * (i == b) for i in range(2 * r)])]
-        parts += [(tuple(f_y) if f is None else tuple(map(sub, f_y, f)),
-                   [e - c if c else e for e, c in zip(e_y, rho)])
+            rights += [(None, {(r + b,): one}), (None, {(b,): one})]
+        parts += [(f_y if f is None else f_y - f, _added(e_y, rho, negate=True))
                   for (f_y, e_y), (f, rho) in zip(ys, rights)]
-    return parts
+    return (_stack([d for d, _ in parts]),
+            {(e, *key): g for e, (_, row) in enumerate(parts) for key, g in row.items()})
 
 
 def verify_action_formulas(
@@ -459,13 +458,12 @@ def action_report(
             names += [f"J(xi_{b + 1}^v) - ({t * kappa:+d})*xi_{b + 1}^{lift_name}",
                       f"J(xi_{b + 1}^{lift_name}) - ({s * kappa:+d})*xi_{b + 1}^v"]
     # D + sum_i sigma_i g_i X_i for every entry: one (entries x 2r)(2r x 2m) product
-    parts, total = _action_parts(ctx, spec, fields, kappa), ctx.tangent.total
-    signed = [_signed(g, x).comps for g, x in zip(_sigma(ctx, s, t), ctx.xi)]
-    sums = _contract([g for _, g in parts], list(zip(*signed)) or [()] * total.dim,
-                     total.zero_poly())
-    residuals = [tuple(map(add, d, row)) for (d, _), row in zip(parts, sums)]
-    entries = [new_entry(name, tag_actions, TensorField._trusted(total, (1, 0), comps), seed)
-               for name, comps in zip(names, residuals)]
+    d, c = _action_parts(ctx, spec, fields, kappa)
+    total = ctx.tangent.total
+    signed = [_signed(g, x) for g, x in zip(_sigma(ctx, s, t), ctx.xi)]
+    sums = _contract(c, _stack(signed), total.coords)
+    entries = [new_entry(name, tag_actions, residual, seed) for name, residual
+               in zip(names, _unstack(total, (1, 0), _added(d, sums), len(names)))]
 
     report = CheckReport(entries=entries)
     if claims is not None and xs:

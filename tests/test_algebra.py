@@ -456,6 +456,16 @@ def contraction_operands(draw):
     return rows, cols
 
 
+def dense_contract(rows, cols, zero):
+    """``_contract`` of dense rows and columns, read back densely: out[i][j] is
+    sum_k rows[i][k] * cols[j][k], ``zero`` where nothing is left."""
+    rows, cols = list(rows), list(cols)
+    left = {(i, k): a for i, row in enumerate(rows) for k, a in enumerate(row) if a}
+    right = {(k, j): b for j, col in enumerate(cols) for k, b in enumerate(col) if b}
+    out = _contract(left, right, zero.variables)
+    return [[out.get((i, j), zero) for j in range(len(cols))] for i in range(len(rows))]
+
+
 def reference_contraction(rows, cols):
     """Dense termwise sums of products on plain dicts, zero factors included."""
     out = []
@@ -477,7 +487,7 @@ def test_contraction_kernel_matches_dense_reference(operands):
     rows, cols = operands
     with mock.patch.object(Poly, "__mul__", autospec=True, side_effect=Poly.__mul__) as mul, \
             mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
-        out = _contract(rows, iter(cols), Poly.zero(XYZ))
+        out = dense_contract(rows, iter(cols), Poly.zero(XYZ))
     assert len(out) == len(rows)
     assert all(len(line) == len(cols) for line in out)
     assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
@@ -517,7 +527,7 @@ def test_fused_dot_products_match_fraction_reference(operands):
     doubled = [row + row for row in rows]
     cancelling = [col + [-b for b in col] for col in cols]
     for left, right in ((rows, cols), (doubled, cancelling)):
-        out = _contract(left, right, Poly.zero(XYZ))
+        out = dense_contract(left, right, Poly.zero(XYZ))
         assert [[q.terms for q in line] for line in out] == reference_contraction(left, right)
         for line in out:
             for q in line:
@@ -532,7 +542,7 @@ def test_fused_dot_products_by_hand():
     half_x = Poly(XYZ, {(1, 0, 0): Fraction(1, 2)})
     third_y = Poly(XYZ, {(0, 1, 0): Fraction(-1, 3), (0, 0, 0): 2})
     with mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
-        out = _contract(
+        out = dense_contract(
             [[one, minus_one, x], [half_x, third_y, y]],
             [[x + y, x, y], [x, third_y, half_x]],
             Poly.zero(XYZ),
@@ -547,7 +557,7 @@ def test_fused_dot_products_by_hand():
     # x/2 * x + (2 - y/3)^2 + y * x/2
     assert out[1][1] == half_x * x + third_y * third_y + y * half_x
     # products that cancel exactly
-    (cancelled,) = _contract([[x, y, x]], [[y, x * -2, y]], Poly.zero(XYZ))
+    (cancelled,) = dense_contract([[x, y, x]], [[y, x * -2, y]], Poly.zero(XYZ))
     assert cancelled == [Poly.zero(XYZ)]
 
 
@@ -602,7 +612,7 @@ def test_large_contractions_match_dense_reference(operands, cancel):
     if cancel:
         # each row against a column and its negation: every sum is exactly zero
         rows, cols = [row + row for row in rows], [col + [-q for q in col] for col in cols]
-    out = _contract(rows, cols, Poly.zero(XYZ))
+    out = dense_contract(rows, cols, Poly.zero(XYZ))
     assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
     if cancel:
         assert all(q.is_zero() for line in out for q in line)
@@ -636,7 +646,7 @@ def test_packed_and_tuple_sums_give_equal_terms(operands, a, b):
         with mock.patch.object(algebra, "_PACK_CUTOFF", cutoff), \
                 mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed, \
                 mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
-            out = [_contract(left, right, Poly.zero(XYZ)) for left, right in ((rows, cols), cancelling)]
+            out = [dense_contract(left, right, Poly.zero(XYZ)) for left, right in ((rows, cols), cancelling)]
             out.append([[a * b, (a + b) * (a - b)]])
         # every sum packs at cutoff 0 (no exponent here needs a wide field), none past it
         assert packed.call_count == (dot.call_count if cutoff == 0 else 0)
@@ -684,15 +694,29 @@ def test_contraction_rejects_entries_over_other_variables():
         ([[Poly.const(2, XY)]], [[x]]),     # a constant that + would coerce
     ):
         with pytest.raises(VariableMismatch):
-            _contract(rows, cols, zero)
-    # zero entries are skipped whatever their variables
-    assert _contract([[x, Poly.zero(XY)]], [[x, x]], zero) == [[x * x]]
+            dense_contract(rows, cols, zero)
+    with pytest.raises(VariableMismatch):
+        PolyMatrix([[x]]) @ PolyMatrix([[narrow]])
 
 
 def test_contraction_over_empty_inner_dimension_is_zero():
     zero = Poly.zero(XY)
-    assert _contract([(), ()], [(), (), ()], zero) == [[zero] * 3] * 2
-    assert _contract([], [()], zero) == []
+    assert dense_contract([(), ()], [(), (), ()], zero) == [[zero] * 3] * 2
+    assert dense_contract([], [()], zero) == []
+    assert _contract({}, {(0, 1): Poly.variable("x", XY)}, XY) == {}
+
+
+def test_contraction_joins_the_outer_indices_of_its_keys():
+    x, y = Poly.variable("x", XYZ), Poly.variable("y", XYZ)
+    # a vector against a one-form, a matrix against a vector, and a one-form
+    # against a matrix: the last left index meets the first right one
+    assert _contract({(0,): x, (2,): y}, {(2,): x, (1,): y}, XYZ) == {(): x * y}
+    assert _contract({(0, 1): x, (1, 1): y, (1, 0): x}, {(1,): y}, XYZ) == {
+        (0,): x * y, (1,): y * y}
+    assert _contract({(0,): x, (1,): -x}, {(0, 2): y, (1, 2): y, (1, 0): x}, XYZ) == {
+        (0,): -x * x}
+    # three indices kept on the outside
+    assert _contract({(1, 0): x}, {(0, 2, 1): y}, XYZ) == {(1, 2, 1): x * y}
 
 
 def test_arithmetic_results_skip_validation(monkeypatch):

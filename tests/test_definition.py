@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from liftcheck import definition
 from liftcheck.cli import main
 from liftcheck.definition import (
     Definition,
@@ -95,18 +94,14 @@ def test_dimension_mismatch_reported():
 
 def test_r_past_the_chart_is_refused_before_anything_sized_by_r(monkeypatch, tmp_path, capsys):
     made = []
+    make = TensorField.from_entries
 
-    def counted(make):
-        def wrapper(chart, comps):
-            made.append(make)
-            assert len(made) < 10, "a field was made for each alpha of r"
-            return make(chart, comps)
-        return wrapper
+    def counted(chart, valence, entries):
+        made.append(valence)
+        assert len(made) < 10, "a field was made for each alpha of r"
+        return make(chart, valence, entries)
 
-    monkeypatch.setattr(definition, "_FAMILIES", tuple(
-        (name, meaning, counted(make), optional)
-        for name, meaning, make, optional in definition._FAMILIES
-    ))
+    monkeypatch.setattr(TensorField, "from_entries", counted)
     path = tmp_path / "huge_r.def"
     path.write_text(CANONICAL.replace("r 1\n", "r 1000000000\n"), encoding="utf-8")
     assert main(["check", str(path)]) == 2

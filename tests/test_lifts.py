@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftcheck import lifts
 from liftcheck.algebra import Poly
 from liftcheck.lifts import (
     COMPLETE,
@@ -161,6 +162,35 @@ def test_complete_lift_differentiates_only_by_coordinates_that_occur(monkeypatch
     assert calls == []
 
 
+def test_lifts_read_each_nonzero_component_once(monkeypatch):
+    # n = 20: F has 2n nonzero components of (2n + 1)^2, xi and eta one each
+    s = canonical_structure(20, 1, -1)
+    tangent = TangentChart.over(s.chart)
+    c1, a1 = s.chart.coordinate("c1"), s.chart.coordinate("a1")
+    conn = Connection.from_entries(s.chart, {(0, 0, 1): c1, (40, 2, 2): a1 * a1})
+    lifts._connection_matrix(conn, tangent)
+    nonzero = sum(len(field.entries) for field in (s.f, *s.xi, *s.eta))
+    assert nonzero == 2 * 20 + 2
+    extend, derivative = Poly.extend, lifts._y_dot_derivative
+    calls = {"extend": 0, "derivative": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "extend", counted("extend", extend))
+    monkeypatch.setattr(lifts, "_y_dot_derivative", counted("derivative", derivative))
+    for kind, c in ((VERTICAL, None), (COMPLETE, None), (HORIZONTAL, conn)):
+        calls.update(extend=0, derivative=0)
+        lift_endo(s.f, kind, tangent, c)
+        lift_vector(s.xi[0], kind, tangent, c)
+        lift_oneform(s.eta[0], kind, tangent, c)
+        # one embedding per nonzero component, and one y^k d_k in a complete lift
+        assert calls == {"extend": nonzero, "derivative": nonzero if kind == COMPLETE else 0}
+
+
 def test_vertical_lift_moves_to_fiber():
     db = TensorField.basis_vector(AB, "b")
     assert lift_vector(db, VERTICAL, TAB) == TensorField.basis_vector(TAB.total, "b_dot")
@@ -278,6 +308,21 @@ def test_connection_keys_out_of_range_are_refused(key, symmetric):
 def test_connection_entries_must_live_on_the_chart():
     with pytest.raises(LiftError, match=r"connection entry \(0, 1, 1\) must live on the chart"):
         Connection.from_entries(AB, {(0, 1, 1): Chart("R", ("a", "c")).zero_poly()})
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 0): AB.coordinate("a")}, r"connection entry \(0, 0\) is not three indices"),
+    ({(0, 0, 1, 1): AB.coordinate("a")}, r"connection entry \(0, 0, 1, 1\) is not three indices"),
+    ({"001": AB.coordinate("a")}, r"connection entry '001' is not three indices"),
+    ({(0, 0.0, 1): AB.coordinate("a")}, r"connection entry \(0, 0.0, 1\) is not three indices"),
+    ({(0, 0, 1): 3}, r"connection entry \(0, 0, 1\) must live on the chart as a Poly"),
+    ({(0, 0, 1): "a"}, r"connection entry \(0, 0, 1\) must live on the chart as a Poly"),
+])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+def test_connection_keys_and_values_are_checked_before_they_are_read(entries, message, symmetric):
+    # the shape of a key before it is unpacked, the type of a value before its variables
+    with pytest.raises(LiftError, match=message):
+        Connection.from_entries(AB, entries, symmetric)
 
 
 def test_a_connection_holds_its_nonzero_entries_only():

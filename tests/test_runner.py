@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from liftcheck import algebra, definition, lifts, runner, structures, tensor, theorems
+from liftcheck import definition, lifts, runner, structures, tensor, theorems
 from liftcheck.definition import Task, parse_definition, structure_to_definition
 from liftcheck.lifts import COMPLETE, HORIZONTAL, VERTICAL, Connection
 from liftcheck.report import Report
@@ -69,7 +69,8 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
     paired = count_calls(monkeypatch, tensor, "oneform_apply")
     vectors = count_calls(monkeypatch, lifts, "lift_vector")
     functions = count_calls(monkeypatch, lifts, "lift_function")
-    contracted = count_calls(monkeypatch, algebra, "_contract")
+    applied_all = count_calls(monkeypatch, tensor, "_apply_all")
+    paired_all = count_calls(monkeypatch, tensor, "_pairings")
     tasks = [Task("check"), Task("lift"), Task("theorem", ("4.1",)), Task("theorem", ("4.3",)),
              Task("sweep", ("complete",)), Task("sweep", ("horizontal",))]
     shared = runner._Shared(defn)
@@ -104,11 +105,10 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
         # product each; the lifts of xi_1 read ctx.f_xi and ctx.pairing instead
         ys = [lifts.lift_vector(x, k, ctx.tangent, ctx.conn if k == kind else None)
               for x in frames for k in (VERTICAL, kind)]
-        eta = [w.comps for w in ctx.eta]
-        assert [rows for rows, cols, _ in contracted if cols is ctx.f_lift.comps] == [
-            [y.comps for y in ys]
-        ]
-        assert [rows for rows, cols, _ in contracted if cols == eta] == [[y.comps for y in ys]]
+        assert [list(xs) for f, xs in applied_all if f is ctx.f_lift] == [ys]
+        # E(X) of the context's own lifts of xi is its pairing matrix
+        pairings = [list(xs) for _, ws, xs in paired_all if ws == ctx.eta]
+        assert sorted(pairings, key=len) == [list(ctx.xi), ys]
 
 
 def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
@@ -120,6 +120,21 @@ def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
     # F^v and each eta^v serve the complete and horizontal contexts and the table
     assert [args[1] for args in endo_lifts].count(VERTICAL) == 1
     assert [args[1] for args in oneform_lifts].count(VERTICAL) == defn.structure.r
+
+
+def test_a_run_builds_one_tangent_chart(monkeypatch):
+    # the parser's fiber-name check makes the chart, and every lift of the run reads it
+    over, calls = lifts.TangentChart.over, []
+
+    def counted(chart, suffix=lifts.DEFAULT_FIBER_SUFFIX):
+        calls.append((chart, suffix))
+        return over(chart, suffix)
+
+    monkeypatch.setattr(lifts.TangentChart, "over", counted)
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    assert runner.run_tasks(defn, TASKS + [Task("actions", ("4.3",))]).overall
+    assert calls == [(defn.chart, defn.fiber_suffix)]
+    assert runner._Shared(defn).context(VERTICAL).tangent is defn.tangent
 
 
 def test_run_tasks_builds_g_y_once(monkeypatch):

@@ -9,11 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from liftcheck.algebra import Poly, PolyMatrix
 from liftcheck.structures import RContactStructure
 from liftcheck.tensor import (
+    VALENCES,
     Chart,
     Point,
     TensorError,
     TensorField,
+    _apply_all,
     _outer_sum,
+    _pairings,
     endo_apply,
     endo_compose,
     endo_transpose,
@@ -294,6 +297,23 @@ def test_arithmetic_and_contraction_results_skip_component_checks(monkeypatch):
         assert field == checked and hash(field) == hash(checked)
 
 
+@pytest.mark.parametrize("key", [(2,), (-1,), (0, 0), (), "0", (0.0,)])
+def test_keyed_constructor_checks_each_index(key):
+    with pytest.raises(TensorError, match=r"is not 1 indices in range 0\.\.1"):
+        TensorField.from_entries(AB, (1, 0), {key: AB.const(1)})
+
+
+def test_keyed_constructor_drops_zeros_and_reads_constants():
+    a = AB.coordinate("a")
+    field = TensorField.from_entries(AB, (1, 1), {(0, 1): a, (1, 0): 0, (1, 1): Fraction(1, 2)})
+    assert field.entries == {(0, 1): a, (1, 1): AB.const(Fraction(1, 2))}
+    assert field == TensorField.endo(AB, [[0, a], [0, Fraction(1, 2)]])
+    with pytest.raises(TensorError, match="unsupported valence"):
+        TensorField.from_entries(AB, (2, 0), {})
+    with pytest.raises(TensorError, match="does not live on chart"):
+        TensorField.from_entries(AB, (0, 0), {(): ABC.coordinate("c")})
+
+
 def test_constructor_still_rejects_components_over_another_chart():
     over_ab = AB.coordinate("a")
     with pytest.raises(TensorError, match="does not live on chart"):
@@ -304,3 +324,144 @@ def test_constructor_still_rejects_components_over_another_chart():
         TensorField.function(ABC, over_ab)
     with pytest.raises(TensorError, match="does not live on chart"):
         rotation().scale(ABC.coordinate("a"))
+
+
+# -- sparse storage against a dense reference ---------------------------------------
+
+
+def sparse_polys(chart):
+    """Polys over ``chart`` from a small pool, zero in about half the draws."""
+    x, y = (chart.coordinate(c) for c in chart.coords[:2])
+    pool = [x, -y, x * y + Fraction(1, 3), x * x - Fraction(3, 2) * y, chart.const(2),
+            chart.const(Fraction(-1, 2)), (x + y) ** 2, chart.coordinate(chart.coords[-1]) - 1]
+    return st.sampled_from([chart.zero_poly()] * len(pool) + pool)
+
+
+def draw_dense(data, chart, rank, like=None):
+    """Dense components with ``rank`` indices, as nested lists; with ``like``,
+    some components are the negations of like's, so that sums cancel."""
+    count = chart.dim ** rank
+    flat = data.draw(st.lists(sparse_polys(chart), min_size=count, max_size=count))
+    if like is not None:
+        flips = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        flat = [-old if flip else new for old, new, flip in zip(flatten(like, rank), flat, flips)]
+    for _ in range(rank):
+        flat = [flat[i:i + chart.dim] for i in range(0, len(flat), chart.dim)]
+    return flat[0]
+
+
+def flatten(value, rank):
+    return [value] if rank == 0 else [c for v in value for c in flatten(v, rank - 1)]
+
+
+def ref_map(fn, rank, *operands):
+    """fn over the components of equally shaped nested lists."""
+    if rank == 0:
+        return fn(*operands)
+    return [ref_map(fn, rank - 1, *parts) for parts in zip(*operands)]
+
+
+def ref_sum(chart, products):
+    total = chart.zero_poly()
+    for p in products:
+        total = total + p
+    return total
+
+
+def frozen(value, rank):
+    """The dense view's shape: tuples of rows."""
+    return value if rank == 0 else tuple(frozen(v, rank - 1) for v in value)
+
+
+def ref_nonzero_items(chart, value, rank):
+    """(labels, component) of the nonzero components, by naive loops in index order."""
+    items = []
+    if rank == 0:
+        items.append(((), value))
+    for i, ci in enumerate(chart.coords if rank else ()):
+        if rank == 1:
+            items.append(((ci,), value[i]))
+        for j, cj in enumerate(chart.coords if rank == 2 else ()):
+            items.append(((ci, cj), value[i][j]))
+    return [(label, c) for label, c in items if not c.is_zero()]
+
+
+def stores_no_zero(field):
+    return all(not c.is_zero() for c in field.entries.values())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_fields_match_a_dense_reference(data):
+    chart = data.draw(st.sampled_from([AB, ABC]))
+    m, zero = chart.dim, chart.zero_poly()
+    dense, fields = {}, {}
+    for valence in VALENCES:
+        rank = sum(valence)
+        first = draw_dense(data, chart, rank)
+        dense[valence] = [first, draw_dense(data, chart, rank, like=first)]
+        fields[valence] = [TensorField(chart, valence, d) for d in dense[valence]]
+
+    # pointwise algebra, zero tests, equality, hashing, order and round trips
+    factor = TensorField.function(chart, dense[(0, 0)][0])
+    for valence in VALENCES:
+        rank, (a, b), (da, db) = sum(valence), fields[valence], dense[valence]
+        results = [
+            (a + b, ref_map(lambda x, y: x + y, rank, da, db)),
+            (a - b, ref_map(lambda x, y: x - y, rank, da, db)),
+            (-a, ref_map(lambda x: -x, rank, da)),
+            (a.scale(0), ref_map(lambda x: zero, rank, da)),
+            (a.scale(Fraction(-2, 3)), ref_map(lambda x: x * Fraction(-2, 3), rank, da)),
+            (a.scale(factor), ref_map(lambda x: x * dense[(0, 0)][0], rank, da)),
+            (a.scale(chart.coordinate("a")), ref_map(lambda x: x * chart.coordinate("a"), rank, da)),
+        ]
+        for got, expected in results:
+            assert got.valence == valence and got.comps == frozen(expected, rank)
+            assert got.nonzero_items() == ref_nonzero_items(chart, expected, rank)
+            assert stores_no_zero(got) and got.is_zero() == (not got.nonzero_items())
+        for field, value in zip((a, b), (da, db)):
+            assert field.nonzero_items() == ref_nonzero_items(chart, value, rank)
+            assert field.is_zero() == (not ref_nonzero_items(chart, value, rank))
+            checked = TensorField(chart, valence, field.comps)
+            assert checked == field and hash(checked) == hash(field) and stores_no_zero(checked)
+            # the same entries given in the other order
+            keyed = TensorField.from_entries(chart, valence, dict(reversed(field.entries.items())))
+            assert keyed == field and hash(keyed) == hash(field)
+        difference = a - a
+        assert difference.is_zero() and difference == TensorField.zero(chart, valence)
+        assert hash(difference) == hash(TensorField.zero(chart, valence))
+        assert (a == b) == (frozen(da, rank) == frozen(db, rank))
+
+    # every contraction
+    (f, h), (df, dh) = fields[(1, 1)], dense[(1, 1)]
+    xs, dxs = fields[(1, 0)], dense[(1, 0)]
+    ws, dws = fields[(0, 1)], dense[(0, 1)]
+    g, dg = fields[(0, 2)][0], dense[(0, 2)][0]
+    span = range(m)
+    contractions = [
+        (endo_apply(f, xs[0]), [ref_sum(chart, (df[i][j] * dxs[0][j] for j in span)) for i in span]),
+        (oneform_apply(ws[0], xs[0]), ref_sum(chart, (dws[0][i] * dxs[0][i] for i in span))),
+        (endo_compose(f, h),
+         [[ref_sum(chart, (df[i][k] * dh[k][j] for k in span)) for j in span] for i in span]),
+        (oneform_after_endo(ws[0], f), [ref_sum(chart, (dws[0][i] * df[i][j] for i in span))
+                                        for j in span]),
+        (outer(xs[0], ws[1]), [[dxs[0][i] * dws[1][j] for j in span] for i in span]),
+        (endo_transpose(f), [[df[j][i] for j in span] for i in span]),
+        (metric_pullback(g, f), [[ref_sum(chart, (dg[k][l] * df[k][i] * df[l][j]
+                                                  for k in span for l in span))
+                                  for j in span] for i in span]),
+    ]
+    for r in range(3):
+        contractions.append((_outer_sum(chart, xs[:r], ws[:r]), [
+            [ref_sum(chart, (dxs[a][i] * dws[a][j] for a in range(r))) for j in span] for i in span]))
+    contractions += [(y, [ref_sum(chart, (df[i][j] * dx[j] for j in span)) for i in span])
+                     for y, dx in zip(_apply_all(f, xs), dxs)]
+    for got, expected in contractions:
+        assert got.comps == frozen(expected, sum(got.valence)) and stores_no_zero(got)
+        assert got.nonzero_items() == ref_nonzero_items(chart, expected, sum(got.valence))
+    pairings = _pairings(chart, ws, xs)
+    for a, dw in enumerate(dws):
+        for b, dx in enumerate(dxs):
+            value = ref_sum(chart, (dw[i] * dx[i] for i in span))
+            assert pairings.get((a, b), zero) == value
+            assert ((a, b) in pairings) == (not value.is_zero())

@@ -10,7 +10,6 @@ import pytest
 from liftcheck.algebra import Poly
 from liftcheck.lifts import (
     COMPLETE,
-    DEFAULT_FIBER_SUFFIX,
     HORIZONTAL,
     VERTICAL,
     Connection,
@@ -263,7 +262,7 @@ def test_context_products_match_the_direct_products(r, eps, signature):
             (chart.dim - 1, 0, 0): chart.const(2),
         })
         for conn in (None, nonflat):
-            contexts = _contexts(model, conn, DEFAULT_FIBER_SUFFIX)
+            contexts = _contexts(model, conn, TangentChart.over(model.chart))
             report = verify_lift_interactions(model, conn=conn, contexts=contexts)
             lifted = {"v": contexts(VERTICAL), "c": contexts(COMPLETE)}
             if conn is not None:
@@ -578,7 +577,7 @@ def test_batched_actions_match_the_per_field_path(r, eps, signature):
     failed = 0
     for model in models:
         for conn in (None, nonflat):
-            contexts = _contexts(model, conn, DEFAULT_FIBER_SUFFIX)
+            contexts = _contexts(model, conn, TangentChart.over(model.chart))
             for kind in (COMPLETE, HORIZONTAL):
                 for s, t in ((1, -1), (-1, 1), (1, 1)):
                     spec = spec_for(model, kind, s, t, lift_connection(kind, conn, chart))
