@@ -256,8 +256,84 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}", col)
 
 
+# One term of a sum as Poly.__str__ prints it, with the sign or operator before
+# it: a literal p or p/q, alone or followed by "*"-joined names or powers
+# name^k, or those names without a literal.  ASCII only: a name is then exactly
+# what the tokenizer reads as one, and any other character ends the match.
+_MONOMIAL = r"[A-Za-z_]\w*(?:\^[0-9]+)?(?:\*[A-Za-z_]\w*(?:\^[0-9]+)?)*"
+_TERM_RE = re.compile(
+    rf"[ \t]*([-+]?)[ \t]*(?:([0-9]+)(?:/([0-9]+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))",
+    re.ASCII,
+)
+
+
+def _read_sum(text: str, variables: tuple[str, ...]) -> Poly | None:
+    """The Poly of ``text`` when it is a sum of monomials as ``Poly.__str__``
+    prints them, else None; it never raises.
+
+    The text is read one term at a time, each term matched where the last
+    ended.  Anything outside that form, and anything a check of the general
+    parser could refuse (an unknown name, a zero denominator, a literal of
+    more than ``_digit_limit()`` digits, a term past MAX_DEGREE), is None, so
+    that every error comes from the general parser.
+    """
+    if not text:
+        return None
+    index = {name: i for i, name in enumerate(variables)}
+    digits = _digit_limit()[0]
+    width = len(variables)
+    match = _TERM_RE.match
+    sums: dict[int, dict[tuple[int, ...], int]] = {}
+    pos, end = 0, len(text)
+    while pos < end:
+        term = match(text, pos)
+        # the first term may have a "-" only, every later one needs its operator
+        if term is None or (term[1] == "+" if pos == 0 else not term[1]):
+            return None
+        sign, num, den, names, bare = term.groups()
+        n, d = 1, 1
+        if num is not None:
+            if len(num) > digits or (den is not None and len(den) > digits):
+                return None
+            n = int(num)
+            if den is not None:
+                d = int(den)
+                if not d:
+                    return None
+        else:
+            names = bare
+        exps = [0] * width
+        if names:
+            degree = 0
+            for factor in names.split("*"):
+                name, _, power = factor.partition("^")
+                i = index.get(name)
+                if i is None or len(power) > digits:
+                    return None
+                k = int(power) if power else 1
+                exps[i] += k
+                degree += k
+            if degree > MAX_DEGREE:
+                return None
+        if n:
+            _accumulate(sums.setdefault(d, {}), {tuple(exps): n}, sign == "-")
+        pos = term.end()
+    return _sum_over_lcm(variables, sums) if sums else Poly._trusted(variables, {}, 1)
+
+
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
-    """Parse an infix polynomial expression over the given coordinate names."""
+    """Parse an infix polynomial expression over the given coordinate names.
+
+    A sum of monomials as ``Poly.__str__`` prints it is read in one pass by
+    ``_read_sum``; any other text, and every error, goes to the general parser.
+    """
+    variables = tuple(variables)
+    value = _read_sum(text, variables)
+    return _parse_general(text, variables) if value is None else value
+
+
+def _parse_general(text: str, variables: Sequence[str]) -> Poly:
+    """Parse any expression of the grammar, or raise a located ParseError."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)

@@ -7,7 +7,7 @@ inputs produce byte-identical machine reports.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,7 +103,10 @@ class Report:
         }
 
     def render_machine(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        out: list[str] = []
+        _emit(self.to_doc(), "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def render_human(self) -> str:
         lines: list[str] = []
@@ -135,6 +138,49 @@ class Report:
             lines.append("")
         lines.append(f"overall: {'PASS' if self.overall else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+def _emit(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes
+    it, ``indent`` being the newline and indentation of its own line.
+
+    A plain recursive function: the encoder that ``json.dumps`` runs with
+    ``indent`` leaves a cycle of closures behind on every call.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"a machine report key must be a str, not {type(key).__name__}")
+            out.append(f"{sep}{inner}{_quote(key)}: ")
+            _emit(item, inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _emit(item, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"a machine report cannot hold a {type(value).__name__}")
 
 
 def section_from_check(task: str, title: str, check: CheckReport) -> Section:

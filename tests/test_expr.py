@@ -1,16 +1,19 @@
 """Polynomial expression parsing and the print/parse round trip."""
 
+import re
 import sys
 from fractions import Fraction
 from math import comb, factorial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from liftcheck import expr
 from liftcheck.algebra import Poly
 from liftcheck.expr import (
-    DEFAULT_DIGITS, MAX_DEGREE, MAX_NESTING, ParseError, _tokenize, is_name, parse_poly,
+    DEFAULT_DIGITS, MAX_DEGREE, MAX_NESTING, ParseError, _digit_limit, _parse_general, _read_sum,
+    _tokenize, is_name, parse_poly,
 )
 
 XY = ("x", "y")
@@ -155,6 +158,27 @@ def test_long_sum_is_built_without_poly_addition(monkeypatch):
     assert parse_poly(str(poly), XY) == poly
     assert parse_poly(f"{poly} - ({poly})", XY) == Poly.zero(XY)
     assert calls == []
+    # operation counts, not timings: the one-pass reader takes the printed
+    # form, and only other text reaches the tokenizer and Poly products
+    series = parse_poly("(a1+b1+c1)^60", ABC)
+    assert len(series.terms) == 1891
+    tokenized, multiplied = [], []
+    tokenize, mul = expr._tokenize, Poly.__mul__
+
+    def counted_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    def counted_mul(self, other):
+        multiplied.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(expr, "_tokenize", counted_tokenize)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    assert parse_poly(str(series), ABC) == series
+    assert (len(tokenized), len(multiplied), calls) == (0, 0, [])
+    assert parse_poly("-1 - (a1-b1+c1)^12", ABC).total_degree() == 12
+    assert len(tokenized) == 1
 
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -240,6 +264,111 @@ def test_parser_matches_reference_evaluator(case):
     assert all(type(c) is Fraction and c != 0 for c in parsed.terms.values())
     # and the canonical print of the value reads back to it
     assert parse_poly(str(value), VARS) == value
+
+
+# -- the one-pass reader of printed sums against the general parser ----------------
+
+
+@st.composite
+def printed_polys(draw):
+    """A Poly over VARS: small or large rationals, zero and constants among
+    them, and exponents up to past MAX_DEGREE."""
+    coefficients = fractions | st.builds(
+        Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = [draw(st.integers(0, 4)) for _ in VARS]
+        if draw(st.integers(0, 9)) == 0:
+            high = st.sampled_from([60, 500, MAX_DEGREE - 8, MAX_DEGREE + 1])
+            exps[draw(st.integers(0, len(VARS) - 1))] = draw(high)
+        terms[tuple(exps)] = draw(coefficients)
+    return Poly(VARS, terms)
+
+
+def signed_terms(text):
+    """The (sign, body) terms of a sum printed by Poly.__str__."""
+    parts = re.split(r" ([+-]) ", text)
+    first = ("-", parts[0][1:]) if parts[0].startswith("-") else ("+", parts[0])
+    return [first] + list(zip(parts[1::2], parts[2::2]))
+
+
+# one change each that takes a printed sum out of the form the reader takes
+OUT_OF_FORM_TERMS = {
+    "unknown name": ("+", "x*q"),
+    "degree past the cap": ("-", f"y^{MAX_DEGREE + 1}"),
+    "zero denominator": ("+", "3/0*x"),
+    "literal past the digit limit": ("+", "1" * (_digit_limit()[0] + 1) + "*z_1"),
+}
+OUT_OF_FORM = sorted(OUT_OF_FORM_TERMS) + ["sign run", "leading sign", "non-ASCII digit"]
+
+
+@st.composite
+def mutated_sums(draw):
+    """The text of a printed Poly with its terms reordered, duplicated,
+    cancelled, multiplied by 0 and respaced, and at most one change that
+    takes it out of the printed form."""
+    pieces = signed_terms(str(draw(printed_polys())))
+    for mutation in draw(st.lists(st.sampled_from(["reorder", "duplicate", "cancel", "zero"]),
+                                  max_size=3)):
+        if mutation == "reorder":
+            pieces = draw(st.permutations(pieces))
+            continue
+        sign, body = draw(st.sampled_from(pieces))
+        if mutation == "cancel":
+            sign = "+" if sign == "-" else "-"
+        elif mutation == "zero":
+            body = "0*" + body
+        pieces.insert(draw(st.integers(0, len(pieces))), (sign, body))
+    change = draw(st.none() | st.sampled_from(OUT_OF_FORM))
+    if change in OUT_OF_FORM_TERMS:
+        pieces.insert(draw(st.integers(0, len(pieces))), OUT_OF_FORM_TERMS[change])
+    elif change == "sign run":
+        i = draw(st.integers(0, len(pieces) - 1))
+        pieces[i] = (pieces[i][0], "-" + pieces[i][1])
+    spaces = st.sampled_from(["", " ", "\t", "  ", " \t"])
+    text = ("-" + draw(spaces) if pieces[0][0] == "-" else "") + pieces[0][1]
+    for sign, body in pieces[1:]:
+        text += draw(spaces) + sign + draw(spaces) + body
+    if change == "leading sign":
+        text = draw(st.sampled_from(["+", "--", "- -"])) + text
+    elif change == "non-ASCII digit":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\u0663", "\u00b2", "\uff11"])) + text[at:]
+    return text
+
+
+def outcome(parse, text):
+    """The Poly's parts, or the ParseError's message and column."""
+    try:
+        value = parse(text, VARS)
+    except ParseError as err:
+        return "error", err.args[0], err.column
+    return "poly", value.variables, value.nums, value.den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_sums())
+@example("x + 3/0*x")
+@example("-x + y")
+@example("+x - y")
+@example("x - -y")
+@example("x*q + 1")
+@example(f"y^600*z_1^{MAX_DEGREE - 599}")
+@example("2 - x^2*\u0663")
+@example("y^2 - " + "9" * (_digit_limit()[0] + 1))
+def test_reader_and_general_parser_agree(text):
+    assert outcome(parse_poly, text) == outcome(_parse_general, text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(printed_polys())
+def test_reader_reads_every_printed_poly_within_the_degree_cap(poly):
+    value = _read_sum(str(poly), VARS)
+    if poly.total_degree() > MAX_DEGREE:
+        assert value is None
+    else:
+        assert (value.variables, value.nums, value.den) == (VARS, poly.nums, poly.den)
 
 
 # Every power and product is bounded before it is computed: MAX_DEGREE bounds
