@@ -10,24 +10,31 @@ integers and takes a gcd only where the denominator is above 1.  There is
 no floating point anywhere: every verification downstream reduces to testing
 that a polynomial in canonical form is literally zero.
 
-Every sum of products runs through one kernel, ``_contract`` and its ``_dot``,
-on the integer numerators over the LCM of the denominators.  A sum with at least
-``_PACK_CUTOFF`` term products keys each monomial by one int instead of a
-tuple: each variable gets an unsigned field of 1, 2, 4 or 8 bytes, wider than
-the highest exponent sum that variable reaches in the call, so a product's key
-is the sum of its factors' keys with no carry between fields.  Smaller sums,
-and sums whose fields would need more than 8 bytes, add exponent tuples.
-``Poly.nums`` is keyed by exponent tuples either way.
+Each monomial is one int key (packed exponents, after Monagan and Pearce,
+CASC 2007).  Over m variables, the total degree sits in the top field and
+each variable's exponent in one ``_W``-bit field below it, the first variable
+highest.  So the key of a product is the sum of its factors' keys, graded
+lexicographic order is int order, and the constant monomial is key 0.  Every
+exponent and total degree is at most ``_MASK`` = 65,535: the constructor
+refuses a tuple past it, and a product or power past it raises
+``DegreeOverflow`` before any work.  No field exceeds the total degree, so
+two keys whose degrees sum to at most ``_MASK`` add with no carry between
+fields, and that one check is exact.  ``Poly.terms`` decodes the keys into
+exponent tuples on read.
+
+Every sum of products runs through one kernel, ``_contract`` and its
+``_dot``, the one product loop, on the integer numerators over the LCM of
+the denominators.
 """
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import or_
 
 Exponents = tuple[int, ...]
 
@@ -50,6 +57,10 @@ class NotUnimodular(AlgebraError):
 
 class ExactDivisionError(AlgebraError):
     """Polynomial division that was assumed exact left a remainder."""
+
+
+class DegreeOverflow(AlgebraError):
+    """An exponent or total degree past the fields of a monomial key."""
 
 
 def as_fraction(value: int | Fraction) -> Fraction:
@@ -133,24 +144,62 @@ class EpsComplex:
         return f"({self.re} {sign} {abs(self.im)}i|eps={self.epsilon})"
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
+# Bits per exponent field of a monomial key.  Every exponent and total degree
+# is at most _MASK = 65,535, far above expr.MAX_DEGREE.
+_W = 16
+_MASK = (1 << _W) - 1
 
 
-def _term_grlex_key(term: tuple[Exponents, int]) -> tuple:
-    """``_grlex_key`` of an (exponents, coefficient) term."""
-    exps = term[0]
-    return (sum(exps), exps)
+def _offset(m: int, i: int) -> int:
+    """The bit offset of variable i's exponent field in a key over m variables."""
+    return (m - 1 - i) * _W
+
+
+def _unit(m: int, i: int) -> int:
+    """The key of variable i alone over m variables: degree 1, exponent 1."""
+    return 1 << m * _W | 1 << _offset(m, i)
+
+
+def _exponents(key: int, m: int) -> Exponents:
+    """The exponent tuple of a key over m variables."""
+    return tuple(key >> s & _MASK for s in range(_offset(m, 0), -1, -_W))
+
+
+def _checked_key(exps, variables: tuple[str, ...]) -> int:
+    """The key of an exponent tuple over ``variables``, or a located error for a
+    tuple that no key holds."""
+    exps = tuple(exps)
+    if len(exps) != len(variables):
+        raise VariableMismatch(f"exponent tuple {exps} does not match {len(variables)} variables")
+    key = 0
+    for name, e in zip(variables, exps):
+        if not isinstance(e, int):
+            raise TypeError(f"exponent {e!r} of {name} in {exps} is not an int")
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {name} in {exps}")
+        if e > _MASK:
+            raise DegreeOverflow(f"exponent {e} of {name} in {exps} exceeds {_MASK}")
+        key = key << _W | e
+    degree = sum(exps)
+    if degree > _MASK:
+        raise DegreeOverflow(f"total degree {degree} of {exps} exceeds {_MASK}")
+    return degree << len(exps) * _W | key
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a product or power of total ``degree`` past the key's fields."""
+    if degree > _MASK:
+        raise DegreeOverflow(f"a product or power of total degree {degree} exceeds {_MASK}")
 
 
 class Poly:
     """Sparse multivariate polynomial over an ordered variable list.
 
-    Immutable after construction.  ``nums`` maps exponent tuples (aligned
-    with ``variables``) to nonzero integer numerators over the one
-    denominator ``den`` >= 1, and gcd(den, *nums.values()) == 1, so the form
-    is canonical.  ``terms`` is the read-only view of the same polynomial
-    with one ``Fraction`` coefficient per exponent tuple.
+    Immutable after construction.  ``nums`` maps monomial keys (see the
+    module docstring) to nonzero integer numerators over the one denominator
+    ``den`` >= 1, and gcd(den, *nums.values()) == 1, so the form is
+    canonical.  ``terms`` is the read-only view of the same polynomial with
+    one ``Fraction`` coefficient per exponent tuple.
 
     ``Poly(...)`` validates its input; arithmetic results are built with
     ``_trusted`` or ``_reduced``, which skip the checks because they hold by
@@ -165,35 +214,24 @@ class Poly:
         terms: Mapping[Exponents, int | Fraction] | None = None,
     ):
         variables = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
-            width = len(variables)
             for exps, coeff in terms.items():
                 coeff = as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != width:
-                    raise VariableMismatch(
-                        f"exponent tuple {exps} does not match {width} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                clean[exps] = coeff
+                if coeff != 0:
+                    clean[_checked_key(exps, variables)] = coeff
         nums, den = _over_lcm(clean)
         _set_variables(self, variables)
         _set_nums(self, nums)
         _set_den(self, den)
 
     @classmethod
-    def _trusted(
-        cls, variables: tuple[str, ...], nums: dict[Exponents, int], den: int
-    ) -> "Poly":
+    def _trusted(cls, variables: tuple[str, ...], nums: dict[int, int], den: int) -> "Poly":
         """Wrap parts that are valid by construction, without checking them.
 
         ``variables`` must be a tuple and ``nums`` a dict, owned by the new
-        Poly, of exponent tuples of that width with no negative entry to
-        nonzero ints; ``den`` >= 1 must have no common factor with them.
+        Poly, of keys over that many variables to nonzero ints; ``den`` >= 1
+        must have no common factor with them.
         """
         self = object.__new__(cls)
         _set_variables(self, variables)
@@ -207,7 +245,7 @@ class Poly:
     @property
     def terms(self) -> "Mapping[Exponents, Fraction]":
         """The coefficients as a read-only mapping, one Fraction per lookup."""
-        return _Terms(self.nums, self.den)
+        return _Terms(self)
 
     # -- constructors -------------------------------------------------------
 
@@ -221,17 +259,14 @@ class Poly:
         value = as_fraction(value)
         if value == 0:
             return cls._trusted(variables, {}, 1)
-        return cls._trusted(
-            variables, {(0,) * len(variables): value.numerator}, value.denominator
-        )
+        return cls._trusted(variables, {0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "Poly":
         variables = tuple(variables)
         if name not in variables:
             raise VariableMismatch(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls._trusted(variables, {exps: 1}, 1)
+        return cls._trusted(variables, {_unit(len(variables), variables.index(name)): 1}, 1)
 
     # -- basic queries ------------------------------------------------------
 
@@ -240,31 +275,25 @@ class Poly:
 
     def is_constant(self) -> bool:
         nums = self.nums
-        if not nums:
-            return True
-        if len(nums) > 1:
-            return False
-        (exps,) = nums
-        return not any(exps)
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def constant_value(self) -> Fraction:
         if not self.nums:
             return Fraction(0)
         if not self.is_constant():
             raise AlgebraError("polynomial is not constant")
-        (n,) = self.nums.values()
-        return Fraction(n, self.den)
+        return Fraction(self.nums[0], self.den)
 
     def total_degree(self) -> int:
         if not self.nums:
             return 0
-        return max(sum(exps) for exps in self.nums)
+        return max(self.nums) >> len(self.variables) * _W
 
     def leading(self) -> tuple[Exponents, Fraction]:
         if not self.nums:
             raise AlgebraError("zero polynomial has no leading term")
-        exps = max(self.nums, key=_grlex_key)
-        return exps, Fraction(self.nums[exps], self.den)
+        key = max(self.nums)
+        return _exponents(key, len(self.variables)), Fraction(self.nums[key], self.den)
 
     # -- alignment ----------------------------------------------------------
 
@@ -292,8 +321,9 @@ class Poly:
             raise VariableMismatch(
                 f"{variables} does not extend {self.variables}"
             )
-        pad = (0,) * (len(variables) - len(self.variables))
-        return Poly._trusted(variables, {exps + pad: n for exps, n in self.nums.items()}, self.den)
+        # the new variables' zero fields go below the old ones
+        shift = (len(variables) - len(self.variables)) * _W
+        return Poly._trusted(variables, {k << shift: n for k, n in self.nums.items()}, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -306,7 +336,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.variables, {e: -n for e, n in self.nums.items()}, self.den)
+        return Poly._trusted(self.variables, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -335,8 +365,8 @@ class Poly:
         else:
             den = lcm(den, other.den)
             k1, k2 = den // self.den, den // other.den
-            out = {e: n * k1 for e, n in self.nums.items()}
-            _accumulate(out, {e: n * k2 for e, n in other.nums.items()}, negate)
+            out = {k: n * k1 for k, n in self.nums.items()}
+            _accumulate(out, {k: n * k2 for k, n in other.nums.items()}, negate)
         return _reduced(self.variables, out, den)
 
     def __mul__(self, other) -> "Poly":
@@ -349,27 +379,29 @@ class Poly:
             return other._scale(self.constant_value())
         if not self.nums or not other.nums:
             return Poly._trusted(self.variables, {}, 1)
-        # a single term shifts the other operand's exponents, injectively
+        # a single term shifts the other operand's keys, injectively
         if len(other.nums) == 1:
             ((shift, n),) = other.nums.items()
             return self._shift(shift, n, other.den)
         if len(self.nums) == 1:
             ((shift, n),) = self.nums.items()
             return other._shift(shift, n, self.den)
-        return _dot([(self, other)], self.variables, {})
+        return _dot([(self, other)], self.variables)
 
-    def _shift(self, shift: Exponents, n: int, d: int) -> "Poly":
-        """self times the single term (n / d) * x^shift, n / d in lowest terms."""
+    def _shift(self, shift: int, n: int, d: int) -> "Poly":
+        """self times the single term (n / d) * x^shift, n / d in lowest terms
+        and ``shift`` a key."""
         nums = self.nums
-        if any(shift):
+        if shift:
+            _check_degree(self.total_degree() + (shift >> len(self.variables) * _W))
             if n == 1:
-                shifted = {tuple(map(add, e, shift)): c for e, c in nums.items()}
+                shifted = {k + shift: c for k, c in nums.items()}
             else:
-                shifted = {tuple(map(add, e, shift)): c * n for e, c in nums.items()}
+                shifted = {k + shift: c * n for k, c in nums.items()}
         elif n == 1 and d == 1:
             return self
         else:
-            shifted = {e: c * n for e, c in nums.items()}
+            shifted = {k: c * n for k, c in nums.items()}
         if d == 1 and (n == 1 or n == -1):
             # a unit factor leaves the numerators prime to the denominator
             return Poly._trusted(self.variables, shifted, self.den)
@@ -378,19 +410,18 @@ class Poly:
     def _scale(self, value: int | Fraction) -> "Poly":
         if not value:
             return Poly._trusted(self.variables, {}, 1)
-        return self._shift((0,) * len(self.variables), value.numerator, value.denominator)
+        return self._shift(0, value.numerator, value.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        _check_degree(self.total_degree() * power)
         if len(self.nums) == 1:
             # powers of coprime n and den stay coprime
-            ((exps, n),) = self.nums.items()
-            return Poly._trusted(
-                self.variables, {tuple(e * power for e in exps): n**power}, self.den**power
-            )
+            ((key, n),) = self.nums.items()
+            return Poly._trusted(self.variables, {key * power: n**power}, self.den**power)
         result = Poly.const(1, self.variables)
         base = self
         while power:
@@ -405,15 +436,12 @@ class Poly:
         """Exact partial derivative; zero when var does not occur."""
         if var not in self.variables:
             return Poly._trusted(self.variables, {}, 1)
-        idx = self.variables.index(var)
+        m, i = len(self.variables), self.variables.index(var)
+        offset, unit = _offset(m, i), _unit(m, i)
         # lowering one exponent is injective on the terms where it is positive
         return _reduced(
             self.variables,
-            {
-                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: n * exps[idx]
-                for exps, n in self.nums.items()
-                if exps[idx]
-            },
+            {k - unit: n * e for k, n in self.nums.items() if (e := k >> offset & _MASK)},
             self.den,
         )
 
@@ -425,18 +453,22 @@ class Poly:
         if not self.nums:
             return Fraction(0)
         # With each value p_i / q_i, every term is an integer over
-        # den * prod q_i^top_i (top_i: the highest exponent of variable i),
-        # so the sum runs over integers and one Fraction is built at the end.
+        # den * prod q_i^top_i, where top_i, the bitwise or of the exponents of
+        # variable i, is at least the highest of them and below twice it; so
+        # the sum runs over integers and one Fraction is built at the end.
+        nums, m = self.nums, len(values)
+        fields = reduce(or_, nums)
         den = self.den
         used = []
-        for i, (value, top) in enumerate(zip(values, map(max, zip(*self.nums)))):
-            if top:
-                used.append((i, value.numerator, value.denominator, top, {}))
+        for i, value in enumerate(values):
+            offset = _offset(m, i)
+            if top := fields >> offset & _MASK:
+                used.append((offset, value.numerator, value.denominator, top, {}))
                 den *= value.denominator**top
         total = 0
-        for exps, n in self.nums.items():
-            for i, p, q, top, cache in used:
-                e = exps[i]
+        for key, n in nums.items():
+            for offset, p, q, top, cache in used:
+                e = key >> offset & _MASK
                 factor = cache.get(e)
                 if factor is None:
                     factor = cache[e] = p**e * q ** (top - e)
@@ -457,25 +489,26 @@ class Poly:
         if divisor.is_constant():
             return self._scale(1 / divisor.constant_value())
         # the quotient of the numerators N / M, times M's den over N's
-        lead_exps, lead = divisor.leading()
-        lead *= divisor.den
-        remainder = {e: Fraction(n) for e, n in self.nums.items()}
-        quotient: dict[Exponents, Fraction] = {}
+        m = len(self.variables)
+        lead_key = max(divisor.nums)
+        lead, lead_exps = divisor.nums[lead_key], _exponents(lead_key, m)
+        remainder = {k: Fraction(n) for k, n in self.nums.items()}
+        quotient: dict[int, Fraction] = {}
         while remainder:
-            rexps = max(remainder, key=_grlex_key)
-            qexps = tuple(a - b for a, b in zip(rexps, lead_exps))
-            if any(e < 0 for e in qexps):
+            rkey = max(remainder)
+            if any(a < b for a, b in zip(_exponents(rkey, m), lead_exps)):
                 raise ExactDivisionError("division is not exact")
-            qcoeff = quotient[qexps] = remainder[rexps] / lead
-            for dexps, m in divisor.nums.items():
-                exps = tuple(a + b for a, b in zip(qexps, dexps))
-                acc = remainder.get(exps, 0) - qcoeff * m
+            qkey = rkey - lead_key
+            qcoeff = quotient[qkey] = remainder[rkey] / lead
+            for dkey, c in divisor.nums.items():
+                key = qkey + dkey
+                acc = remainder.get(key, 0) - qcoeff * c
                 if acc:
-                    remainder[exps] = acc
+                    remainder[key] = acc
                 else:
-                    remainder.pop(exps, None)
+                    remainder.pop(key, None)
         # the leading remainder term strictly decreases, so each quotient
-        # exponent is produced once, with a nonzero coefficient
+        # key is produced once, with a nonzero coefficient
         return Poly._trusted(self.variables, *_over_lcm(quotient))._scale(
             Fraction(divisor.den, self.den)
         )
@@ -502,13 +535,15 @@ class Poly:
     def __str__(self) -> str:
         if not self.nums:
             return "0"
-        den = self.den
+        nums, den, m = self.nums, self.den, len(self.variables)
+        fields = [(name, _offset(m, i)) for i, name in enumerate(self.variables)]
         parts: list[str] = []
-        for exps, n in sorted(self.nums.items(), key=_term_grlex_key, reverse=True):
+        for key in sorted(nums, reverse=True):
+            n = nums[key]
             factors = [
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, exps)
-                if e
+                for name, offset in fields
+                if (e := key >> offset & _MASK)
             ]
             if den == 1:
                 mag = str(abs(n))
@@ -538,50 +573,52 @@ _set_den = Poly.den.__set__
 
 
 class _Terms(Mapping):
-    """``Poly.terms``: exponent tuples to ``Fraction(n, den)``, built on lookup."""
+    """``Poly.terms``: exponent tuples to ``Fraction(n, den)``, decoded on read."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_poly",)
 
-    def __init__(self, nums: dict[Exponents, int], den: int):
-        self._nums = nums
-        self._den = den
+    def __init__(self, poly: Poly):
+        self._poly = poly
 
     def __getitem__(self, exps: Exponents) -> Fraction:
-        return Fraction(self._nums[exps], self._den)
-
-    def __contains__(self, exps) -> bool:
-        return exps in self._nums
+        poly = self._poly
+        try:
+            key = _checked_key(exps, poly.variables)
+        except (TypeError, ValueError, AlgebraError):
+            raise KeyError(exps) from None
+        return Fraction(poly.nums[key], poly.den)
 
     def __iter__(self):
-        return iter(self._nums)
+        m = len(self._poly.variables)
+        return (_exponents(k, m) for k in self._poly.nums)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return len(self._poly.nums)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
 
-def _over_lcm(terms: dict[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+def _over_lcm(terms: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     """Nonzero Fractions as integer numerators over the LCM D of their
     denominators, and D.  Some numerator is prime to each prime power of D,
     so the gcd is 1 already."""
     den = lcm(*[c.denominator for c in terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
-def _reduced(variables: tuple[str, ...], nums: dict[Exponents, int], den: int) -> Poly:
+def _reduced(variables: tuple[str, ...], nums: dict[int, int], den: int) -> Poly:
     """The Poly of ``nums`` over ``den``, divided through by their gcd; each
     numerator must be nonzero.  A denominator of 1 takes no gcd."""
     if den > 1:
         g = gcd(den, *nums.values())
         if g > 1:
             den //= g
-            nums = {e: n // g for e, n in nums.items()}
+            nums = {k: n // g for k, n in nums.items()}
     return Poly._trusted(variables, nums, den)
 
 
-def _sum_over_lcm(variables: tuple[str, ...], sums: dict[int, dict[Exponents, int]]) -> Poly:
+def _sum_over_lcm(variables: tuple[str, ...], sums: dict[int, dict[int, int]]) -> Poly:
     """The sum of numerator dicts, each over its key in ``sums`` as denominator.
 
     Each dict is rewritten over the LCM once, so the cost is linear in the
@@ -592,24 +629,22 @@ def _sum_over_lcm(variables: tuple[str, ...], sums: dict[int, dict[Exponents, in
     out = sums.pop(den, {})
     for d, nums in sums.items():
         k = den // d
-        _accumulate(out, {e: n * k for e, n in nums.items()}, False)
+        _accumulate(out, {key: n * k for key, n in nums.items()}, False)
     return _reduced(variables, out, den)
 
 
-def _accumulate(
-    out: dict[Exponents, int], nums: dict[Exponents, int], negate: bool
-) -> None:
+def _accumulate(out: dict[int, int], nums: dict[int, int], negate: bool) -> None:
     """Add (or, if ``negate``, subtract) ``nums`` into ``out``, dropping keys that cancel."""
-    for exps, n in nums.items():
-        acc = out.get(exps)
+    for key, n in nums.items():
+        acc = out.get(key)
         if acc is None:
-            out[exps] = -n if negate else n
+            out[key] = -n if negate else n
         else:
             total = acc - n if negate else acc + n
             if total:
-                out[exps] = total
+                out[key] = total
             else:
-                del out[exps]
+                del out[key]
 
 
 def _contract(
@@ -635,143 +670,35 @@ def _contract(
         head = key[:-1]
         for tail, b in by_first.get(key[-1], ()):
             sums.setdefault(head + tail, []).append((a, b))
-    operands: dict[int, _Operand] = {}
     out = {}
     for key, pairs in sums.items():
         if len(pairs) == 1:
             ((a, b),) = pairs
             out[key] = a * b
-        elif value := _dot(pairs, variables, operands):
+        elif value := _dot(pairs, variables):
             out[key] = value
     return out
 
 
-def _dot(
-    pairs: list[tuple[Poly, Poly]],
-    variables: tuple[str, ...],
-    operands: dict[int, _Operand],
-) -> Poly:
+def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
     """sum a * b over pairs of nonzero Polys, in one integer accumulator.
 
-    Every product is written over D, the LCM of the pairs' denominators
-    D_a * D_b, and its integer numerators are added into one dict, which
-    becomes the result over D once the zero sums are dropped.  ``operands``
-    keeps each entry's ``_Operand`` for the whole contraction, by ``id`` and
-    next to the entry itself, so that no id is reused while the cache lives.  A sum of at least
-    ``_PACK_CUTOFF`` term products is keyed by packed exponents when they fit
-    (``_packed_dot``).  A general product of ``Poly.__mul__`` comes here as a
-    single pair.
+    The one product loop.  Every product is written over D, the LCM of the
+    pairs' denominators D_a * D_b, and its integer numerators are added into
+    one dict, keyed by the sums of the factors' keys, which becomes the result
+    over D once the zero sums are dropped.  Each pair's degrees are checked
+    before any product is formed.  A general product of ``Poly.__mul__``
+    comes here as a single pair.
     """
-    parts = []
+    den = 1
     for a, b in pairs:
-        left = operands.get(id(a))
-        if left is None:
-            left = operands[id(a)] = _Operand(a)
-        right = operands.get(id(b))
-        if right is None:
-            right = operands[id(b)] = _Operand(b)
-        parts.append((left, right))
-    den = lcm(*[left.den * right.den for left, right in parts])
-    if sum(len(left.nums) * len(right.nums) for left, right in parts) >= _PACK_CUTOFF:
-        layout = _layout(parts)
-        if layout is not None:
-            return _packed_dot(parts, den, layout, variables)
-    acc: dict[Exponents, int] = {}
-    get = acc.get
-    for left, right in parts:
-        scale = den // (left.den * right.den)
-        left, right = left.nums.items(), right.nums.items()
-        if len(left) > len(right):
-            left, right = right, left
-        for e1, n1 in left:
-            n1 *= scale
-            if any(e1):
-                for e2, n2 in right:
-                    exps = tuple(map(add, e1, e2))
-                    acc[exps] = get(exps, 0) + n1 * n2
-            else:
-                # a constant factor leaves the other side's exponents as they are
-                for e2, n2 in right:
-                    acc[e2] = get(e2, 0) + n1 * n2
-    return _reduced(variables, {e: n for e, n in acc.items() if n}, den)
-
-
-# A row . column sum of at least this many term products is accumulated on
-# packed exponents.  Packing an operand costs more than the tuple sums it
-# saves on small products, such as the few-term entries of most contractions.
-_PACK_CUTOFF = 256
-
-# (bound, struct code) of the unsigned field widths of a packed exponent: 1, 2,
-# 4 and 8 bytes
-_FIELDS = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
-
-
-class _Operand:
-    """An entry of a contraction as ``_dot`` reads it.
-
-    ``nums`` and ``den`` are the entry's own.  ``top`` (each variable's
-    highest exponent) and ``packed`` (the numerators keyed by packed
-    exponents, per field layout) are made the first time a sum of the entry
-    is packed.
-    """
-
-    __slots__ = ("poly", "nums", "den", "top", "packed")
-
-    def __init__(self, poly: Poly):
-        self.poly = poly
-        self.nums, self.den = poly.nums, poly.den
-        self.top: Exponents | None = None
-        self.packed: dict[str, list[tuple[int, int]]] | None = None
-
-    def tops(self) -> Exponents:
-        if self.top is None:
-            self.top = tuple(map(max, zip(*self.nums)))
-        return self.top
-
-    def pack(self, layout: struct.Struct) -> list[tuple[int, int]]:
-        if self.packed is None:
-            self.packed = {}
-        packed = self.packed.get(layout.format)
-        if packed is None:
-            pack, from_bytes = layout.pack, int.from_bytes
-            packed = self.packed[layout.format] = [
-                (from_bytes(pack(*e), "big"), n) for e, n in self.nums.items()
-            ]
-        return packed
-
-
-def _layout(parts: list[tuple[_Operand, _Operand]]) -> struct.Struct | None:
-    """The packed exponent layout of a sum, or None when a field needs over 8 bytes.
-
-    Each variable gets the narrowest field above its highest exponent sum over
-    the pairs, so that adding two packed exponents of one pair never carries
-    from one field into the next: the packed sum is the packing of the sum.
-    """
-    codes = []
-    for top in map(max, zip(*[map(add, left.tops(), right.tops()) for left, right in parts])):
-        code = next((code for bound, code in _FIELDS if top < bound), None)
-        if code is None:
-            return None
-        codes.append(code)
-    return struct.Struct(">" + "".join(codes))
-
-
-def _packed_dot(
-    parts: list[tuple[_Operand, _Operand]],
-    den: int,
-    layout: struct.Struct,
-    variables: tuple[str, ...],
-) -> Poly:
-    """``_dot``'s sum with each monomial keyed by its packed exponents, one int.
-
-    A product's key is the sum of its factors' keys, and each surviving key is
-    unpacked once, into the exponent tuple of the result.
-    """
+        _check_degree(a.total_degree() + b.total_degree())
+        den = lcm(den, a.den * b.den)
     acc: dict[int, int] = {}
     get = acc.get
-    for left, right in parts:
-        scale = den // (left.den * right.den)
-        left, right = left.pack(layout), right.pack(layout)
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        left, right = a.nums.items(), b.nums.items()
         if len(left) > len(right):
             left, right = right, left
         for k1, n1 in left:
@@ -779,10 +706,7 @@ def _packed_dot(
             for k2, n2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + n1 * n2
-    unpack, size = layout.unpack, layout.size
-    return _reduced(
-        variables, {unpack(k.to_bytes(size, "big")): n for k, n in acc.items() if n}, den
-    )
+    return _reduced(variables, {k: n for k, n in acc.items() if n}, den)
 
 
 class PolyMatrix:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
-from .algebra import Poly, _accumulate, _sum_over_lcm
+from .algebra import Poly, _accumulate, _sum_over_lcm, _unit
 
 
 class ParseError(ValueError):
@@ -35,6 +35,12 @@ MAX_NESTING = 100
 # The highest total degree of a power or product, checked before it is made,
 # so that a short entry such as a1^100000000 starts no unbounded work.
 MAX_DEGREE = 1000
+
+# The most terms a power or product of parenthesised factors may have, by a
+# bound checked before it is made: comb(t + k - 1, k) for a k-th power (k >= 2)
+# of t terms, t1 * t2 for a product.  So (a1+b1+c1)^98, of 4,950 terms, is
+# read, and ^99, of 5,050, is refused before any work.
+MAX_TERMS = 5000
 
 # The digit limit of a coefficient made by a power or product of literals where
 # the interpreter reads integers of any length: CPython's default
@@ -117,7 +123,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
-        self.index = {name: i for i, name in enumerate(self.variables)}
+        self.units = {name: _unit(len(self.variables), i) for i, name in enumerate(self.variables)}
         self.length = length
         self.depth = 0
         self.digits, self.limit = _digit_limit()
@@ -153,9 +159,9 @@ class _Parser:
 
     def parse_term(self) -> Poly:
         # literals and coordinates fold into one coefficient num/den and one
-        # exponent list; only parenthesised factors are multiplied as Polys
+        # monomial key; only parenthesised factors are multiplied as Polys
         num, den = 1, 1
-        exps = [0] * len(self.variables)
+        key = 0
         factors = []
         degree, star = 0, None
         while True:
@@ -165,9 +171,9 @@ class _Parser:
             if negate:
                 num = -num
             if isinstance(atom, Poly):
-                factors.append(atom if power is None else atom**power)
+                factors.append((star, atom if power is None else atom**power))
             elif isinstance(atom, int):
-                exps[atom] += 1 if power is None else power
+                key += atom * (1 if power is None else power)
             else:
                 num, den = num * atom[0], den * atom[1]
                 if star is not None and (abs(num) >= self.limit or den >= self.limit):
@@ -183,8 +189,11 @@ class _Parser:
             else:
                 break
         g = gcd(num, den)
-        value = Poly._trusted(self.variables, {tuple(exps): num // g} if num else {}, den // g)
-        for factor in factors:
+        value = Poly._trusted(self.variables, {key: num // g} if num else {}, den // g)
+        for i, (star, factor) in enumerate(factors):
+            # the product of the literal part and the first factor has that factor's terms
+            if i and len(value.nums) * len(factor.nums) > MAX_TERMS:
+                raise ParseError(f"a product may have more than {MAX_TERMS} terms", star)
             value = value * factor
         return value
 
@@ -194,7 +203,8 @@ class _Parser:
         A literal comes raised to its power, with power None.  The coefficient
         of a power of a literal is bounded like a literal, and so is the
         bound (||N||_1)^k, D^k on every coefficient of a power (N / D)^k of a
-        Poly, where ||N||_1 is the sum of the numerators' absolute values."""
+        Poly, where ||N||_1 is the sum of the numerators' absolute values, and
+        its terms are bounded by MAX_TERMS."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -218,11 +228,13 @@ class _Parser:
             if isinstance(atom, Poly):
                 norm = sum(abs(n) for n in atom.nums.values())
                 _coefficient_power(norm, atom.den, power, tok[2])
+                if power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS:
+                    raise ParseError(f"a power may have more than {MAX_TERMS} terms", tok[2])
             return negate, atom, power, degree
         return negate, atom, None, degree
 
     def parse_primary(self) -> Poly | int | tuple[int, int]:
-        """A parenthesised Poly, a coordinate's index, or a literal as (p, q)."""
+        """A parenthesised Poly, a coordinate's unit key, or a literal as (p, q)."""
         tok = self.next()
         if tok is None:
             raise ParseError("unexpected end of expression", self.length)
@@ -241,10 +253,10 @@ class _Parser:
                 return _int(tok), den
             return _int(tok), 1
         if kind == "name":
-            index = self.index.get(text)
-            if index is None:
+            unit = self.units.get(text)
+            if unit is None:
                 raise ParseError(f"unknown coordinate {text!r}", col)
-            return index
+            return unit
         if kind == "sym" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", col)
@@ -279,11 +291,10 @@ def _read_sum(text: str, variables: tuple[str, ...]) -> Poly | None:
     """
     if not text:
         return None
-    index = {name: i for i, name in enumerate(variables)}
+    units = {name: _unit(len(variables), i) for i, name in enumerate(variables)}
     digits = _digit_limit()[0]
-    width = len(variables)
     match = _TERM_RE.match
-    sums: dict[int, dict[tuple[int, ...], int]] = {}
+    sums: dict[int, dict[int, int]] = {}
     pos, end = 0, len(text)
     while pos < end:
         term = match(text, pos)
@@ -302,21 +313,19 @@ def _read_sum(text: str, variables: tuple[str, ...]) -> Poly | None:
                     return None
         else:
             names = bare
-        exps = [0] * width
-        if names:
-            degree = 0
-            for factor in names.split("*"):
-                name, _, power = factor.partition("^")
-                i = index.get(name)
-                if i is None or len(power) > digits:
-                    return None
-                k = int(power) if power else 1
-                exps[i] += k
-                degree += k
+        key = degree = 0
+        for factor in names.split("*") if names else ():
+            name, _, power = factor.partition("^")
+            unit = units.get(name)
+            if unit is None or len(power) > digits:
+                return None
+            k = int(power) if power else 1
+            degree += k
             if degree > MAX_DEGREE:
                 return None
+            key += unit * k
         if n:
-            _accumulate(sums.setdefault(d, {}), {tuple(exps): n}, sign == "-")
+            _accumulate(sums.setdefault(d, {}), {key: n}, sign == "-")
         pos = term.end()
     return _sum_over_lcm(variables, sums) if sums else Poly._trusted(variables, {}, 1)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .algebra import Poly, _contract, _reduced
+from .algebra import _MASK, _W, Poly, _contract, _offset, _reduced
 from .structures import (
     LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
 )
@@ -146,11 +146,13 @@ def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
     monomial, so no two terms are added."""
     m = tangent.base.dim
     nums = {}
-    for e, n in p.nums.items():
-        for k, ek in enumerate(e):
-            if ek:
-                y_k = (0,) * k + (1,) + (0,) * (m - 1 - k)
-                nums[e[:k] + (ek - 1,) + e[k + 1:] + y_k] = n * ek
+    for key, n in p.nums.items():
+        for k in range(m):
+            # x_k's field over the base chart is y_k's over the total chart, and
+            # x_k's over the total chart is m fields higher; the degree stays
+            offset = _offset(m, k)
+            if e := key >> offset & _MASK:
+                nums[((key - (1 << offset)) << m * _W) + (1 << offset)] = n * e
     return _reduced(tangent.total.coords, nums, p.den)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix, _contract
+from .algebra import _MASK, EpsComplex, NotUnimodular, Poly, PolyMatrix, _contract, _offset, _unit
 from .tensor import (
     Chart,
     Point,
@@ -150,15 +150,18 @@ def _descent_point(p: Poly) -> list[Fraction]:
     coefficient of p_i in variable i, and the last is a nonzero constant; last
     variable first, p_i at the later values has degree d in variable i and a
     nonzero top coefficient, so one of 0..d is not a root (Schwartz 1980)."""
+    m = len(p.variables)
     chain = [p.nums]
-    for i in range(len(p.variables)):
-        top = max(e[i] for e in chain[-1])
-        chain.append({e[:i] + (0,) + e[i + 1:]: c for e, c in chain[-1].items() if e[i] == top})
+    for i in range(m):
+        offset, unit = _offset(m, i), _unit(m, i)
+        top = max(k >> offset & _MASK for k in chain[-1])
+        chain.append({k - top * unit: c for k, c in chain[-1].items() if k >> offset & _MASK == top})
     values = dict.fromkeys(p.variables, Fraction(0))
-    for i in reversed(range(len(p.variables))):
+    for i in reversed(range(m)):
         # p_i times its denominator has the same roots; over 1, it is canonical
         pi = Poly._trusted(p.variables, chain[i], 1)
-        for x in range(max(e[i] for e in chain[i]) + 1):
+        offset = _offset(m, i)
+        for x in range(max(k >> offset & _MASK for k in chain[i]) + 1):
             values[p.variables[i]] = Fraction(x)
             if pi.eval_at(values) != 0:
                 break

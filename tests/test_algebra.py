@@ -1,14 +1,16 @@
 """Exact arithmetic: rationals, eps-complex numbers, polynomials, matrices."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from liftcheck import algebra
 from liftcheck.algebra import (
+    DegreeOverflow,
     EpsComplex,
     EpsilonMismatch,
     ExactDivisionError,
@@ -227,16 +229,6 @@ def mixed_polys(draw):
     return Poly(XYZ, draw(st.dictionaries(exps, mixed_fractions, max_size=6)))
 
 
-def reference_product(a, b):
-    """Termwise Fraction product on plain dicts, sharing no code with Poly."""
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-    return {exps: c for exps, c in out.items() if c != 0}
-
-
 @settings(max_examples=150, deadline=None)
 @given(mixed_polys(), mixed_polys())
 def test_product_kernel_matches_fraction_reference(a, b):
@@ -244,7 +236,7 @@ def test_product_kernel_matches_fraction_reference(a, b):
     for left, right in ((a, b), (a + b, a - b), (a, -a)):
         product = left * right
         assert product.variables == XYZ
-        assert product.terms == reference_product(left, right)
+        assert product.terms == reference.product(left.terms, right.terms)
         for exps, coeff in product.terms.items():
             assert type(coeff) is Fraction and coeff != 0
             assert len(exps) == len(XYZ) and min(exps) >= 0
@@ -261,24 +253,16 @@ def monomials(draw):
     return Poly(XYZ, {draw(exps): coeff})
 
 
-def reference_power(a, k):
-    """a^k as k reference products, starting from the constant 1."""
-    out = Poly(XYZ, {(0, 0, 0): 1})
-    for _ in range(k):
-        out = Poly(XYZ, reference_product(out, a))
-    return out.terms
-
-
 @settings(max_examples=150, deadline=None)
 @given(monomials(), mixed_polys(), st.integers(0, 7))
 def test_single_term_product_and_power_match_fraction_reference(mono, q, k):
     # the single term on either side, and a product of two single terms
     for left, right in ((mono, q), (q, mono), (mono, mono)):
         product = left * right
-        assert product.terms == reference_product(left, right)
+        assert product.terms == reference.product(left.terms, right.terms)
         assert all(type(c) is Fraction for c in product.terms.values())
     power = mono**k
-    assert power.terms == reference_power(mono, k)
+    assert power.terms == reference.power(mono.terms, k, len(XYZ))
     assert all(type(c) is Fraction for c in power.terms.values())
 
 
@@ -286,17 +270,6 @@ def test_single_term_product_and_power_match_fraction_reference(mono, q, k):
 
 
 point_values = st.one_of(st.just(Fraction(0)), mixed_fractions)
-
-
-def reference_eval(q, point):
-    """Termwise Fraction evaluation, sharing no code with Poly."""
-    total = Fraction(0)
-    for exps, coeff in q.terms.items():
-        term = coeff
-        for name, e in zip(q.variables, exps):
-            term *= point[name] ** e
-        total += term
-    return total
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,7 +288,7 @@ def test_eval_matches_fraction_reference(terms, values, constant):
     for q in (Poly.zero(XYZ), Poly.const(constant, XYZ), Poly(XYZ, terms)):
         value = q.eval_at(point)
         assert type(value) is Fraction
-        assert value == reference_eval(q, point)
+        assert value == reference.evaluate(q.terms, values)
 
 
 # -- the integer-numerator core against a Fraction reference -------------------------
@@ -328,58 +301,6 @@ def assert_canonical(q):
     assert gcd(q.den, *q.nums.values()) == 1
 
 
-def ref_clean(terms):
-    return {exps: c for exps, c in terms.items() if c != 0}
-
-
-def ref_add(a, b, sign=1):
-    out = dict(a)
-    for exps, c in b.items():
-        out[exps] = out.get(exps, Fraction(0)) + sign * c
-    return ref_clean(out)
-
-
-def ref_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-    return ref_clean(out)
-
-
-def ref_pow(a, k):
-    out = {(0,) * len(XYZ): Fraction(1)}
-    for _ in range(k):
-        out = ref_mul(out, a)
-    return out
-
-
-def ref_diff(a, i):
-    return {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i] for exps, c in a.items() if exps[i]}
-
-
-def ref_eval(a, values):
-    total = Fraction(0)
-    for exps, c in a.items():
-        for v, e in zip(values, exps):
-            c *= v**e
-        total += c
-    return total
-
-
-def ref_str(a, variables):
-    """Descending graded-lex terms, each coefficient a reduced Fraction."""
-    parts = []
-    for exps, c in sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]
-        mag = str(abs(c))
-        body = "*".join(factors if factors and mag == "1" else [mag] + factors)
-        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
-        parts.append(sign + body)
-    return "".join(parts) or "0"
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), mixed_fractions, max_size=6),
@@ -389,12 +310,12 @@ def ref_str(a, variables):
 )
 def test_integer_core_matches_fraction_reference(ta, tb, k, values):
     a, b = Poly(XYZ, ta), Poly(XYZ, tb)
-    ra, rb = ref_clean(ta), ref_clean(tb)
+    ra, rb = reference.clean(ta), reference.clean(tb)
     xyzw = XYZ + ("w",)
     cases = [
-        (a, ra), (b, rb), (a + b, ref_add(ra, rb)), (a - b, ref_add(ra, rb, -1)),
-        (-a, ref_add({}, ra, -1)), (a * b, ref_mul(ra, rb)), (a**k, ref_pow(ra, k)),
-        (a.diff("y"), ref_diff(ra, 1)), (a + b - b, ra),
+        (a, ra), (b, rb), (a + b, reference.add(ra, rb)), (a - b, reference.add(ra, rb, -1)),
+        (-a, reference.add({}, ra, -1)), (a * b, reference.product(ra, rb)),
+        (a**k, reference.power(ra, k, len(XYZ))), (a.diff("y"), reference.diff(ra, 1)), (a + b - b, ra),
         (a.extend(xyzw), {exps + (0,): c for exps, c in ra.items()}),
     ]
     if rb:
@@ -403,24 +324,29 @@ def test_integer_core_matches_fraction_reference(ta, tb, k, values):
         assert_canonical(got)
         assert dict(got.terms.items()) == want
         assert len(got.terms) == len(want)
-        assert str(got) == ref_str(want, got.variables)
+        assert str(got) == reference.to_str(want, got.variables)
         # built from the reference terms, the same Poly, equal and of equal hash
         same = Poly(got.variables, want)
         assert got == same and hash(got) == hash(same)
-    assert a.eval_at(dict(zip(XYZ, values))) == ref_eval(ra, values)
+    assert a.eval_at(dict(zip(XYZ, values))) == reference.evaluate(ra, values)
+
+
+def parts(q):
+    """The integer numerators by exponent tuple, and the denominator."""
+    return dict(zip(q.terms, q.nums.values())), q.den
 
 
 def test_cancellation_returns_to_denominator_one():
     x, y = Poly.variable("x", XY), Poly.variable("y", XY)
     half = x * Fraction(1, 2)
-    assert (half.nums, half.den) == ({(1, 0): 1}, 2)
+    assert parts(half) == ({(1, 0): 1}, 2)
     for q in (half + y - half, half + half - x + y, (half * 2 + y) - x,
               p({(2, 0): Fraction(1, 2), (0, 1): 1}).diff("y") * y):
-        assert q == y and (q.nums, q.den) == ({(0, 1): 1}, 1)
+        assert q == y and parts(q) == ({(0, 1): 1}, 1)
         assert hash(q) == hash(y)
     # a common factor of every numerator with the denominator is divided out
     q = p({(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 3)}) * 3
-    assert (q.nums, q.den) == ({(1, 0): 1, (0, 1): 2}, 2)
+    assert parts(q) == ({(1, 0): 1, (0, 1): 2}, 2)
     assert str(q) == "1/2*x + y"
     assert (half - half).den == 1 and not (half - half)
     assert {half + y - half: 1}[y] == 1
@@ -466,21 +392,6 @@ def dense_contract(rows, cols, zero):
     return [[out.get((i, j), zero) for j in range(len(cols))] for i in range(len(rows))]
 
 
-def reference_contraction(rows, cols):
-    """Dense termwise sums of products on plain dicts, zero factors included."""
-    out = []
-    for row in rows:
-        line = []
-        for col in cols:
-            acc = {}
-            for a, b in zip(row, col):
-                for exps, c in reference_product(a, b).items():
-                    acc[exps] = acc.get(exps, Fraction(0)) + c
-            line.append({exps: c for exps, c in acc.items() if c != 0})
-        out.append(line)
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(contraction_operands())
 def test_contraction_kernel_matches_dense_reference(operands):
@@ -490,7 +401,7 @@ def test_contraction_kernel_matches_dense_reference(operands):
         out = dense_contract(rows, iter(cols), Poly.zero(XYZ))
     assert len(out) == len(rows)
     assert all(len(line) == len(cols) for line in out)
-    assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
+    assert [[q.terms for q in line] for line in out] == reference.contraction(rows, cols)
     assert all(q.variables == XYZ for line in out for q in line)
     # a product is formed only where both factors are nonzero: by Poly.__mul__
     # in a sum with one such pair, inside _dot for each pair of a longer sum
@@ -528,7 +439,7 @@ def test_fused_dot_products_match_fraction_reference(operands):
     cancelling = [col + [-b for b in col] for col in cols]
     for left, right in ((rows, cols), (doubled, cancelling)):
         out = dense_contract(left, right, Poly.zero(XYZ))
-        assert [[q.terms for q in line] for line in out] == reference_contraction(left, right)
+        assert [[q.terms for q in line] for line in out] == reference.contraction(left, right)
         for line in out:
             for q in line:
                 assert q.variables == XYZ
@@ -561,47 +472,51 @@ def test_fused_dot_products_by_hand():
     assert cancelled == [Poly.zero(XYZ)]
 
 
-# -- packed exponents in large sums ---------------------------------------------------
+# -- one int key per monomial, up to the field bound --------------------------------
 
-# enough terms on each side of a product to reach the packing cutoff
-LARGE = isqrt(algebra._PACK_CUTOFF - 1) + 1
+# the highest exponent and total degree a monomial key holds
+TOP = 2**16 - 1
 
-# each field's bound, where the sum of two operands' top exponents passes into
-# the next field: offsets near half of it make tops on either side of it, and
-# tops from 2**63 on sum past every field
-HALF_BOUNDARIES = [0, 127, 128, 32767, 2**31 - 1, 2**63 - 1, 2**63]
+# terms on each side of a large product: 256 term products or more
+LARGE = 16
+
+# each variable's exponent offset: three of them put two operands' total
+# degrees on either side of TOP together (three 10,919s give a product of total
+# degree 65,514 to 65,532, three 10,921s one of 65,526 to 65,544), and no
+# operand past it alone (three 21,840s give at most 65,529)
+HALF_BOUNDARIES = [0, 127, 128, 10919, 10920, 10921, 21840]
 
 
 @st.composite
 def large_operands(draw, count):
     """``count`` Polys over x, y, z of LARGE..LARGE+8 terms with mixed
     denominators, whose exponents of each variable lie in [o, o + 3] for one
-    offset o near half a field boundary, shared by all of them."""
+    offset o from HALF_BOUNDARIES, shared by all of them."""
     offsets = [draw(st.sampled_from(HALF_BOUNDARIES)) for _ in XYZ]
     exps = st.tuples(*[st.integers(o, o + 3) for o in offsets])
     terms = st.dictionaries(exps, mixed_fractions.filter(bool), min_size=LARGE, max_size=LARGE + 8)
     return [Poly(XYZ, draw(terms)) for _ in range(count)]
 
 
-def fits_packed(a, b):
-    """Whether every exponent sum of a * b fits a field of at most 8 bytes."""
-    tops = [list(map(max, zip(*q.terms))) for q in (a, b)]
-    return all(x + y < 2**64 for x, y in zip(*tops))
+def fits(a, b):
+    """Whether the total degree of a * b is at most TOP."""
+    return a.total_degree() + b.total_degree() <= TOP
 
 
 @settings(max_examples=40, deadline=None)
 @given(large_operands(2))
 def test_large_products_match_fraction_reference(operands):
     a, b = operands
-    with mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed:
-        product = a * b
-    assert packed.called == fits_packed(a, b)
-    assert product.terms == reference_product(a, b)
-    # terms that cancel exactly inside the packed accumulator
-    for left, right in ((a + b, a - b), (a, -a)):
-        assert (left * right).terms == reference_product(left, right)
-    assert all(type(c) is Fraction and c != 0 for c in product.terms.values())
-    assert all(type(e) is int for exps in product.terms for e in exps)
+    # the last two make terms that cancel exactly inside the accumulator
+    for left, right in ((a, b), (a + b, a - b), (a, -a)):
+        if not fits(left, right):
+            with pytest.raises(DegreeOverflow):
+                left * right
+            continue
+        product = left * right
+        assert product.terms == reference.product(left.terms, right.terms)
+        assert all(type(c) is Fraction and c != 0 for c in product.terms.values())
+        assert all(type(e) is int for exps in product.terms for e in exps)
 
 
 @settings(max_examples=25, deadline=None)
@@ -612,54 +527,54 @@ def test_large_contractions_match_dense_reference(operands, cancel):
     if cancel:
         # each row against a column and its negation: every sum is exactly zero
         rows, cols = [row + row for row in rows], [col + [-q for q in col] for col in cols]
+    if not all(fits(x, y) for row in rows for col in cols for x, y in zip(row, col)):
+        with pytest.raises(DegreeOverflow):
+            dense_contract(rows, cols, Poly.zero(XYZ))
+        return
     out = dense_contract(rows, cols, Poly.zero(XYZ))
-    assert [[q.terms for q in line] for line in out] == reference_contraction(rows, cols)
+    assert [[q.terms for q in line] for line in out] == reference.contraction(rows, cols)
     if cancel:
         assert all(q.is_zero() for line in out for q in line)
 
 
-@pytest.mark.parametrize("top, code", [
-    (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
-    (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None),
-])
-def test_each_field_is_the_narrowest_that_holds_the_exponent_sum(top, code):
-    # y reaches exactly ``top`` in a * b; x and z stay within one byte
-    half = top // 2
-    a = Poly(XYZ, {(i, half - i % 2, 0): Fraction(i + 1, 3) for i in range(LARGE)})
-    b = Poly(XYZ, {(i, top - half - i % 3, i % 2): 2 * i - 31 for i in range(LARGE)})
-    layout = algebra._layout([(algebra._Operand(a), algebra._Operand(b))])
-    assert (layout and layout.format) == (code and f">B{code}B")
-    with mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed:
-        product = a * b
-    assert packed.called == (code is not None)
-    assert max(exps[1] for exps in product.terms) == top
-    assert product.terms == reference_product(a, b)
+@pytest.mark.parametrize("top", [255, 256, 2**15, TOP - 1, TOP, TOP + 1, 2 * TOP])
+def test_a_product_is_exact_up_to_the_field_bound_and_refused_past_it(top):
+    # a * b reaches total degree exactly ``top``, nearly all of it in y
+    def spread(degree):
+        """LARGE exponent tuples of total degree degree - i // 8 for the i-th."""
+        return [(i % 4, degree - i % 4 - i // 4 % 2 - i // 8, i // 4 % 2) for i in range(LARGE)]
+
+    a = Poly(XYZ, {exps: Fraction(i + 1, 3) for i, exps in enumerate(spread(top // 2))})
+    b = Poly(XYZ, {exps: 2 * i - 31 for i, exps in enumerate(spread(top - top // 2))})
+    assert a.total_degree() + b.total_degree() == top
+    if top > TOP:
+        with pytest.raises(DegreeOverflow, match=f"a product or power of total degree {top} exceeds {TOP}"):
+            a * b
+        return
+    product = a * b
+    assert product.total_degree() == top
+    assert product.terms == reference.product(a.terms, b.terms)
 
 
-@settings(max_examples=60, deadline=None)
-@given(fused_operands(), mixed_polys(), mixed_polys())
-def test_packed_and_tuple_sums_give_equal_terms(operands, a, b):
-    rows, cols = operands
-    cancelling = ([row + row for row in rows], [col + [-q for q in col] for col in cols])
-    results = []
-    for cutoff in (0, 10**9):
-        with mock.patch.object(algebra, "_PACK_CUTOFF", cutoff), \
-                mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed, \
-                mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
-            out = [dense_contract(left, right, Poly.zero(XYZ)) for left, right in ((rows, cols), cancelling)]
-            out.append([[a * b, (a + b) * (a - b)]])
-        # every sum packs at cutoff 0 (no exponent here needs a wide field), none past it
-        assert packed.call_count == (dot.call_count if cutoff == 0 else 0)
-        # the terms in insertion order, which the packed keys keep
-        results.append([[[list(q.terms.items()) for q in line] for line in m] for m in out])
-    assert results[0] == results[1]
+def test_products_and_powers_past_the_field_raise_before_any_result_is_built():
+    x, y = Poly.variable("x", XY), Poly.variable("y", XY)
+    top, near = Poly(XY, {(TOP, 0): 1}), Poly(XY, {(TOP - 1, 0): 2, (0, 1): 1})
+    x_y, x_plus_y, near_plus_1, zero = x * y + 1, x + y, near + 1, Poly.zero(XY)
+    assert (near * x).total_degree() == (x**TOP).total_degree() == TOP
+    assert (near * x_plus_y).leading() == ((TOP, 0), 2)
+    for make in (lambda: top * x, lambda: x * top, lambda: near * x_y, lambda: x ** (TOP + 1),
+                 lambda: x_plus_y ** (TOP + 1), lambda: near_plus_1**2,
+                 lambda: dense_contract([[top, x]], [[x, y]], zero)):
+        with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")):
+            with pytest.raises(DegreeOverflow, match=f"exceeds {TOP}"):
+                make()
 
 
 def test_unit_factors_cost_no_fraction_product():
     q = p({(2, 1): Fraction(3, 7), (0, 1): -2, (1, 0): Fraction(1, 2)})
     negated = p({e: -c for e, c in q.terms.items()})
-    expected = [q, negated, negated, q, p(reference_product(q, p({(1, 1): -1}))),
-                p(reference_product(q, p({(0, 2): 1})))]
+    expected = [q, negated, negated, q, p(reference.product(q.terms, {(1, 1): -1})),
+                p(reference.product(q.terms, {(0, 2): 1}))]
     assert q._scale(Fraction(1)) is q
     with mock.patch.object(Fraction, "__mul__", side_effect=AssertionError("Fraction product")):
         results = [q * 1, q * -1, q * Poly.const(-1, XY), Poly.const(1, XY) * q,
@@ -751,6 +666,26 @@ def test_public_constructor_validates():
     q = Poly(XY, {(1, 0): 2, (0, 1): 0})
     assert q.terms == {(1, 0): Fraction(2)}
     assert type(q.terms[(1, 0)]) is Fraction
+
+
+def test_public_constructor_refuses_exponents_no_key_holds():
+    # a float exponent was accepted and printed as x^1.5
+    with pytest.raises(TypeError, match=r"exponent 1\.5 of x in \(1\.5, 0\) is not an int"):
+        Poly(XY, {(1.5, 0): 1})
+    with pytest.raises(TypeError, match="exponent '2' of y in"):
+        Poly(XY, {(0, "2"): 1})
+    with pytest.raises(DegreeOverflow, match=r"exponent 65536 of y in \(0, 65536\) exceeds 65535"):
+        Poly(XY, {(0, TOP + 1): 1})
+    with pytest.raises(DegreeOverflow, match=r"total degree 65536 of \(32768, 32768\) exceeds 65535"):
+        Poly(XY, {(2**15, 2**15): 1})
+    edge = Poly(XY, {(2**15, 2**15 - 1): 2, (TOP, 0): 1})
+    assert edge.terms == {(TOP, 0): 1, (2**15, 2**15 - 1): 2}
+    assert str(edge) == "x^65535 + 2*x^32768*y^32767"
+    # the terms view holds no such tuple either
+    for exps in ((1.5, 0), (0, -1), (0, TOP + 1), (2**15, 2**15), (1,), (TOP, 0, 0), "ab", 7):
+        assert exps not in edge.terms and edge.terms.get(exps) is None
+        with pytest.raises(KeyError):
+            edge.terms[exps]
 
 
 def test_is_constant():

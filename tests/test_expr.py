@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from liftcheck import expr
 from liftcheck.algebra import Poly
 from liftcheck.expr import (
-    DEFAULT_DIGITS, MAX_DEGREE, MAX_NESTING, ParseError, _digit_limit, _parse_general, _read_sum,
+    DEFAULT_DIGITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, ParseError, _digit_limit, _parse_general, _read_sum,
     _tokenize, is_name, parse_poly,
 )
 
@@ -483,7 +483,38 @@ def test_a_power_of_a_sum_with_a_huge_coefficient_stops_at_its_caret():
     assert err.value.column == text.index(")^") + 1
     series = parse_poly("(a1+b1+c1)^60", ABC)
     assert len(series.terms) == comb(62, 2) and series.den == 1
-    assert series.nums[(20, 20, 20)] == factorial(60) // factorial(20) ** 3
+    assert series.terms[(20, 20, 20)] == factorial(60) // factorial(20) ** 3
+
+
+def test_a_power_or_product_of_sums_past_the_term_bound_stops_at_its_operator():
+    # (a1+b1+c1)^120 may have comb(122, 2) = 7,381 terms, and took 22.9 s to check
+    for text, operator in (("(a1+b1+c1)^120", "^"), ("(a1+b1+c1)^60*(a1+b1+c1)^60", "*")):
+        with pytest.raises(ParseError, match=f"may have more than {MAX_TERMS} terms") as err:
+            parse_poly(text, ABC)
+        assert err.value.column == text.index(operator)
+
+
+def sum_of(count):
+    """A parenthesised sum of ``count`` monomials over x and y."""
+    return "(" + " + ".join(f"x^{i % 71}*y^{i // 71}" for i in range(count)) + ")"
+
+
+def test_the_term_bound_is_exact_and_spares_what_costs_nothing():
+    assert MAX_TERMS == 5000
+    # a square of t terms may have comb(t + 1, 2), a product of t1 and t2 terms t1 * t2
+    for text, error in ((sum_of(99) + "^2", None), (sum_of(100) + "^2", "power"),
+                        (sum_of(100) + "*" + sum_of(50), None),
+                        (sum_of(100) + "*" + sum_of(51), "product")):
+        if error is None:
+            parse_poly(text, XY)
+            continue
+        with pytest.raises(ParseError, match=f"a {error} may have more than 5000 terms") as err:
+            parse_poly(text, XY)
+        assert err.value.column == text.index(")^" if error == "power" else ")*") + 1
+    # a sum past the bound alone, to the power 1, or times literals and coordinates
+    wide = sum_of(5041)
+    for text in (wide, wide + "^1", "3*x*" + wide + "*y^2", "-2/3*" + wide + "^1*x^4"):
+        assert len(parse_poly(text, XY).terms) == 5041
 
 
 def test_the_default_digit_limit_holds_where_any_integer_length_is_read():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from liftcheck import lifts
 from liftcheck.algebra import Poly
 from liftcheck.lifts import (
@@ -414,53 +415,6 @@ end
 """
 
 
-class _TermwiseReference:
-    """Horizontal lifts from the coordinate formulas in the lifts module docstring,
-    as plain {exponents: Fraction} dicts over the total chart; no Poly arithmetic."""
-
-    def __init__(self, conn):
-        self.entries = conn.entries
-        self.zero = conn.chart.zero_poly()
-        self.m = conn.chart.dim
-
-    def gamma(self, i, j, k):
-        return self.entries.get((i, j, k), self.zero)
-
-    def embed(self, p):
-        return {exps + (0,) * self.m: c for exps, c in p.terms.items()}
-
-    def sum_terms(self, terms):
-        """The sum of sign * y^k * g * p over (sign, k, g, p), g and p on the base chart."""
-        acc = {}
-        for sign, k, g, p in terms:
-            for e1, c1 in g.terms.items():
-                for e2, c2 in p.terms.items():
-                    exps = [a + b for a, b in zip(e1, e2)] + [0] * self.m
-                    exps[self.m + k] += 1
-                    key = tuple(exps)
-                    acc[key] = acc.get(key, Fraction(0)) + sign * c1 * c2
-        return {exps: c for exps, c in acc.items() if c != 0}
-
-    def vector_fiber(self, x, i):
-        """(X^h)^{m+i} = -y^k G^i_kj X^j."""
-        r = range(self.m)
-        return self.sum_terms((-1, k, self.gamma(i, k, j), x.comps[j]) for k in r for j in r)
-
-    def oneform_lead(self, w, i):
-        """(w^h)_i = y^k G^s_ki w_s."""
-        r = range(self.m)
-        return self.sum_terms((1, k, self.gamma(s, k, i), w.comps[s]) for k in r for s in r)
-
-    def endo_block(self, f, i, j):
-        """B^i_j = y^k (G^s_kj F^i_s - G^i_ks F^s_j)."""
-        r = range(self.m)
-        g = self.gamma
-        return self.sum_terms(
-            [(1, k, g(s, k, j), f.comps[i][s]) for k in r for s in r]
-            + [(-1, k, g(i, k, s), f.comps[s][j]) for k in r for s in r]
-        )
-
-
 def test_horizontal_lifts_with_a_general_connection_match_the_coordinate_formulas():
     # every other connection in the suite is symmetric, which hides the order of
     # the lower indices of G; this one is not, so swapping them breaks each lift
@@ -470,7 +424,7 @@ def test_horizontal_lifts_with_a_general_connection_match_the_coordinate_formula
     s, conn = build_structure(defn), build_connection(defn)
     assert not conn.symmetric
     tangent = TangentChart.over(s.chart)
-    ref = _TermwiseReference(conn)
+    ref = reference.HorizontalLifts(conn)
     m = s.chart.dim
     vectors = [TensorField.basis_vector(s.chart, c) for c in s.chart.coords] + list(s.xi)
     for x in vectors:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import dense_map, dense_nonzero_items, dense_sum
 from liftcheck.algebra import Poly, PolyMatrix
 from liftcheck.structures import RContactStructure
 from liftcheck.tensor import (
@@ -354,36 +355,9 @@ def flatten(value, rank):
     return [value] if rank == 0 else [c for v in value for c in flatten(v, rank - 1)]
 
 
-def ref_map(fn, rank, *operands):
-    """fn over the components of equally shaped nested lists."""
-    if rank == 0:
-        return fn(*operands)
-    return [ref_map(fn, rank - 1, *parts) for parts in zip(*operands)]
-
-
-def ref_sum(chart, products):
-    total = chart.zero_poly()
-    for p in products:
-        total = total + p
-    return total
-
-
 def frozen(value, rank):
     """The dense view's shape: tuples of rows."""
     return value if rank == 0 else tuple(frozen(v, rank - 1) for v in value)
-
-
-def ref_nonzero_items(chart, value, rank):
-    """(labels, component) of the nonzero components, by naive loops in index order."""
-    items = []
-    if rank == 0:
-        items.append(((), value))
-    for i, ci in enumerate(chart.coords if rank else ()):
-        if rank == 1:
-            items.append(((ci,), value[i]))
-        for j, cj in enumerate(chart.coords if rank == 2 else ()):
-            items.append(((ci, cj), value[i][j]))
-    return [(label, c) for label, c in items if not c.is_zero()]
 
 
 def stores_no_zero(field):
@@ -407,21 +381,21 @@ def test_sparse_fields_match_a_dense_reference(data):
     for valence in VALENCES:
         rank, (a, b), (da, db) = sum(valence), fields[valence], dense[valence]
         results = [
-            (a + b, ref_map(lambda x, y: x + y, rank, da, db)),
-            (a - b, ref_map(lambda x, y: x - y, rank, da, db)),
-            (-a, ref_map(lambda x: -x, rank, da)),
-            (a.scale(0), ref_map(lambda x: zero, rank, da)),
-            (a.scale(Fraction(-2, 3)), ref_map(lambda x: x * Fraction(-2, 3), rank, da)),
-            (a.scale(factor), ref_map(lambda x: x * dense[(0, 0)][0], rank, da)),
-            (a.scale(chart.coordinate("a")), ref_map(lambda x: x * chart.coordinate("a"), rank, da)),
+            (a + b, dense_map(lambda x, y: x + y, rank, da, db)),
+            (a - b, dense_map(lambda x, y: x - y, rank, da, db)),
+            (-a, dense_map(lambda x: -x, rank, da)),
+            (a.scale(0), dense_map(lambda x: zero, rank, da)),
+            (a.scale(Fraction(-2, 3)), dense_map(lambda x: x * Fraction(-2, 3), rank, da)),
+            (a.scale(factor), dense_map(lambda x: x * dense[(0, 0)][0], rank, da)),
+            (a.scale(chart.coordinate("a")), dense_map(lambda x: x * chart.coordinate("a"), rank, da)),
         ]
         for got, expected in results:
             assert got.valence == valence and got.comps == frozen(expected, rank)
-            assert got.nonzero_items() == ref_nonzero_items(chart, expected, rank)
+            assert got.nonzero_items() == dense_nonzero_items(chart, expected, rank)
             assert stores_no_zero(got) and got.is_zero() == (not got.nonzero_items())
         for field, value in zip((a, b), (da, db)):
-            assert field.nonzero_items() == ref_nonzero_items(chart, value, rank)
-            assert field.is_zero() == (not ref_nonzero_items(chart, value, rank))
+            assert field.nonzero_items() == dense_nonzero_items(chart, value, rank)
+            assert field.is_zero() == (not dense_nonzero_items(chart, value, rank))
             checked = TensorField(chart, valence, field.comps)
             assert checked == field and hash(checked) == hash(field) and stores_no_zero(checked)
             # the same entries given in the other order
@@ -439,29 +413,29 @@ def test_sparse_fields_match_a_dense_reference(data):
     g, dg = fields[(0, 2)][0], dense[(0, 2)][0]
     span = range(m)
     contractions = [
-        (endo_apply(f, xs[0]), [ref_sum(chart, (df[i][j] * dxs[0][j] for j in span)) for i in span]),
-        (oneform_apply(ws[0], xs[0]), ref_sum(chart, (dws[0][i] * dxs[0][i] for i in span))),
+        (endo_apply(f, xs[0]), [dense_sum(chart, (df[i][j] * dxs[0][j] for j in span)) for i in span]),
+        (oneform_apply(ws[0], xs[0]), dense_sum(chart, (dws[0][i] * dxs[0][i] for i in span))),
         (endo_compose(f, h),
-         [[ref_sum(chart, (df[i][k] * dh[k][j] for k in span)) for j in span] for i in span]),
-        (oneform_after_endo(ws[0], f), [ref_sum(chart, (dws[0][i] * df[i][j] for i in span))
+         [[dense_sum(chart, (df[i][k] * dh[k][j] for k in span)) for j in span] for i in span]),
+        (oneform_after_endo(ws[0], f), [dense_sum(chart, (dws[0][i] * df[i][j] for i in span))
                                         for j in span]),
         (outer(xs[0], ws[1]), [[dxs[0][i] * dws[1][j] for j in span] for i in span]),
         (endo_transpose(f), [[df[j][i] for j in span] for i in span]),
-        (metric_pullback(g, f), [[ref_sum(chart, (dg[k][l] * df[k][i] * df[l][j]
+        (metric_pullback(g, f), [[dense_sum(chart, (dg[k][l] * df[k][i] * df[l][j]
                                                   for k in span for l in span))
                                   for j in span] for i in span]),
     ]
     for r in range(3):
         contractions.append((_outer_sum(chart, xs[:r], ws[:r]), [
-            [ref_sum(chart, (dxs[a][i] * dws[a][j] for a in range(r))) for j in span] for i in span]))
-    contractions += [(y, [ref_sum(chart, (df[i][j] * dx[j] for j in span)) for i in span])
+            [dense_sum(chart, (dxs[a][i] * dws[a][j] for a in range(r))) for j in span] for i in span]))
+    contractions += [(y, [dense_sum(chart, (df[i][j] * dx[j] for j in span)) for i in span])
                      for y, dx in zip(_apply_all(f, xs), dxs)]
     for got, expected in contractions:
         assert got.comps == frozen(expected, sum(got.valence)) and stores_no_zero(got)
-        assert got.nonzero_items() == ref_nonzero_items(chart, expected, sum(got.valence))
+        assert got.nonzero_items() == dense_nonzero_items(chart, expected, sum(got.valence))
     pairings = _pairings(chart, ws, xs)
     for a, dw in enumerate(dws):
         for b, dx in enumerate(dxs):
-            value = ref_sum(chart, (dw[i] * dx[i] for i in span))
+            value = dense_sum(chart, (dw[i] * dx[i] for i in span))
             assert pairings.get((a, b), zero) == value
             assert ((a, b) in pairings) == (not value.is_zero())
