@@ -689,6 +689,10 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
     over D once the zero sums are dropped.  Each pair's degrees are checked
     before any product is formed.  A general product of ``Poly.__mul__``
     comes here as a single pair.
+
+    A square, a pair of one Poly or of two equal ones, forms each cross
+    product once and doubles it: n(n + 1)/2 term products where a general
+    pair of n terms forms n * n (Knuth, TAOCP vol. 2).
     """
     den = 1
     for a, b in pairs:
@@ -698,6 +702,19 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
     get = acc.get
     for a, b in pairs:
         scale = den // (a.den * b.den)
+        if a is b or (a.den == b.den and len(a.nums) > 1 and a.nums == b.nums):
+            # each term pops off and meets only the terms left after it
+            rest = list(a.nums.items())
+            while rest:
+                k1, n = rest.pop()
+                n1 = n * scale
+                key = k1 + k1
+                acc[key] = get(key, 0) + n * n1
+                n1 += n1
+                for k2, n2 in rest:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + n1 * n2
+            continue
         left, right = a.nums.items(), b.nums.items()
         if len(left) > len(right):
             left, right = right, left

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,8 +62,11 @@ def _add_common(parser: argparse.ArgumentParser, needs_file: bool = True) -> Non
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False here and on every subparser: an option is taken only
+    # as spelled, so `run ... --s 5` is refused rather than read as `--seed 5`
     parser = argparse.ArgumentParser(
         prog="liftcheck",
+        allow_abbrev=False,
         description=(
             "Exact verification of almost r-contact structure axioms and of the "
             "almost complex / paracomplex structures their lifts induce on the "
@@ -70,14 +74,15 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
     # each task subcommand's ``task_args`` maps its flags to the arguments of
     # the task line it stands for; the task validator judges them
 
-    p = sub.add_parser("check", help="verify structure axioms (and metric if present)")
+    p = add_parser("check", help="verify structure axioms (and metric if present)")
     _add_common(p)
     p.set_defaults(task_args=lambda args: ())
 
-    p = sub.add_parser("lift", help="verify the lift interaction identity tables")
+    p = add_parser("lift", help="verify the lift interaction identity tables")
     _add_common(p)
     p.add_argument(
         "--kind",
@@ -91,7 +96,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("build-j", "assemble the lifted candidate structure J"),
         ("verify", "verify J^2 = eps*I for a lifted structure"),
     ):
-        p = sub.add_parser(name, help=summary)
+        p = add_parser(name, help=summary)
         _add_common(p)
         p.add_argument(
             "--theorem",
@@ -104,16 +109,16 @@ def make_parser() -> argparse.ArgumentParser:
             v for v in (args.theorem, args.lift, args.s, args.t) if v is not None
         ))
 
-    p = sub.add_parser("sweep", help="verdicts for all four (s,t) sign cells")
+    p = add_parser("sweep", help="verdicts for all four (s,t) sign cells")
     _add_common(p)
     p.add_argument("--lift", default=COMPLETE, help=f"{COMPLETE} (default) or {HORIZONTAL}")
     p.set_defaults(task_args=lambda args: (args.lift,))
 
-    p = sub.add_parser("run", help="execute the definition file's own task list")
+    p = add_parser("run", help="execute the definition file's own task list")
     _add_common(p)
     p.set_defaults(task_args=None)
 
-    p = sub.add_parser(
+    p = add_parser(
         "demo", help="end-to-end pipeline on built-in canonical models"
     )
     _add_common(p, needs_file=False)

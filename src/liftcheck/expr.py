@@ -190,9 +190,11 @@ class _Parser:
                 break
         g = gcd(num, den)
         value = Poly._trusted(self.variables, {key: num // g} if num else {}, den // g)
-        for i, (star, factor) in enumerate(factors):
-            # the product of the literal part and the first factor has that factor's terms
-            if i and len(value.nums) * len(factor.nums) > MAX_TERMS:
+        for star, factor in factors:
+            # the literal part, like any one-term side, shifts the other side's
+            # terms; only a product of two sums can grow past the cap
+            t1, t2 = len(value.nums), len(factor.nums)
+            if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS:
                 raise ParseError(f"a product may have more than {MAX_TERMS} terms", star)
             value = value * factor
         return value

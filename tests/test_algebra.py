@@ -472,6 +472,101 @@ def test_fused_dot_products_by_hand():
     assert cancelled == [Poly.zero(XYZ)]
 
 
+# -- squares: each cross product formed once -----------------------------------------
+
+
+def twin(q):
+    """A Poly equal to q that is a distinct object, with its own dict."""
+    return Poly._trusted(q.variables, dict(q.nums), q.den)
+
+
+@st.composite
+def square_sums(draw):
+    """The pairs of one ``_dot`` call: a Poly with itself, with an equal copy, or
+    with another operand, where operands mix sums with denominators above 1,
+    single terms and constants."""
+    operand = st.one_of(
+        mixed_polys().filter(bool),
+        monomials(),
+        st.builds(lambda c: Poly.const(c, XYZ), mixed_fractions.filter(bool)),
+    )
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["same", "twin", "other"]), min_size=1, max_size=4)):
+        a = draw(operand)
+        pairs.append((a, a) if kind == "same" else (a, twin(a)) if kind == "twin" else (a, draw(operand)))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_sums())
+def test_squares_in_the_product_loop_match_fraction_reference(pairs):
+    expected = {}
+    for a, b in pairs:
+        expected = reference.add(expected, reference.product(a.terms, b.terms))
+    out = algebra._dot(pairs, XYZ)
+    assert out.variables == XYZ
+    assert out.terms == expected
+    assert all(type(c) is Fraction and c != 0 for c in out.terms.values())
+    # each pair again with one factor negated: squares cancel to exactly zero
+    assert algebra._dot(pairs + [(-a, b) for a, b in pairs], XYZ).is_zero()
+    for a, _ in pairs:
+        assert (a * a).terms == (a * twin(a)).terms == reference.product(a.terms, a.terms)
+        # a square, then a general product
+        assert (a**3).terms == reference.power(a.terms, 3, len(XYZ))
+
+
+class CountedKey(int):
+    """A monomial key that counts the sums of keys it is the left side of: in
+    the product loop, one per term product formed."""
+
+    sums = 0
+
+    def __add__(self, other):
+        CountedKey.sums += 1
+        return int(self) + int(other)
+
+
+def counted(q):
+    """q with CountedKey keys."""
+    return Poly._trusted(q.variables, {CountedKey(k): n for k, n in q.nums.items()}, q.den)
+
+
+def test_a_square_forms_each_cross_product_once():
+    x, y, z = (Poly.variable(v, XYZ) for v in XYZ)
+    q = counted((x + Fraction(2, 3) * y - z + 5) * (x - y) + Fraction(1, 7))
+    r = counted(q + x**3)
+    n = len(q.nums)
+    cases = [
+        ([(q, q)], n * (n + 1) // 2),
+        ([(q, counted(twin(q)))], n * (n + 1) // 2),
+        ([(q, r)], n * len(r.nums)),
+        ([(q, q), (r, q)], n * (n + 1) // 2 + n * len(r.nums)),
+    ]
+    for pairs, formed in cases:
+        CountedKey.sums = 0
+        out = algebra._dot(pairs, XYZ)
+        assert CountedKey.sums == formed
+        expected = {}
+        for a, b in pairs:
+            expected = reference.add(expected, reference.product(a.terms, b.terms))
+        assert out.terms == expected
+
+
+def test_a_square_past_the_field_raises_before_any_product_is_formed():
+    top = 2**16 - 1
+    x = Poly.variable("x", XYZ)
+    wide = counted(Poly(XYZ, {(top // 2 + 1, 0, 0): 1, (0, 1, 0): Fraction(1, 3)}))
+    copy, zero = counted(twin(wide)), Poly.zero(XYZ)
+    CountedKey.sums = 0
+    for make in (lambda: wide * wide, lambda: wide * copy, lambda: wide**2,
+                 lambda: algebra._dot([(x, x), (wide, wide)], XYZ),
+                 lambda: dense_contract([[x, wide]], [[x, wide]], zero)):
+        with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")):
+            with pytest.raises(DegreeOverflow, match=f"total degree {top + 1} exceeds {top}"):
+                make()
+    assert CountedKey.sums == 0
+
+
 # -- one int key per monomial, up to the field bound --------------------------------
 
 # the highest exponent and total degree a monomial key holds

@@ -258,6 +258,40 @@ def test_demo_takes_no_mode(capsys):
     assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
 
 
+# (subcommand, abbreviation of one of its options, a value): argparse takes a
+# unique prefix of an option unless told not to; --s is a prefix of --seed
+# alone on these, while on verify and build-j it is the sign s itself
+ABBREVIATED = [
+    (command, abbreviation, value)
+    for command in ("run", "check", "lift", "sweep", "verify", "build-j", "demo")
+    for abbreviation, value in (("--s", "5"), ("--se", "5"), ("--form", "machine"), ("--mo", "consistent"))
+    if not (abbreviation == "--s" and command in ("verify", "build-j"))
+]
+
+
+@pytest.mark.parametrize("command, abbreviation, value", ABBREVIATED)
+def test_an_abbreviated_option_is_a_usage_error(command, abbreviation, value, capsys):
+    argv = [command] + ([] if command == "demo" else [CONTACT]) + [abbreviation, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {abbreviation} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "build-j"])
+def test_the_sign_options_are_not_abbreviations(command, monkeypatch, capsys):
+    seen = []
+
+    def record(defn, tasks, seed, **kwargs):
+        seen.append((tasks, seed))
+        return Report(seed=seed)
+
+    monkeypatch.setattr(cli, "run_tasks", record)
+    assert main([command, CONTACT, "--lift", "complete", "--s", "1", "--t", "-1"]) == 0
+    (((task,), seed),) = seen
+    assert task.args == ("complete", "1", "-1") and seed == cli.DEFAULT_SEED
+
+
 def _with_task_line(line: str) -> str:
     return Path(CONTACT).read_text(encoding="utf-8") + line + "\n"
 

@@ -517,6 +517,19 @@ def test_the_term_bound_is_exact_and_spares_what_costs_nothing():
         assert len(parse_poly(text, XY).terms) == 5041
 
 
+def test_a_product_with_a_one_term_factor_is_not_bounded_by_the_term_cap():
+    wide = sum_of(5041)
+    x, y, s = Poly.variable("x", XY), Poly.variable("y", XY), parse_poly(wide, XY)
+    # parenthesised one-term factors, a zeroth power of a sum among them, on
+    # either side; a product of two sums stays bounded (the test above)
+    for text, expected in ((f"2*{wide}*(x*y)^3", 2 * s * (x * y) ** 3),
+                           (f"(x + 1)^0*{wide}", s),
+                           (f"{wide}*(-1/2*y^2)", s * Poly(XY, {(0, 2): Fraction(-1, 2)})),
+                           (f"(x)*{wide}*(y)^2*(3)", 3 * x * s * y**2)):
+        value = parse_poly(text, XY)
+        assert value == expected and len(value.terms) == 5041
+
+
 def test_the_default_digit_limit_holds_where_any_integer_length_is_read():
     with digit_limit(0):
         assert parse_poly(f"10^{DEFAULT_DIGITS - 1}", XY) == Poly.const(10 ** (DEFAULT_DIGITS - 1), XY)

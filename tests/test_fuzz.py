@@ -9,8 +9,8 @@ with no uncaught exception.
 A command line is a subcommand (or none, or an unknown one), a path (a
 definition file, a directory, a missing file, the null device, or none) and
 options with valid and invalid values, ``--seed`` negative, huge or not an
-integer, in any order.  ``cli.main`` must return, or exit through argparse
-with, 0, 1 or 2 within the alarm.
+integer, and abbreviations of options, in any order.  ``cli.main`` must
+return, or exit through argparse with, 0, 1 or 2 within the alarm.
 """
 
 import contextlib
@@ -133,6 +133,10 @@ VALUES = {
     "--t": ["-1", "+1", "1"],
 }
 BAD = ["", "vertical", "json", "4.5", "0", "-2", "x"]
+# prefixes of options, each with the values of the option it abbreviates; the
+# parser takes an option only as spelled
+ABBREVIATIONS = {"--se": "--seed", "--form": "--format", "--mo": "--mode", "--ki": "--kind",
+                 "--th": "--theorem", "--li": "--lift"}
 # negative, huge, and not integers
 SEEDS = st.one_of(
     st.integers(-(10**30), 10**30).map(str),
@@ -145,18 +149,22 @@ ODD_PATHS = [str(ROOT / "defs"), str(ROOT / "defs" / "no-such-file.def"), os.dev
 @st.composite
 def command_lines(draw):
     """A subcommand, now and then an unknown one or none, a path, mostly a
-    definition file, and up to four options, mostly ones the subcommand takes."""
+    definition file, and up to four options, mostly ones the subcommand takes,
+    now and then abbreviated."""
     command = draw(st.sampled_from(sorted(ACCEPTS)))
     options = sorted(VALUES) if not draw(st.integers(0, 9)) else ACCEPTS[command] + ["--format"]
+    if not draw(st.integers(0, 4)):
+        options += sorted(ABBREVIATIONS)
     args = []
     if command in ("build-j", "verify") and draw(st.booleans()):
         # a theorem tag, which these need unless they name a lift kind
         args += ["--theorem", draw(st.sampled_from(VALUES["--theorem"]))]
     for option in draw(st.lists(st.sampled_from(options + ["--seed"]), max_size=4)):
-        if option == "--seed":
+        full = ABBREVIATIONS.get(option, option)
+        if full == "--seed":
             args += [option, draw(SEEDS)]
         else:
-            args += [option, draw(st.sampled_from(VALUES[option] if draw(st.integers(0, 4)) else BAD))]
+            args += [option, draw(st.sampled_from(VALUES[full] if draw(st.integers(0, 4)) else BAD))]
     paths = [str(path) for path in SOURCES] if draw(st.integers(0, 4)) else ODD_PATHS
     # a path nine times in ten, but one time in ten for demo, which takes none
     if (command == "demo") == (not draw(st.integers(0, 9))):
