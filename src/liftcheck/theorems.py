@@ -26,12 +26,19 @@ alone give
     J^2 - eps*I = P + sum_i (F X_i) (x) sigma_i E_i
                     + X_i (x) sigma_i (E_i o F + sum_j sigma_j E_i(X_j) E_j)
 
-with P = F^2 - eps*I: P plus one rank-4r product per (s, t) cell.  The lift
-context computes F X_i, E_i o F and the pairing matrix E_i(X_j) once, from
-its own lifts, for these residuals and the interaction tables alike; the
+with P = F^2 - eps*I.  As s^2 = t^2 = 1, sigma_i sigma_j is 1 within a half and
+s*t across the halves, so every cell is J^2 - eps*I = A + s*B + t*C + s*t*D with
+
+    A = P + sum_{i, j in one half} E_i(X_j) X_i (x) E_j
+    B = sum_{i < r} (F X_i) (x) E_i + X_i (x) (E_i o F),    C the same over i >= r
+    D = sum_{i, j in different halves} E_i(X_j) X_i (x) E_j
+
+The lift context computes F X_i, E_i o F and the pairing matrix E_i(X_j) once,
+from its own lifts, for these residuals and the interaction tables alike; the
 pairings are never replaced by the values the paper claims for them.  Per
-context, P is one square of a 2m x 2m field, and the sums over j are two
-products (``_folds``), which each cell combines with its signs.
+context, P is one square of a 2m x 2m field, the sums over j are two products
+(``_folds``) and A, B, C and D one outer-product sum each (``_square_parts``);
+a cell is then a signed sum of the four, with no product.
 
 The action residuals regroup alike.  A lifted test field Y (X^v, X^L, or a
 lift of xi_b) has J Y = F Y + sum_i sigma_i E_i(Y) X_i, and each right side the
@@ -234,13 +241,22 @@ def _plus(w: TensorField, sign: int, x: TensorField) -> TensorField:
     return w + x if sign > 0 else w - x
 
 
+def _square_parts(ctx: LiftContext, eps: int) -> tuple[TensorField, ...]:
+    """A, B, C and D of the module docstring, one outer-product sum each."""
+    def build():
+        total, r, xi, eta = ctx.tangent.total, len(ctx.xi_v), ctx.xi, ctx.eta
+        fold_v, fold_l = _folds(ctx)
+        b, c = (_outer_sum(total, ctx.f_xi[h] + xi[h], eta[h] + ctx.eta_f[h])
+                for h in (slice(r), slice(r, None)))
+        return (_square_offset(ctx, eps) + _outer_sum(total, xi, fold_v[:r] + fold_l[r:]), b, c,
+                _outer_sum(total, xi, fold_l[:r] + fold_v[r:]))
+    return ctx.memoised(("parts", eps), build)
+
+
 def _square_residual(ctx: LiftContext, eps: int, s: int, t: int) -> TensorField:
-    """J^2 - eps*I for the cell (s, t): P plus one rank-4r outer-product sum."""
-    sigma = _sigma(ctx, s, t)
-    rights = [_signed(g, w) for g, w in zip(sigma, ctx.eta)]
-    for g, w, fold_v, fold_l in zip(sigma, ctx.eta_f, *_folds(ctx)):
-        rights.append(_plus(_plus(_signed(g, w), g * s, fold_v), g * t, fold_l))
-    return _square_offset(ctx, eps) + _outer_sum(ctx.tangent.total, ctx.f_xi + ctx.xi, rights)
+    """J^2 - eps*I for the cell (s, t): a signed sum of the four parts."""
+    a, b, c, d = _square_parts(ctx, eps)
+    return _plus(_plus(_plus(a, s, b), t, c), s * t, d)
 
 
 def _verdict(spec: LiftedStructureSpec, ctx: LiftContext, seed: int | None) -> CheckEntry:
@@ -279,9 +295,9 @@ def _squaring_coefficient(ctx: LiftContext, eps: int) -> Optional[int]:
     d = _outer_sum(ctx.tangent.total, ctx.xi, ctx.eta_l + ctx.eta_v)
     if p.is_zero() and d.is_zero():
         return 0
-    if (p - d).is_zero():
+    if p == d:
         return 1
-    if (p + d).is_zero():
+    if p == -d:
         return -1
     return None
 

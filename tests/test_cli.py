@@ -159,6 +159,10 @@ GOLDEN_RUNS.append((["run", LIFT_N2_R2, "--format", "machine"], "lift_n2_r2.json
 GOLDEN_RUNS.append(
     (["run", str(GOLDEN / "run_horizontal_r0.def"), "--format", "machine"], "run_horizontal_r0.json", 0)
 )
+# r = 2, conjugated, over a non-flat connection: both lift kinds' sweeps past r = 1
+GOLDEN_RUNS.append(
+    (["run", str(GOLDEN / "sweep_n1_r2.def"), "--format", "machine"], "sweep_n1_r2.json", 0)
+)
 HUMAN_GOLDEN_RUNS = [(["run", LIFT_N2_R2], "lift_n2_r2.txt", 1)]
 
 

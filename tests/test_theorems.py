@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftcheck import algebra, lifts, tensor, theorems
 from liftcheck.algebra import Poly
 from liftcheck.lifts import (
     COMPLETE,
@@ -40,6 +41,8 @@ from liftcheck.tensor import (
 from liftcheck.theorems import (
     LiftedStructureSpec,
     _assemble_j,
+    _square_parts,
+    _square_residual,
     action_report,
     build_lifted_j,
     sign_sweep,
@@ -187,13 +190,9 @@ def _differential_model(n, r, eps, signature, rng, mutant):
     return model
 
 
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
-                                           (-1, "lorentzian"), (1, "lorentzian")])
-def test_square_residual_matches_the_dense_square(r, eps, signature):
-    """Every sweep cell's residual, read from (F^L)^2 and the rank-4r sum, is
-    the dense endo_compose(J, J) - eps*I of the assembled J."""
-    rng = random.Random(f"square-{r}-{eps}-{signature}")
+def _square_cases(r, eps, signature, rng):
+    """(mutant, model, lift kind, connection) for a valid model and its mutant,
+    each under the complete lift and the horizontal one, flat and non-flat."""
     n = 1 if r > 1 else 2
     for mutant in (False, True):
         model = _differential_model(n, r, eps, signature, rng, mutant)
@@ -203,14 +202,63 @@ def test_square_residual_matches_the_dense_square(r, eps, signature):
             (chart.dim - 1, 0, 0): chart.const(2),
         })
         for kind, conn in ((COMPLETE, None), (HORIZONTAL, None), (HORIZONTAL, nonflat)):
-            sweep = sign_sweep(model, kind, conn=conn)
-            for (s, t), entry in sweep.cells.items():
-                j = build_lifted_j(spec_for(model, kind, s, t, lift_connection(kind, conn, chart)))
-                dense = endo_compose(j, j) - TensorField.identity_endo(j.chart).scale(eps)
-                assert entry.residual == dense, (r, eps, signature, mutant, kind, s, t)
-                assert entry.passed == dense.is_zero()
-            if mutant:
-                assert not sweep.passing_cells()
+            yield mutant, model, kind, conn
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
+                                           (-1, "lorentzian"), (1, "lorentzian")])
+def test_square_residual_matches_the_dense_square(r, eps, signature):
+    """Every sweep cell's residual, read from the four parts A, B, C and D, is
+    the dense endo_compose(J, J) - eps*I of the assembled J."""
+    rng = random.Random(f"square-{r}-{eps}-{signature}")
+    for mutant, model, kind, conn in _square_cases(r, eps, signature, rng):
+        sweep = sign_sweep(model, kind, conn=conn)
+        for (s, t), entry in sweep.cells.items():
+            j = build_lifted_j(spec_for(model, kind, s, t, lift_connection(kind, conn, model.chart)))
+            dense = endo_compose(j, j) - TensorField.identity_endo(j.chart).scale(eps)
+            assert entry.residual == dense, (r, eps, signature, mutant, kind, s, t)
+            assert entry.passed == dense.is_zero()
+        if mutant:
+            assert not sweep.passing_cells()
+
+
+def _no_product(*args, **kwargs):
+    raise AssertionError("a sweep cell formed a product")
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps,signature", [(-1, "riemannian"), (1, "riemannian"),
+                                           (-1, "lorentzian"), (1, "lorentzian")])
+def test_square_parts_make_each_cell_a_signed_sum(r, eps, signature, monkeypatch):
+    """Once a context's parts exist, each cell is A + s*B + t*C + s*t*D with no
+    product. Where the sweep computes kappa and c on a valid model, B = C = 0,
+    D = kappa*S and A = c*S exactly, S = sum xi^v (x) eta^L + xi^L (x) eta^v; a
+    mutant whose F moves some xi shows it in B or C."""
+    rng = random.Random(f"parts-{r}-{eps}-{signature}")
+    moved = 0
+    for mutant, model, kind, conn in _square_cases(r, eps, signature, rng):
+        ctx = _contexts(model, conn, TangentChart.over(model.chart))(kind)
+        sweep = sign_sweep(model, kind, conn=conn, ctx=ctx)
+        a, b, c, d = _square_parts(ctx, eps)
+        with monkeypatch.context() as patch:
+            for module in (algebra, tensor, lifts, theorems):
+                patch.setattr(module, "_contract", _no_product)
+            for module in (tensor, theorems):
+                patch.setattr(module, "_outer_sum", _no_product)
+            cells = {(s, t): _square_residual(ctx, eps, s, t) for s in (-1, 1) for t in (-1, 1)}
+        assert cells == {cell: entry.residual for cell, entry in sweep.cells.items()}
+
+        zero = TensorField.zero(ctx.tangent.total, (1, 1))
+        pairs = zip(ctx.xi, ctx.eta_l + ctx.eta_v)
+        s_sum = sum((outer(x, w) for x, w in pairs), zero)
+        if not mutant and sweep.kappa is not None and sweep.c is not None:
+            assert b.is_zero() and c.is_zero(), (r, kind)
+            assert d == s_sum.scale(sweep.kappa) and a == s_sum.scale(sweep.c), (r, kind)
+        if mutant and any(not endo_apply(model.f, x).is_zero() for x in model.xi):
+            moved += 1
+            assert not (b.is_zero() and c.is_zero()), (r, kind, conn)
+    assert moved or not r
 
 
 def _pairing_residual(lifted, a, w, b, x, sign):
