@@ -29,7 +29,7 @@ the denominators.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -449,32 +449,8 @@ class Poly:
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise AlgebraError(f"missing value for variable {missing[0]!r}")
-        values = [as_fraction(point[v]) for v in self.variables]
-        if not self.nums:
-            return Fraction(0)
-        # With each value p_i / q_i, every term is an integer over
-        # den * prod q_i^top_i, where top_i, the bitwise or of the exponents of
-        # variable i, is at least the highest of them and below twice it; so
-        # the sum runs over integers and one Fraction is built at the end.
-        nums, m = self.nums, len(values)
-        fields = reduce(or_, nums)
-        den = self.den
-        used = []
-        for i, value in enumerate(values):
-            offset = _offset(m, i)
-            if top := fields >> offset & _MASK:
-                used.append((offset, value.numerator, value.denominator, top, {}))
-                den *= value.denominator**top
-        total = 0
-        for key, n in nums.items():
-            for offset, p, q, top, cache in used:
-                e = key >> offset & _MASK
-                factor = cache.get(e)
-                if factor is None:
-                    factor = cache[e] = p**e * q ** (top - e)
-                n *= factor
-            total += n
-        return Fraction(total, den)
+        den, (num,) = _numerators_at([self], [as_fraction(point[v]) for v in self.variables])
+        return Fraction(num, den)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact; raises otherwise.
@@ -597,6 +573,40 @@ class _Terms(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+def _numerators_at(polys: Sequence[Poly], values: Sequence[Fraction]) -> tuple[int, Iterator[int]]:
+    """(D, numerators): the value at ``values``, one per variable, of each of
+    ``polys`` as an integer numerator over one positive denominator D, each
+    made on demand.  The one evaluation loop.  With value i = p / q and top
+    the bitwise or of variable i's exponents (at least the highest, below
+    twice it), a table t[e] = p^e * q^(top - e) serves every term, and D is
+    the product of the q^top times the LCM of the Polys' denominators."""
+    fields, scale = 0, 1
+    for p in polys:
+        if p.nums:
+            fields |= reduce(or_, p.nums)
+            scale = lcm(scale, p.den)
+    den, used, m = scale, [], len(values)
+    for i, value in enumerate(values):
+        offset = _offset(m, i)
+        if top := fields >> offset & _MASK:
+            n, d, ps, qs = value.numerator, value.denominator, [1], [1]
+            for _ in range(top):
+                ps.append(ps[-1] * n)
+                qs.append(qs[-1] * d)
+            used.append((offset, [a * b for a, b in zip(ps, reversed(qs))]))
+            den *= qs[-1]
+
+    def numerator(p: Poly) -> int:
+        total = 0
+        for key, n in p.nums.items():
+            for offset, table in used:
+                n *= table[key >> offset & _MASK]
+            total += n
+        return total * (scale // p.den)
+
+    return den, map(numerator, polys)
 
 
 def _over_lcm(terms: dict[int, Fraction]) -> tuple[dict[int, int], int]:

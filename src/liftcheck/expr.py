@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd
+from operator import or_
 from typing import Sequence
 
-from .algebra import Poly, _accumulate, _sum_over_lcm, _unit
+from .algebra import _MASK, Poly, _accumulate, _offset, _sum_over_lcm, _unit
 
 
 class ParseError(ValueError):
@@ -37,9 +38,10 @@ MAX_NESTING = 100
 MAX_DEGREE = 1000
 
 # The most terms a power or product of parenthesised factors may have, by a
-# bound checked before it is made: comb(t + k - 1, k) for a k-th power (k >= 2)
-# of t terms, t1 * t2 for a product.  So (a1+b1+c1)^98, of 4,950 terms, is
-# read, and ^99, of 5,050, is refused before any work.
+# bound checked before it is made: the lesser of comb(t + k - 1, k) for a k-th
+# power (k >= 2) of t terms, or t1 * t2 for a product, and comb(v + D, v), the
+# monomials of degree at most D, its degree, in the v variables that occur.
+# So (a1+b1+c1)^98, of 4,950 terms, is read, and ^99, of 5,050, is refused.
 MAX_TERMS = 5000
 
 # The digit limit of a coefficient made by a power or product of literals where
@@ -89,6 +91,14 @@ def _capped(degree: int, column: int) -> int:
     if degree > MAX_DEGREE:
         raise ParseError(f"total degree {degree} exceeds the cap of {MAX_DEGREE}", column)
     return degree
+
+
+def _monomials(degree: int, *polys: Poly) -> int:
+    """comb(v + degree, v): the monomials of total degree at most ``degree`` in
+    the v variables that occur in ``polys``."""
+    fields = reduce(or_, (key for p in polys for key in p.nums), 0)
+    m = len(polys[0].variables)
+    return comb(sum(1 for i in range(m) if fields >> _offset(m, i) & _MASK) + degree, degree)
 
 
 def _digit_limit() -> tuple[int, int]:
@@ -194,7 +204,8 @@ class _Parser:
             # the literal part, like any one-term side, shifts the other side's
             # terms; only a product of two sums can grow past the cap
             t1, t2 = len(value.nums), len(factor.nums)
-            if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS:
+            if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS and _monomials(
+                    value.total_degree() + factor.total_degree(), value, factor) > MAX_TERMS:
                 raise ParseError(f"a product may have more than {MAX_TERMS} terms", star)
             value = value * factor
         return value
@@ -230,7 +241,8 @@ class _Parser:
             if isinstance(atom, Poly):
                 norm = sum(abs(n) for n in atom.nums.values())
                 _coefficient_power(norm, atom.den, power, tok[2])
-                if power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS:
+                if (power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS
+                        and _monomials(degree, atom) > MAX_TERMS):
                     raise ParseError(f"a power may have more than {MAX_TERMS} terms", tok[2])
             return negate, atom, power, degree
         return negate, atom, None, degree

@@ -23,7 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .algebra import _MASK, EpsComplex, NotUnimodular, Poly, PolyMatrix, _contract, _offset, _unit
+from .algebra import (
+    _MASK, EpsComplex, NotUnimodular, Poly, PolyMatrix, _contract, _numerators_at, _offset, _unit,
+)
 from .tensor import (
     Chart,
     Point,
@@ -138,10 +140,9 @@ def find_witness(residual: TensorField, seed: int | None = None) -> Point:
         raise StructureError("a zero residual has no witness")
     for _ in range(WITNESS_CAP):
         point = random_point(residual.chart, rng)
-        values = point.mapping()
-        for comp in components:
-            if comp.eval_at(values) != 0:
-                return point
+        # a value is zero iff its numerator is
+        if any(_numerators_at(components, point.values)[1]):
+            return point
     return Point(residual.chart, _descent_point(components[0]))
 
 
@@ -156,16 +157,16 @@ def _descent_point(p: Poly) -> list[Fraction]:
         offset, unit = _offset(m, i), _unit(m, i)
         top = max(k >> offset & _MASK for k in chain[-1])
         chain.append({k - top * unit: c for k, c in chain[-1].items() if k >> offset & _MASK == top})
-    values = dict.fromkeys(p.variables, Fraction(0))
+    values = [Fraction(0)] * m
     for i in reversed(range(m)):
         # p_i times its denominator has the same roots; over 1, it is canonical
         pi = Poly._trusted(p.variables, chain[i], 1)
         offset = _offset(m, i)
         for x in range(max(k >> offset & _MASK for k in chain[i]) + 1):
-            values[p.variables[i]] = Fraction(x)
-            if pi.eval_at(values) != 0:
+            values[i] = Fraction(x)
+            if any(_numerators_at([pi], values)[1]):
                 break
-    return list(values.values())
+    return values
 
 
 def new_entry(

@@ -19,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraError, Poly, PolyMatrix, _contract, as_fraction
+from .algebra import AlgebraError, Poly, PolyMatrix, _contract, _numerators_at, as_fraction
 
 VALENCES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
 
@@ -78,10 +79,14 @@ class Point:
         return f"({inner})"
 
 
+# the 76 sample values p / q, looked up as _SAMPLES[p + 9][q - 1]
+_SAMPLES = [[Fraction(p, q) for q in range(1, 5)] for p in range(-9, 10)]
+
+
 def random_point(chart: Chart, rng: random.Random) -> Point:
-    values = tuple(
-        Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in chart.coords
-    )
+    """A point of values p / q, drawn as rng.randint(-9, 9), then
+    rng.randint(1, 4): randrange(19) and randrange(4) make the same draws."""
+    values = tuple(_SAMPLES[rng.randrange(19)][rng.randrange(4)] for _ in chart.coords)
     return Point(chart, values)
 
 
@@ -394,10 +399,13 @@ def metric_pullback(g: TensorField, f: TensorField) -> TensorField:
     return TensorField._trusted(g.chart, (0, 2), _contract(_transposed(f.entries), gf, coords))
 
 
-def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:
-    """Gaussian elimination over Fraction, yielding (row, pivot) as each pivot is
-    taken: the first nonzero entry of the next column at or below the next pivot
-    row, and the row it stood in before being swapped up."""
+def _pivots(matrix: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """Fraction-free elimination over int, yielding (row, pivot) as each pivot
+    is taken: the first nonzero entry of the next column at or below the next
+    pivot row, and the row it stood in before being swapped up.  A row with an
+    entry f != 0 in the pivot column becomes lead * row - f * top over its
+    content, the primitive form of its Bareiss row (Math. Comp. 22, 1968); a
+    row with a zero there is left as it is."""
     rows = [row[:] for row in matrix]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -411,25 +419,27 @@ def _pivots(matrix: list[list[Fraction]]) -> Iterator[tuple[int, Fraction]]:
             pivot_col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][pivot_col]
+        top = rows[rank]
+        lead = top[pivot_col]
         yield pivot, lead
         for r in range(rank + 1, n_rows):
-            if rows[r][pivot_col] != 0:
-                factor = rows[r][pivot_col] / lead
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[rank])
-                ]
+            if f := rows[r][pivot_col]:
+                row = [lead * a - f * b for a, b in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
         pivot_col += 1
 
 
-def evaluate_matrix(f: TensorField, point: Point) -> list[list[Fraction]]:
-    if f.valence not in ((1, 1), (0, 2)):
-        raise TensorError("matrix evaluation needs a matrix-valued field")
-    values, m = point.mapping(), f.chart.dim
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), c in f.entries.items():
-        out[i][j] = c.eval_at(values)
+def _matrix_at(f: TensorField, point: Point) -> list[list[int]]:
+    """The matrix of the (1,1) or (0,2) field f at ``point``, as integers times
+    one positive scale, which keeps its rank and the sign of every minor."""
+    if point.chart != f.chart:
+        raise TensorError("matrix evaluation at a point on a different chart")
+    out = [[0] * f.chart.dim for _ in range(f.chart.dim)]
+    _, nums = _numerators_at(list(f.entries.values()), point.values)
+    for (i, j), n in zip(f.entries, nums):
+        out[i][j] = n
     return out
 
 
@@ -439,21 +449,17 @@ def rank_at(f: TensorField, points: Iterable[Point]) -> int:
     points = list(points)
     if not points:
         raise TensorError("rank_at needs at least one point")
-    best = 0
-    for p in points:
-        if p.chart != f.chart:
-            raise TensorError("rank_at point on a different chart")
-        best = max(best, sum(1 for _ in _pivots(evaluate_matrix(f, p))))
-    return best
+    return max(sum(1 for _ in _pivots(_matrix_at(f, p))) for p in points)
 
 
 def leading_minors_positive(g: TensorField, point: Point) -> bool:
-    """Sylvester test for positive definiteness of G at one sample point: leading
-    minor k is the product of the first k pivots of an elimination without row
-    swaps, and a swap, or fewer pivots than rows, means a zero minor."""
+    """Sylvester test for positive definiteness of G at one sample point.  While
+    the pivots taken are positive, each row is a positive multiple of its
+    original plus earlier rows, so pivot k has the sign of leading minor k; a
+    swap, or fewer pivots than rows, means a zero minor."""
     _require(g, (0, 2), "bilinear form")
     k = 0
-    for row, pivot in _pivots(evaluate_matrix(g, point)):
+    for row, pivot in _pivots(_matrix_at(g, point)):
         if row != k or pivot < 0:
             return False
         k += 1

@@ -7,6 +7,7 @@ index, summed and mapped by naive loops.  The horizontal lifts are the
 coordinate formulas of the lifts module docstring, written on term dicts.
 """
 
+import random
 from fractions import Fraction
 
 # -- polynomials as term dicts -------------------------------------------------------
@@ -81,6 +82,61 @@ def contraction(rows, cols):
                 acc = add(acc, product(a.terms, b.terms))
             line.append(acc)
         out.append(line)
+    return out
+
+
+# -- sample points and elimination ----------------------------------------------------
+
+
+def sample_values(rng, width):
+    """The values of one random sample point: per coordinate, a numerator drawn
+    from -9..9, then a denominator from 1..4."""
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width))
+
+
+def first_witness(components, width, seed, cap):
+    """The first of ``cap`` seeded sample points at which some term dict of
+    ``components`` is nonzero, or None."""
+    rng = random.Random(seed)
+    for _ in range(cap):
+        values = sample_values(rng, width)
+        if any(evaluate(c, values) != 0 for c in components):
+            return values
+    return None
+
+
+def eliminated(rows):
+    """(pivots, swaps) of Gaussian elimination over Fraction on a copy of the
+    matrix: the pivot taken in each column that has one, and the row swaps."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots, swaps = [], 0
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        below = [r for r in range(k, len(rows)) if rows[r][col] != 0]
+        if not below:
+            continue
+        if below[0] != k:
+            rows[k], rows[below[0]] = rows[below[0]], rows[k]
+            swaps += 1
+        pivots.append(rows[k][col])
+        for r in range(k + 1, len(rows)):
+            factor = rows[r][col] / rows[k][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
+    return pivots, swaps
+
+
+def matrix_rank(rows):
+    return len(eliminated(rows)[0])
+
+
+def determinant(rows):
+    """The determinant of a square matrix of Fractions."""
+    pivots, swaps = eliminated(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    out = Fraction(-1 if swaps % 2 else 1)
+    for p in pivots:
+        out *= p
     return out
 
 

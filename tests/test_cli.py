@@ -163,6 +163,11 @@ GOLDEN_RUNS.append(
 GOLDEN_RUNS.append(
     (["run", str(GOLDEN / "sweep_n1_r2.def"), "--format", "machine"], "sweep_n1_r2.json", 0)
 )
+# a sampled rank below dim - r and a metric that is not positive definite: the
+# note branches of the rank count and of the Sylvester test
+GOLDEN_RUNS.append(
+    (["run", str(GOLDEN / "notes_low_rank.def"), "--format", "machine"], "notes_low_rank.json", 1)
+)
 HUMAN_GOLDEN_RUNS = [(["run", LIFT_N2_R2], "lift_n2_r2.txt", 1)]
 
 

@@ -254,8 +254,15 @@ def primaries(draw, depth):
     return f"({text})", value
 
 
+# a power of a 10-term sum over 2 variables: comb(10 + 5, 6) = 5,005 products of
+# terms, but comb(2 + 18, 2) = 190 monomials of degree at most 18
+POWER_OF_A_POWER = "(0 + (0^0 + x + y)^3)^6"
+ONE_X_Y = Poly.const(1, VARS) + Poly.variable("x", VARS) + Poly.variable("y", VARS)
+
+
 @settings(max_examples=120, deadline=None)
 @given(expressions())
+@example((POWER_OF_A_POWER, ONE_X_Y**18)).via("power bounded by its monomials")
 def test_parser_matches_reference_evaluator(case):
     text, value = case
     parsed = parse_poly(text, VARS)
@@ -492,6 +499,16 @@ def test_a_power_or_product_of_sums_past_the_term_bound_stops_at_its_operator():
         with pytest.raises(ParseError, match=f"may have more than {MAX_TERMS} terms") as err:
             parse_poly(text, ABC)
         assert err.value.column == text.index(operator)
+
+
+def test_a_power_is_bounded_by_the_monomials_of_its_variables_and_degree():
+    value = parse_poly(POWER_OF_A_POWER, VARS)
+    assert len(value.terms) == 190 and value == ONE_X_Y**18
+    # so is a product of two sums: 78 * 78 = 6,084 products of terms, but
+    # comb(2 + 22, 2) = 276 monomials of degree at most 22
+    factor = "(" + " + ".join(f"x^{i}*y^{j}" for i in range(12) for j in range(12 - i)) + ")"
+    assert len(parse_poly(factor, XY).terms) == 78
+    assert len(parse_poly(f"{factor}*{factor}", XY).terms) == 276
 
 
 def sum_of(count):

@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
+
 from liftcheck.algebra import EpsComplex, NotUnimodular, Poly, PolyMatrix
 from liftcheck.structures import (
     CONSISTENT,
+    WITNESS_CAP,
     MissingMetric,
     PAPER_LITERAL,
     canonical_complex,
@@ -114,6 +117,38 @@ def test_every_nonzero_residual_gets_a_witness(terms, roots, seed):
     for name, values in roots:
         p = p * grid_product(name, values)
     assert_rendered_witness(p, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 3)] * 2),
+                st.fractions(-5, 5, max_denominator=6).filter(bool),
+                max_size=4,
+            ),
+            # a factor x - x0 makes the component vanish at the first sample
+            st.booleans(),
+        ),
+        min_size=4, max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@example(parts=[({(1, 0): Fraction(1, 3)}, True), ({}, False), ({}, False),
+                ({(0, 2): Fraction(-2, 5), (0, 0): 1}, True)], seed=1729)
+def test_find_witness_returns_the_first_sample_of_the_reference_loop(parts, seed):
+    x0 = reference.sample_values(random.Random(seed), 2)[0]
+    first = WITNESS_CHART.coordinate("x") - WITNESS_CHART.const(x0)
+    comps = [Poly(WITNESS_CHART.coords, terms) * (first if vanish else 1) for terms, vanish in parts]
+    residual = TensorField.endo(WITNESS_CHART, [comps[:2], comps[2:]])
+    if residual.is_zero():
+        return
+    expected = reference.first_witness(
+        [c.terms for _, c in residual.nonzero_items()], 2, seed, WITNESS_CAP
+    )
+    assert expected is not None
+    assert find_witness(residual, seed).values == expected
 
 
 def test_canonical_f_matrix():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from reference import dense_map, dense_nonzero_items, dense_sum
-from liftcheck.algebra import Poly, PolyMatrix
+from liftcheck.algebra import Poly
 from liftcheck.structures import RContactStructure
 from liftcheck.tensor import (
     VALENCES,
@@ -180,10 +181,62 @@ ENTRIES = st.sampled_from(
 )
 
 
+def matrices(rows, cols, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def field_at_a_point(valence, values):
+    """A field whose matrix at the returned point is ``values``: each entry v is
+    v + (x0 - 1/3)^2 * x_j, so evaluation meets denominators that cancel."""
+    m = len(values)
+    chart = Chart("G", tuple(f"x{i}" for i in range(m)))
+    shift = (chart.coordinate("x0") - chart.const(Fraction(1, 3))) ** 2
+    comps = [[chart.const(v) + shift * chart.coordinate(f"x{j}") for j, v in enumerate(row)]
+             for row in values]
+    point = Point(chart, (Fraction(1, 3),) + tuple(Fraction(2 * i - 7, 4) for i in range(1, m)))
+    return TensorField(chart, valence, comps), point
+
+
+@st.composite
+def rank_matrices(draw):
+    """Square matrices up to 8 x 8: rational entries, sparse ones (whose
+    pivots often need a swap) or a product of m x k and k x m factors (of rank
+    at most k), with some rows and columns then zeroed."""
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "thin"]))
+    if kind == "thin":
+        k = draw(st.integers(0, m - 1))
+        a, b = draw(matrices(m, k)), draw(matrices(k, m))
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+                for i in range(m)]
+    else:
+        sparse = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2, 3)])
+        rows = draw(matrices(m, m, ENTRIES if kind == "dense" else sparse))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [Fraction(0)] * m
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_matrices())
+@example([[0, 1], [1, 0]]).via("first pivot needs a swap")
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]]).via("every pivot needs a swap")
+@example([[1, 2], [2, 4]]).via("dependent rows")
+@example([[0, 0], [0, 0]]).via("zero matrix")
+@example([[0, 1, 2], [0, 3, 6], [0, 5, 7]]).via("zero first column")
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]]).via("rational, rank 1")
+def test_rank_at_matches_fraction_elimination(values):
+    f, point = field_at_a_point((1, 1), values)
+    assert rank_at(f, [point]) == reference.matrix_rank(values)
+
+
 @st.composite
 def square_matrices(draw):
-    m = draw(st.integers(1, 4))
-    a = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m))
+    m = draw(st.integers(1, 6))
+    a = draw(matrices(m, m))
     if draw(st.booleans()):
         # A^T A + I is positive definite, so both verdicts are drawn often
         a = [[sum(a[k][i] * a[k][j] for k in range(m)) + (i == j) for j in range(m)]
@@ -194,7 +247,7 @@ def square_matrices(draw):
 def blockwise_minors_positive(values):
     """Reference: one determinant per leading block."""
     return all(
-        PolyMatrix.from_values([row[:k] for row in values[:k]], ()).det().constant_value() > 0
+        reference.determinant([row[:k] for row in values[:k]]) > 0
         for k in range(1, len(values) + 1)
     )
 
@@ -209,14 +262,23 @@ def blockwise_minors_positive(values):
 @example([[1, 1], [1, 1]]).via("zero second minor")
 @example([[2, 0, 0], [0, 0, 0], [0, 0, 3]]).via("zero column skipped")
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]).via("rational")
+@example([[1, 2, 0, 0, 0, 0], [2, 5, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+          [0, 0, 0, 0, 1, 3], [0, 0, 0, 0, 3, 2]]).via("only the sixth minor negative")
 def test_leading_minors_positive_matches_blockwise_determinants(values):
-    m = len(values)
-    chart = Chart("G", tuple(f"x{i}" for i in range(m)))
-    # a linear term that vanishes at the sample point checks evaluation too
-    comps = [[Poly.const(v, chart.coords) + chart.coordinate("x0") for v in row] for row in values]
-    point = Point(chart, (0,) * m)
-    got = leading_minors_positive(TensorField.bilinear(chart, comps), point)
-    assert got == blockwise_minors_positive(values)
+    g, point = field_at_a_point((0, 2), values)
+    assert leading_minors_positive(g, point) == blockwise_minors_positive(values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1729, 2**40 + 3])
+@pytest.mark.parametrize("chart", [AB, ABC, Chart("W", tuple(f"w{i}" for i in range(11)))])
+def test_random_point_draws_the_reference_stream(seed, chart):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(30):
+        point = random_point(chart, rng)
+        assert point.values == reference.sample_values(ref, chart.dim)
+        assert all(type(v) is Fraction for v in point.values)
+    # both generators made the same draws
+    assert rng.getstate() == ref.getstate()
 
 
 def test_rank_bounds_and_monotonicity():
