@@ -55,10 +55,6 @@ class NotUnimodular(AlgebraError):
     """Matrix determinant is not the constant +1 or -1."""
 
 
-class ExactDivisionError(AlgebraError):
-    """Polynomial division that was assumed exact left a remainder."""
-
-
 class DegreeOverflow(AlgebraError):
     """An exponent or total degree past the fields of a monomial key."""
 
@@ -452,43 +448,6 @@ class Poly:
         den, (num,) = _numerators_at([self], [as_fraction(point[v]) for v in self.variables])
         return Fraction(num, den)
 
-    def divide_exact(self, divisor: "Poly") -> "Poly":
-        """Quotient self / divisor when the division is exact; raises otherwise.
-
-        Used by fraction-free elimination, where exactness is guaranteed.
-        """
-        divisor = self._coerce(divisor)
-        if divisor is None or not isinstance(divisor, Poly):
-            raise TypeError("divisor must be a Poly")
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if divisor.is_constant():
-            return self._scale(1 / divisor.constant_value())
-        # the quotient of the numerators N / M, times M's den over N's
-        m = len(self.variables)
-        lead_key = max(divisor.nums)
-        lead, lead_exps = divisor.nums[lead_key], _exponents(lead_key, m)
-        remainder = {k: Fraction(n) for k, n in self.nums.items()}
-        quotient: dict[int, Fraction] = {}
-        while remainder:
-            rkey = max(remainder)
-            if any(a < b for a, b in zip(_exponents(rkey, m), lead_exps)):
-                raise ExactDivisionError("division is not exact")
-            qkey = rkey - lead_key
-            qcoeff = quotient[qkey] = remainder[rkey] / lead
-            for dkey, c in divisor.nums.items():
-                key = qkey + dkey
-                acc = remainder.get(key, 0) - qcoeff * c
-                if acc:
-                    remainder[key] = acc
-                else:
-                    remainder.pop(key, None)
-        # the leading remainder term strictly decreases, so each quotient
-        # key is produced once, with a nonzero coefficient
-        return Poly._trusted(self.variables, *_over_lcm(quotient))._scale(
-            Fraction(divisor.den, self.den)
-        )
-
     # -- equality and printing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -503,6 +462,8 @@ class Poly:
         )
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its value, so hashed as that value
+            return hash(self.constant_value())
         return hash((self.variables, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
@@ -746,17 +707,18 @@ class PolyMatrix:
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
-        variables = rows[0][0].variables
-        for row in rows:
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError("ragged matrix")
-            for entry in row:
-                if not isinstance(entry, Poly) or entry.variables != variables:
+            for j, entry in enumerate(row):
+                if not isinstance(entry, Poly):
+                    raise TypeError(f"matrix entry ({i}, {j}) is of type {type(entry).__name__}, not Poly")
+                if entry.variables != rows[0][0].variables:
                     raise VariableMismatch("matrix entries over mixed variable lists")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "variables", rows[0][0].variables)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -801,66 +763,44 @@ class PolyMatrix:
             [[product.get((i, j), zero) for j in range(other.cols)] for i in range(self.rows)]
         )
 
+    def _faddeev_leverrier(self) -> tuple[Poly, dict[tuple, Poly], dict[tuple, Poly]]:
+        """(det A, M_n, A M_n) for this square matrix A, by Faddeev-LeVerrier
+        (Le Verrier 1840; Faddeev and Sominsky 1949).  From M_1 = I, step k
+        forms P = A M_k with one ``_contract``, takes c_{n-k} = -tr(P) / k and,
+        while k < n, sets M_{k+1} = P + c_{n-k} I.  The c_i are the coefficients
+        of det(tI - A), so det A = (-1)^n c_0, and by Cayley-Hamilton the last P
+        is -c_0 I.  Matrices are dicts of nonzero entries keyed (row, column)."""
+        n, variables, zero = self.rows, self.variables, Poly.zero(self.variables)
+        a = {(i, j): e for i, row in enumerate(self.entries) for j, e in enumerate(row) if e}
+        m = {(i, i): Poly.const(1, variables) for i in range(n)}
+        for k in range(1, n + 1):
+            p = _contract(a, m, variables)
+            c = sum([p.get((i, i), zero) for i in range(n)], zero) * Fraction(-1, k)
+            if k == n:
+                return (-c if n % 2 else c), m, p
+            for i in range(n):
+                p[i, i] = p.get((i, i), zero) + c
+            m = {key: e for key, e in p.items() if e}
+
     def det(self) -> Poly:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by Faddeev-LeVerrier."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = Poly.const(1, self.variables)
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                pivot_row = next(
-                    (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-                )
-                if pivot_row is None:
-                    return Poly.zero(self.variables)
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num.divide_exact(prev)
-                m[i][k] = Poly.zero(self.variables)
-            prev = m[k][k]
-        result = m[n - 1][n - 1]
-        return result if sign == 1 else -result
-
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [e for j, e in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.entries)
-                if i != drop_row
-            ]
-        )
+        return self._faddeev_leverrier()[0]
 
     def unimodular_inverse(self) -> "PolyMatrix":
-        """Polynomial inverse of a matrix with constant determinant +1 or -1.
-
-        Computed as the adjugate divided by the determinant; requires and
-        checks exact unimodularity, so every entry stays polynomial.
-        """
+        """Polynomial inverse -M_n / c_0 by Faddeev-LeVerrier of a matrix with
+        constant determinant +1 or -1, with A M_n = -c_0 I checked."""
         if self.rows != self.cols:
             raise NotUnimodular("matrix is not square")
-        d = self.det()
+        n, zero = self.rows, Poly.zero(self.variables)
+        d, m, p = self._faddeev_leverrier()
         if not d.is_constant() or d.constant_value() not in (1, -1):
             raise NotUnimodular(f"determinant {d} is not the constant +1 or -1")
-        d_value = d.constant_value()
-        n = self.rows
-        if n == 1:
-            return PolyMatrix.from_values([[d_value]], self.variables)
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                cof = self.minor(j, i).det()
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof * d_value)
-            adj.append(row)
-        return PolyMatrix(adj)
+        unit = d if n % 2 else -d  # -c_0, +1 or -1 and so its own inverse
+        if p != {(i, i): unit for i in range(n)}:
+            raise AlgebraError("Faddeev-LeVerrier inverse fails A * A^-1 = I")
+        return PolyMatrix([[m.get((i, j), zero) * unit for j in range(n)] for i in range(n)])
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -448,6 +448,12 @@ def random_unimodular(
     remain desk-sized.
     """
     m = chart.dim
+    # checked before any draw, so every valid call draws what it drew before
+    if m < 2 or max_shears < 1 or max_degree < 0:
+        raise StructureError(
+            f"random_unimodular needs at least 2 coordinates (got {m}), "
+            f"max_shears >= 1 (got {max_shears}) and max_degree >= 0 (got {max_degree})"
+        )
     coeff_pool = (-2, -1, 1, 2)
     count = rng.randint(1, max_shears)
     factors: list[tuple[int, int, Poly]] = []

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 import reference
 from liftcheck import algebra
 from liftcheck.algebra import (
+    AlgebraError,
     DegreeOverflow,
     EpsComplex,
     EpsilonMismatch,
-    ExactDivisionError,
     NotUnimodular,
     Poly,
     PolyMatrix,
@@ -208,14 +208,6 @@ def test_eval_is_ring_homomorphism(a, b, vx, vy):
     assert (a + b).eval_at(point) == a.eval_at(point) + b.eval_at(point)
 
 
-@settings(max_examples=30, deadline=None)
-@given(polys(), polys(max_terms=3, max_degree=2))
-def test_exact_division_roundtrip(a, b):
-    if b.is_zero():
-        return
-    assert (a * b).divide_exact(b) == a
-
-
 # -- the denominator-cleared product kernel -----------------------------------------
 
 
@@ -318,8 +310,6 @@ def test_integer_core_matches_fraction_reference(ta, tb, k, values):
         (a**k, reference.power(ra, k, len(XYZ))), (a.diff("y"), reference.diff(ra, 1)), (a + b - b, ra),
         (a.extend(xyzw), {exps + (0,): c for exps, c in ra.items()}),
     ]
-    if rb:
-        cases.append(((a * b).divide_exact(b), ra))
     for got, want in cases:
         assert_canonical(got)
         assert dict(got.terms.items()) == want
@@ -790,12 +780,37 @@ def test_is_constant():
     assert not p({(0, 0): 1, (1, 0): 1}).is_constant()
 
 
-def test_division_not_exact():
-    with pytest.raises(ExactDivisionError):
-        p({(1, 0): 1, (0, 0): 1}).divide_exact(p({(1, 0): 1}))
+def test_constant_hash_agrees_with_equality():
+    # a constant Poly equals its value, so it must hash as it does: 3 was not
+    # found in {Poly.const(3, XY)}
+    for value in (3, -1, 0, Fraction(-3, 2), Fraction(6, 2)):
+        const = Poly.const(value, XY)
+        assert const == value and hash(const) == hash(value)
+        assert value in {const} and const in {value}
+        assert {const: "c"}[value] == "c" and {value: "v"}[const] == "v"
+    assert Fraction(3) in {Poly.const(3, XYZ)} and 3 in {Poly.const(Fraction(3), XY)}
+    assert 2 not in {Poly.const(3, XY)} and Fraction(1, 2) not in {Poly.const(3, XY)}
+    # a non-constant Poly hashes by its variables and parts, as before
+    q = p({(1, 0): Fraction(1, 2), (0, 0): 3})
+    assert hash(q) == hash((XY, q.den, frozenset(q.nums.items())))
+    assert q in {p({(0, 0): 3, (1, 0): Fraction(1, 2)})} and 3 not in {q}
 
 
 # -- polynomial matrices -----------------------------------------------------------
+
+
+def test_matrix_constructor_names_a_non_poly_entry():
+    # PolyMatrix([[1]]) raised a bare AttributeError, and a non-Poly after a
+    # Poly a VariableMismatch about mixed variable lists
+    x = Poly.variable("x", XY)
+    with pytest.raises(TypeError, match=r"matrix entry \(0, 0\) is of type int, not Poly"):
+        PolyMatrix([[1]])
+    with pytest.raises(TypeError, match=r"matrix entry \(0, 1\) is of type int, not Poly"):
+        PolyMatrix([[x, 2]])
+    with pytest.raises(TypeError, match=r"matrix entry \(1, 0\) is of type Fraction, not Poly"):
+        PolyMatrix([[x, x], [Fraction(1, 2), x]])
+    with pytest.raises(VariableMismatch, match="mixed variable lists"):
+        PolyMatrix([[x, Poly.variable("x", XYZ)]])
 
 
 def shear(variables, i, j, poly):
@@ -835,6 +850,24 @@ def test_not_unimodular():
         PolyMatrix.from_values([[x, Poly.zero(XY)], [Poly.zero(XY), Poly.const(1, XY)]], XY).unimodular_inverse()
     with pytest.raises(NotUnimodular):
         PolyMatrix.from_values([[2, 0], [0, 1]], XY).unimodular_inverse()
+
+
+def test_unimodular_inverse_checks_the_last_product():
+    # A M_n = -c_0 I is checked on the product the method forms, not assumed:
+    # an off-diagonal error in it leaves the trace, and so det, unchanged
+    u = shear(XY, 0, 1, Poly.variable("x", XY))
+    real, calls = algebra._contract, []
+
+    def last_product_off(left, right, variables):
+        out = real(left, right, variables)
+        calls.append(1)
+        if len(calls) == 2:  # A M_2, the last product for n = 2
+            out[1, 0] = Poly.const(1, variables)
+        return out
+
+    with mock.patch.object(algebra, "_contract", last_product_off):
+        with pytest.raises(AlgebraError, match=r"inverse fails A \* A\^-1 = I"):
+            u.unimodular_inverse()
 
 
 def test_determinant_of_constant_matrix():

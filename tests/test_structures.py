@@ -15,6 +15,7 @@ from liftcheck.structures import (
     CONSISTENT,
     WITNESS_CAP,
     MissingMetric,
+    StructureError,
     PAPER_LITERAL,
     canonical_complex,
     canonical_structure,
@@ -300,8 +301,26 @@ def test_conjugation_exercises_unimodular_inverse():
     rng = random.Random(5)
     s = canonical_structure(1, 1, -1, "riemannian")
     u, _ = random_unimodular(s.chart, rng, max_shears=3, max_degree=2)
-    conj = conjugate_structure(s, u)  # inverse computed via the adjugate
+    conj = conjugate_structure(s, u)  # inverse computed by Faddeev-LeVerrier
     assert check_axioms(conj).overall
+
+
+def test_random_unimodular_refuses_a_chart_or_bounds_it_cannot_draw_from():
+    # a one-coordinate chart has no pair i != j to shear, zero shears leave
+    # nothing to draw from and a negative degree has no monomial; each is
+    # refused before any draw, where the first hung and the second raised a
+    # bare ValueError
+    one, three = Chart("M", ("c1",)), canonical_structure(1, 1, -1, "riemannian").chart
+    for chart, shears, degree in ((one, 4, 2), (three, 0, 2), (three, 4, -1)):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(StructureError):
+            random_unimodular(chart, rng, max_shears=shears, max_degree=degree)
+        assert rng.getstate() == state
+    # a valid call draws the matrices it drew before the check
+    u, u_inv = random_unimodular(three, random.Random(5), max_shears=3, max_degree=2)
+    assert repr(u) == "PolyMatrix[1, 0, 0; -2*a1^2 - 2*c1, 1, -2*c1; 0, 0, 1]"
+    assert repr(u_inv) == "PolyMatrix[1, 0, 0; 2*a1^2 + 2*c1, 1, 2*c1; 0, 0, 1]"
 
 
 # -- lint ----------------------------------------------------------------------
