@@ -23,8 +23,15 @@ fields, and that one check is exact.  ``Poly.terms`` decodes the keys into
 exponent tuples on read.
 
 Every sum of products runs through one kernel, ``_contract`` and its
-``_dot``, the one product loop, on the integer numerators over the LCM of
-the denominators.
+``_dot``, on the integer numerators over the LCM of the denominators.
+``_dot`` has two paths that give the same numerators, chosen from the
+operands alone: a plain loop over term products, and a packed path for
+dense operands that multiplies whole rows of terms as single ints, with one
+variable's exponents as the digit positions (Kronecker substitution in one
+variable; Fateman 2005, Harvey 2009).  The packed path pays only where many
+term products fall in each pair of rows, so small, lopsided and sparse
+products, such as those of a lift's many-variable entries, keep the plain
+loop.
 """
 
 from __future__ import annotations
@@ -652,23 +659,40 @@ def _contract(
 
 
 def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
-    """sum a * b over pairs of nonzero Polys, in one integer accumulator.
+    """sum a * b over pairs of nonzero Polys, on integer numerators.
 
-    The one product loop.  Every product is written over D, the LCM of the
-    pairs' denominators D_a * D_b, and its integer numerators are added into
-    one dict, keyed by the sums of the factors' keys, which becomes the result
-    over D once the zero sums are dropped.  Each pair's degrees are checked
+    Every product is written over D, the LCM of the pairs' denominators
+    D_a * D_b, and the numerators of all products are summed into one result
+    over D, with the zero sums dropped.  Each pair's degrees are checked
     before any product is formed.  A general product of ``Poly.__mul__``
     comes here as a single pair.
 
+    There are two paths, chosen from the operands by ``_packing``, and both
+    give the same numerators.  The plain loop, ``_plain_dot``, forms one
+    term product at a time; the packed path, ``_packed_dot``, multiplies
+    whole rows of terms as single ints (Kronecker substitution in one
+    variable).  Packing pays only on dense operands with many terms per row;
+    on small or sparse ones, such as the many-variable entries of a lift, the
+    plain loop is faster, so it stays the path for them.
+
     A square, a pair of one Poly or of two equal ones, forms each cross
-    product once and doubles it: n(n + 1)/2 term products where a general
-    pair of n terms forms n * n (Knuth, TAOCP vol. 2).
+    product once and doubles it: n(n + 1)/2 term products, or row products,
+    where a general pair of n forms n * n (Knuth, TAOCP vol. 2).
     """
-    den = 1
+    den, products = 1, 0
     for a, b in pairs:
         _check_degree(a.total_degree() + b.total_degree())
         den = lcm(den, a.den * b.den)
+        products += len(a.nums) * len(b.nums)
+    # the first bound of _packing, counted here, so that small calls skip it
+    rows = None if products < _PACK_PRODUCTS else _packing(pairs, len(variables))
+    acc = _plain_dot(pairs, den) if rows is None else _packed_dot(pairs, rows, den)
+    return _reduced(variables, acc, den)
+
+
+def _plain_dot(pairs: list[tuple[Poly, Poly]], den: int) -> dict[int, int]:
+    """The nonzero numerators over ``den`` of sum a * b, one term product at a
+    time, added into one dict keyed by the sums of the factors' keys."""
     acc: dict[int, int] = {}
     get = acc.get
     for a, b in pairs:
@@ -694,7 +718,118 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
             for k2, n2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + n1 * n2
-    return _reduced(variables, {k: n for k, n in acc.items() if n}, den)
+    return {k: n for k, n in acc.items() if n}
+
+
+# The packed path of ``_dot`` is taken only where all four hold: the call
+# forms at least _PACK_PRODUCTS term products, at least _PACK_PER_TERM of them
+# per operand term and at least _PACK_PER_ROW per pair of rows, and no
+# operand's rows span more than _PACK_SPAN slots per term.  The first three
+# keep the plain loop on small products, on lopsided ones (a few terms times
+# many, where packing and reading off the slots cost as much as the loop) and
+# on many-variable ones with a few terms per row, such as the entries of a
+# lift.  The last keeps a sparse operand, say one with an exponent of 60,000
+# in the packed variable, from building an int of that many slots.
+_PACK_PRODUCTS = 1000
+_PACK_PER_TERM = 8
+_PACK_PER_ROW = 4
+_PACK_SPAN = 4
+
+
+def _rows(nums: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
+    """The (slot, numerator) pairs of each row.  Over m >= 2 variables, a
+    term's slot is e_{m-2}, its next-to-last exponent, and its row key is its
+    key less slot * _MASK: the same key with that exponent moved into the
+    last field.  So the row key holds the total degree and the first m - 2
+    exponents, the key of a term is row + slot * _MASK, and the row keys and
+    slots of a product are the sums of its factors'."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for key, n in nums.items():
+        slot = key >> _W & _MASK
+        rows.setdefault(key - slot * _MASK, []).append((slot, n))
+    return rows
+
+
+def _packing(pairs: list[tuple[Poly, Poly]], m: int) -> dict[int, dict] | None:
+    """The ``_rows`` of each operand, by id, where ``_packed_dot`` pays (see
+    _PACK_PRODUCTS), else None for the plain loop.  Only term counts are read
+    until the first two bounds pass, and no int is packed here."""
+    products = sum(len(a.nums) * len(b.nums) for a, b in pairs)
+    terms = sum(len(a.nums) + len(b.nums) for a, b in pairs)
+    if m < 2 or products < max(_PACK_PRODUCTS, _PACK_PER_TERM * terms):
+        return None
+    rows: dict[int, dict] = {}
+    for q in chain.from_iterable(pairs):
+        if id(q) not in rows:
+            rows[id(q)] = q_rows = _rows(q.nums)
+            span = sum(max(slot for slot, _ in row) + 1 for row in q_rows.values())
+            if span > _PACK_SPAN * len(q.nums):
+                return None
+    row_pairs = sum(len(rows[id(a)]) * len(rows[id(b)]) for a, b in pairs)
+    return rows if products >= _PACK_PER_ROW * row_pairs else None
+
+
+def _packed_dot(pairs: list[tuple[Poly, Poly]], rows: dict[int, dict], den: int) -> dict[int, int]:
+    """``_plain_dot`` by rows: each row of each operand packed into one int,
+    sum n * 2^(B * slot) over its terms, the row products formed as ints and
+    summed by the row key of the result, and the result's slots read off as
+    signed digits.  ``rows`` is ``_packing``'s.
+
+    The coefficient of one key in a * b sums at most min(len a, len b) term
+    products, so no result numerator exceeds the sum over the pairs of
+    min(len a, len b) * max|a| * max|b| * scale.  The slot width B has room
+    for that bound and a sign bit, so a result row's int is sum n * 2^(B *
+    slot) with every |n| < 2^(B - 1), and its signed digits are exactly the
+    numerators of the row.
+    """
+    bound = sum(
+        min(len(a.nums), len(b.nums)) * max(map(abs, a.nums.values()))
+        * max(map(abs, b.nums.values())) * (den // (a.den * b.den))
+        for a, b in pairs
+    )
+    bits = bound.bit_length() + 1
+    packed = {
+        key: [(row, sum(n << bits * slot for slot, n in terms)) for row, terms in q_rows.items()]
+        for key, q_rows in rows.items()
+    }
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        if a is b or (a.den == b.den and len(a.nums) > 1 and a.nums == b.nums):
+            # a square, as in _plain_dot: each row meets only the rows after it
+            rest = packed[id(a)][:]
+            while rest:
+                r1, p1 = rest.pop()
+                key = r1 + r1
+                acc[key] = get(key, 0) + p1 * p1 * scale
+                p1 *= 2 * scale
+                for r2, p2 in rest:
+                    key = r1 + r2
+                    acc[key] = get(key, 0) + p1 * p2
+            continue
+        left, right = packed[id(a)], packed[id(b)]
+        if len(left) > len(right):
+            left, right = right, left
+        for r1, p1 in left:
+            p1 *= scale
+            for r2, p2 in right:
+                key = r1 + r2
+                acc[key] = get(key, 0) + p1 * p2
+    out: dict[int, int] = {}
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    for key, value in acc.items():
+        # value = n + 2^B * rest with -2^(B - 1) <= n < 2^(B - 1)
+        while value:
+            n = value & mask
+            value >>= bits
+            if n >= half:
+                n -= mask + 1
+                value += 1
+            if n:
+                out[key] = n
+            key += _MASK
+    return out
 
 
 class PolyMatrix:

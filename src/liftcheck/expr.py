@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb, gcd
 from operator import or_
 from typing import Sequence
@@ -39,9 +40,9 @@ MAX_DEGREE = 1000
 
 # The most terms a power or product of parenthesised factors may have, by a
 # bound checked before it is made: the lesser of comb(t + k - 1, k) for a k-th
-# power (k >= 2) of t terms, or t1 * t2 for a product, and comb(v + D, v), the
-# monomials of degree at most D, its degree, in the v variables that occur.
-# So (a1+b1+c1)^98, of 4,950 terms, is read, and ^99, of 5,050, is refused.
+# power (k >= 2) of t terms, or t1 * t2 for a product, and the exponent tuples
+# that its degree and its variables' exponents allow (``_monomials``).  So
+# (a1+b1+c1)^98, of 4,950 terms, is read, and ^99, of 5,050, is refused.
 MAX_TERMS = 5000
 
 # The digit limit of a coefficient made by a power or product of literals where
@@ -93,12 +94,29 @@ def _capped(degree: int, column: int) -> int:
     return degree
 
 
-def _monomials(degree: int, *polys: Poly) -> int:
-    """comb(v + degree, v): the monomials of total degree at most ``degree`` in
-    the v variables that occur in ``polys``."""
+def _exponent_caps(*polys: Poly) -> list[int]:
+    """For each variable that occurs in ``polys``, the sum over them of its
+    largest exponent in each: a bound on its exponent in their product."""
     fields = reduce(or_, (key for p in polys for key in p.nums), 0)
     m = len(polys[0].variables)
-    return comb(sum(1 for i in range(m) if fields >> _offset(m, i) & _MASK) + degree, degree)
+    return [sum(max(key >> s & _MASK for key in p.nums) for p in polys)
+            for s in (_offset(m, i) for i in range(m)) if fields >> s & _MASK]
+
+
+def _monomials(degree: int, caps: list[int]) -> int:
+    """The exponent tuples e with e_i <= caps[i] and sum e_i <= ``degree``, or
+    some number past MAX_TERMS once they are more.  Every monomial of a power
+    or product lies among them, where ``caps`` bounds each of its variables'
+    exponents.  A dynamic program over the variables: ways[s] counts the
+    tuples so far of sum s, and each variable sums a window of cap + 1 of
+    them, so no count grows far past MAX_TERMS."""
+    ways = [1] + [0] * degree
+    for cap in caps:
+        below = [0, *accumulate(ways)]  # below[s] = sum(ways[:s])
+        ways = [below[s + 1] - below[max(s - cap, 0)] for s in range(degree + 1)]
+        if sum(ways) > MAX_TERMS:
+            break
+    return sum(ways)
 
 
 def _digit_limit() -> tuple[int, int]:
@@ -205,7 +223,8 @@ class _Parser:
             # terms; only a product of two sums can grow past the cap
             t1, t2 = len(value.nums), len(factor.nums)
             if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS and _monomials(
-                    value.total_degree() + factor.total_degree(), value, factor) > MAX_TERMS:
+                    value.total_degree() + factor.total_degree(),
+                    _exponent_caps(value, factor)) > MAX_TERMS:
                 raise ParseError(f"a product may have more than {MAX_TERMS} terms", star)
             value = value * factor
         return value
@@ -242,7 +261,7 @@ class _Parser:
                 norm = sum(abs(n) for n in atom.nums.values())
                 _coefficient_power(norm, atom.den, power, tok[2])
                 if (power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS
-                        and _monomials(degree, atom) > MAX_TERMS):
+                        and _monomials(degree, [power * c for c in _exponent_caps(atom)]) > MAX_TERMS):
                     raise ParseError(f"a power may have more than {MAX_TERMS} terms", tok[2])
             return negate, atom, power, degree
         return negate, atom, None, degree

@@ -1,14 +1,16 @@
 """Exact arithmetic: rationals, eps-complex numbers, polynomials, matrices."""
 
+import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from liftcheck import algebra
+from liftcheck import algebra, lifts, structures
 from liftcheck.algebra import (
     AlgebraError,
     DegreeOverflow,
@@ -547,14 +549,134 @@ def test_a_square_past_the_field_raises_before_any_product_is_formed():
     x = Poly.variable("x", XYZ)
     wide = counted(Poly(XYZ, {(top // 2 + 1, 0, 0): 1, (0, 1, 0): Fraction(1, 3)}))
     copy, zero = counted(twin(wide)), Poly.zero(XYZ)
+    # 85 terms in dense rows: the square of the same Poly one degree lower
+    # takes the packed path
+    dense_rows = (x + Poly.variable("y", XYZ) + Poly.variable("z", XYZ) + 1) ** 6
+    assert algebra._packing([(q := dense_rows + x ** (top // 2), q)], 3) is not None
+    dense = counted(dense_rows + x ** (top // 2 + 1))
     CountedKey.sums = 0
+    refuse = mock.Mock(side_effect=AssertionError("a path was chosen"))
     for make in (lambda: wide * wide, lambda: wide * copy, lambda: wide**2,
                  lambda: algebra._dot([(x, x), (wide, wide)], XYZ),
-                 lambda: dense_contract([[x, wide]], [[x, wide]], zero)):
-        with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")):
+                 lambda: dense_contract([[x, wide]], [[x, wide]], zero),
+                 lambda: dense * dense, lambda: dense**2,
+                 lambda: algebra._dot([(dense_rows, dense_rows), (dense, dense)], XYZ)):
+        with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")), \
+                mock.patch.multiple(algebra, _packing=refuse, _plain_dot=refuse, _packed_dot=refuse):
             with pytest.raises(DegreeOverflow, match=f"total degree {top + 1} exceeds {top}"):
                 make()
-    assert CountedKey.sums == 0
+    assert CountedKey.sums == 0 and not refuse.called
+
+
+# -- the packed path of the product loop ----------------------------------------------
+
+
+def rows_of(pairs):
+    """The operand rows ``_packed_dot`` reads, whatever ``_packing`` would say."""
+    return {id(q): algebra._rows(q.nums) for pair in pairs for q in pair}
+
+
+def common_den(pairs):
+    """D, the LCM of the pairs' denominators D_a * D_b."""
+    return lcm(*[a.den * b.den for a, b in pairs])
+
+
+@st.composite
+def packed_pairs(draw):
+    """(variables, pairs) for one ``_dot`` call over m = 2..6 variables: squares,
+    equal twins and general pairs of up to 24 terms, with negative and
+    rational coefficients over mixed denominators, small and large, and in some
+    draws exponents near TOP in one variable other than the packed one, m - 2."""
+    m = draw(st.integers(2, 6))
+    variables = tuple(f"v{i}" for i in range(m))
+    high = draw(st.sampled_from([i for i in range(m) if i != m - 2]))
+    # operands of total degree up to TOP // 2, so every product fits
+    offset = draw(st.sampled_from([0, 1, 1000, TOP // 2 - 3 * m]))
+    exps = st.tuples(*[st.integers(0, 3)] * m).map(
+        lambda e: tuple(x + offset if i == high else x for i, x in enumerate(e)))
+    coeffs = (mixed_fractions | st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 7))).filter(bool)
+    operand = st.dictionaries(exps, coeffs, min_size=1, max_size=24).map(lambda t: Poly(variables, t))
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["same", "twin", "other"]), min_size=1, max_size=3)):
+        a = draw(operand)
+        pairs.append((a, a) if kind == "same" else (a, twin(a)) if kind == "twin" else (a, draw(operand)))
+    return variables, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_pairs())
+def test_the_packed_path_matches_the_plain_loop_and_the_fraction_reference(case):
+    variables, pairs = case
+    den = common_den(pairs)
+    expected = {}
+    for a, b in pairs:
+        expected = reference.add(expected, reference.product(a.terms, b.terms))
+    packed = algebra._packed_dot(pairs, rows_of(pairs), den)
+    assert packed == algebra._plain_dot(pairs, den)
+    assert algebra._reduced(variables, packed, den).terms == expected
+    assert algebra._dot(pairs, variables).terms == expected
+    # each pair again with one factor negated: every row sum cancels to zero
+    cancelling = pairs + [(-a, b) for a, b in pairs]
+    assert algebra._packed_dot(cancelling, rows_of(cancelling), common_den(cancelling)) == {}
+
+
+def test_the_selection_packs_only_dense_products():
+    abc = ("a1", "b1", "c1")
+    a1, b1, c1 = (Poly.variable(v, abc) for v in abc)
+    series = (a1 + b1 + c1) ** 24 - 1
+    base = structures.canonical_structure(4, 1, -1)
+    lifted = lifts.lift_endo(
+        structures.conjugate_structure(base, *structures.random_unimodular(base.chart, random.Random(7), 6, 2)).f,
+        "complete", lifts.TangentChart.over(base.chart))
+    assert len(lifted.chart.coords) == 18
+    with mock.patch.object(algebra, "_plain_dot", side_effect=algebra._plain_dot) as plain, \
+            mock.patch.object(algebra, "_packed_dot", side_effect=algebra._packed_dot) as packed:
+        square = series * series
+        assert (plain.call_count, packed.call_count) == (0, 1)
+        # F^c o F^c on the 18-coordinate chart: small sums of products
+        composed = _contract(lifted.entries, lifted.entries, lifted.chart.coords)
+        assert plain.call_count > 0 and packed.call_count == 1
+        # 45 * 45 term products, but with no exponent of the packed variable
+        # every term is a row of its own: one term product per pair of rows
+        wide = sum(map(Poly.variable, lifted.chart.coords[:9], [lifted.chart.coords] * 9)) ** 2
+        wide_square = wide * wide
+        # 28 * 28 term products, under _PACK_PRODUCTS, and 4 * 325, where
+        # packing and reading off the slots cost as much as the loop
+        small, four = (a1 + b1 + c1) ** 6, a1 - b1 + 2 * c1 + 3
+        small_square, lopsided = small * small, four * (series + 1)
+        assert packed.call_count == 1
+    assert len(series.nums) == 326 and len(square.nums) == 1551
+    assert square.nums == algebra._plain_dot([(series, series)], 1)
+    assert composed
+    assert len(wide.nums) == 45 and len(algebra._rows(wide.nums)) == 45
+    assert wide_square.terms == reference.product(wide.terms, wide.terms)
+    assert small_square.terms == reference.product(small.terms, small.terms)
+    assert lopsided.terms == reference.product(four.terms, (series + 1).terms)
+
+
+def test_a_sparse_square_takes_the_plain_loop_and_builds_no_wide_int():
+    # 40 terms in one row, of total degree 30,000, whose exponents of y, the
+    # packed variable, are spread over 0..29,991: packed, that row would be one
+    # int of 29,992 slots
+    a = Poly(XYZ, {(0, 769 * i, 30000 - 769 * i): Fraction((-1) ** i * (2**64 + i), i + 1)
+                   for i in range(40)})
+    assert len(algebra._rows(a.nums)) == 1
+    big = max(map(abs, a.nums.values()))
+    wide_int_bytes = 29992 * ((40 * big * big).bit_length() + 1) // 8
+    tracemalloc.start()
+    try:
+        assert algebra._packing([(a, a)], 3) is None
+        selection_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with mock.patch.object(algebra, "_packed_dot", side_effect=AssertionError("packed")):
+            square = a * a
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert selection_peak < wide_int_bytes // 100 and product_peak < wide_int_bytes // 4
+    den = a.den * a.den
+    assert square == algebra._reduced(XYZ, algebra._plain_dot([(a, a)], den), den)
+    assert square.terms == reference.product(a.terms, a.terms)
 
 
 # -- one int key per monomial, up to the field bound --------------------------------

@@ -3,6 +3,7 @@
 import re
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from unittest import mock
 
@@ -258,11 +259,20 @@ def primaries(draw, depth):
 # terms, but comb(2 + 18, 2) = 190 monomials of degree at most 18
 POWER_OF_A_POWER = "(0 + (0^0 + x + y)^3)^6"
 ONE_X_Y = Poly.const(1, VARS) + Poly.variable("x", VARS) + Poly.variable("y", VARS)
+# powers whose comb bounds both pass MAX_TERMS, 8,568 and 17,296 for the first
+# (of 186 terms), 8,008 and 5,456 for the second (of 511), but whose exponent
+# caps admit 1,296 and 2,471 exponent tuples
+CAPPED_POWERS = [
+    ("0*(0 + z_1*(x + 1)^6*(0 + 0^0*0^0 + x*1*y))^5", Poly.zero(VARS)),
+    ("0 + 0*(1*x^4*z_1 + 1*(1 + x + y)^3)^6", Poly.zero(VARS)),
+]
 
 
 @settings(max_examples=120, deadline=None)
 @given(expressions())
 @example((POWER_OF_A_POWER, ONE_X_Y**18)).via("power bounded by its monomials")
+@example(CAPPED_POWERS[0]).via("power bounded by its exponent caps")
+@example(CAPPED_POWERS[1]).via("power bounded by its exponent caps")
 def test_parser_matches_reference_evaluator(case):
     text, value = case
     parsed = parse_poly(text, VARS)
@@ -511,9 +521,41 @@ def test_a_power_is_bounded_by_the_monomials_of_its_variables_and_degree():
     assert len(parse_poly(f"{factor}*{factor}", XY).terms) == 276
 
 
+def test_a_power_or_product_is_bounded_by_its_exponent_caps():
+    # the bases of CAPPED_POWERS: both comb bounds pass MAX_TERMS, the count of
+    # exponent tuples within each variable's largest exponent does not
+    for base, power, count, terms in (("z_1*(x + 1)^6*(1 + x*y)", 5, 1296, 186),
+                                      ("x^4*z_1 + (1 + x + y)^3", 6, 2471, 511)):
+        b = parse_poly(base, VARS)
+        degree = b.total_degree() * power
+        assert comb(len(b.terms) + power - 1, power) > MAX_TERMS
+        assert comb(len(VARS) + degree, degree) > MAX_TERMS
+        assert expr._monomials(degree, [power * c for c in expr._exponent_caps(b)]) == count
+        value = parse_poly(f"({base})^{power}", VARS)
+        assert value == b**power and len(value.terms) == terms
+    # so is a product of two sums: 76 * 76 = 5,776 term products and
+    # comb(3 + 54, 3) = 29,260 monomials of degree at most 54, but 2,107 tuples
+    # within the summed caps (42, 6, 6)
+    cube = "(z_1*(x + 1)^6*(1 + x*y))^3"
+    b = parse_poly(cube, VARS)
+    assert len(b.terms) == 76
+    assert expr._monomials(54, expr._exponent_caps(b, b)) == 2107
+    value = parse_poly(f"{cube}*{cube}", VARS)
+    assert value == b * b and len(value.terms) == 259
+
+
+@pytest.mark.parametrize("caps, degree", [([], 0), ([3], 5), ([2, 0, 4], 4), ([1, 1, 1, 1], 3),
+                                          ([5, 7], 9), ([3, 3, 3], 20), ([40, 40, 40], 120)])
+def test_the_exponent_cap_count_matches_enumeration(caps, degree):
+    count = sum(1 for e in product(*(range(c + 1) for c in caps)) if sum(e) <= degree)
+    got = expr._monomials(degree, caps)
+    assert got == count if count <= MAX_TERMS else got > MAX_TERMS
+
+
 def sum_of(count):
-    """A parenthesised sum of ``count`` monomials over x and y."""
-    return "(" + " + ".join(f"x^{i % 71}*y^{i // 71}" for i in range(count)) + ")"
+    """A parenthesised sum of ``count`` monomials over x and y, with exponents
+    spread so that its powers and products pass the exponent cap count too."""
+    return "(" + " + ".join(f"x^{7 * (i % 71)}*y^{7 * (i // 71)}" for i in range(count)) + ")"
 
 
 def test_the_term_bound_is_exact_and_spares_what_costs_nothing():
