@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import lru_cache
 from math import comb, gcd
-from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .algebra import _MASK, Poly, _accumulate, _offset, _sum_over_lcm, _unit
+from .algebra import Poly, _accumulate, _sum_over_lcm, _unit
 
 
 class ParseError(ValueError):
@@ -38,10 +36,10 @@ MAX_NESTING = 100
 # so that a short entry such as a1^100000000 starts no unbounded work.
 MAX_DEGREE = 1000
 
-# The most terms a power or product of parenthesised factors may have, by a
-# bound checked before it is made: the lesser of comb(t + k - 1, k) for a k-th
-# power (k >= 2) of t terms, or t1 * t2 for a product, and the exponent tuples
-# that its degree and its variables' exponents allow (``_monomials``).  So
+# The most terms in the support of a power or product of two sums: its keys
+# k + j over the operands' keys (``_sumset``), counted before any coefficient
+# is formed.  A power of t terms with comb(t + k - 1, k) <= MAX_TERMS, and a
+# product with t1 * t2 <= MAX_TERMS or a one-term side, is not counted.  So
 # (a1+b1+c1)^98, of 4,950 terms, is read, and ^99, of 5,050, is refused.
 MAX_TERMS = 5000
 
@@ -94,29 +92,16 @@ def _capped(degree: int, column: int) -> int:
     return degree
 
 
-def _exponent_caps(*polys: Poly) -> list[int]:
-    """For each variable that occurs in ``polys``, the sum over them of its
-    largest exponent in each: a bound on its exponent in their product."""
-    fields = reduce(or_, (key for p in polys for key in p.nums), 0)
-    m = len(polys[0].variables)
-    return [sum(max(key >> s & _MASK for key in p.nums) for p in polys)
-            for s in (_offset(m, i) for i in range(m)) if fields >> s & _MASK]
-
-
-def _monomials(degree: int, caps: list[int]) -> int:
-    """The exponent tuples e with e_i <= caps[i] and sum e_i <= ``degree``, or
-    some number past MAX_TERMS once they are more.  Every monomial of a power
-    or product lies among them, where ``caps`` bounds each of its variables'
-    exponents.  A dynamic program over the variables: ways[s] counts the
-    tuples so far of sum s, and each variable sums a window of cap + 1 of
-    them, so no count grows far past MAX_TERMS."""
-    ways = [1] + [0] * degree
-    for cap in caps:
-        below = [0, *accumulate(ways)]  # below[s] = sum(ways[:s])
-        ways = [below[s + 1] - below[max(s - cap, 0)] for s in range(degree + 1)]
-        if sum(ways) > MAX_TERMS:
-            break
-    return sum(ways)
+def _sumset(a: Iterable[int], b: Iterable[int]) -> set[int] | None:
+    """The keys k + j for k in ``a`` and j in ``b``: the support of a product
+    of polynomials with those keys, before any coefficient is formed.  None
+    as soon as they are more than MAX_TERMS."""
+    keys: set[int] = set()
+    for k in a:
+        keys.update([k + j for j in b])
+        if len(keys) > MAX_TERMS:
+            return None
+    return keys
 
 
 def _digit_limit() -> tuple[int, int]:
@@ -222,9 +207,7 @@ class _Parser:
             # the literal part, like any one-term side, shifts the other side's
             # terms; only a product of two sums can grow past the cap
             t1, t2 = len(value.nums), len(factor.nums)
-            if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS and _monomials(
-                    value.total_degree() + factor.total_degree(),
-                    _exponent_caps(value, factor)) > MAX_TERMS:
+            if t1 > 1 and t2 > 1 and t1 * t2 > MAX_TERMS and _sumset(value.nums, factor.nums) is None:
                 raise ParseError(f"a product may have more than {MAX_TERMS} terms", star)
             value = value * factor
         return value
@@ -235,8 +218,9 @@ class _Parser:
         A literal comes raised to its power, with power None.  The coefficient
         of a power of a literal is bounded like a literal, and so is the
         bound (||N||_1)^k, D^k on every coefficient of a power (N / D)^k of a
-        Poly, where ||N||_1 is the sum of the numerators' absolute values, and
-        its terms are bounded by MAX_TERMS."""
+        Poly, where ||N||_1 is the sum of the numerators' absolute values.  The
+        power's support, the k-fold sumset of the Poly's keys, may have at most
+        MAX_TERMS terms."""
         # a run of unary signs is read in a loop, so its length costs no stack
         negate = False
         tok = self.peek()
@@ -260,9 +244,13 @@ class _Parser:
             if isinstance(atom, Poly):
                 norm = sum(abs(n) for n in atom.nums.values())
                 _coefficient_power(norm, atom.den, power, tok[2])
-                if (power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS
-                        and _monomials(degree, [power * c for c in _exponent_caps(atom)]) > MAX_TERMS):
-                    raise ParseError(f"a power may have more than {MAX_TERMS} terms", tok[2])
+                if power > 1 and comb(len(atom.nums) + power - 1, power) > MAX_TERMS:
+                    # the support of each partial power, which never shrinks
+                    keys = atom.nums
+                    for _ in range(power - 1):
+                        keys = _sumset(keys, atom.nums)
+                        if keys is None:
+                            raise ParseError(f"a power may have more than {MAX_TERMS} terms", tok[2])
             return negate, atom, power, degree
         return negate, atom, None, degree
 

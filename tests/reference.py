@@ -35,6 +35,12 @@ def product(a, b):
     return clean(out)
 
 
+def sumset(a, b):
+    """The exponent tuples e1 + e2 for e1 in ``a`` and e2 in ``b``: the support
+    of a product of polynomials with those terms, before any cancellation."""
+    return {tuple(x + y for x, y in zip(e1, e2)) for e1 in a for e2 in b}
+
+
 def power(a, k, width):
     """a^k as k products, starting from the constant 1 over ``width`` variables."""
     out = {(0,) * width: Fraction(1)}

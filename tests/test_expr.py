@@ -3,13 +3,13 @@
 import re
 import sys
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from liftcheck import expr
 from liftcheck.algebra import Poly
 from liftcheck.expr import (
@@ -207,34 +207,45 @@ VARS = ("x", "y", "z_1")
 
 @st.composite
 def expressions(draw, depth=2):
-    """(text, value) of a sum of terms, drawn by the grammar the parser reads;
-    the value is built with public Poly arithmetic, independently of the parser."""
-    text, value = draw(terms(depth))
+    """(text, value, support) of a sum of terms, drawn by the grammar the parser
+    reads; the value is built with public Poly arithmetic, independently of the
+    parser, and support is the most terms in the support of any power or
+    product of two sums formed on the way (``reference.sumset``), or 0."""
+    text, value, support = draw(terms(depth))
     for _ in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from("+-"))
-        term_text, term_value = draw(terms(depth))
+        term_text, term_value, term_support = draw(terms(depth))
         text = f"{text} {op} {term_text}"
         value = value + term_value if op == "+" else value - term_value
-    return text, value
+        support = max(support, term_support)
+    return text, value, support
 
 
 @st.composite
 def terms(draw, depth):
-    text, value = draw(factors(depth))
+    text, value, support = draw(factors(depth))
     for _ in range(draw(st.integers(0, 2))):
-        factor_text, factor_value = draw(factors(depth))
+        factor_text, factor_value, factor_support = draw(factors(depth))
+        support = max(support, factor_support)
+        if len(value.terms) > 1 and len(factor_value.terms) > 1:
+            support = max(support, len(reference.sumset(value.terms, factor_value.terms)))
         text, value = f"{text}*{factor_text}", value * factor_value
-    return text, value
+    return text, value, support
 
 
 @st.composite
 def factors(draw, depth):
     signs = draw(st.text("+-", max_size=3))
-    text, value = draw(primaries(depth))
+    text, value, support = draw(primaries(depth))
     if draw(st.booleans()):
         k = draw(st.integers(0, 6))
+        if k > 1 and len(value.terms) > 1:
+            keys = value.terms
+            for _ in range(k - 1):
+                keys = reference.sumset(keys, value.terms)
+            support = max(support, len(keys))
         text, value = f"{text}^{k}", value**k
-    return signs + text, -value if signs.count("-") % 2 else value
+    return signs + text, -value if signs.count("-") % 2 else value, support
 
 
 @st.composite
@@ -244,38 +255,51 @@ def primaries(draw, depth):
     if kind == "int":
         # zero is drawn often, so zero factors inside products are common
         n = draw(st.integers(0, 3) | st.integers(0, 99))
-        return str(n), Poly.const(n, VARS)
+        return str(n), Poly.const(n, VARS), 0
     if kind == "rational":
         n, d = draw(st.integers(0, 12)), draw(st.integers(1, 9))
-        return f"{n}/{d}", Poly.const(Fraction(n, d), VARS)
+        return f"{n}/{d}", Poly.const(Fraction(n, d), VARS), 0
     if kind == "coordinate":
         name = draw(st.sampled_from(VARS))
-        return name, Poly.variable(name, VARS)
-    text, value = draw(expressions(depth - 1))
-    return f"({text})", value
+        return name, Poly.variable(name, VARS), 0
+    text, value, support = draw(expressions(depth - 1))
+    return f"({text})", value, support
 
 
 # a power of a 10-term sum over 2 variables: comb(10 + 5, 6) = 5,005 products of
 # terms, but comb(2 + 18, 2) = 190 monomials of degree at most 18
 POWER_OF_A_POWER = "(0 + (0^0 + x + y)^3)^6"
 ONE_X_Y = Poly.const(1, VARS) + Poly.variable("x", VARS) + Poly.variable("y", VARS)
-# powers whose comb bounds both pass MAX_TERMS, 8,568 and 17,296 for the first
-# (of 186 terms), 8,008 and 5,456 for the second (of 511), but whose exponent
-# caps admit 1,296 and 2,471 exponent tuples
+# powers within MAX_TERMS, each with its support, that looser bounds refused:
+# both comb bounds (8,568 and 17,296 for the first, 8,008 and 5,456 for the
+# second) and, for the third, a count of each variable's exponents up to its cap
 CAPPED_POWERS = [
-    ("0*(0 + z_1*(x + 1)^6*(0 + 0^0*0^0 + x*1*y))^5", Poly.zero(VARS)),
-    ("0 + 0*(1*x^4*z_1 + 1*(1 + x + y)^3)^6", Poly.zero(VARS)),
+    ("0*(0 + z_1*(x + 1)^6*(0 + 0^0*0^0 + x*1*y))^5", Poly.zero(VARS), 186),
+    ("0 + 0*(1*x^4*z_1 + 1*(1 + x + y)^3)^6", Poly.zero(VARS), 511),
+    ("0 + 0*(0 + 0^0*y + 0^0*(x + z_1 + x*x)^4)^6", Poly.zero(VARS), 861),
 ]
+# a product of two 84-term powers whose 7,056 sums of keys are all distinct
+X, Y, Z = (Poly.variable(name, VARS) for name in VARS)
+PAST_THE_CAP = ("(x + y + z_1 + 1)^6*(x^6*x + y^6*y + z_1^6*z_1 + 1)^6",
+                (X + Y + Z + 1) ** 6 * (X**7 + Y**7 + Z**7 + 1) ** 6, 7056)
 
 
 @settings(max_examples=120, deadline=None)
 @given(expressions())
-@example((POWER_OF_A_POWER, ONE_X_Y**18)).via("power bounded by its monomials")
-@example(CAPPED_POWERS[0]).via("power bounded by its exponent caps")
-@example(CAPPED_POWERS[1]).via("power bounded by its exponent caps")
+@example((POWER_OF_A_POWER, ONE_X_Y**18, 190)).via("power of a power")
+@example(CAPPED_POWERS[0]).via("power within the cap")
+@example(CAPPED_POWERS[1]).via("power within the cap")
+@example(CAPPED_POWERS[2]).via("power within the cap")
+@example(PAST_THE_CAP).via("product past the cap")
 def test_parser_matches_reference_evaluator(case):
-    text, value = case
-    parsed = parse_poly(text, VARS)
+    text, value, support = case
+    try:
+        parsed = parse_poly(text, VARS)
+    except ParseError as err:
+        # refused only where a power or product of sums has a support past the cap
+        if f"may have more than {MAX_TERMS} terms" in str(err) and support > MAX_TERMS:
+            return
+        raise
     assert parsed == value
     assert parsed.variables == VARS
     assert all(type(c) is Fraction and c != 0 for c in parsed.terms.values())
@@ -522,54 +546,57 @@ def test_a_power_is_bounded_by_the_monomials_of_its_variables_and_degree():
 
 
 def test_a_power_or_product_is_bounded_by_its_exponent_caps():
-    # the bases of CAPPED_POWERS: both comb bounds pass MAX_TERMS, the count of
-    # exponent tuples within each variable's largest exponent does not
-    for base, power, count, terms in (("z_1*(x + 1)^6*(1 + x*y)", 5, 1296, 186),
-                                      ("x^4*z_1 + (1 + x + y)^3", 6, 2471, 511)):
+    # the bases of CAPPED_POWERS: comb(t + k - 1, k) passes MAX_TERMS, so the
+    # support of the power is counted, and it is within the cap
+    cases = []
+    for base, power, terms in (("z_1*(x + 1)^6*(1 + x*y)", 5, 186),
+                               ("x^4*z_1 + (1 + x + y)^3", 6, 511),
+                               ("y + (x + z_1 + x*x)^4", 6, 861)):
         b = parse_poly(base, VARS)
-        degree = b.total_degree() * power
         assert comb(len(b.terms) + power - 1, power) > MAX_TERMS
-        assert comb(len(VARS) + degree, degree) > MAX_TERMS
-        assert expr._monomials(degree, [power * c for c in expr._exponent_caps(b)]) == count
-        value = parse_poly(f"({base})^{power}", VARS)
-        assert value == b**power and len(value.terms) == terms
-    # so is a product of two sums: 76 * 76 = 5,776 term products and
-    # comb(3 + 54, 3) = 29,260 monomials of degree at most 54, but 2,107 tuples
-    # within the summed caps (42, 6, 6)
+        cases.append((f"({base})^{power}", b**power, terms, len(base) + 2))
+    # so is a product of two sums: 76 * 76 = 5,776 term products, 259 keys
     cube = "(z_1*(x + 1)^6*(1 + x*y))^3"
     b = parse_poly(cube, VARS)
     assert len(b.terms) == 76
-    assert expr._monomials(54, expr._exponent_caps(b, b)) == 2107
-    value = parse_poly(f"{cube}*{cube}", VARS)
-    assert value == b * b and len(value.terms) == 259
+    cases.append((f"{cube}*{cube}", b * b, 259, len(cube)))
+    for text, expected, terms, column in cases:
+        value = parse_poly(text, VARS)
+        assert value == expected and len(value.terms) == terms
+        # the support is counted exactly: a cap of its terms reads it, one less refuses it
+        with mock.patch.object(expr, "MAX_TERMS", terms):
+            assert parse_poly(text, VARS) == expected
+        with mock.patch.object(expr, "MAX_TERMS", terms - 1), pytest.raises(ParseError) as err:
+            parse_poly(text, VARS)
+        assert err.value.column == column
 
 
-@pytest.mark.parametrize("caps, degree", [([], 0), ([3], 5), ([2, 0, 4], 4), ([1, 1, 1, 1], 3),
-                                          ([5, 7], 9), ([3, 3, 3], 20), ([40, 40, 40], 120)])
-def test_the_exponent_cap_count_matches_enumeration(caps, degree):
-    count = sum(1 for e in product(*(range(c + 1) for c in caps)) if sum(e) <= degree)
-    got = expr._monomials(degree, caps)
-    assert got == count if count <= MAX_TERMS else got > MAX_TERMS
+def sidon(indices):
+    """A parenthesised sum of x^i*y^(i*i % 151) over ``indices`` in range(151),
+    whose pairwise sums of exponents are all distinct: a square of t terms has
+    comb(t + 1, 2) of them, a product of t1 and t2 other terms t1 * t2."""
+    return "(" + " + ".join(f"x^{i}*y^{i * i % 151}" for i in indices) + ")"
 
 
 def sum_of(count):
-    """A parenthesised sum of ``count`` monomials over x and y, with exponents
-    spread so that its powers and products pass the exponent cap count too."""
-    return "(" + " + ".join(f"x^{7 * (i % 71)}*y^{7 * (i // 71)}" for i in range(count)) + ")"
+    """A parenthesised sum of ``count`` monomials over x and y."""
+    return "(" + " + ".join(f"x^{i % 71}*y^{i // 71}" for i in range(count)) + ")"
 
 
 def test_the_term_bound_is_exact_and_spares_what_costs_nothing():
     assert MAX_TERMS == 5000
-    # a square of t terms may have comb(t + 1, 2), a product of t1 and t2 terms t1 * t2
-    for text, error in ((sum_of(99) + "^2", None), (sum_of(100) + "^2", "power"),
-                        (sum_of(100) + "*" + sum_of(50), None),
-                        (sum_of(100) + "*" + sum_of(51), "product")):
+    low = sidon(range(100))
+    for text, error, count in ((sidon(range(99)) + "^2", None, 4950), (low + "^2", "power", 5050),
+                               (low + "*" + sidon(range(100, 150)), None, 5000),
+                               (low + "*" + sidon(range(100, 151)), "product", 5100)):
         if error is None:
-            parse_poly(text, XY)
+            assert len(parse_poly(text, XY).terms) == count
             continue
         with pytest.raises(ParseError, match=f"a {error} may have more than 5000 terms") as err:
             parse_poly(text, XY)
         assert err.value.column == text.index(")^" if error == "power" else ")*") + 1
+        with mock.patch.object(expr, "MAX_TERMS", count):
+            assert len(parse_poly(text, XY).terms) == count
     # a sum past the bound alone, to the power 1, or times literals and coordinates
     wide = sum_of(5041)
     for text in (wide, wide + "^1", "3*x*" + wide + "*y^2", "-2/3*" + wide + "^1*x^4"):
