@@ -479,31 +479,33 @@ class Poly:
     def __str__(self) -> str:
         if not self.nums:
             return "0"
-        nums, den, m = self.nums, self.den, len(self.variables)
-        fields = [(name, _offset(m, i)) for i, name in enumerate(self.variables)]
+        nums, den = self.nums, self.den
+        # only the variables that occur, found from the bitwise or of the keys,
+        # each with its field's offset and its pieces "name^e", made once per e
+        occur, offset, fields = reduce(or_, nums), len(self.variables) * _W, []
+        for name in self.variables:
+            offset -= _W
+            if occur >> offset & _MASK:
+                fields.append((offset, {1: name}, name))
         parts: list[str] = []
         for key in sorted(nums, reverse=True):
             n = nums[key]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, offset in fields
-                if (e := key >> offset & _MASK)
-            ]
             if den == 1:
                 mag = str(abs(n))
             else:
                 g = gcd(n, den)
                 mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
-            if factors and mag == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([mag] + factors)
-            else:
-                body = mag
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if n > 0 else f" - {body}")
+            factors = [] if mag == "1" else [mag]
+            for offset, pieces, name in fields:
+                if e := key >> offset & _MASK:
+                    piece = pieces.get(e)
+                    if piece is None:
+                        piece = pieces[e] = f"{name}^{e}"
+                    factors.append(piece)
+            parts.append(" + " if n > 0 else " - ")
+            parts.append("*".join(factors) or mag)
+        # the first term has no operator, only the sign of a negative one
+        parts[0] = "" if parts[0] == " + " else "-"
         return "".join(parts)
 
     def __repr__(self) -> str:

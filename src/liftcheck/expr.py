@@ -12,7 +12,7 @@ import re
 import sys
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from .algebra import Poly, _accumulate, _sum_over_lcm, _unit
 
@@ -92,10 +92,13 @@ def _capped(degree: int, column: int) -> int:
     return degree
 
 
-def _sumset(a: Iterable[int], b: Iterable[int]) -> set[int] | None:
+def _sumset(a: Collection[int], b: Collection[int]) -> set[int] | None:
     """The keys k + j for k in ``a`` and j in ``b``: the support of a product
     of polynomials with those keys, before any coefficient is formed.  None
-    as soon as they are more than MAX_TERMS."""
+    as soon as they are more than MAX_TERMS.  The loop runs over the shorter
+    side: for a power, the base's few keys, each against the partial sumset."""
+    if len(a) > len(b):
+        a, b = b, a
     keys: set[int] = set()
     for k in a:
         keys.update([k + j for j in b])
@@ -315,6 +318,8 @@ def _read_sum(text: str, variables: tuple[str, ...]) -> Poly | None:
     units = {name: _unit(len(variables), i) for i, name in enumerate(variables)}
     digits = _digit_limit()[0]
     match = _TERM_RE.match
+    # each distinct factor text, such as "a1^12", read once: its (key, degree)
+    factors: dict[str, tuple[int, int]] = {}
     sums: dict[int, dict[int, int]] = {}
     pos, end = 0, len(text)
     while pos < end:
@@ -336,17 +341,28 @@ def _read_sum(text: str, variables: tuple[str, ...]) -> Poly | None:
             names = bare
         key = degree = 0
         for factor in names.split("*") if names else ():
-            name, _, power = factor.partition("^")
-            unit = units.get(name)
-            if unit is None or len(power) > digits:
-                return None
-            k = int(power) if power else 1
-            degree += k
-            if degree > MAX_DEGREE:
-                return None
-            key += unit * k
+            got = factors.get(factor)
+            if got is None:
+                name, _, power = factor.partition("^")
+                unit = units.get(name)
+                if unit is None or len(power) > digits:
+                    return None
+                k = int(power) if power else 1
+                got = factors[factor] = (unit * k, k)
+            key += got[0]
+            degree += got[1]
+        # a term's degree only grows, so one check per term refuses what one
+        # per factor would
+        if degree > MAX_DEGREE:
+            return None
         if n:
-            _accumulate(sums.setdefault(d, {}), {key: n}, sign == "-")
+            # straight into the dict of its denominator, dropped if it cancels
+            out = sums.setdefault(d, {})
+            total = out.get(key, 0) + (-n if sign == "-" else n)
+            if total:
+                out[key] = total
+            else:
+                del out[key]
         pos = term.end()
     return _sum_over_lcm(variables, sums) if sums else Poly._trusted(variables, {}, 1)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__ as _pkg_version
+from .algebra import Poly
 from .structures import CheckEntry, CheckReport, RContactStructure
 from .tensor import Point, TensorField
 from .theorems import SignSweep
@@ -49,7 +50,15 @@ def render_residual(residual: TensorField) -> dict[str, str] | str:
     items = residual.nonzero_items()
     if not items:
         return "0"
-    return {",".join(label) or "scalar": str(poly) for label, poly in items}
+    # Poly hashes and compares by value, so each distinct component prints once
+    texts: dict[Poly, str] = {}
+    out = {}
+    for label, poly in items:
+        text = texts.get(poly)
+        if text is None:
+            text = texts[poly] = str(poly)
+        out[",".join(label) or "scalar"] = text
+    return out
 
 
 def render_point(point: Optional[Point]) -> Optional[dict[str, str]]:

@@ -65,7 +65,8 @@ def evaluate(a, values):
 
 
 def to_str(a, variables):
-    """Descending graded-lex terms, each coefficient a reduced Fraction."""
+    """The plain printer: terms sorted by (total degree, exponent tuple),
+    highest first, each coefficient printed as a reduced Fraction."""
     parts = []
     for exps, c in sorted(a.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
         factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]

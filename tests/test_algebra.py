@@ -323,6 +323,34 @@ def test_integer_core_matches_fraction_reference(ta, tb, k, values):
     assert a.eval_at(dict(zip(XYZ, values))) == reference.evaluate(ra, values)
 
 
+@st.composite
+def printer_cases(draw):
+    """(variables, terms) over a chart of 1-20 variables, each term using at
+    most three of them, with exponents up to 300 (often small, so that pieces
+    repeat), mixed denominators, and sometimes a negative leading term, a
+    constant term or a single term."""
+    variables = tuple(f"v{i}" for i in range(draw(st.integers(1, 20))))
+    used = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=3, unique=True))
+    exponent = st.integers(0, 3) | st.integers(0, 300)
+    exps = st.dictionaries(st.sampled_from(used), exponent).map(
+        lambda es: tuple(es.get(v, 0) for v in variables))
+    coeffs = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 30))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=draw(st.sampled_from([1, 12]))))
+    if draw(st.booleans()):
+        terms[(0,) * len(variables)] = draw(coeffs)
+    if terms and draw(st.booleans()):
+        lead = max(terms, key=lambda e: (sum(e), e))
+        terms[lead] = -abs(terms[lead])
+    return variables, terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(printer_cases())
+def test_printer_matches_reference_printer(case):
+    variables, terms = case
+    assert str(Poly(variables, terms)) == reference.to_str(reference.clean(terms), variables)
+
+
 def parts(q):
     """The integer numerators by exponent tuple, and the denominator."""
     return dict(zip(q.terms, q.nums.values())), q.den

@@ -398,6 +398,14 @@ def outcome(parse, text):
 @example(f"y^600*z_1^{MAX_DEGREE - 599}")
 @example("2 - x^2*\u0663")
 @example("y^2 - " + "9" * (_digit_limit()[0] + 1))
+# the reader reads each distinct factor text once per call: one factor text in
+# many terms, a repeated name, two spellings of one power, an unknown name after
+# a factor already read, and a degree past the cap made only of factors read
+@example("x^3*y + 2*x^3 - x^3*z_1 + 1/2*x^3 - x^3")
+@example("x*x - 2*x*x*y + y*x")
+@example("x^02 - x^2 + 3*x^02*y - 3*x^2*y")
+@example("x^2 + y*x^2*q")
+@example(f"x^{MAX_DEGREE // 2} + x^{MAX_DEGREE // 2}*x^{MAX_DEGREE // 2}*y")
 def test_reader_and_general_parser_agree(text):
     assert outcome(parse_poly, text) == outcome(_parse_general, text)
 

@@ -1,4 +1,5 @@
-"""The machine report emitter against ``json.dumps(doc, indent=2)``."""
+"""The machine report emitter against ``json.dumps(doc, indent=2)``, and the
+residual renderer."""
 
 import gc
 import json
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftcheck.report import Report, Section, _emit
+from liftcheck.algebra import Poly
+from liftcheck.report import Report, Section, _emit, render_residual
+from liftcheck.tensor import Chart, TensorField
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,3 +65,23 @@ def test_render_machine_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_each_distinct_component_of_a_residual_is_printed_once(monkeypatch):
+    chart = Chart("M", ("x", "y", "z"))
+    x, y, _ = (Poly.variable(v, chart.coords) for v in chart.coords)
+    shared = x * y - 3
+    # two equal Polys built apart, one Poly under two labels, two equal
+    # constants built apart, and one component equal to no other
+    residual = TensorField.from_entries(chart, (1, 1), {
+        (0, 0): x + 1, (0, 1): 1 + x, (0, 2): shared, (1, 0): shared,
+        (1, 1): 2, (1, 2): 2, (2, 2): y,
+    })
+    assert residual.entries[0, 0] is not residual.entries[0, 1]
+    assert residual.entries[1, 1] is not residual.entries[1, 2]
+    printed = []
+    original = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda self: printed.append(self) or original(self))
+    rendered = render_residual(residual)
+    assert sorted(map(original, printed)) == ["2", "x + 1", "x*y - 3", "y"]
+    assert rendered == {",".join(label): original(poly) for label, poly in residual.nonzero_items()}
