@@ -140,8 +140,9 @@ def find_witness(residual: TensorField, seed: int | None = None) -> Point:
         raise StructureError("a zero residual has no witness")
     for _ in range(WITNESS_CAP):
         point = random_point(residual.chart, rng)
-        # a value is zero iff its numerator is
-        if any(_numerators_at(components, point.values)[1]):
+        # a value is zero iff its numerator is, under any positive scale, so
+        # each component is tested alone, over tables of its own keys only
+        if any(next(_numerators_at((c,), point.values)[1]) for c in components):
             return point
     return Point(residual.chart, _descent_point(components[0]))
 
@@ -239,6 +240,11 @@ class RContactStructure:
             self.metric.valence != (0, 2) or self.metric.chart != self.chart
         ):
             raise StructureError("metric must be a (0,2) field on the chart")
+        g = {} if self.metric is None else self.metric.entries
+        asymmetric = sorted(min(k, k[::-1]) for k, p in g.items() if g.get(k[::-1]) != p)
+        if asymmetric:
+            i, j = (x + 1 for x in asymmetric[0])
+            raise StructureError(f"metric is not symmetric: metric[{i},{j}] != metric[{j},{i}]")
 
     def pairing_convention(self) -> int:
         """Expected eta(xi) diagonal: +1 riemannian, -1 lorentzian."""

@@ -437,9 +437,16 @@ def _matrix_at(f: TensorField, point: Point) -> list[list[int]]:
     if point.chart != f.chart:
         raise TensorError("matrix evaluation at a point on a different chart")
     out = [[0] * f.chart.dim for _ in range(f.chart.dim)]
-    _, nums = _numerators_at(list(f.entries.values()), point.values)
-    for (i, j), n in zip(f.entries, nums):
+    # an entry equal to its transpose's is evaluated once; its twin has the
+    # same keys and denominator, so the scale does not change
+    g = f.entries
+    twins = {(j, i) for (i, j), p in g.items() if i < j and g.get((j, i)) == p}
+    keys = [k for k in g if k not in twins]
+    _, nums = _numerators_at([g[k] for k in keys], point.values)
+    for (i, j), n in zip(keys, nums):
         out[i][j] = n
+    for i, j in twins:
+        out[i][j] = out[j][i]
     return out
 
 

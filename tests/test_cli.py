@@ -376,6 +376,21 @@ def test_names_that_do_not_read_back_are_located_input_errors(tmp_path, old, new
 
 
 
+def test_a_metric_that_is_not_symmetric_exits_two_at_the_structure_line(tmp_path, capsys):
+    # it passed every check before: both metric entries, the Sylvester note and
+    # the overall verdict, with exit 0
+    text = Path(CONTACT).read_text(encoding="utf-8")
+    assert text.splitlines()[3] == "structure"
+    bad = tmp_path / "asymmetric.def"
+    bad.write_text(text.replace("  metric[3,3] = 1\n",
+                                "  metric[3,3] = 1\n  metric[1,2] = 3\n  metric[2,1] = -3\n"),
+                   encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "liftcheck: error: metric is not symmetric: metric[1,2] != metric[2,1] (line 4)\n"
+    )
+
+
 CLASH_STRUCTURE = """
 structure
   epsilon -1

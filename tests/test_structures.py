@@ -138,6 +138,14 @@ def test_every_nonzero_residual_gets_a_witness(terms, roots, seed):
 )
 @example(parts=[({(1, 0): Fraction(1, 3)}, True), ({}, False), ({}, False),
                 ({(0, 2): Fraction(-2, 5), (0, 0): 1}, True)], seed=1729)
+# components in disjoint variables, so each one's tables differ from those of
+# all of them: x alone (vanishing at the first sample), then y alone or a constant
+@example(parts=[({(3, 0): 2}, True), ({(0, 2): Fraction(1, 2), (0, 0): -1}, False), ({}, False),
+                ({(0, 1): -3}, False)], seed=1729)
+@example(parts=[({(1, 0): 4}, True), ({}, False), ({(0, 0): Fraction(-5, 6)}, False),
+                ({(0, 3): 1}, False)], seed=7)
+@example(parts=[({(0, 3): -1, (0, 0): 2}, False), ({(2, 0): Fraction(2, 3)}, True),
+                ({(1, 0): 1}, False), ({}, False)], seed=0)
 def test_find_witness_returns_the_first_sample_of_the_reference_loop(parts, seed):
     x0 = reference.sample_values(random.Random(seed), 2)[0]
     first = WITNESS_CHART.coordinate("x") - WITNESS_CHART.const(x0)
@@ -221,6 +229,27 @@ def test_check_metric_missing():
     )
     with pytest.raises(MissingMetric):
         check_metric(stripped)
+
+
+@pytest.mark.parametrize("entries, named", [
+    ({(0, 1): 3, (1, 0): -3}, "metric[1,2] != metric[2,1]"),
+    # a twin that is zero, and the first pair in index order is named
+    ({(2, 1): "a1", (0, 2): 1, (2, 0): 1}, "metric[2,3] != metric[3,2]"),
+])
+def test_a_metric_that_is_not_symmetric_is_refused(entries, named):
+    s = canonical_structure(1, 1, -1, "riemannian")
+    g = {(i, i): 1 for i in range(3)}
+    g.update({k: s.chart.coordinate(v) if isinstance(v, str) else v for k, v in entries.items()})
+
+    def with_metric(g):
+        metric = TensorField.from_entries(s.chart, (0, 2), g)
+        return contact_structure(s.chart, s.f, s.xi[0], s.eta[0], s.epsilon, s.signature, metric)
+
+    with pytest.raises(StructureError) as err:
+        with_metric(g)
+    assert str(err.value) == f"metric is not symmetric: {named}"
+    # with each entry's transpose made equal to it, the metric is taken
+    with_metric({**g, **{k[::-1]: v for k, v in g.items() if k[0] > k[1]}})
 
 
 def test_check_metric_rescaled_eta_mutant():

@@ -187,12 +187,14 @@ def matrices(rows, cols, entries=ENTRIES):
 
 def field_at_a_point(valence, values):
     """A field whose matrix at the returned point is ``values``: each entry v is
-    v + (x0 - 1/3)^2 * x_j, so evaluation meets denominators that cancel."""
+    v + (x0 - 1/3)^2 * x_i * x_j, so evaluation meets denominators that cancel,
+    and an entry equals its transpose's iff their values are equal."""
     m = len(values)
     chart = Chart("G", tuple(f"x{i}" for i in range(m)))
     shift = (chart.coordinate("x0") - chart.const(Fraction(1, 3))) ** 2
-    comps = [[chart.const(v) + shift * chart.coordinate(f"x{j}") for j, v in enumerate(row)]
-             for row in values]
+    x = [chart.coordinate(f"x{i}") for i in range(m)]
+    comps = [[chart.const(v) + shift * x[i] * x[j] for j, v in enumerate(row)]
+             for i, row in enumerate(values)]
     point = Point(chart, (Fraction(1, 3),) + tuple(Fraction(2 * i - 7, 4) for i in range(1, m)))
     return TensorField(chart, valence, comps), point
 
@@ -228,6 +230,9 @@ def rank_matrices(draw):
 @example([[0, 0], [0, 0]]).via("zero matrix")
 @example([[0, 1, 2], [0, 3, 6], [0, 5, 7]]).via("zero first column")
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]]).via("rational, rank 1")
+@example([[1, 2, 3], [2, 4, 6], [3, 6, 9]]).via("equal twins, rank 1")
+@example([[1, 2, 3], [2, 4, 6], [3, 5, 9]]).via("twins that differ in one entry")
+@example([[0, 2, 3], [0, 4, 6], [3, 6, 9]]).via("a zero twin")
 def test_rank_at_matches_fraction_elimination(values):
     f, point = field_at_a_point((1, 1), values)
     assert rank_at(f, [point]) == reference.matrix_rank(values)
@@ -264,9 +269,38 @@ def blockwise_minors_positive(values):
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]).via("rational")
 @example([[1, 2, 0, 0, 0, 0], [2, 5, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
           [0, 0, 0, 0, 1, 3], [0, 0, 0, 0, 3, 2]]).via("only the sixth minor negative")
+@example([[2, 1, 1], [1, 2, 1], [1, 1, 2]]).via("equal twins, positive definite")
+@example([[2, 1, 1], [1, 2, 1], [1, 3, 2]]).via("twins that differ in one entry")
+@example([[2, 0, 1], [1, 2, 1], [1, 1, 2]]).via("a zero twin")
 def test_leading_minors_positive_matches_blockwise_determinants(values):
     g, point = field_at_a_point((0, 2), values)
     assert leading_minors_positive(g, point) == blockwise_minors_positive(values)
+
+
+def test_an_entry_equal_to_its_transpose_is_evaluated_once(monkeypatch):
+    import liftcheck.tensor as tensor
+
+    a, b, c = (ABC.coordinate(v) for v in ABC.coords)
+    # equal twins built apart, twins that differ, and a twin that is zero
+    g = TensorField.from_entries(ABC, (0, 2), {
+        (0, 1): a * b + Fraction(1, 2), (1, 0): b * a + Fraction(1, 2),
+        (0, 2): c, (2, 0): c + 1,
+        (1, 2): a ** 2,
+        (2, 2): Fraction(1, 3) * c,
+    })
+    assert g.entries[0, 1] is not g.entries[1, 0]
+    point = Point(ABC, (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+    original = tensor._numerators_at
+    _, every = original(list(g.entries.values()), point.values)
+    expected = [[0] * 3 for _ in range(3)]
+    for (i, j), n in zip(g.entries, every):
+        expected[i][j] = n
+    passed = []
+    monkeypatch.setattr(tensor, "_numerators_at",
+                        lambda polys, values: passed.extend(polys) or original(polys, values))
+    # every entry over the scale of evaluating them all, (1, 0) copied from (0, 1)
+    assert tensor._matrix_at(g, point) == expected
+    assert passed == [g.entries[k] for k in [(0, 1), (0, 2), (2, 0), (1, 2), (2, 2)]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1729, 2**40 + 3])

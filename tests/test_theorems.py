@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftcheck import algebra, lifts, tensor, theorems
+from liftcheck import algebra, lifts, structures, tensor, theorems
 from liftcheck.algebra import Poly
 from liftcheck.lifts import (
     COMPLETE,
@@ -27,6 +27,7 @@ from liftcheck.structures import (
     RContactStructure,
     canonical_structure,
     conjugate_structure,
+    find_witness,
     random_unimodular,
 )
 from liftcheck.tensor import (
@@ -259,6 +260,43 @@ def test_square_parts_make_each_cell_a_signed_sum(r, eps, signature, monkeypatch
             moved += 1
             assert not (b.is_zero() and c.is_zero()), (r, kind, conn)
     assert moved or not r
+
+
+@pytest.mark.parametrize("kind", [COMPLETE, HORIZONTAL])
+@pytest.mark.parametrize("mutant", [False, True], ids=["valid", "mutant"])
+def test_every_sweep_witness_is_that_of_a_fresh_search(kind, mutant):
+    """A cell whose residual equals an earlier cell's takes its verdict; each
+    witness is the one find_witness gives the cell's residual and seed alone."""
+    model = _differential_model(1, 1, -1, "riemannian", random.Random(f"twins-{kind}"), mutant)
+    assert mutant == any(not endo_apply(model.f, x).is_zero() for x in model.xi)
+    seed = 11
+    sweep = sign_sweep(model, kind, seed=seed)
+    residuals = [entry.residual for entry in sweep.cells.values()]
+    # a valid model's cells are equal in pairs, one pair zero; a mutant whose
+    # F moves xi has four distinct ones
+    assert len(set(residuals)) == (4 if mutant else 2)
+    assert len(sweep.passing_cells()) == (0 if mutant else 2)
+    for entry in sweep.cells.values():
+        assert entry.witness == (None if entry.passed else find_witness(entry.residual, seed))
+
+
+def test_each_distinct_cell_residual_is_searched_once(monkeypatch):
+    """verify_theorem and sign_sweep on one context evaluate no component of a
+    J^2 residual twice at one point: the failing cells are equal in pairs."""
+    base = canonical_structure(1, 1, -1, "riemannian")
+    u, uinv = random_unimodular(base.chart, random.Random(30), max_shears=3, max_degree=2)
+    model = conjugate_structure(base, u, uinv)
+    ctx = _contexts(model, None, TangentChart.over(model.chart))(COMPLETE)
+    evaluated = []
+    original = structures._numerators_at
+    monkeypatch.setattr(structures, "_numerators_at", lambda polys, values: evaluated.extend(
+        (p, tuple(values)) for p in polys) or original(polys, values))
+    verdict = verify_theorem(spec_for(model, COMPLETE, 1, 1), 5, ctx=ctx)
+    sweep = sign_sweep(model, COMPLETE, seed=5, ctx=ctx)
+    failing = {entry.residual for entry in sweep.cells.values() if not entry.passed}
+    assert failing == {verdict.residual} and len(sweep.passing_cells()) == 2
+    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert {p for p, _ in evaluated} <= set(verdict.residual.entries.values())
 
 
 def _pairing_residual(lifted, a, w, b, x, sign):
