@@ -24,6 +24,7 @@ exponent tuples on read.
 
 Every sum of products runs through one kernel, ``_contract`` and its
 ``_dot``, on the integer numerators over the LCM of the denominators.
+A sum of single-term products is added straight into the result; otherwise
 ``_dot`` has two paths that give the same numerators, chosen from the
 operands alone: a plain loop over term products, and a packed path for
 dense operands that multiplies whole rows of terms as single ints, with one
@@ -382,14 +383,7 @@ class Poly:
             return other._scale(self.constant_value())
         if not self.nums or not other.nums:
             return Poly._trusted(self.variables, {}, 1)
-        # a single term shifts the other operand's keys, injectively
-        if len(other.nums) == 1:
-            ((shift, n),) = other.nums.items()
-            return self._shift(shift, n, other.den)
-        if len(self.nums) == 1:
-            ((shift, n),) = self.nums.items()
-            return other._shift(shift, n, self.den)
-        return _dot([(self, other)], self.variables)
+        return _times(self, other)
 
     def _shift(self, shift: int, n: int, d: int) -> "Poly":
         """self times the single term (n / d) * x^shift, n / d in lowest terms
@@ -636,8 +630,9 @@ def _contract(
     product.  Both operands hold nonzero entries only, keyed by index tuple;
     the last index of a left key is contracted with the first of a right key.
     Only products of two present entries are formed: a sum of one product is
-    that product, a longer one goes to ``_dot``, and a sum that cancels is
-    left out.  Every entry must live over ``variables``.
+    that product (``_times``, where a single-term factor shifts the other's
+    keys), a longer one goes to ``_dot``, and a sum that cancels is left out.
+    Every entry must live over ``variables``.
     """
     for a in chain(left.values(), right.values()):
         if a.variables != variables:
@@ -653,11 +648,23 @@ def _contract(
     out = {}
     for key, pairs in sums.items():
         if len(pairs) == 1:
-            ((a, b),) = pairs
-            out[key] = a * b
+            out[key] = _times(*pairs[0])
         elif value := _dot(pairs, variables):
             out[key] = value
     return out
+
+
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b for nonzero a and b over the same variables.  A single term
+    shifts the other operand's keys, injectively; any other product is one
+    pair of ``_dot``."""
+    if len(b.nums) == 1:
+        ((shift, n),) = b.nums.items()
+        return a._shift(shift, n, b.den)
+    if len(a.nums) == 1:
+        ((shift, n),) = a.nums.items()
+        return b._shift(shift, n, a.den)
+    return _dot([(a, b)], a.variables)
 
 
 def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
@@ -666,16 +673,18 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
     Every product is written over D, the LCM of the pairs' denominators
     D_a * D_b, and the numerators of all products are summed into one result
     over D, with the zero sums dropped.  Each pair's degrees are checked
-    before any product is formed.  A general product of ``Poly.__mul__``
-    comes here as a single pair.
+    before any product is formed.  A general product of ``_times`` comes
+    here as a single pair.
 
-    There are two paths, chosen from the operands by ``_packing``, and both
-    give the same numerators.  The plain loop, ``_plain_dot``, forms one
-    term product at a time; the packed path, ``_packed_dot``, multiplies
-    whole rows of terms as single ints (Kronecker substitution in one
-    variable).  Packing pays only on dense operands with many terms per row;
-    on small or sparse ones, such as the many-variable entries of a lift, the
-    plain loop is faster, so it stays the path for them.
+    A sum whose every factor is a single term forms one term product per
+    pair, added straight into the result.  Any other sum takes one of two
+    paths, chosen from the operands by ``_packing``, and both give the same
+    numerators.  The plain loop, ``_plain_dot``, forms one term product at a
+    time; the packed path, ``_packed_dot``, multiplies whole rows of terms as
+    single ints (Kronecker substitution in one variable).  Packing pays only
+    on dense operands with many terms per row; on small or sparse ones, such
+    as the many-variable entries of a lift, the plain loop is faster, so it
+    stays the path for them.
 
     A square, a pair of one Poly or of two equal ones, forms each cross
     product once and doubles it: n(n + 1)/2 term products, or row products,
@@ -686,9 +695,18 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
         _check_degree(a.total_degree() + b.total_degree())
         den = lcm(den, a.den * b.den)
         products += len(a.nums) * len(b.nums)
-    # the first bound of _packing, counted here, so that small calls skip it
-    rows = None if products < _PACK_PRODUCTS else _packing(pairs, len(variables))
-    acc = _plain_dot(pairs, den) if rows is None else _packed_dot(pairs, rows, den)
+    if products == len(pairs):
+        # every factor a single term: n_a * n_b * (D / (d_a * d_b)) per pair
+        acc = {}
+        for a, b in pairs:
+            ((k1, n1),), ((k2, n2),) = a.nums.items(), b.nums.items()
+            key = k1 + k2
+            acc[key] = acc.get(key, 0) + n1 * n2 * (den // (a.den * b.den))
+        acc = {k: n for k, n in acc.items() if n}
+    else:
+        # the first bound of _packing, counted here, so that small calls skip it
+        rows = None if products < _PACK_PRODUCTS else _packing(pairs, len(variables))
+        acc = _plain_dot(pairs, den) if rows is None else _packed_dot(pairs, rows, den)
     return _reduced(variables, acc, den)
 
 

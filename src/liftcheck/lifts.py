@@ -351,6 +351,7 @@ def verify_lift_interactions(
     total = lifted["c"].tangent.total
     kappa = structure.pairing_convention()
     sign = "+" if kappa > 0 else "-"
+    zero, expected = total.zero_poly(), total.const(kappa)
     # where a lift of xi_a or eta^a sits in its context's products
     at = {"v": 0, "c": structure.r, "h": structure.r}
 
@@ -365,8 +366,8 @@ def verify_lift_interactions(
     def pairing(lift: str, w: str, x: str, delta: bool):
         """eta^a,w(xi_b^x) less its expected value: kappa*delta_ab, or 0."""
         def residual(a: int, b: int) -> TensorField:
-            value = lifted[lift].pairing.get((at[w] + a, at[x] + b), 0)
-            return TensorField.function(total, value - (kappa if delta and a == b else 0))
+            value = lifted[lift].pairing.get((at[w] + a, at[x] + b), zero)
+            return TensorField.function(total, value - expected if delta and a == b else value)
 
         return f"eta^{{a}}{w}(xi_{{b}}^{x})" + (f" - ({sign}delta)" if delta else ""), residual
 

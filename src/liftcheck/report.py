@@ -46,19 +46,25 @@ class EntryView:
         }
 
 
-def render_residual(residual: TensorField) -> dict[str, str] | str:
-    items = residual.nonzero_items()
-    if not items:
-        return "0"
-    # Poly hashes and compares by value, so each distinct component prints once
+def _printed(items) -> list[tuple[str, str]]:
+    """(label, text) of each (label tuple, Poly) of a field's nonzero items.
+    Poly hashes and compares by value, so each distinct component is printed
+    once, through a table local to the call."""
     texts: dict[Poly, str] = {}
-    out = {}
+    out = []
     for label, poly in items:
         text = texts.get(poly)
         if text is None:
             text = texts[poly] = str(poly)
-        out[",".join(label) or "scalar"] = text
+        out.append((",".join(label), text))
     return out
+
+
+def render_residual(residual: TensorField) -> dict[str, str] | str:
+    items = residual.nonzero_items()
+    if not items:
+        return "0"
+    return {label or "scalar": text for label, text in _printed(items)}
 
 
 def render_point(point: Optional[Point]) -> Optional[dict[str, str]]:
@@ -174,8 +180,15 @@ def _emit(value, indent: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"a machine report key must be a str, not {type(key).__name__}")
-            out.append(f"{sep}{inner}{_quote(key)}: ")
-            _emit(item, inner, out)
+            head = f"{sep}{inner}{_quote(key)}: "
+            # a str or bool value is written in its key's append, with no call
+            if isinstance(item, str):
+                out.append(head + _quote(item))
+            elif item is True or item is False:
+                out.append(head + ("true" if item else "false"))
+            else:
+                out.append(head)
+                _emit(item, inner, out)
             sep = ","
         out.append(indent + "}")
     elif isinstance(value, list):
@@ -230,8 +243,5 @@ def section_from_sweep(
 
 
 def section_from_j(task: str, title: str, j: TensorField) -> Section:
-    rows = [
-        {"component": ",".join(label), "value": str(poly)}
-        for label, poly in j.nonzero_items()
-    ]
+    rows = [{"component": label, "value": text} for label, text in _printed(j.nonzero_items())]
     return Section(task=task, title=title, passed=True, rows=rows)

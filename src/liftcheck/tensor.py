@@ -186,7 +186,8 @@ class TensorField:
 
     @classmethod
     def function(cls, chart: Chart, value) -> "TensorField":
-        return cls(chart, (0, 0), value)
+        value = _as_poly(chart, value)
+        return cls._trusted(chart, (0, 0), {(): value} if value else {})
 
     @classmethod
     def vector(cls, chart: Chart, comps: Sequence) -> "TensorField":

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from liftcheck import algebra, lifts, structures
@@ -417,18 +417,22 @@ def dense_contract(rows, cols, zero):
 def test_contraction_kernel_matches_dense_reference(operands):
     rows, cols = operands
     with mock.patch.object(Poly, "__mul__", autospec=True, side_effect=Poly.__mul__) as mul, \
+            mock.patch.object(algebra, "_times", side_effect=algebra._times) as times, \
             mock.patch.object(algebra, "_dot", side_effect=algebra._dot) as dot:
         out = dense_contract(rows, iter(cols), Poly.zero(XYZ))
     assert len(out) == len(rows)
     assert all(len(line) == len(cols) for line in out)
     assert [[q.terms for q in line] for line in out] == reference.contraction(rows, cols)
     assert all(q.variables == XYZ for line in out for q in line)
-    # a product is formed only where both factors are nonzero: by Poly.__mul__
-    # in a sum with one such pair, inside _dot for each pair of a longer sum
-    # (a one-pair _dot call is Poly.__mul__'s own, already counted)
+    # a product is formed only where both factors are nonzero: by _times in a
+    # sum with one such pair, with no Poly.__mul__ call, and inside _dot for
+    # each pair of a longer sum (a one-pair _dot call is _times's own, already
+    # counted)
+    single = [call.args for call in times.call_args_list]
     fused = [pair for call in dot.call_args_list if len(call.args[0]) > 1 for pair in call.args[0]]
-    assert all(a and b for a, b in fused)
-    assert mul.call_count + len(fused) == sum(
+    assert all(a and b for a, b in single + fused)
+    assert mul.call_count == 0
+    assert len(single) + len(fused) == sum(
         1 for row in rows for col in cols for a, b in zip(row, col) if a and b
     )
 
@@ -490,6 +494,39 @@ def test_fused_dot_products_by_hand():
     # products that cancel exactly
     (cancelled,) = dense_contract([[x, y, x]], [[y, x * -2, y]], Poly.zero(XYZ))
     assert cancelled == [Poly.zero(XYZ)]
+
+
+@st.composite
+def single_term_pairs(draw):
+    """The pairs of one ``_dot`` call whose every factor is a single term:
+    constants (+-1 among them) and monomials with mixed denominators, over
+    few enough keys that pairs often share one."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+    coeff = st.sampled_from([1, -1]) | mixed_fractions.filter(bool)
+    term = st.builds(lambda e, c: Poly(XYZ, {e: c}), st.just((0, 0, 0)) | exps, coeff)
+    return draw(st.lists(st.tuples(term, term), min_size=2, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_term_pairs())
+@example([(Poly.const(1, XYZ), Poly.const(1, XYZ)), (Poly.const(-1, XYZ), Poly.const(1, XYZ))])
+@example([(Poly.const(Fraction(1, 2), XYZ), Poly(XYZ, {(1, 0, 0): Fraction(2, 3)})),
+          (Poly(XYZ, {(1, 0, 0): -1}), Poly.const(Fraction(-1, 6), XYZ)),
+          (Poly(XYZ, {(0, 1, 0): Fraction(5, 4)}), Poly.const(-1, XYZ))])
+def test_single_term_sums_match_fraction_reference(pairs):
+    expected = {}
+    for a, b in pairs:
+        expected = reference.add(expected, reference.product(a.terms, b.terms))
+    refuse = mock.Mock(side_effect=AssertionError("a term-product loop ran"))
+    with mock.patch.multiple(algebra, _packing=refuse, _plain_dot=refuse, _packed_dot=refuse):
+        out = algebra._dot(pairs, XYZ)
+        # each pair again with one factor negated: the sum cancels to zero
+        cancelled = algebra._dot(pairs + [(-a, b) for a, b in pairs], XYZ)
+    assert out.variables == XYZ
+    assert out.terms == expected
+    # canonical: equal to the Poly built from the reference's terms
+    assert out == Poly(XYZ, expected)
+    assert cancelled.is_zero() and cancelled == Poly.zero(XYZ)
 
 
 # -- squares: each cross product formed once -----------------------------------------
@@ -582,13 +619,20 @@ def test_a_square_past_the_field_raises_before_any_product_is_formed():
     dense_rows = (x + Poly.variable("y", XYZ) + Poly.variable("z", XYZ) + 1) ** 6
     assert algebra._packing([(q := dense_rows + x ** (top // 2), q)], 3) is not None
     dense = counted(dense_rows + x ** (top // 2 + 1))
+    # single terms, as the lane of _dot without a term-product loop reads them,
+    # the last past the field
+    single = [counted(q) for q in (x, Poly.const(-1, XYZ), Poly.variable("y", XYZ))]
+    high = counted(Poly(XYZ, {(top // 2 + 1, 0, 0): Fraction(1, 3)}))
     CountedKey.sums = 0
     refuse = mock.Mock(side_effect=AssertionError("a path was chosen"))
     for make in (lambda: wide * wide, lambda: wide * copy, lambda: wide**2,
                  lambda: algebra._dot([(x, x), (wide, wide)], XYZ),
                  lambda: dense_contract([[x, wide]], [[x, wide]], zero),
                  lambda: dense * dense, lambda: dense**2,
-                 lambda: algebra._dot([(dense_rows, dense_rows), (dense, dense)], XYZ)):
+                 lambda: algebra._dot([(dense_rows, dense_rows), (dense, dense)], XYZ),
+                 lambda: algebra._dot([(single[0], single[1]), (single[2], single[2]),
+                                       (high, high)], XYZ),
+                 lambda: dense_contract([single + [high]], [single + [high]], zero)):
         with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")), \
                 mock.patch.multiple(algebra, _packing=refuse, _plain_dot=refuse, _packed_dot=refuse):
             with pytest.raises(DegreeOverflow, match=f"total degree {top + 1} exceeds {top}"):

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftcheck.algebra import Poly
-from liftcheck.report import Report, Section, _emit, render_residual
+from liftcheck.lifts import COMPLETE
+from liftcheck.report import Report, Section, _emit, render_residual, section_from_j
+from liftcheck.structures import canonical_structure
 from liftcheck.tensor import Chart, TensorField
+from liftcheck.theorems import LiftedStructureSpec, build_lifted_j
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,3 +88,18 @@ def test_each_distinct_component_of_a_residual_is_printed_once(monkeypatch):
     rendered = render_residual(residual)
     assert sorted(map(original, printed)) == ["2", "x + 1", "x*y - 3", "y"]
     assert rendered == {",".join(label): original(poly) for label, poly in residual.nonzero_items()}
+
+
+def test_each_distinct_component_of_j_is_printed_once(monkeypatch):
+    base = canonical_structure(1, 1, -1, "riemannian")
+    j = build_lifted_j(LiftedStructureSpec(base=base, lift_kind=COMPLETE, s=1, t=-1))
+    components = [poly for _, poly in j.nonzero_items()]
+    # six components, three of them -1 and three 1
+    assert len(components) == 6 and len(set(components)) == 2
+    printed = []
+    original = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda self: printed.append(self) or original(self))
+    section = section_from_j("build-j", "build-j: complete (s=+1, t=-1)", j)
+    assert len(printed) == 2 and set(printed) == set(components)
+    assert section.rows == [{"component": ",".join(label), "value": original(poly)}
+                            for label, poly in j.nonzero_items()]

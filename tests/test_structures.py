@@ -98,6 +98,17 @@ def test_product_over_the_sample_grid_has_a_witness():
     assert witness.values[0] not in SAMPLE_GRID
 
 
+def test_the_descent_reads_the_first_nonzero_component():
+    # two components in different variables, each zero at every sample value,
+    # so every random sample vanishes and the descent's point depends on the
+    # component it reads: 10 is the least integer off the grid, and the other
+    # variable stays 0
+    grid_x, grid_y = grid_product("x", SAMPLE_GRID), grid_product("y", SAMPLE_GRID)
+    for first, second, point in ((grid_x, grid_y, (10, 0)), (grid_y, grid_x, (0, 10))):
+        residual = TensorField.endo(WITNESS_CHART, [[0, first], [second, 0]])
+        assert find_witness(residual, seed=1729).values == point
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     terms=st.dictionaries(

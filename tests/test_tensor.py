@@ -423,6 +423,19 @@ def test_constructor_still_rejects_components_over_another_chart():
         rotation().scale(ABC.coordinate("a"))
 
 
+def test_scale_by_a_function_on_another_chart_raises():
+    # a chart of the same coordinates under another name, whose Polys would
+    # multiply, and a constant function on a chart of other coordinates, which
+    # Poly would align
+    renamed = Chart("R", AB.coords)
+    for factor in (TensorField.function(renamed, renamed.coordinate("a")),
+                   TensorField.function(ABC, 3)):
+        with pytest.raises(TensorError, match="on the same chart"):
+            rotation().scale(factor)
+    with pytest.raises(TensorError, match="on the same chart"):
+        rotation().scale(TensorField.vector(AB, [1, 0]))
+
+
 # -- sparse storage against a dense reference ---------------------------------------
 
 
@@ -474,6 +487,8 @@ def test_sparse_fields_match_a_dense_reference(data):
 
     # pointwise algebra, zero tests, equality, hashing, order and round trips
     factor = TensorField.function(chart, dense[(0, 0)][0])
+    # the direct constructor of a function builds the field the dense one does
+    assert factor == fields[(0, 0)][0] and stores_no_zero(factor)
     for valence in VALENCES:
         rank, (a, b), (da, db) = sum(valence), fields[valence], dense[valence]
         results = [

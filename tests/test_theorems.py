@@ -280,6 +280,20 @@ def test_every_sweep_witness_is_that_of_a_fresh_search(kind, mutant):
         assert entry.witness == (None if entry.passed else find_witness(entry.residual, seed))
 
 
+def test_a_verdict_lends_no_witness_across_seeds():
+    """Two seeds on one context: every failing cell of each sweep has the
+    witness of a fresh search with its own seed, not the other seed's."""
+    model = _differential_model(1, 1, -1, "riemannian", random.Random("seeds"), False)
+    ctx = _contexts(model, None, TangentChart.over(model.chart))(COMPLETE)
+    seeds = (11, 12)
+    for seed in seeds:
+        sweep = sign_sweep(model, COMPLETE, seed=seed, ctx=ctx)
+        for entry in sweep.cells.values():
+            assert entry.witness == (None if entry.passed else find_witness(entry.residual, seed))
+    failing = [entry.residual for entry in sweep.cells.values() if not entry.passed]
+    assert any(find_witness(r, seeds[0]) != find_witness(r, seeds[1]) for r in failing)
+
+
 def test_each_distinct_cell_residual_is_searched_once(monkeypatch):
     """verify_theorem and sign_sweep on one context evaluate no component of a
     J^2 residual twice at one point: the failing cells are equal in pairs."""
