@@ -26,15 +26,17 @@ and by the test suite's evaluation contracts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Callable, Optional, Sequence
 
 from .algebra import _MASK, _W, Poly, _contract, _offset, _reduced
 from .structures import (
     LORENTZIAN, RIEMANNIAN, CheckReport, RContactStructure, identity_entries,
 )
 from .tensor import (
-    Chart, TensorError, TensorField, _added, _pairings, endo_apply, oneform_after_endo,
+    Chart, TensorError, TensorField, _added, _pairings, _stack, _unstack, endo_apply,
+    oneform_after_endo,
 )
 
 VERTICAL = "vertical"
@@ -141,18 +143,20 @@ def lift_connection(kind: str, conn: Optional[Connection], chart: Chart) -> Opti
 
 
 def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
-    """y^k d_k p on the total chart, read off p's terms in one pass: n x^e gives
-    n e_k x^(e - 1_k) y^k for each k with e_k > 0.  No two (e, k) give the same
-    monomial, so no two terms are added."""
-    m = tangent.base.dim
-    nums = {}
-    for key, n in p.nums.items():
-        for k in range(m):
-            # x_k's field over the base chart is y_k's over the total chart, and
-            # x_k's over the total chart is m fields higher; the degree stays
-            offset = _offset(m, k)
-            if e := key >> offset & _MASK:
-                nums[((key - (1 << offset)) << m * _W) + (1 << offset)] = n * e
+    """y^k d_k p on the total chart, read off p's terms once per variable x_k
+    that occurs in them: n x^e gives n e_k x^(e - 1_k) y^k when e_k > 0.  No two
+    (e, k) give the same monomial, so no two terms are added."""
+    m, terms = tangent.base.dim, p.nums.items()
+    nums, occur, shift = {}, reduce(or_, p.nums, 0), m * _W
+    for k in range(m):
+        # x_k's field over the base chart is y_k's over the total chart, and
+        # x_k's over the total chart is m fields higher; the degree stays
+        offset = _offset(m, k)
+        if occur >> offset & _MASK:
+            unit = 1 << offset
+            for key, n in terms:
+                if e := key >> offset & _MASK:
+                    nums[((key - unit) << shift) + unit] = n * e
     return _reduced(tangent.total.coords, nums, p.den)
 
 
@@ -168,21 +172,24 @@ def _connection_matrix(conn: Connection, tangent: TangentChart) -> dict[tuple[in
 
 
 def _lift(
-    name: str, valence: tuple[int, int], t: TensorField, kind: str, tangent: TangentChart,
-    conn: Optional[Connection],
-) -> TensorField:
-    """The ``kind`` lift of t, a ``valence`` field, checked for the entry point ``name``.
+    name: str, valence: tuple[int, int], fields: Sequence[TensorField], kind: str,
+    tangent: TangentChart, conn: Optional[Connection],
+) -> tuple[TensorField, ...]:
+    """The ``kind`` lifts of a family of ``valence`` fields, checked for the entry point ``name``.
 
-    Each nonzero entry of t is placed in the blocks of the lift.  T^v is T in
-    the vertical slot, its upper index moved to the fiber.  T^c and T^h are dT
-    in that slot plus T in each block one index away from it: as it is, when
-    there is an upper index, and with every index moved to the fiber, when
-    there is a lower one.  dT is the only code per kind.
+    The family is lifted as one stack, field a's entry at key k at (a, *k), so
+    a horizontal lift reads G_y in one product per index.  Each nonzero entry
+    of a field is placed in the blocks of its lift.  T^v is T in the vertical
+    slot, its upper index moved to the fiber.  T^c and T^h are dT in that slot
+    plus T in each block one index away from it: as it is, when there is an
+    upper index, and with every index moved to the fiber, when there is a
+    lower one.  dT is the only code per kind.
     """
     if kind not in LIFT_KINDS:
         raise LiftError(f"unknown lift kind {kind!r}")
-    if t.valence != valence or t.chart != tangent.base:
-        raise LiftError(f"{name} needs a ({valence[0]},{valence[1]}) field on the base chart")
+    for t in fields:
+        if t.valence != valence or t.chart != tangent.base:
+            raise LiftError(f"{name} needs a ({valence[0]},{valence[1]}) field on the base chart")
     if kind == HORIZONTAL and valence == (0, 0):
         raise LiftError("horizontal lift of functions is not defined")
     if kind == HORIZONTAL and conn is None:
@@ -191,31 +198,35 @@ def _lift(
         raise LiftError("connection lives on a different chart")
     upper, lower = valence
     m, coords = tangent.base.dim, tangent.total.coords
-    embedded = {key: tangent.embed(c) for key, c in t.entries.items()}
+    stacked = _stack(fields)
+    embedded = {key: tangent.embed(c) for key, c in stacked.items()}
     if kind == VERTICAL:
         dt = embedded
     elif kind == COMPLETE:
-        dt = {key: d for key, c in t.entries.items() if (d := _y_dot_derivative(c, tangent))}
+        dt = {key: d for key, c in stacked.items() if (d := _y_dot_derivative(c, tangent))}
     else:
-        # T G_y over a lower index minus G_y T over an upper one
+        # T G_y over a lower index minus G_y T over an upper one, which is moved
+        # in front of the stack index for the product and back after it
         g_y = _connection_matrix(conn, tangent)
-        t_g = _contract(embedded, g_y, coords) if lower else {}
-        dt = _added(t_g, _contract(g_y, embedded, coords), negate=True) if upper else t_g
-    lifted = {(key[0] + m, *key[1:]) if upper else key: c for key, c in dt.items()}
+        dt = _contract(embedded, g_y, coords) if lower else {}
+        if upper:
+            g_t = _contract(g_y, {(i, a, *k): c for (a, i, *k), c in embedded.items()}, coords)
+            dt = _added(dt, {(a, i, *k): c for (i, a, *k), c in g_t.items()}, negate=True)
+    lifted = {(key[0], key[1] + m, *key[2:]) if upper else key: c for key, c in dt.items()}
     if kind != VERTICAL:
         if upper:
             lifted.update(embedded)
         if lower:
-            lifted.update({tuple(i + m for i in key): c for key, c in embedded.items()})
+            lifted.update({(a, *(i + m for i in k)): c for (a, *k), c in embedded.items()})
     # every block lives on the total chart by construction
-    return TensorField._trusted(tangent.total, valence, lifted)
+    return _unstack(tangent.total, valence, lifted, len(fields))
 
 
 def lift_function(
     f: TensorField, kind: str, tangent: TangentChart
 ) -> TensorField:
     """Vertical or complete lift of a scalar field; horizontal is unsupported."""
-    return _lift("lift_function", (0, 0), f, kind, tangent, None)
+    return _lift("lift_function", (0, 0), (f,), kind, tangent, None)[0]
 
 
 def lift_vector(
@@ -224,7 +235,7 @@ def lift_vector(
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    return _lift("lift_vector", (1, 0), x, kind, tangent, conn)
+    return _lift("lift_vector", (1, 0), (x,), kind, tangent, conn)[0]
 
 
 def lift_oneform(
@@ -233,7 +244,7 @@ def lift_oneform(
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    return _lift("lift_oneform", (0, 1), w, kind, tangent, conn)
+    return _lift("lift_oneform", (0, 1), (w,), kind, tangent, conn)[0]
 
 
 def lift_endo(
@@ -242,7 +253,7 @@ def lift_endo(
     tangent: TangentChart,
     conn: Optional[Connection] = None,
 ) -> TensorField:
-    return _lift("lift_endo", (1, 1), f, kind, tangent, conn)
+    return _lift("lift_endo", (1, 1), (f,), kind, tangent, conn)[0]
 
 
 @dataclass(frozen=True)
@@ -307,14 +318,14 @@ def _contexts(
         # no call of ``context`` from inside it: a closure that refers to itself
         # is a reference cycle, which would keep every lift until a gc pass
         if not built:
-            xi_v = tuple(lift_vector(x, VERTICAL, tangent) for x in structure.xi)
-            eta_v = tuple(lift_oneform(w, VERTICAL, tangent) for w in structure.eta)
+            xi_v = _lift("lift_vector", (1, 0), structure.xi, VERTICAL, tangent, None)
+            eta_v = _lift("lift_oneform", (0, 1), structure.eta, VERTICAL, tangent, None)
             f_v = lift_endo(structure.f, VERTICAL, tangent)
             built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v)
         if kind not in built:
             v, c = built[VERTICAL], lift_connection(kind, conn, structure.chart)
-            xi = tuple(lift_vector(x, kind, tangent, c) for x in structure.xi)
-            eta = tuple(lift_oneform(w, kind, tangent, c) for w in structure.eta)
+            xi = _lift("lift_vector", (1, 0), structure.xi, kind, tangent, c)
+            eta = _lift("lift_oneform", (0, 1), structure.eta, kind, tangent, c)
             f_lift = lift_endo(structure.f, kind, tangent, c)
             built[kind] = LiftContext(tangent, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
         return built[kind]

@@ -18,34 +18,6 @@ from .tensor import Point, TensorField
 from .theorems import SignSweep
 
 
-@dataclass
-class EntryView:
-    name: str
-    tag: str
-    passed: bool
-    residual: dict[str, str] | str
-    witness: Optional[dict[str, str]]
-
-    @classmethod
-    def from_entry(cls, entry: CheckEntry) -> "EntryView":
-        return cls(
-            name=entry.name,
-            tag=entry.tag,
-            passed=entry.passed,
-            residual=render_residual(entry.residual),
-            witness=render_point(entry.witness),
-        )
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "passed": self.passed,
-            "residual": self.residual,
-            "witness": self.witness,
-        }
-
-
 def _printed(items) -> list[tuple[str, str]]:
     """(label, text) of each (label tuple, Poly) of a field's nonzero items.
     Poly hashes and compares by value, so each distinct component is printed
@@ -73,30 +45,44 @@ def render_point(point: Optional[Point]) -> Optional[dict[str, str]]:
     return {name: str(value) for name, value in zip(point.chart.coords, point.values)}
 
 
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _object(value: Optional[dict[str, str]] | str) -> str:
+    """A rendered residual or witness as the value of an entry's key: "0",
+    null, or a nonempty str-to-str object."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _quote(value)
+    items = ",".join(f"\n            {_quote(k)}: {_quote(v)}" for k, v in value.items())
+    return f"{{{items}\n          }}"
+
+
+def _entry(e: CheckEntry) -> str:
+    """One item of a section's entries, as ``json.dumps(doc, indent=2)`` writes
+    it.  A zero residual with no witness, as every passing entry has, is
+    written without rendering either."""
+    if e.residual.entries or e.witness is not None:
+        residual, witness = _object(render_residual(e.residual)), _object(render_point(e.witness))
+    else:
+        residual, witness = '"0"', "null"
+    # an f-string, not str.format, which parses its template on every call
+    return (f'\n        {{\n          "name": {_quote(e.name)},\n          "tag": {_quote(e.tag)},'
+            f'\n          "passed": {_bool(e.passed)},\n          "residual": {residual},'
+            f'\n          "witness": {witness}\n        }}')
+
+
 @dataclass
 class Section:
     task: str
     title: str
     passed: bool
-    entries: list[EntryView] = field(default_factory=list)
+    entries: list[CheckEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     informational: bool = False
-
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "task": self.task,
-            "title": self.title,
-            "passed": self.passed,
-            "informational": self.informational,
-        }
-        if self.entries:
-            doc["entries"] = [e.to_doc() for e in self.entries]
-        if self.rows:
-            doc["rows"] = self.rows
-        if self.notes:
-            doc["notes"] = self.notes
-        return doc
 
 
 @dataclass
@@ -108,19 +94,27 @@ class Report:
     def overall(self) -> bool:
         return all(s.passed for s in self.sections if not s.informational)
 
-    def to_doc(self) -> dict:
-        return {
-            "tool": "liftcheck",
-            "version": _pkg_version,
-            "seed": self.seed,
-            "overall": self.overall,
-            "sections": [s.to_doc() for s in self.sections],
-        }
-
     def render_machine(self) -> str:
-        out: list[str] = []
-        _emit(self.to_doc(), "\n", out)
-        out.append("\n")
+        """The report as ``json.dumps(doc, indent=2)`` writes its document, plus
+        a newline, written level by level through fixed templates."""
+        out = [f'{{\n  "tool": "liftcheck",\n  "version": {_quote(_pkg_version)},'
+               f'\n  "seed": {int.__repr__(self.seed)},\n  "overall": {_bool(self.overall)},'
+               f'\n  "sections": ']
+        sep = "["
+        for section in self.sections:
+            out.append(f'{sep}\n    {{\n      "task": {_quote(section.task)},'
+                       f'\n      "title": {_quote(section.title)},'
+                       f'\n      "passed": {_bool(section.passed)},'
+                       f'\n      "informational": {_bool(section.informational)}')
+            if section.entries:
+                out.append(f',\n      "entries": [{",".join(map(_entry, section.entries))}\n      ]')
+            for key, value in (("rows", section.rows), ("notes", section.notes)):
+                if value:
+                    out.append(f',\n      "{key}": ')
+                    _emit(value, "\n      ", out)
+            out.append("\n    }")
+            sep = ","
+        out.append("\n  ]\n}\n" if self.sections else "[]\n}\n")
         return "".join(out)
 
     def render_human(self) -> str:
@@ -132,14 +126,15 @@ class Report:
                 verdict = "PASS" if e.passed else "FAIL"
                 lines.append(f"  [{e.tag}] {e.name.ljust(width)}  {verdict}")
                 if not e.passed:
-                    if isinstance(e.residual, dict):
-                        shown = list(e.residual.items())[:3]
+                    residual = render_residual(e.residual)
+                    if isinstance(residual, dict):
+                        shown = list(residual.items())[:3]
                         for label, poly in shown:
                             lines.append(f"        residual[{label}] = {poly}")
-                        extra = len(e.residual) - len(shown)
+                        extra = len(residual) - len(shown)
                         if extra > 0:
                             lines.append(f"        ... {extra} more nonzero components")
-                    inner = ", ".join(f"{k}={v}" for k, v in e.witness.items())
+                    inner = ", ".join(f"{k}={v}" for k, v in render_point(e.witness).items())
                     lines.append(f"        witness: ({inner})")
             for row in section.rows:
                 cells = ", ".join(f"{k}={v}" for k, v in row.items())
@@ -210,7 +205,7 @@ def section_from_check(task: str, title: str, check: CheckReport) -> Section:
         task=task,
         title=title,
         passed=check.overall,
-        entries=[EntryView.from_entry(e) for e in check.entries],
+        entries=list(check.entries),
         notes=list(check.notes),
     )
 

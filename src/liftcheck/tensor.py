@@ -150,9 +150,9 @@ class TensorField:
         Polys over ``chart.coords``; the field takes the dict over.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "valence", valence)
-        object.__setattr__(self, "entries", entries)
+        _set_chart(self, chart)
+        _set_valence(self, valence)
+        _set_entries(self, entries)
         return self
 
     def __setattr__(self, name, value):
@@ -289,6 +289,12 @@ class TensorField:
         return f"TensorField{self.valence}({body or '0'})"
 
 
+# slot setters that bypass TensorField.__setattr__, which refuses every write
+_set_chart = TensorField.chart.__set__
+_set_valence = TensorField.valence.__set__
+_set_entries = TensorField.entries.__set__
+
+
 # -- contractions ------------------------------------------------------------
 
 
@@ -356,8 +362,8 @@ def _stack(fields: Sequence[TensorField], start: int = 0) -> dict:
 def _unstack(chart: Chart, valence: tuple[int, int], entries: dict, count: int) -> tuple:
     """The ``count`` fields of ``valence`` whose ``_stack`` is ``entries``."""
     fields = [{} for _ in range(count)]
-    for (a, *key), c in entries.items():
-        fields[a][tuple(key)] = c
+    for key, c in entries.items():
+        fields[key[0]][key[1:]] = c
     return tuple(TensorField._trusted(chart, valence, e) for e in fields)
 
 

@@ -70,9 +70,8 @@ from .lifts import (
     LiftError,
     TangentChart,
     _contexts,
+    _lift,
     lift_connection,
-    lift_function,
-    lift_vector,
 )
 from .structures import CheckEntry, CheckReport, RContactStructure, new_entry
 from .tensor import (
@@ -365,12 +364,29 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
     return "X", None
 
 
+def _lifted_fields(xs, roles, fx, xi: tuple, kind: str, ctx: LiftContext):
+    """The ``kind`` lifts of the test fields, a xi_b read from ``xi``, and of
+    each F X, as one family."""
+    plain = [x for x, (_, b) in zip(xs, roles) if b is None]
+    lifted = _lift("lift_vector", (1, 0), plain + list(fx), kind, ctx.tangent, ctx.conn)
+    rest = iter(lifted)
+    return [next(rest) if b is None else xi[b] for _, b in roles], lifted[len(plain):]
+
+
+def _lifted_rows(rows, r: int, kind: str, tangent: TangentChart) -> list[tuple]:
+    """The ``kind`` lifts of the r functions eta^a X of each test field, as one family."""
+    flat = _lift("lift_function", (0, 0), [g for row in rows for g in row], kind, tangent, None)
+    return [flat[e * r:(e + 1) * r] for e in range(len(rows))]
+
+
 def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[tuple]) -> tuple:
     """The kind-free parts of the action residuals, kept on the vertical context:
     the test fields, by default every frame field d/dx_i and every xi_alpha, and
     per field its role, X^v, (F X)^v, F X, the eta^a X and the (eta^a X)^v."""
+    v = ctx.vertical or ctx
+
     def build():
-        tangent, xs = ctx.tangent, fields
+        xs = fields
         if xs is None:
             xs = [TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords]
             xs = tuple(xs + [x for b, x in enumerate(base.xi) if x not in xs + list(base.xi[:b])])
@@ -379,11 +395,9 @@ def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[t
         pairs = _pairings(base.chart, base.eta, xs)
         eta_x = [[TensorField.function(base.chart, pairs.get((a, e), 0)) for a in range(base.r)]
                  for e in range(len(xs))]
-        return (xs, roles, [lift_vector(x, VERTICAL, tangent) if b is None else ctx.xi_v[b]
-                            for x, (_, b) in zip(xs, roles)],
-                [lift_vector(y, VERTICAL, tangent) for y in fx], fx, eta_x,
-                [[lift_function(g, VERTICAL, tangent) for g in row] for row in eta_x])
-    return (ctx.vertical or ctx).memoised(("action fields", fields), build)
+        return (xs, roles, *_lifted_fields(xs, roles, fx, v.xi_v, VERTICAL, v), fx, eta_x,
+                _lifted_rows(eta_x, base.r, VERTICAL, v.tangent))
+    return v.memoised(("action fields", fields), build)
 
 
 def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) -> tuple[dict, dict]:
@@ -392,8 +406,8 @@ def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) ->
     fields of ``_action_fields`` and the context's pairing sign kappa."""
     xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
     tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
-    x_l = [lift_vector(x, kind, tangent, ctx.conn) if b is None else ctx.xi_l[b]
-           for x, (_, b) in zip(xs, roles)]
+    x_l, fx_l = _lifted_fields(xs, roles, fx, ctx.xi_l, kind, ctx)
+    eta_x_c = _lifted_rows(eta_x, r, COMPLETE, tangent) if kind == COMPLETE else [()] * len(xs)
     # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
     def column(matrix: dict, k: int) -> dict:
         return {(i,): g for (i, j), g in matrix.items() if j == k}
@@ -404,13 +418,11 @@ def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) ->
                      for k, f_y in enumerate(_apply_all(ctx.f_lift, plain))])
 
     parts = []
-    for (_, b), f_x_v, f_x, eta, eta_v in zip(roles, fx_v, fx, eta_x, eta_x_v):
-        eta_c = [lift_function(g, COMPLETE, tangent) for g in eta] if kind == COMPLETE else []
+    for (_, b), f_x_v, f_x_l, eta_v, eta_c in zip(roles, fx_v, fx_l, eta_x_v, eta_x_c):
         ys = [next(computed), next(computed)] if b is None else [
             (ctx.f_xi[i], column(ctx.pairing, i)) for i in (b, r + b)]
         # per entry of Y: the right side's lifted F X and its rho
-        rights = [(f_x_v, _stack(eta_v, r)),
-                  (lift_vector(f_x, kind, tangent, ctx.conn), {**_stack(eta_v), **_stack(eta_c, r)})]
+        rights = [(f_x_v, _stack(eta_v, r)), (f_x_l, {**_stack(eta_v), **_stack(eta_c, r)})]
         if b is not None and kappa is not None:
             one = tangent.total.const(kappa)
             ys += ys

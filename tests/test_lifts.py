@@ -11,6 +11,7 @@ from liftcheck.algebra import Poly
 from liftcheck.lifts import (
     COMPLETE,
     HORIZONTAL,
+    LIFT_KINDS,
     VERTICAL,
     Connection,
     LiftError,
@@ -21,7 +22,7 @@ from liftcheck.lifts import (
     lift_vector,
     verify_lift_interactions,
 )
-from liftcheck.structures import canonical_structure
+from liftcheck.structures import canonical_structure, conjugate_structure, random_unimodular
 from liftcheck.tensor import (
     Chart,
     TensorField,
@@ -123,6 +124,77 @@ def test_lift_errors_name_the_first_failed_check(lift, field, kind, conn, messag
     with pytest.raises(LiftError) as err:
         lift(*args)
     assert str(err.value) == message
+
+
+# -- families of fields -----------------------------------------------------------
+
+ONE_FIELD = {(0, 0): lift_function, (1, 0): lift_vector, (0, 1): lift_oneform, (1, 1): lift_endo}
+ALLOWED = [(kind, valence) for kind in LIFT_KINDS for valence in ONE_FIELD
+           if (kind, valence) != (HORIZONTAL, (0, 0))]
+
+
+def lift_one(field, valence, kind, tangent, conn):
+    """The one-field entry point's lift of ``field``, or the LiftError it raises."""
+    lift = ONE_FIELD[valence]
+    args = (field, kind, tangent) if lift is lift_function else (field, kind, tangent, conn)
+    try:
+        return lift(*args)
+    except LiftError as err:
+        return str(err)
+
+
+def conjugated_family_case(seed):
+    """A conjugated n = 1, r = 2 model, a non-flat connection on its chart, and per
+    valence a family of its own fields, random fields and a zero field."""
+    rng = random.Random(seed)
+    base = canonical_structure(1, 2, -1)
+    model = conjugate_structure(base, *random_unimodular(base.chart, rng, max_shears=4))
+    chart = model.chart
+    a1, c2 = chart.coordinate("a1"), chart.coordinate("c2")
+    conn = Connection.from_entries(chart, {**rnd_connection(chart, rng).entries,
+                                           (0, 1, 2): a1 * c2 + 1, (3, 0, 0): c2})
+    families = {
+        valence: [rnd_field(chart, valence, rng) for _ in range(3)]
+        + [TensorField.from_entries(chart, valence, {})]
+        for valence in ONE_FIELD
+    }
+    families[1, 0] += model.xi
+    families[0, 1] += model.eta
+    families[1, 1].insert(1, model.f)
+    return TangentChart.over(chart), conn, families
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_family_lift_is_the_one_field_lifts(seed):
+    tangent, conn, families = conjugated_family_case(seed)
+    assert not conn.is_flat()
+    for kind, valence in ALLOWED:
+        c = conn if kind == HORIZONTAL else None
+        name = ONE_FIELD[valence].__name__
+        fields = families[valence]
+        expected = tuple(lift_one(x, valence, kind, tangent, c) for x in fields)
+        assert lifts._lift(name, valence, fields, kind, tangent, c) == expected
+        assert lifts._lift(name, valence, fields[1:2], kind, tangent, c) == expected[1:2]
+        assert lifts._lift(name, valence, (), kind, tangent, c) == ()
+
+
+@pytest.mark.parametrize("seed", [5])
+def test_a_bad_field_anywhere_in_a_family_raises_the_one_field_error(seed):
+    tangent, conn, families = conjugated_family_case(seed)
+    other = Chart("Q", tangent.base.coords)
+    for kind, valence in ALLOWED:
+        c = conn if kind == HORIZONTAL else None
+        name = ONE_FIELD[valence].__name__
+        fields = families[valence]
+        wrong_valence = (0, 1) if valence == (1, 0) else (1, 0)
+        for bad in (TensorField.from_entries(tangent.base, wrong_valence, {}),
+                    TensorField.from_entries(other, valence, {})):
+            message = lift_one(bad, valence, kind, tangent, c)
+            assert message == f"{name} needs a ({valence[0]},{valence[1]}) field on the base chart"
+            for at in range(len(fields) + 1):
+                with pytest.raises(LiftError) as err:
+                    lifts._lift(name, valence, fields[:at] + [bad] + fields[at:], kind, tangent, c)
+                assert str(err.value) == message
 
 
 # -- vector lifts -----------------------------------------------------------------

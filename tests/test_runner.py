@@ -41,6 +41,15 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def fields_lifted(lift_calls, valence) -> dict:
+    """The number of ``valence`` fields the counted ``lifts._lift`` calls lifted, by kind."""
+    counts = {}
+    for _, called_valence, fields, kind, *_ in lift_calls:
+        if called_valence == valence:
+            counts[kind] = counts.get(kind, 0) + len(fields)
+    return counts
+
+
 def test_run_tasks_builds_each_lift_once(monkeypatch):
     text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
     defn = parse_definition(text)
@@ -67,8 +76,7 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
     applied = count_calls(monkeypatch, tensor, "endo_apply")
     composed = count_calls(monkeypatch, tensor, "oneform_after_endo")
     paired = count_calls(monkeypatch, tensor, "oneform_apply")
-    vectors = count_calls(monkeypatch, lifts, "lift_vector")
-    functions = count_calls(monkeypatch, lifts, "lift_function")
+    lifted = count_calls(monkeypatch, lifts, "_lift")
     applied_all = count_calls(monkeypatch, tensor, "_apply_all")
     paired_all = count_calls(monkeypatch, tensor, "_pairings")
     tasks = [Task("check"), Task("lift"), Task("theorem", ("4.1",)), Task("theorem", ("4.3",)),
@@ -92,10 +100,9 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
     # xi^v, xi^c and xi^h for the contexts; the kind-free parts once for both
     # theorems: X^v of the 2 frame fields and (FX)^v of the 3 test fields; then
     # per context X^L of the 2 frame fields and (FX)^L of the 3 test fields
-    assert len(vectors) == 3 + (2 + 3) + 2 * (2 + 3)
-    assert [args[1] for args in vectors].count(VERTICAL) == 1 + 2 + 3
+    assert fields_lifted(lifted, (1, 0)) == {kind: 1 + 2 + 3 for kind in lifts.LIFT_KINDS}
     # (eta X)^v once for both theorems, (eta X)^c in the complete context
-    assert [args[1] for args in functions] == [VERTICAL] * 3 + [COMPLETE] * 3
+    assert fields_lifted(lifted, (0, 0)) == {VERTICAL: 3, COMPLETE: 3}
     assert contexts[0].vertical is contexts[1].vertical is shared.context(VERTICAL)
     frames = [TensorField.basis_vector(defn.structure.chart, c) for c in ("a1", "b1")]
     for ctx, kind in zip(contexts, (COMPLETE, HORIZONTAL)):
@@ -114,12 +121,11 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
 def test_run_tasks_builds_the_vertical_lifts_once(monkeypatch):
     text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
     defn = parse_definition(text)
-    endo_lifts = count_calls(monkeypatch, lifts, "lift_endo")
-    oneform_lifts = count_calls(monkeypatch, lifts, "lift_oneform")
+    lifted = count_calls(monkeypatch, lifts, "_lift")
     assert runner.run_tasks(defn, TASKS).overall
     # F^v and each eta^v serve the complete and horizontal contexts and the table
-    assert [args[1] for args in endo_lifts].count(VERTICAL) == 1
-    assert [args[1] for args in oneform_lifts].count(VERTICAL) == defn.structure.r
+    assert fields_lifted(lifted, (1, 1))[VERTICAL] == 1
+    assert fields_lifted(lifted, (0, 1))[VERTICAL] == defn.structure.r
 
 
 def test_a_run_builds_one_tangent_chart(monkeypatch):

@@ -693,3 +693,25 @@ def test_batched_actions_match_the_per_field_path(r, eps, signature):
                             failed += not entry.passed
     if r:
         assert failed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_action_report_lifts_in_a_number_of_calls_free_of_the_chart(monkeypatch, n):
+    """F, the xi and the eta per context, the test fields with their F X and their
+    eta^a X once per structure, and again per report, each one ``_lift`` call,
+    whatever the chart's width m = 2n + 2 and the number of test fields."""
+    kinds = []
+    lift = lifts._lift
+
+    def counted(*args):
+        kinds.append(args[3])
+        return lift(*args)
+
+    monkeypatch.setattr(lifts, "_lift", counted)
+    monkeypatch.setattr(theorems, "_lift", counted)
+    base = canonical_structure(n, 2, -1)
+    conn = Connection.from_entries(base.chart, {(0, 1, 1): base.chart.coordinate("a1")})
+    for kind, c, per_report in ((COMPLETE, None, [COMPLETE] * 2), (HORIZONTAL, conn, [HORIZONTAL])):
+        kinds.clear()
+        assert action_report(spec_for(base, kind, conn=c)).overall
+        assert kinds == [VERTICAL] * 3 + [kind] * 3 + [VERTICAL] * 2 + per_report
