@@ -356,7 +356,8 @@ class Poly:
 
     def _plus(self, other: "Poly", negate: bool) -> "Poly":
         """self + other, or self - other if ``negate``, in one pass over other's terms."""
-        if self.variables != other.variables and self.is_constant():
+        variables = self.variables
+        if other.variables is not variables and other.variables != variables and self.is_constant():
             return (-other if negate else other) + self.constant_value()
         if not other.nums:
             return self
@@ -364,6 +365,9 @@ class Poly:
             return -other if negate else other
         den = self.den
         if other.den == den:
+            # a difference of equal operands cancels: one dict comparison
+            if negate and (other is self or other.nums == self.nums):
+                return Poly._trusted(variables, {}, 1)
             out = dict(self.nums)
             _accumulate(out, other.nums, negate)
         else:
@@ -371,7 +375,7 @@ class Poly:
             k1, k2 = den // self.den, den // other.den
             out = {k: n * k1 for k, n in self.nums.items()}
             _accumulate(out, {k: n * k2 for k, n in other.nums.items()}, negate)
-        return _reduced(self.variables, out, den)
+        return _reduced(variables, out, den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -452,6 +456,8 @@ class Poly:
     # -- equality and printing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.variables)
         if not isinstance(other, Poly):
@@ -635,7 +641,7 @@ def _contract(
     Every entry must live over ``variables``.
     """
     for a in chain(left.values(), right.values()):
-        if a.variables != variables:
+        if a.variables is not variables and a.variables != variables:
             raise VariableMismatch(f"cannot contract an entry over {a.variables} into {variables}")
     by_first: dict = {}
     for key, b in right.items():

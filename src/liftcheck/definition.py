@@ -239,7 +239,7 @@ def _once(seen: dict, key, text: str, lineno: int) -> None:
     seen[key] = (lineno, text)
 
 
-def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: dict,
+def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: dict, texts: dict,
                 unknown: str, symmetric: bool = False) -> tuple[str, tuple[int, ...], Poly]:
     """(name, 0-based indices, value) of the entry line ``name[i,...] = expr``.
 
@@ -247,14 +247,18 @@ def _read_entry(row, chart: Chart, meanings: dict[str, str], arity: int, seen: d
     ``_FAMILIES``); ``unknown`` is the message, formatted with the line's first
     word, for a line of no family.  ``seen`` maps each entry read so far to its
     line and text; with ``symmetric`` the last two indices commute, so
-    ``Gamma[i,k,j]`` repeats ``Gamma[i,j,k]``.
+    ``Gamma[i,k,j]`` repeats ``Gamma[i,j,k]``.  ``texts`` maps each right-hand
+    side parsed so far in this definition to its value, so an equal one is
+    read once; a text that fails to parse is never stored.
     """
     lineno, raw, line = row
     match = _ENTRY_RE.match(line)
     if not match:
         raise DefinitionError(unknown.format(line.split()[0]), lineno)
-    name = match.group(1)
-    value = _parse_rhs(match.group(3), chart.coords, lineno, _rhs_offset(raw))
+    name, rhs = match.group(1, 3)
+    value = texts.get(rhs)
+    if value is None:
+        value = texts[rhs] = _parse_rhs(rhs, chart.coords, lineno, _rhs_offset(raw))
     meaning = meanings.get(name)
     if meaning is None:
         raise DefinitionError(unknown.format(name), lineno)
@@ -274,6 +278,7 @@ def parse_definition(text: str) -> Definition:
     mode = PAPER_LITERAL
     tasks: list[Task] = []
     seen: dict = {}
+    texts: dict[str, Poly] = {}  # right-hand side -> value, for this call only
 
     lines = text.splitlines()
     # (line number, raw line, line less comment and outer blanks) of each
@@ -324,7 +329,7 @@ def parse_definition(text: str) -> Definition:
             entries = {}
             for row in _block(rows, head, lineno):
                 _, idx, value = _read_entry(
-                    row, chart, {"Gamma": "index"}, 3, seen,
+                    row, chart, {"Gamma": "index"}, 3, seen, texts,
                     "expected 'Gamma[i,j,k] = expr' or 'end'", symmetric,
                 )
                 entries[idx] = value
@@ -334,7 +339,7 @@ def parse_definition(text: str) -> Definition:
         if head == "structure":
             if structure is not None:
                 raise DefinitionError("duplicate structure block", lineno)
-            structure, mode = _read_structure(_block(rows, head, lineno), lineno, chart)
+            structure, mode = _read_structure(_block(rows, head, lineno), lineno, chart, texts)
             continue
 
         if head == "task":
@@ -356,8 +361,9 @@ def parse_definition(text: str) -> Definition:
     return defn
 
 
-def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, str]:
-    """The structure and axiom mode of the block opened at line ``start``."""
+def _read_structure(body, start: int, chart: Chart, texts: dict) -> tuple[RContactStructure, str]:
+    """The structure and axiom mode of the block opened at line ``start``;
+    ``texts`` as for ``_read_entry``."""
     epsilon: Optional[int] = None
     signature: Optional[str] = None
     mode = PAPER_LITERAL
@@ -395,7 +401,7 @@ def _read_structure(body, start: int, chart: Chart) -> tuple[RContactStructure, 
             value = words[1] if len(words) == 2 else ""
             sizes[head] = _natural(value, f"{head} must be a nonnegative integer", lineno)
             continue
-        name, idx, value = _read_entry(row, chart, meanings, 2, seen, "unknown structure field {!r}")
+        name, idx, value = _read_entry(row, chart, meanings, 2, seen, texts, "unknown structure field {!r}")
         entries.setdefault(name, {})[idx] = value
 
     if epsilon is None or signature is None or len(sizes) < 2:

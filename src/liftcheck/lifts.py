@@ -171,9 +171,25 @@ def _connection_matrix(conn: Connection, tangent: TangentChart) -> dict[tuple[in
     return conn.memo[tangent]
 
 
+def _kept(fn: Callable[[Poly], Poly], run: Optional[dict], key: str) -> Callable[[Poly], Poly]:
+    """``fn``, or with a run table ``run``, ``fn`` with each value kept in
+    ``run[key]`` under the id of its argument, next to the argument itself, so
+    that no id is reused while the table lives."""
+    if run is None:
+        return fn
+    table = run.setdefault(key, {})
+
+    def kept(p: Poly) -> Poly:
+        hit = table.get(id(p))
+        if hit is None:
+            hit = table[id(p)] = (p, fn(p))
+        return hit[1]
+    return kept
+
+
 def _lift(
     name: str, valence: tuple[int, int], fields: Sequence[TensorField], kind: str,
-    tangent: TangentChart, conn: Optional[Connection],
+    tangent: TangentChart, conn: Optional[Connection], run: Optional[dict] = None,
 ) -> tuple[TensorField, ...]:
     """The ``kind`` lifts of a family of ``valence`` fields, checked for the entry point ``name``.
 
@@ -184,6 +200,10 @@ def _lift(
     plus T in each block one index away from it: as it is, when there is an
     upper index, and with every index moved to the fiber, when there is a
     lower one.  dT is the only code per kind.
+
+    ``run`` is a table that lives as long as one run over ``tangent``: with it,
+    each base Poly is embedded and, for a complete lift, differentiated once
+    for the whole run, however many lifts read it.
     """
     if kind not in LIFT_KINDS:
         raise LiftError(f"unknown lift kind {kind!r}")
@@ -199,11 +219,13 @@ def _lift(
     upper, lower = valence
     m, coords = tangent.base.dim, tangent.total.coords
     stacked = _stack(fields)
-    embedded = {key: tangent.embed(c) for key, c in stacked.items()}
+    embed = _kept(tangent.embed, run, "embedded")
+    embedded = {key: embed(c) for key, c in stacked.items()}
     if kind == VERTICAL:
         dt = embedded
     elif kind == COMPLETE:
-        dt = {key: d for key, c in stacked.items() if (d := _y_dot_derivative(c, tangent))}
+        derive = _kept(lambda c: _y_dot_derivative(c, tangent), run, "y^k d_k")
+        dt = {key: d for key, c in stacked.items() if (d := derive(c))}
     else:
         # T G_y over a lower index minus G_y T over an upper one, which is moved
         # in front of the stack index for the product and back after it
@@ -311,22 +333,24 @@ def _contexts(
 ) -> Callable[[str], LiftContext]:
     """One LiftContext per lift kind over ``tangent``, each built on first
     request over the connection ``lift_connection`` gives it; every kind reuses
-    the vertical one's lifts."""
+    the vertical one's lifts, and every lift reads the vertical memo as its
+    run table (see ``_lift``)."""
     built: dict[str, LiftContext] = {}
+    run: dict = {}
 
     def context(kind: str) -> LiftContext:
         # no call of ``context`` from inside it: a closure that refers to itself
         # is a reference cycle, which would keep every lift until a gc pass
         if not built:
-            xi_v = _lift("lift_vector", (1, 0), structure.xi, VERTICAL, tangent, None)
-            eta_v = _lift("lift_oneform", (0, 1), structure.eta, VERTICAL, tangent, None)
-            f_v = lift_endo(structure.f, VERTICAL, tangent)
-            built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v)
+            xi_v = _lift("lift_vector", (1, 0), structure.xi, VERTICAL, tangent, None, run)
+            eta_v = _lift("lift_oneform", (0, 1), structure.eta, VERTICAL, tangent, None, run)
+            (f_v,) = _lift("lift_endo", (1, 1), (structure.f,), VERTICAL, tangent, None, run)
+            built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v, memo=run)
         if kind not in built:
             v, c = built[VERTICAL], lift_connection(kind, conn, structure.chart)
-            xi = _lift("lift_vector", (1, 0), structure.xi, kind, tangent, c)
-            eta = _lift("lift_oneform", (0, 1), structure.eta, kind, tangent, c)
-            f_lift = lift_endo(structure.f, kind, tangent, c)
+            xi = _lift("lift_vector", (1, 0), structure.xi, kind, tangent, c, run)
+            eta = _lift("lift_oneform", (0, 1), structure.eta, kind, tangent, c, run)
+            (f_lift,) = _lift("lift_endo", (1, 1), (structure.f,), kind, tangent, c, run)
             built[kind] = LiftContext(tangent, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
         return built[kind]
 

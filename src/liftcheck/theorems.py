@@ -366,16 +366,19 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
 
 def _lifted_fields(xs, roles, fx, xi: tuple, kind: str, ctx: LiftContext):
     """The ``kind`` lifts of the test fields, a xi_b read from ``xi``, and of
-    each F X, as one family."""
+    each F X, as one family, over the run table of ``ctx``'s vertical memo."""
     plain = [x for x, (_, b) in zip(xs, roles) if b is None]
-    lifted = _lift("lift_vector", (1, 0), plain + list(fx), kind, ctx.tangent, ctx.conn)
+    lifted = _lift("lift_vector", (1, 0), plain + list(fx), kind, ctx.tangent, ctx.conn,
+                   (ctx.vertical or ctx).memo)
     rest = iter(lifted)
     return [next(rest) if b is None else xi[b] for _, b in roles], lifted[len(plain):]
 
 
-def _lifted_rows(rows, r: int, kind: str, tangent: TangentChart) -> list[tuple]:
-    """The ``kind`` lifts of the r functions eta^a X of each test field, as one family."""
-    flat = _lift("lift_function", (0, 0), [g for row in rows for g in row], kind, tangent, None)
+def _lifted_rows(rows, r: int, kind: str, ctx: LiftContext) -> list[tuple]:
+    """The ``kind`` lifts of the r functions eta^a X of each test field, as one
+    family, over the run table of ``ctx``'s vertical memo."""
+    flat = _lift("lift_function", (0, 0), [g for row in rows for g in row], kind, ctx.tangent,
+                 None, (ctx.vertical or ctx).memo)
     return [flat[e * r:(e + 1) * r] for e in range(len(rows))]
 
 
@@ -396,7 +399,7 @@ def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[t
         eta_x = [[TensorField.function(base.chart, pairs.get((a, e), 0)) for a in range(base.r)]
                  for e in range(len(xs))]
         return (xs, roles, *_lifted_fields(xs, roles, fx, v.xi_v, VERTICAL, v), fx, eta_x,
-                _lifted_rows(eta_x, base.r, VERTICAL, v.tangent))
+                _lifted_rows(eta_x, base.r, VERTICAL, v))
     return v.memoised(("action fields", fields), build)
 
 
@@ -407,7 +410,7 @@ def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) ->
     xs, roles, x_v, fx_v, fx, eta_x, eta_x_v = _action_fields(ctx, spec.base, fields)
     tangent, kind, r = ctx.tangent, spec.lift_kind, len(ctx.xi_v)
     x_l, fx_l = _lifted_fields(xs, roles, fx, ctx.xi_l, kind, ctx)
-    eta_x_c = _lifted_rows(eta_x, r, COMPLETE, tangent) if kind == COMPLETE else [()] * len(xs)
+    eta_x_c = _lifted_rows(eta_x, r, COMPLETE, ctx) if kind == COMPLETE else [()] * len(xs)
     # F^L Y and E(Y) in one product each; a lift of xi_b reads ``f_xi`` and ``pairing``
     def column(matrix: dict, k: int) -> dict:
         return {(i,): g for (i, j), g in matrix.items() if j == k}

@@ -389,6 +389,53 @@ def test_subtraction_makes_no_negated_copy(monkeypatch):
     assert calls == []
 
 
+@st.composite
+def differences(draw):
+    """(a, b): one Poly twice, a Poly and an equal copy, two drawn Polys, or a
+    Poly and one of equal size and denominator whose last key differs."""
+    a = draw(mixed_polys())
+    kind = draw(st.sampled_from(["same", "twin", "other", "last key"]))
+    if kind == "same":
+        return a, a
+    if kind == "other":
+        return a, draw(mixed_polys())
+    nums = dict(a.nums)
+    if kind == "last key" and nums:
+        # exponent 4 is outside mixed_polys' range, so the new key is not in a
+        (key,) = Poly(XYZ, {(4, 0, 0): 1}).nums
+        nums[key] = nums.popitem()[1]
+    return a, Poly._trusted(XYZ, nums, a.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(differences())
+def test_differences_match_fraction_reference(operands):
+    a, b = operands
+    got = a - b
+    assert_canonical(got)
+    assert got.terms == reference.add(a.terms, b.terms, -1)
+    if a.terms == b.terms:
+        # the canonical zero
+        assert got.nums == {} and got.den == 1 and got.variables == XYZ
+
+
+class Unread(dict):
+    """Numerators that fail the test when compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("numerators compared")
+
+    __hash__ = None
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_polys())
+def test_a_poly_equals_itself_without_reading_its_numerators(a):
+    same = Poly._trusted(XYZ, Unread(a.nums), a.den)
+    assert same == same and not same != same
+    assert len((same - same).nums) == 0
+
+
 # -- the sparse contraction kernel ----------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from liftcheck import definition
 from liftcheck.cli import main
 from liftcheck.definition import (
     Definition,
@@ -16,6 +17,7 @@ from liftcheck.definition import (
     parse_definition,
     structure_to_definition,
 )
+from liftcheck.expr import parse_poly
 from liftcheck.runner import run_tasks
 from liftcheck.structures import canonical_structure, check_axioms
 from liftcheck.tensor import TensorField
@@ -332,3 +334,77 @@ def test_names_of_every_kind_are_accepted():
     assert defn.chart.coords == ("_x", "α2", "b_1")
     assert defn.fiber_suffix == "1"
 
+
+
+# -- each distinct right-hand side is read once per definition ------------------------
+
+TWINS = """\
+chart M a1 b1 c1
+
+connection general
+  Gamma[3,1,2] = a1*b1 - 1/2*c1^2
+  Gamma[3,2,1] = a1*b1 - 1/2*c1^2
+  Gamma[1,1,1] = (a1 + c1)^3
+end
+
+structure
+  epsilon -1
+  signature riemannian
+  n 1
+  r 1
+  F[1,2] = -1
+  F[2,1] = 1
+  xi[1,3] = 1
+  eta[1,3] = 1
+  metric[1,1] = 1
+  metric[1,2] = (a1 + c1)^3
+  metric[2,1] = (a1 + c1)^3
+  metric[2,2] = 1
+  metric[3,3] = 1
+end
+"""
+
+
+def test_equal_right_hand_sides_are_read_once(monkeypatch):
+    texts = []
+    parse = definition.parse_poly
+    monkeypatch.setattr(
+        definition, "parse_poly", lambda text, coords: texts.append(text) or parse(text, coords)
+    )
+    defn = parse_definition(TWINS)
+    assert sorted(texts) == sorted(["a1*b1 - 1/2*c1^2", "(a1 + c1)^3", "-1", "1"])
+    coords, s = defn.chart.coords, defn.structure
+    gamma, metric = defn.connection.entries, s.metric.entries
+    # a general connection's twins, a symmetric metric's and one text in both blocks
+    assert gamma[2, 0, 1] is gamma[2, 1, 0]
+    assert gamma[2, 0, 1] == parse_poly("a1*b1 - 1/2*c1^2", coords)
+    assert metric[0, 1] is metric[1, 0] is gamma[0, 0, 0]
+    assert metric[0, 1] == parse_poly("(a1 + c1)^3", coords)
+    assert s.f.entries[1, 0] is s.xi[0].entries[2,] is metric[2, 2]
+    assert metric[2, 2] == parse_poly("1", coords)
+
+
+@pytest.mark.parametrize("rhs", ["a1 +* b1", "(a1+b1+c1)^120", "a1^1001"])
+def test_a_repeated_bad_right_hand_side_fails_at_its_first_line(rhs):
+    # a text is kept only once it has parsed, so the first line to hold a bad
+    # or capped text reports it, with the column it reports when read alone
+    twice = CANONICAL.replace("end\n", f"  metric[1,2] = {rhs}\n  metric[2,1] = {rhs}\nend\n")
+    once = CANONICAL.replace("end\n", f"  metric[1,2] = {rhs}\nend\n")
+    errors = []
+    for text in (twice, once):
+        with pytest.raises(DefinitionError) as err:
+            parse_definition(text)
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
+    assert errors[0].line == 13 and errors[0].column > len("  metric[1,2] = ")
+
+
+def test_two_parses_share_no_entry():
+    def values(defn):
+        s = defn.structure
+        fields = (s.f, s.metric, *s.xi, *s.eta)
+        return [*defn.connection.entries.values(), *(c for t in fields for c in t.entries.values())]
+
+    first, second = parse_definition(TWINS), parse_definition(TWINS)
+    assert first == second
+    assert not {id(c) for c in values(first)} & {id(c) for c in values(second)}

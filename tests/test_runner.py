@@ -1,6 +1,8 @@
 """Task orchestration: one structure and one lift context per lift kind per run."""
 
 import gc
+import random
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from liftcheck import definition, lifts, runner, structures, tensor, theorems
+from liftcheck.algebra import Poly
 from liftcheck.definition import Task, parse_definition, structure_to_definition
 from liftcheck.lifts import COMPLETE, HORIZONTAL, VERTICAL, Connection
 from liftcheck.report import Report
@@ -54,14 +57,14 @@ def test_run_tasks_builds_each_lift_once(monkeypatch):
     text = (ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8")
     defn = parse_definition(text)
     structure_builds = count_calls(monkeypatch, definition, "build_structure")
-    endo_lifts = count_calls(monkeypatch, lifts, "lift_endo")
+    lifted = count_calls(monkeypatch, lifts, "_lift")
     js = count_calls(monkeypatch, theorems, "_assemble_j")
     squares = count_calls(monkeypatch, tensor, "endo_compose")
     report = runner.run_tasks(defn, TASKS)
     assert report.overall
     assert len(structure_builds) == 1
     # F^c and F^h for the two contexts, and F^v for the interaction table
-    assert len(endo_lifts) <= 3
+    assert fields_lifted(lifted, (1, 1)) == {VERTICAL: 1, COMPLETE: 1, HORIZONTAL: 1}
     # J(+1,-1) horizontal for build-j; the J^2 verdicts, the sweep and the
     # action formulas assemble none
     assert len(js) == 1
@@ -174,6 +177,60 @@ def test_shared_contexts_are_freed_without_a_gc_pass():
         assert context() is None
     finally:
         gc.enable()
+
+
+def grid_definition():
+    """A conjugated n = 1, r = 1 model with a polynomial connection and a task
+    of each kind, as the benchmark's model grid builds them: every run of it
+    reads one Definition, its tangent chart and its connection."""
+    base = canonical_structure(1, 1, -1)
+    u, u_inv = structures.random_unimodular(base.chart, random.Random(5), 3, 2)
+    a1, c1 = base.chart.coordinate("a1"), base.chart.coordinate("c1")
+    conn = Connection.from_entries(base.chart, {(2, 0, 1): a1 * c1, (0, 2, 2): c1})
+    return structure_to_definition(structures.conjugate_structure(base, u, u_inv), conn=conn,
+                                   tasks=TASKS + [Task("sweep", ("complete",))])
+
+
+def test_a_run_embeds_and_differentiates_each_lifted_poly_once(monkeypatch):
+    defn = grid_definition()
+    # G_y is kept on the connection across runs; built here, it is not counted
+    lifts._connection_matrix(defn.connection, defn.tangent)
+    lifted = count_calls(monkeypatch, lifts, "_lift")
+    derived = count_calls(monkeypatch, lifts, "_y_dot_derivative")
+    extend, embedded = Poly.extend, []
+    monkeypatch.setattr(Poly, "extend", lambda p, coords: embedded.append(p) or extend(p, coords))
+
+    def bases(kinds) -> list[int]:
+        """The id of every distinct base Poly the run lifted with one of ``kinds``."""
+        return sorted({id(c) for _, _, fields, kind, *_ in lifted if kind in kinds
+                       for t in fields for c in t.entries.values()})
+
+    counts = []
+    for _ in range(2):
+        del lifted[:], derived[:], embedded[:]
+        runner.run_tasks(defn, defn.tasks)
+        assert sorted(map(id, embedded)) == bases(lifts.LIFT_KINDS)
+        assert sorted(id(p) for p, _ in derived) == bases((COMPLETE,))
+        counts.append((len(embedded), len(derived)))
+    # the run tables die with their run: the second run forms them again
+    assert counts[0] == counts[1]
+
+
+def test_runs_of_one_definition_leave_no_objects_behind():
+    # a run table kept on anything that outlives its run, such as a key of the
+    # connection's memo, would keep the lifts of every run alive
+    defn = grid_definition()
+    s = defn.structure
+    bases = [c for t in (s.f, s.metric, *s.xi, *s.eta) for c in t.entries.values()]
+    held = sum(map(sys.getrefcount, bases))
+    alive = []
+    for _ in range(3):
+        runner.run_tasks(defn, defn.tasks)
+        gc.collect()
+        alive.append(len(gc.get_objects()))
+        # a table that outlives its run, even one filled only once, holds its keys
+        assert sum(map(sys.getrefcount, bases)) == held
+    assert alive[2] == alive[0]
 
 
 @pytest.mark.parametrize("signature", ["riemannian", "lorentzian"])
