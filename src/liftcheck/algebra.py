@@ -90,6 +90,9 @@ class EpsComplex:
     def __setattr__(self, name, value):
         raise AttributeError("EpsComplex is immutable")
 
+    def __reduce__(self):
+        return EpsComplex, (self.re, self.im, self.epsilon)
+
     @classmethod
     def unit(cls, epsilon: int) -> "EpsComplex":
         """The imaginary unit i for the given squaring convention."""
@@ -196,7 +199,17 @@ def _check_degree(degree: int) -> None:
         raise DegreeOverflow(f"a product or power of total degree {degree} exceeds {_MASK}")
 
 
-class Poly:
+_new = object.__new__
+
+
+class _PolyParts:
+    """The three slots of a ``Poly`` with no write guard: ``Poly._trusted``
+    fills one with plain stores, then makes it a ``Poly``."""
+
+    __slots__ = ("variables", "nums", "den")
+
+
+class Poly(_PolyParts):
     """Sparse multivariate polynomial over an ordered variable list.
 
     Immutable after construction.  ``nums`` maps monomial keys (see the
@@ -207,10 +220,11 @@ class Poly:
 
     ``Poly(...)`` validates its input; arithmetic results are built with
     ``_trusted`` or ``_reduced``, which skip the checks because they hold by
-    construction.
+    construction.  Nothing subclasses ``Poly``: ``_trusted`` assigns
+    ``__class__``, which needs the layout of ``_PolyParts``.
     """
 
-    __slots__ = ("variables", "nums", "den")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -225,9 +239,9 @@ class Poly:
                 if coeff != 0:
                     clean[_checked_key(exps, variables)] = coeff
         nums, den = _over_lcm(clean)
-        _set_variables(self, variables)
-        _set_nums(self, nums)
-        _set_den(self, den)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], nums: dict[int, int], den: int) -> "Poly":
@@ -235,16 +249,21 @@ class Poly:
 
         ``variables`` must be a tuple and ``nums`` a dict, owned by the new
         Poly, of keys over that many variables to nonzero ints; ``den`` >= 1
-        must have no common factor with them.
+        must have no common factor with them.  The parts are stored into a
+        ``_PolyParts``, which has no guard, and the class is set last.
         """
-        self = object.__new__(cls)
-        _set_variables(self, variables)
-        _set_nums(self, nums)
-        _set_den(self, den)
+        self = _new(_PolyParts)
+        self.variables = variables
+        self.nums = nums
+        self.den = den
+        self.__class__ = cls
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly._trusted, (self.variables, self.nums, self.den)
 
     @property
     def terms(self) -> "Mapping[Exponents, Fraction]":
@@ -512,12 +531,6 @@ class Poly:
         return f"Poly({self})"
 
 
-# slot setters that bypass Poly.__setattr__, which refuses every write
-_set_variables = Poly.variables.__set__
-_set_nums = Poly.nums.__set__
-_set_den = Poly.den.__set__
-
-
 class _Terms(Mapping):
     """``Poly.terms``: exponent tuples to ``Fraction(n, den)``, decoded on read."""
 
@@ -655,7 +668,7 @@ def _contract(
     for key, pairs in sums.items():
         if len(pairs) == 1:
             out[key] = _times(*pairs[0])
-        elif value := _dot(pairs, variables):
+        elif (value := _dot(pairs, variables)).nums:
             out[key] = value
     return out
 
@@ -696,9 +709,11 @@ def _dot(pairs: list[tuple[Poly, Poly]], variables: tuple[str, ...]) -> Poly:
     product once and doubles it: n(n + 1)/2 term products, or row products,
     where a general pair of n forms n * n (Knuth, TAOCP vol. 2).
     """
-    den, products = 1, 0
+    # a Poly's degree is the top field of its highest key
+    den, products, shift = 1, 0, len(variables) * _W
     for a, b in pairs:
-        _check_degree(a.total_degree() + b.total_degree())
+        if (max(a.nums) >> shift) + (max(b.nums) >> shift) > _MASK:
+            _check_degree(a.total_degree() + b.total_degree())
         den = lcm(den, a.den * b.den)
         products += len(a.nums) * len(b.nums)
     if products == len(pairs):
@@ -883,6 +898,9 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return PolyMatrix, (self.entries,)
 
     @classmethod
     def identity(cls, n: int, variables: Sequence[str]) -> "PolyMatrix":

@@ -173,9 +173,13 @@ def _descent_point(p: Poly) -> list[Fraction]:
 def new_entry(
     name: str, tag: str, residual: TensorField, seed: int | None = None
 ) -> CheckEntry:
-    passed = residual.is_zero()
-    witness = None if passed else find_witness(residual, seed)
-    return CheckEntry(name=name, tag=tag, residual=residual, passed=passed, witness=witness)
+    """The entry of ``residual``, made as ``CheckEntry(...)`` makes it: the
+    fields go into the new instance's ``__dict__`` in one update."""
+    passed = not residual.entries
+    entry = object.__new__(CheckEntry)
+    entry.__dict__.update(name=name, tag=tag, residual=residual, passed=passed,
+                          witness=None if passed else find_witness(residual, seed))
+    return entry
 
 
 def identity_entries(table: list, r: int, seed: int | None = None) -> list[CheckEntry]:
@@ -187,10 +191,10 @@ def identity_entries(table: list, r: int, seed: int | None = None) -> list[Check
     builder computes the residual from the 0-based ones.
     """
     return [
-        new_entry(name.format(**dict(zip("ab", (i + 1 for i in index)))), tag, residual(*index),
-                  seed)
+        new_entry(name.format_map(names), tag, residual(*index), seed)
         for tag, arity, rows in table
         for index in product(range(r), repeat=arity)
+        for names in [dict(zip("ab", (i + 1 for i in index)))]
         for name, residual in rows
     ]
 

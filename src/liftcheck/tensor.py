@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraError, Poly, PolyMatrix, _contract, _numerators_at, as_fraction
+from .algebra import AlgebraError, Poly, PolyMatrix, _contract, _new, _numerators_at, as_fraction
 
 VALENCES = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
 
@@ -126,15 +126,25 @@ def _added(left: dict, right: dict, negate: bool = False) -> dict:
     for key, b in right.items():
         a = out.pop(key, None)
         c = (-b if negate else b) if a is None else (a - b if negate else a + b)
-        if c:
+        if c.nums:
             out[key] = c
     return out
 
 
-class TensorField:
-    """A valence-tagged field on one chart, held as its nonzero components (immutable)."""
+class _FieldParts:
+    """The three slots of a ``TensorField`` with no write guard:
+    ``TensorField._trusted`` fills one with plain stores, then makes it a
+    ``TensorField``."""
 
     __slots__ = ("chart", "valence", "entries")
+
+
+class TensorField(_FieldParts):
+    """A valence-tagged field on one chart, held as its nonzero components
+    (immutable).  Nothing subclasses it: ``_trusted`` assigns ``__class__``,
+    which needs the layout of ``_FieldParts``."""
+
+    __slots__ = ()
 
     def __new__(cls, chart: Chart, valence: tuple[int, int], comps):
         """The field of the dense ``comps``: a function's value, a vector's or
@@ -147,16 +157,22 @@ class TensorField:
         """Wrap entries that are valid by construction, without checking them.
 
         ``entries`` must map index tuples in range for ``valence`` to nonzero
-        Polys over ``chart.coords``; the field takes the dict over.
+        Polys over ``chart.coords``; the field takes the dict over.  As in
+        ``Poly._trusted``, the parts go into a ``_FieldParts`` by plain stores
+        and the class is set last.
         """
-        self = object.__new__(cls)
-        _set_chart(self, chart)
-        _set_valence(self, valence)
-        _set_entries(self, entries)
+        self = _new(_FieldParts)
+        self.chart = chart
+        self.valence = valence
+        self.entries = entries
+        self.__class__ = cls
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
+
+    def __reduce__(self):
+        return TensorField._trusted, (self.chart, self.valence, self.entries)
 
     @property
     def comps(self):
@@ -287,12 +303,6 @@ class TensorField:
             f"[{','.join(label)}]={poly}" for label, poly in self.nonzero_items()
         )
         return f"TensorField{self.valence}({body or '0'})"
-
-
-# slot setters that bypass TensorField.__setattr__, which refuses every write
-_set_chart = TensorField.chart.__set__
-_set_valence = TensorField.valence.__set__
-_set_entries = TensorField.entries.__set__
 
 
 # -- contractions ------------------------------------------------------------

@@ -890,7 +890,9 @@ def test_products_and_powers_past_the_field_raise_before_any_result_is_built():
     assert (near * x_plus_y).leading() == ((TOP, 0), 2)
     for make in (lambda: top * x, lambda: x * top, lambda: near * x_y, lambda: x ** (TOP + 1),
                  lambda: x_plus_y ** (TOP + 1), lambda: near_plus_1**2,
-                 lambda: dense_contract([[top, x]], [[x, y]], zero)):
+                 lambda: dense_contract([[top, x]], [[x, y]], zero),
+                 # only the second pair of this sum passes the field
+                 lambda: dense_contract([[x, top]], [[y, x]], zero)):
         with mock.patch.object(Poly, "_trusted", side_effect=AssertionError("a result was built")):
             with pytest.raises(DegreeOverflow, match=f"exceeds {TOP}"):
                 make()
