@@ -26,7 +26,7 @@ and by the test suite's evaluation contracts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Callable, Optional, Sequence
 
@@ -51,12 +51,6 @@ class LiftError(TensorError):
     """Invalid lift request (bad kind, missing connection, chart mismatch)."""
 
 
-@lru_cache(maxsize=1024)
-def _coordinate_poly(coords: tuple[str, ...], index: int) -> Poly:
-    """The coordinate polynomial coords[index]; shared, since Poly is immutable."""
-    return Poly.variable(coords[index], coords)
-
-
 @dataclass(frozen=True)
 class TangentChart:
     """Base chart plus its induced tangent-bundle chart."""
@@ -78,7 +72,8 @@ class TangentChart:
         return p.extend(self.total.coords)
 
     def fiber_poly(self, k: int) -> Poly:
-        return _coordinate_poly(self.total.coords, self.base.dim + k)
+        """The fiber coordinate y^k on the total chart."""
+        return Poly.variable(self.total.coords[self.base.dim + k], self.total.coords)
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,6 @@ class Connection:
     # left out of the hash, which stays valid: equal connections share chart and flag
     entries: dict[tuple[int, int, int], Poly] = field(hash=False)
     symmetric: bool = True
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m, given, entries = self.chart.dim, self.entries, {}
@@ -162,16 +156,14 @@ def _y_dot_derivative(p: Poly, tangent: TangentChart) -> Poly:
 
 def _connection_matrix(conn: Connection, tangent: TangentChart) -> dict[tuple[int, int], Poly]:
     """The nonzero entries of G_y = y^k G_k on the total chart, where (G_k)^i_j =
-    G^i_kj: the entries (i, k, j) contracted with y^k over k.  Kept in
-    ``conn.memo``, since every horizontal lift over ``conn`` reads the same G_y."""
-    if tangent not in conn.memo:
-        g = {(i, j, k): tangent.embed(value) for (i, k, j), value in conn.entries.items()}
-        y = {(k,): tangent.fiber_poly(k) for _, k, _ in conn.entries}
-        conn.memo[tangent] = _contract(g, y, tangent.total.coords)
-    return conn.memo[tangent]
+    G^i_kj: the entries (i, k, j) contracted with y^k over k.  A run keeps it in
+    its table (see ``_lift``); a lift made without one builds its own."""
+    g = {(i, j, k): tangent.embed(value) for (i, k, j), value in conn.entries.items()}
+    y = {(k,): tangent.fiber_poly(k) for _, k, _ in conn.entries}
+    return _contract(g, y, tangent.total.coords)
 
 
-def _kept(fn: Callable[[Poly], Poly], run: Optional[dict], key: str) -> Callable[[Poly], Poly]:
+def _kept(fn: Callable, run: Optional[dict], key: str) -> Callable:
     """``fn``, or with a run table ``run``, ``fn`` with each value kept in
     ``run[key]`` under the id of its argument, next to the argument itself, so
     that no id is reused while the table lives."""
@@ -179,7 +171,7 @@ def _kept(fn: Callable[[Poly], Poly], run: Optional[dict], key: str) -> Callable
         return fn
     table = run.setdefault(key, {})
 
-    def kept(p: Poly) -> Poly:
+    def kept(p):
         hit = table.get(id(p))
         if hit is None:
             hit = table[id(p)] = (p, fn(p))
@@ -202,8 +194,9 @@ def _lift(
     lower one.  dT is the only code per kind.
 
     ``run`` is a table that lives as long as one run over ``tangent``: with it,
-    each base Poly is embedded and, for a complete lift, differentiated once
-    for the whole run, however many lifts read it.
+    each base Poly is embedded and, for a complete lift, differentiated once,
+    and G_y is built once per connection, for the whole run, however many
+    lifts read them.
     """
     if kind not in LIFT_KINDS:
         raise LiftError(f"unknown lift kind {kind!r}")
@@ -229,7 +222,7 @@ def _lift(
     else:
         # T G_y over a lower index minus G_y T over an upper one, which is moved
         # in front of the stack index for the product and back after it
-        g_y = _connection_matrix(conn, tangent)
+        g_y = _kept(lambda c: _connection_matrix(c, tangent), run, "G_y")(conn)
         dt = _contract(embedded, g_y, coords) if lower else {}
         if upper:
             g_t = _contract(g_y, {(i, a, *k): c for (a, i, *k), c in embedded.items()}, coords)
@@ -287,7 +280,8 @@ class LiftContext:
     The interaction table and the J^2 checks read the lifted products here, each
     made on first use: with X = ``xi`` = xi_v + xi_l and E = ``eta`` = eta_v + eta_l,
     ``f_xi`` is F^L X_a, ``eta_f`` is E_a o F^L and ``pairing`` the nonzero E_a(X_b) by (a, b).
-    ``vertical`` is the vertical context (None in it), whose memo every lift kind reads."""
+    ``run`` is the run table that every context of one run shares: what the run
+    derives from its base data whatever the lift kind (see ``_lift``)."""
 
     tangent: TangentChart
     conn: Optional[Connection]
@@ -297,7 +291,7 @@ class LiftContext:
     eta_v: tuple[TensorField, ...]
     eta_l: tuple[TensorField, ...]
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-    vertical: Optional["LiftContext"] = field(default=None, compare=False, repr=False)
+    run: dict = field(default_factory=dict, compare=False, repr=False)
 
     def memoised(self, key, build: Callable[[], object]):
         """The value kept under ``key``, made by ``build()`` on first use."""
@@ -333,25 +327,25 @@ def _contexts(
 ) -> Callable[[str], LiftContext]:
     """One LiftContext per lift kind over ``tangent``, each built on first
     request over the connection ``lift_connection`` gives it; every kind reuses
-    the vertical one's lifts, and every lift reads the vertical memo as its
-    run table (see ``_lift``)."""
+    the vertical one's lifts, and every context holds one run table, which
+    every lift of the run reads (see ``_lift``) and which goes with them."""
     built: dict[str, LiftContext] = {}
     run: dict = {}
 
     def context(kind: str) -> LiftContext:
-        # no call of ``context`` from inside it: a closure that refers to itself
-        # is a reference cycle, which would keep every lift until a gc pass
+        # no call of ``context`` from inside it, and no context in the run table:
+        # a reference cycle would keep every lift until a gc pass
         if not built:
             xi_v = _lift("lift_vector", (1, 0), structure.xi, VERTICAL, tangent, None, run)
             eta_v = _lift("lift_oneform", (0, 1), structure.eta, VERTICAL, tangent, None, run)
             (f_v,) = _lift("lift_endo", (1, 1), (structure.f,), VERTICAL, tangent, None, run)
-            built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v, memo=run)
+            built[VERTICAL] = LiftContext(tangent, None, f_v, xi_v, xi_v, eta_v, eta_v, run=run)
         if kind not in built:
             v, c = built[VERTICAL], lift_connection(kind, conn, structure.chart)
             xi = _lift("lift_vector", (1, 0), structure.xi, kind, tangent, c, run)
             eta = _lift("lift_oneform", (0, 1), structure.eta, kind, tangent, c, run)
             (f_lift,) = _lift("lift_endo", (1, 1), (structure.f,), kind, tangent, c, run)
-            built[kind] = LiftContext(tangent, c, f_lift, v.xi_v, xi, v.eta_v, eta, vertical=v)
+            built[kind] = LiftContext(tangent, c, f_lift, v.xi_v, xi, v.eta_v, eta, run=run)
         return built[kind]
 
     return context

@@ -47,7 +47,7 @@ lifted F X, none in a xi row, plus sum_i sigma_i rho_i X_i, rho_i one of
 (eta X)^v, (eta X)^c, kappa and 0.  By distributivity alone the residual is
 D + sum_i sigma_i g_i X_i with D = F Y - (F X)^{v|L} and g_i = E_i(Y) - rho_i,
 every E_i(Y) computed, eta^v(X^v) included.  Per report, D and g are made
-once, from kind-free inputs kept on the vertical context, and all entries are
+once, from kind-free inputs kept in the run table, and all entries are
 one (entries x 2r)(2r x 2m) product.  J is assembled only for ``build_lifted_j``.
 
 A J^2 verdict is the ``CheckEntry`` of its residual; a sweep keeps the
@@ -70,6 +70,7 @@ from .lifts import (
     LiftError,
     TangentChart,
     _contexts,
+    _kept,
     _lift,
     lift_connection,
 )
@@ -140,13 +141,11 @@ class SignSweep:
 
 
 class Claims(NamedTuple):
-    """A theorem's post-theorem displays: J X^v = (FX)^v + xv * (eta X)^v xi^L,
-    J X^L = (FX)^L + xl_v * (eta X)^v xi^v + xl_l * (eta X)^L-lift xi^L, the
-    signs of J xi^v and J xi^L, and whether the xi factors are written U."""
+    """What a theorem's post-theorem displays claim beyond its own signs: the
+    signs of J xi^v and J xi^L, and whether the xi factors are written U.  Their
+    X-action coefficients are the cell's own (t, s, t), so they claim nothing
+    the derived displays could differ from."""
 
-    xv: int
-    xl_v: int
-    xl_l: int
     xi_v_sign: int
     xi_l_sign: int
     uses_u_symbol: bool
@@ -164,9 +163,9 @@ class Theorem(NamedTuple):
 
 
 THEOREMS = {
-    "4.1": Theorem(COMPLETE, 1, -1, "2.8", Claims(-1, 1, -1, 1, 1, True)),
-    "4.2": Theorem(COMPLETE, -1, 1, "2.15", Claims(1, -1, 1, 1, 1, False)),
-    "4.3": Theorem(HORIZONTAL, 1, -1, "2.22", Claims(-1, 1, -1, 1, 1, False)),
+    "4.1": Theorem(COMPLETE, 1, -1, "2.8", Claims(1, 1, True)),
+    "4.2": Theorem(COMPLETE, -1, 1, "2.15", Claims(1, 1, False)),
+    "4.3": Theorem(HORIZONTAL, 1, -1, "2.22", Claims(1, 1, False)),
     "4.4": Theorem(HORIZONTAL, -1, 1, "2.22", None),
 }
 # the theorem tag of each catalogued (lift kind, s, t) cell
@@ -366,30 +365,27 @@ def _field_role(x: TensorField, base: RContactStructure) -> tuple[str, Optional[
 
 def _lifted_fields(xs, roles, fx, xi: tuple, kind: str, ctx: LiftContext):
     """The ``kind`` lifts of the test fields, a xi_b read from ``xi``, and of
-    each F X, as one family, over the run table of ``ctx``'s vertical memo."""
+    each F X, as one family, over the run table ``ctx.run``."""
     plain = [x for x, (_, b) in zip(xs, roles) if b is None]
-    lifted = _lift("lift_vector", (1, 0), plain + list(fx), kind, ctx.tangent, ctx.conn,
-                   (ctx.vertical or ctx).memo)
+    lifted = _lift("lift_vector", (1, 0), plain + list(fx), kind, ctx.tangent, ctx.conn, ctx.run)
     rest = iter(lifted)
     return [next(rest) if b is None else xi[b] for _, b in roles], lifted[len(plain):]
 
 
 def _lifted_rows(rows, r: int, kind: str, ctx: LiftContext) -> list[tuple]:
     """The ``kind`` lifts of the r functions eta^a X of each test field, as one
-    family, over the run table of ``ctx``'s vertical memo."""
+    family, over the run table ``ctx.run``."""
     flat = _lift("lift_function", (0, 0), [g for row in rows for g in row], kind, ctx.tangent,
-                 None, (ctx.vertical or ctx).memo)
+                 None, ctx.run)
     return [flat[e * r:(e + 1) * r] for e in range(len(rows))]
 
 
 def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[tuple]) -> tuple:
-    """The kind-free parts of the action residuals, kept on the vertical context:
-    the test fields, by default every frame field d/dx_i and every xi_alpha, and
-    per field its role, X^v, (F X)^v, F X, the eta^a X and the (eta^a X)^v."""
-    v = ctx.vertical or ctx
-
-    def build():
-        xs = fields
+    """The kind-free parts of the action residuals, kept in the run table under
+    the ``fields`` object: the test fields, by default every frame field d/dx_i
+    and every xi_alpha, and per field its role, X^v, (F X)^v, F X, the eta^a X
+    and the (eta^a X)^v."""
+    def build(xs):
         if xs is None:
             xs = [TensorField.basis_vector(base.chart, coord) for coord in base.chart.coords]
             xs = tuple(xs + [x for b, x in enumerate(base.xi) if x not in xs + list(base.xi[:b])])
@@ -398,9 +394,9 @@ def _action_fields(ctx: LiftContext, base: RContactStructure, fields: Optional[t
         pairs = _pairings(base.chart, base.eta, xs)
         eta_x = [[TensorField.function(base.chart, pairs.get((a, e), 0)) for a in range(base.r)]
                  for e in range(len(xs))]
-        return (xs, roles, *_lifted_fields(xs, roles, fx, v.xi_v, VERTICAL, v), fx, eta_x,
-                _lifted_rows(eta_x, base.r, VERTICAL, v))
-    return v.memoised(("action fields", fields), build)
+        return (xs, roles, *_lifted_fields(xs, roles, fx, ctx.xi_v, VERTICAL, ctx), fx, eta_x,
+                _lifted_rows(eta_x, base.r, VERTICAL, ctx))
+    return _kept(build, ctx.run, "action fields")(fields)
 
 
 def _action_parts(ctx: LiftContext, spec: LiftedStructureSpec, fields, kappa) -> tuple[dict, dict]:
@@ -453,7 +449,7 @@ def verify_action_formulas(
 
     (eta^h(X^h) = 0 identically, so the horizontal X^h display has no third
     term).  When (lift kind, s, t) matches a catalogued theorem the derived
-    coefficients are compared against the claimed display; any discrepancy is
+    xi signs are compared against the claimed ones; any discrepancy is
     recorded as a structured erratum note rather than silently adopted.
     """
     return action_report(spec, [x], seed, ctx=ctx)
@@ -508,16 +504,6 @@ def action_report(
                 f"[erratum {tag_actions}-u-symbol] catalogued displays write the xi factors "
                 f"as U_alpha^{lift_name}, U_alpha^v, symbols defined nowhere; verified here "
                 f"under the presumption U_alpha = xi_alpha (presumption recorded, not asserted)"
-            )
-        if (claims.xv, claims.xl_v) != (spec.t, spec.s):
-            report.notes.append(
-                f"[erratum {tag_actions}-x-display] catalogued X-action coefficients "
-                f"({claims.xv:+d}, {claims.xl_v:+d}) differ from the derived ({spec.t:+d}, {spec.s:+d})"
-            )
-        if kind == COMPLETE and claims.xl_l != spec.t:
-            report.notes.append(
-                f"[erratum {tag_actions}-x-display] catalogued (eta X)^c xi^c coefficient "
-                f"{claims.xl_l:+d} differs from the derived {spec.t:+d}"
             )
         if kind == HORIZONTAL:
             report.notes.append(

@@ -145,6 +145,22 @@ def test_shipped_defs_round_trip(path):
     assert again == defn
 
 
+def test_a_fiber_suffix_round_trips():
+    # a suffix other than the default is written back, so the reparsed file
+    # lifts to the same fiber coordinates and reports the same
+    text = (DEFS_DIR / "horizontal_nonflat.def").read_text(encoding="utf-8")
+    text = text.replace("chart M a1 b1 c1\n", "chart M a1 b1 c1\nfiber_suffix _p\n")
+    defn = parse_definition(text)
+    assert defn.fiber_suffix == "_p"
+    emitted = emit_definition(defn)
+    assert "\nfiber_suffix _p\n" in emitted
+    again = parse_definition(emitted)
+    assert again == defn
+    report = run_tasks(defn, defn.tasks).render_machine()
+    assert "a1_p" in report
+    assert run_tasks(again, again.tasks).render_machine() == report
+
+
 def test_structure_to_definition_round_trip():
     s = canonical_structure(2, 1, -1, "lorentzian")
     defn = structure_to_definition(s, tasks=[Task("check"), Task("sweep", ("complete",))])

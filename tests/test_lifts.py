@@ -241,9 +241,8 @@ def test_lifts_read_each_nonzero_component_once(monkeypatch):
     tangent = TangentChart.over(s.chart)
     c1, a1 = s.chart.coordinate("c1"), s.chart.coordinate("a1")
     conn = Connection.from_entries(s.chart, {(0, 0, 1): c1, (40, 2, 2): a1 * a1})
-    lifts._connection_matrix(conn, tangent)
     nonzero = sum(len(field.entries) for field in (s.f, *s.xi, *s.eta))
-    assert nonzero == 2 * 20 + 2
+    assert nonzero == 2 * 20 + 2 and len(conn.entries) == 3
     extend, derivative = Poly.extend, lifts._y_dot_derivative
     calls = {"extend": 0, "derivative": 0}
 
@@ -260,8 +259,12 @@ def test_lifts_read_each_nonzero_component_once(monkeypatch):
         lift_endo(s.f, kind, tangent, c)
         lift_vector(s.xi[0], kind, tangent, c)
         lift_oneform(s.eta[0], kind, tangent, c)
-        # one embedding per nonzero component, and one y^k d_k in a complete lift
-        assert calls == {"extend": nonzero, "derivative": nonzero if kind == COMPLETE else 0}
+        # one embedding per nonzero component, and one y^k d_k in a complete
+        # lift; each of the three horizontal lifts builds its own G_y, which
+        # embeds each connection entry once
+        own_g_y = 3 * len(conn.entries) if kind == HORIZONTAL else 0
+        assert calls == {"extend": nonzero + own_g_y,
+                         "derivative": nonzero if kind == COMPLETE else 0}
 
 
 def test_vertical_lift_moves_to_fiber():

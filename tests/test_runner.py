@@ -1,6 +1,7 @@
 """Task orchestration: one structure and one lift context per lift kind per run."""
 
 import gc
+import pickle
 import random
 import sys
 import weakref
@@ -106,7 +107,11 @@ def test_run_tasks_forms_each_context_product_once(monkeypatch):
     assert fields_lifted(lifted, (1, 0)) == {kind: 1 + 2 + 3 for kind in lifts.LIFT_KINDS}
     # (eta X)^v once for both theorems, (eta X)^c in the complete context
     assert fields_lifted(lifted, (0, 0)) == {VERTICAL: 3, COMPLETE: 3}
-    assert contexts[0].vertical is contexts[1].vertical is shared.context(VERTICAL)
+    # every context of the run holds one run table; the vertical one keeps its
+    # own products apart from it
+    vertical = shared.context(VERTICAL)
+    assert contexts[0].run is contexts[1].run is vertical.run
+    assert vertical.memo is not vertical.run
     frames = [TensorField.basis_vector(defn.structure.chart, c) for c in ("a1", "b1")]
     for ctx, kind in zip(contexts, (COMPLETE, HORIZONTAL)):
         lifted = [args for args in applied if args[0] == ctx.f_lift]
@@ -148,21 +153,23 @@ def test_a_run_builds_one_tangent_chart(monkeypatch):
 
 def test_run_tasks_builds_g_y_once(monkeypatch):
     defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
-    shared = runner._Shared(defn)
-    for task in TASKS:
-        runner.run_task(defn, task, shared=shared)
-    horizontal = shared.context(HORIZONTAL)
-    # the horizontal context's lifts and the action formulas' horizontal
-    # lifts read one G_y, kept on the run's connection
-    assert list(horizontal.conn.memo) == [horizontal.tangent]
-    # building G_y is what reads the fiber coordinates y^k
-    fibers = []
-    fiber_poly = lifts.TangentChart.fiber_poly
-    monkeypatch.setattr(
-        lifts.TangentChart, "fiber_poly", lambda self, k: fibers.append(k) or fiber_poly(self, k)
-    )
-    lifts.lift_vector(shared.structure.xi[0], HORIZONTAL, horizontal.tangent, horizontal.conn)
-    assert fibers == []
+    built = count_calls(monkeypatch, lifts, "_connection_matrix")
+    for _ in range(2):
+        del built[:]
+        assert runner.run_tasks(defn, TASKS).overall
+        # the horizontal context's lifts and the action formulas' horizontal
+        # lifts read one G_y, kept in the run table; it goes with the run, so a
+        # second run of the definition builds its own
+        assert built == [(defn.connection, defn.tangent)]
+
+
+def test_a_run_writes_nothing_onto_its_definition():
+    # a value a run derives, kept on the connection or any other part of the
+    # Definition, would change what it pickles to and travel with it
+    defn = parse_definition((ROOT / "defs" / "horizontal_nonflat.def").read_text(encoding="utf-8"))
+    before = pickle.dumps(defn), pickle.dumps(defn.connection)
+    assert runner.run_tasks(defn, defn.tasks + TASKS).overall
+    assert (pickle.dumps(defn), pickle.dumps(defn.connection)) == before
 
 
 def test_shared_contexts_are_freed_without_a_gc_pass():
@@ -193,8 +200,6 @@ def grid_definition():
 
 def test_a_run_embeds_and_differentiates_each_lifted_poly_once(monkeypatch):
     defn = grid_definition()
-    # G_y is kept on the connection across runs; built here, it is not counted
-    lifts._connection_matrix(defn.connection, defn.tangent)
     lifted = count_calls(monkeypatch, lifts, "_lift")
     derived = count_calls(monkeypatch, lifts, "_y_dot_derivative")
     extend, embedded = Poly.extend, []
@@ -209,7 +214,9 @@ def test_a_run_embeds_and_differentiates_each_lifted_poly_once(monkeypatch):
     for _ in range(2):
         del lifted[:], derived[:], embedded[:]
         runner.run_tasks(defn, defn.tasks)
-        assert sorted(map(id, embedded)) == bases(lifts.LIFT_KINDS)
+        # the run's one G_y embeds each connection entry, once per key
+        entries = [id(g) for g in defn.connection.entries.values()]
+        assert sorted(map(id, embedded)) == sorted(bases(lifts.LIFT_KINDS) + entries)
         assert sorted(id(p) for p, _ in derived) == bases((COMPLETE,))
         counts.append((len(embedded), len(derived)))
     # the run tables die with their run: the second run forms them again
@@ -217,8 +224,8 @@ def test_a_run_embeds_and_differentiates_each_lifted_poly_once(monkeypatch):
 
 
 def test_runs_of_one_definition_leave_no_objects_behind():
-    # a run table kept on anything that outlives its run, such as a key of the
-    # connection's memo, would keep the lifts of every run alive
+    # a run table kept on anything that outlives its run, such as the
+    # Definition's connection, would keep the lifts of every run alive
     defn = grid_definition()
     s = defn.structure
     bases = [c for t in (s.f, s.metric, *s.xi, *s.eta) for c in t.entries.values()]

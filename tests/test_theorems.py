@@ -482,6 +482,30 @@ def test_action_report_42_emits_sign_erratum_only():
     assert len(errata) == 1 and "xi-v-sign" in errata[0]
 
 
+# The X-action coefficients the paper displays after each theorem, (xv, xl_v,
+# xl_l) in J X^v = (FX)^v + xv (eta X)^v xi^L and J X^L = (FX)^L + xl_v (eta X)^v
+# xi^v + xl_l (eta X)^L xi^L; the last term is the complete lift's only.
+_DISPLAYED_X_ACTIONS = {"4.1": (-1, 1, -1), "4.2": (1, -1, 1), "4.3": (-1, 1, -1)}
+
+
+@pytest.mark.parametrize("tag", sorted(_DISPLAYED_X_ACTIONS))
+def test_the_displayed_x_actions_are_the_derived_ones(tag):
+    # each display's coefficients are its cell's (t, s, t), so the derived
+    # displays, which the action entries check, are the paper's
+    th = theorems.THEOREMS[tag]
+    xv, xl_v, xl_l = _DISPLAYED_X_ACTIONS[tag]
+    assert (xv, xl_v, xl_l) == (th.t, th.s, th.t)
+    signature = "riemannian" if th.s > 0 else "lorentzian"
+    report = action_report(theorem_spec(tag, canonical_structure(1, 1, -1, signature)))
+    assert report.overall
+    lift = "c" if th.kind == COMPLETE else "h"
+    names = [e.name for e in report.entries]
+    assert f"[X=d/da1] J(X^v) - [(FX)^v + ({xv:+d})*sum (eta X)^v xi^{lift}]" in names
+    x_l = f"[X=d/da1] J(X^{lift}) - [(FX)^{lift} + ({xl_v:+d})*sum (eta X)^v xi^v"
+    assert x_l + (f" + ({xl_l:+d})*sum (eta X)^c xi^c]" if lift == "c" else "]") in names
+    assert not any("x-display" in n for n in report.notes)
+
+
 def test_spec_validation():
     s = canonical_structure(1, 1, -1, "riemannian")
     with pytest.raises(LiftError):
